@@ -15,6 +15,7 @@ exit code.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -95,9 +96,12 @@ def parse_complex_literal(text: str) -> complex:
     """Accept a+bi (also plain reals and bare bi); i and j both work."""
     t = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(t)
+        z = complex(t)
     except ValueError:
         raise UsageError(f"bad complex literal {text!r}; expected a+bi") from None
+    if not cmath.isfinite(z):
+        raise UsageError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def _parse_int_list(text: str, what: str) -> tuple:

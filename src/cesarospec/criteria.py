@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import PreconditionError, SkEmptyError
 from .sequences import (
@@ -431,18 +430,45 @@ def d_continuity_check(
 
 
 _ROWSUM_N_CAP = 1024
+_ROWSUM_BLOCK = 128
+# One table, grown to the largest N asked for so far; smaller N get a view.
 _logc_cache: dict[int, np.ndarray] = {}
 
 
 def _log_pascal(N: int) -> np.ndarray:
     """Lower-triangular table of log binom(n-1, m-1), 1-based in both indices."""
-    if N not in _logc_cache:
+    if N > _ROWSUM_N_CAP:
+        raise ValueError(f"log-Pascal table size {N} above {_ROWSUM_N_CAP}")
+    table = next(iter(_logc_cache.values()), None)
+    if table is None or len(table) < N:
         from .operators import logbinom
 
         n_idx = np.arange(N, dtype=float)[:, None]
         m_idx = np.arange(N, dtype=float)[None, :]
-        _logc_cache[N] = logbinom(n_idx, m_idx)
-    return _logc_cache[N]
+        table = logbinom(n_idx, m_idx)
+        table.setflags(write=False)
+        _logc_cache.clear()
+        _logc_cache[N] = table
+    return table[:N, :N]
+
+
+def _log_rowsums(logc: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """log sum_{m<=n} exp(logc[n, m] + a[m]) for every row n.
+
+    Row blocks only read the columns up to their last row; the entries
+    beyond are -inf and add nothing.  The diagonal log binom(n-1, n-1) = 0
+    keeps every row maximum finite.
+    """
+    N = len(a)
+    out = np.empty(N)
+    for s in range(0, N, _ROWSUM_BLOCK):
+        e = min(s + _ROWSUM_BLOCK, N)
+        block = logc[s:e, :e] + a[:e]
+        top = block.max(axis=1)
+        block -= top[:, None]
+        np.exp(block, out=block)
+        out[s:e] = np.log(block.sum(axis=1)) + top
+    return out
 
 
 def delta_continuity_check(
@@ -475,9 +501,7 @@ def delta_continuity_check(
     logc = _log_pascal(N1)
 
     def per_pair(kp: int, l: int) -> Verdict:
-        with np.errstate(invalid="ignore"):
-            rows = logsumexp(logc + (alpha / l)[None, :], axis=1)
-        q = rows - alpha / kp
+        q = _log_rowsums(logc, alpha / l) - alpha / kp
         return sup_verdict_bounded(
             ns, q, f"sum_m (w_{kp}(n)/w_{l}(m)) binom(n-1,m-1)", trend_params,
             extra={"alpha": seq.spec_string(), "k": kp, "l": l, "N": N1},

@@ -35,9 +35,16 @@ class TestComplexLiterals:
     def test_accepts(self, text, value):
         assert parse_complex_literal(text) == value
 
-    @pytest.mark.parametrize("text", ["abc", "", "1+2k", "i+j+k"])
+    @pytest.mark.parametrize("text", ["abc", "", "1+2k", "i+j+k", "inf"])
     def test_rejects(self, text):
         with pytest.raises(UsageError):
+            parse_complex_literal(text)
+
+    @pytest.mark.parametrize("text", [
+        "nan", "-nan", "1e400", "-1e400", "1+nanj", "2-1e400i", "nan+nanj",
+    ])
+    def test_rejects_non_finite(self, text):
+        with pytest.raises(UsageError, match="not finite"):
             parse_complex_literal(text)
 
 
@@ -224,6 +231,23 @@ class TestMainExitCodes:
     def test_usage_errors_exit_2(self, argv, capsys):
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "1e400"])
+    def test_non_finite_lambda_exits_2(self, value, capsys):
+        argv = ["--lambda", value, "--experiments", "resolvent"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "not finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", '"nan"', '"1e400"'])
+    def test_non_finite_config_lambda_exits_2(self, tmp_path, value, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(f'{{"lambda": [{value}], "experiments": ["resolvent"]}}')
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
+
+import cesarospec.criteria as criteria_module
 
 from cesarospec import (
     AlphaSequence,
@@ -25,11 +28,16 @@ from cesarospec import (
 )
 from cesarospec.criteria import (
     GALLERY_SPECS,
+    _ROWSUM_N_CAP,
+    _log_pascal,
+    _log_rowsums,
     default_lmax,
     gallery,
     geometric_weights,
     power_weights,
 )
+from cesarospec.operators import logbinom
+from cesarospec.sequences import ALPHA_SATURATION
 
 ALL_PROFILES = {spec: classify_space(parse_alpha(spec))
                 for spec in GALLERY_SPECS}
@@ -196,6 +204,76 @@ class TestDeltaContinuity:
         assert v.outcome == FAILS
         notes = str(v.params)
         assert "scope" in notes or "nuclear" in notes
+
+
+
+def _reference_rowsums(logc, a):
+    # the full-table route the blocked kernel replaces
+    with np.errstate(invalid="ignore"):
+        return logsumexp(logc + a[None, :], axis=1)
+
+
+class TestRowSumKernel:
+    @pytest.mark.parametrize("N", [1, 2, 127, 128, 129, 1024])
+    @pytest.mark.parametrize("spec", GALLERY_SPECS)
+    def test_matches_full_table_logsumexp(self, spec, N):
+        alpha = parse_alpha(spec).values_saturated(N)
+        logc = _log_pascal(N)
+        for l in (2, 5, 20):
+            a = alpha / l
+            ref = _reference_rowsums(logc, a)
+            got = _log_rowsums(logc, a)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("N", [1, 2, 127, 128, 129, 1024])
+    @pytest.mark.parametrize("l", [2, 5, 20])
+    def test_saturated_alpha(self, N, l):
+        a = np.full(N, ALPHA_SATURATION / l)
+        logc = _log_pascal(N)
+        got = _log_rowsums(logc, a)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, _reference_rowsums(logc, a),
+                                   rtol=1e-12, atol=0)
+
+    def test_delta_verdicts_match_reference_kernel(self, monkeypatch):
+        new = {spec: delta_continuity_check(parse_alpha(spec))
+               for spec in GALLERY_SPECS}
+        monkeypatch.setattr(criteria_module, "_log_rowsums", _reference_rowsums)
+        for spec in GALLERY_SPECS:
+            ref = delta_continuity_check(parse_alpha(spec))
+            got = new[spec]
+            assert got.outcome == ref.outcome, spec
+            assert got.witness == ref.witness, spec
+            assert (got.params["rowsum_params"].get("chosen_l_by_k")
+                    == ref.params["rowsum_params"].get("chosen_l_by_k")), spec
+
+
+class TestLogPascalCache:
+    def test_one_table_sliced_bit_identically(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(criteria_module, "_logc_cache", cache)
+        for N in (5, 300, 17, 1, _ROWSUM_N_CAP, 64, 300):
+            got = _log_pascal(N)
+            assert len(cache) <= 1
+            idx = np.arange(N, dtype=float)
+            fresh = logbinom(idx[:, None], idx[None, :])
+            assert got.shape == (N, N)
+            assert np.ascontiguousarray(got).tobytes() == fresh.tobytes()
+
+    def test_smaller_sizes_reuse_the_table(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(criteria_module, "_logc_cache", cache)
+        big = _log_pascal(200)
+        small = _log_pascal(50)
+        assert np.shares_memory(big, small)
+        assert list(cache) == [200]
+        _log_pascal(201)
+        assert list(cache) == [201]
+
+    def test_size_above_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(criteria_module, "_logc_cache", {})
+        with pytest.raises(ValueError):
+            _log_pascal(_ROWSUM_N_CAP + 1)
 
 
 GOLDEN = {
