@@ -50,6 +50,10 @@ OUT_DIR_ENV = "CESAROSPEC_OUT_DIR"
 
 EXPERIMENT_NAMES = ("profile", "spectrum", "resolvent", "eigenpairs",
                     "dynamics", "suite")
+# Largest dynamics step count.  Exact iterates grow their denominators with
+# every step, so the cost rises faster than linearly: at N = 512 from e1, 40
+# steps take about 20 s and 100 steps several minutes.
+DYNAMICS_STEP_CAP = 40
 
 try:
     _VERSION = metadata.version("cesarospec")
@@ -131,6 +135,22 @@ def _validate_x_spec(spec: str) -> str:
                      "expected e<j>, ones, or random")
 
 
+def _check_dynamics_steps(ms, where: str) -> None:
+    if any(m < 1 for m in ms):
+        raise UsageError(f"dynamics step counts must be >= 1 in {where}")
+    if max(ms) > DYNAMICS_STEP_CAP:
+        raise UsageError(f"dynamics step count {max(ms)} in {where} exceeds "
+                         f"the cap of {DYNAMICS_STEP_CAP}")
+
+
+def validate_experiments(tokens, ms) -> None:
+    """Parse every token; step counts of dynamics runs that take ms are checked."""
+    for token in tokens:
+        name, inline = parse_experiment_token(token)
+        if name == "dynamics" and (inline is None or inline[1] is None):
+            _check_dynamics_steps(ms, "the m list")
+
+
 def parse_experiment_token(token: str) -> tuple:
     """Split name[:inline-args]; returns (name, parsed-args or None)."""
     name, _, arg = token.partition(":")
@@ -146,9 +166,10 @@ def parse_experiment_token(token: str) -> tuple:
     if name == "dynamics":
         parts = [p for p in arg.split(",") if p]
         x = _validate_x_spec(parts[0])
-        ms = tuple(int(p) for p in parts[1:]) if len(parts) > 1 else None
-        if ms is not None and any(m < 1 for m in ms):
-            raise UsageError(f"dynamics step counts must be >= 1 in {token!r}")
+        ms = None
+        if len(parts) > 1:
+            ms = _parse_int_list(",".join(parts[1:]), "step count")
+            _check_dynamics_steps(ms, repr(token))
         return name, (x, ms)
     raise UsageError(f"experiment {name!r} takes no inline arguments")
 
@@ -236,8 +257,7 @@ def assemble_config(ns: argparse.Namespace) -> tuple:
         merged["experiments"] = tuple(tokens)
 
     tokens = merged.get("experiments", ("profile",))
-    for token in tokens:
-        parse_experiment_token(token)
+    validate_experiments(tokens, merged.get("m", (1, 2, 3)))
     output = merged.get("output", "json")
     if output not in ("json", "csv"):
         raise UsageError(f"bad output format {output!r}; expected json or csv")
@@ -538,6 +558,7 @@ def _run_suite(ctx: _RunContext) -> tuple:
 
 def run(config: AnalysisConfig) -> Report:
     """Execute the configured experiments in declared order."""
+    validate_experiments(config.experiments, config.ms)
     ctx = _RunContext(config)
     results = []
     wall_times = []

@@ -237,6 +237,10 @@ def gm_sup(m: int, method: str = "both") -> float:
     method "both" (default) also maximizes numerically by golden section and
     insists the two agree to 1e-10.  These constants decrease to zero, which
     is what drives iterates to the projection uniformly on bounded sets.
+
+    The numeric maximum is taken over s = log(1/t) on [0, 2m], a bracket
+    that holds the maximizer s = m - 1 for every m; in t the maximizer
+    e^-(m-1) falls below any fixed floor once m is large.
     """
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
@@ -252,16 +256,14 @@ def gm_sup(m: int, method: str = "both") -> float:
 
     lg = gammaln(m)
 
-    def g(t: float) -> float:
-        if t <= 0.0 or t > 1.0:
-            return 0.0
+    def g(s: float) -> float:
         if m == 1:
-            return t
-        if t == 1.0:
+            return math.exp(-s)
+        if s <= 0.0:
             return 0.0
-        return math.exp(math.log(t) + (m - 1) * math.log(-math.log(t)) - lg)
+        return math.exp(-s + (m - 1) * math.log(s) - lg)
 
-    numeric = _golden_max(g, 1e-12, 1.0)
+    numeric = _golden_max(g, 0.0, 2.0 * m)
     if method == "numeric":
         return numeric
     if abs(closed - numeric) > 1e-10:

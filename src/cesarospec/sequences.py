@@ -37,6 +37,7 @@ from .trend import (
     INCONCLUSIVE,
     LOG_OVERFLOW,
     RISING,
+    UNDECIDED,
     DEFAULT_PARAMS,
     TrendParams,
     Verdict,
@@ -505,6 +506,48 @@ def seminorm(w, k: int, x) -> float:
 # -- scalar diagnostics ---------------------------------------------------------
 
 
+def _unsaturated(ns: np.ndarray, alphas: np.ndarray, extra: dict) -> np.ndarray:
+    """Mask of the samples whose alpha lies below ALPHA_SATURATION.
+
+    A clipped alpha is constant, so quantities built on it flatten or rise
+    with n and read as evidence about the true sequence.  The first saturated
+    sample index is recorded in ``extra`` (verdict params) when there is one.
+    """
+    keep = alphas < ALPHA_SATURATION
+    if not np.all(keep):
+        extra["saturated_from"] = int(ns[~keep][0])
+    return keep
+
+
+def _saturation_starved(ns, logs, quantity: str, trend_params: TrendParams,
+                        extra: dict) -> Optional[Verdict]:
+    """Inconclusive verdict when dropping saturated samples left too few."""
+    if "saturated_from" not in extra or len(ns) >= trend_params.window:
+        return None
+    return Verdict(
+        INCONCLUSIVE, UNDECIDED,
+        tuple((int(n), float(v)) for n, v in zip(ns, logs)),
+        reason="too few samples below the alpha saturation level",
+        params={"quantity": quantity, "scale": "log", **extra},
+    )
+
+
+def _ratio_to_zero_verdict(seq: AlphaSequence, N: int, quantity: str,
+                           log_numerator, trend_params: TrendParams) -> Verdict:
+    """Verdict on f(n)/alpha_n -> 0 along the unsaturated part of the ladder."""
+    lad = ladder(N)
+    alphas = seq.values_saturated(N)[lad - 1]
+    extra = {"alpha": seq.spec_string(), "N": N}
+    keep = _unsaturated(lad, alphas, extra)
+    lad, alphas = lad[keep], alphas[keep]
+    with np.errstate(divide="ignore"):
+        logs = log_numerator(lad) - np.log(alphas)
+    starved = _saturation_starved(lad, logs, quantity, trend_params, extra)
+    if starved is not None:
+        return starved
+    return limit_verdict_zero(lad, logs, quantity, trend_params, extra=extra)
+
+
 def nuclearity_check(
     seq: AlphaSequence,
     N: int | None = None,
@@ -516,14 +559,8 @@ def nuclearity_check(
     downstream criteria treat this verdict as the nuclearity hypothesis.
     """
     N = N or default_resolution(seq)
-    lad = ladder(N)
-    alphas = seq.values_saturated(N)[lad - 1]
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.log(lad)) - np.log(alphas)
-    return limit_verdict_zero(
-        lad, logs, "log(n)/alpha_n", trend_params,
-        extra={"alpha": seq.spec_string(), "N": N},
-    )
+    return _ratio_to_zero_verdict(seq, N, "log(n)/alpha_n",
+                                  lambda n: np.log(np.log(n)), trend_params)
 
 
 def v_alpha(
@@ -544,16 +581,20 @@ def v_alpha(
     gaps = np.diff(a)
     if np.any(gaps < 0):
         raise ValueError("alpha must be nondecreasing")
+    extra = {"alpha": seq.spec_string(), "N": N}
+    gaps = gaps[_unsaturated(np.arange(2, N + 1), a[1:], extra)]
     running_min = np.minimum.accumulate(gaps)
-    lad = ladder(N - 1)
+    lad = ladder(len(gaps)) if len(gaps) else np.array([], dtype=np.int64)
     sampled = running_min[lad - 1]
-    observed = float(running_min[-1])
     with np.errstate(divide="ignore"):
         logs = np.log(np.maximum(sampled, 0.0))
-    v = limit_verdict_positive(
-        lad, logs, "running min of alpha gaps", trend_params,
-        extra={"alpha": seq.spec_string(), "N": N, "observed_inf": observed},
-    )
+    quantity = "running min of alpha gaps"
+    starved = _saturation_starved(lad, logs, quantity, trend_params, extra)
+    observed = float(running_min[-1]) if len(gaps) else math.nan
+    if starved is not None:
+        return observed, starved
+    extra["observed_inf"] = observed
+    v = limit_verdict_positive(lad, logs, quantity, trend_params, extra=extra)
     return observed, v
 
 
@@ -573,12 +614,17 @@ def shift_stability_check(
     a = seq.values_saturated(N)
     ratios = a[1:] / a[:-1]
     ns = np.arange(2, N + 1)
+    extra = {"alpha": seq.spec_string(), "N": N}
+    keep = _unsaturated(ns, a[1:], extra)
+    ns, ratios = ns[keep], ratios[keep]
     logs = np.log(ratios)
+    starved = _saturation_starved(ns, logs, "alpha_{n+1}/alpha_n",
+                                  trend_params, extra)
+    if starved is not None:
+        return starved
+    extra["sup_ratio_observed"] = float(np.max(ratios))
     verdict = sup_verdict_bounded(
-        ns, logs, "alpha_{n+1}/alpha_n", trend_params,
-        extra={"alpha": seq.spec_string(), "N": N,
-               "sup_ratio_observed": float(np.max(ratios))},
-    )
+        ns, logs, "alpha_{n+1}/alpha_n", trend_params, extra=extra)
     if not use_probes:
         return verdict
     probes = seq.tail_probes(N)
@@ -620,13 +666,7 @@ def n_over_alpha_check(
 ) -> Verdict:
     """Verdict on n/alpha_n -> 0 (the growth side of basis-shift continuity)."""
     N = N or default_resolution(seq)
-    lad = ladder(N)
-    alphas = seq.values_saturated(N)[lad - 1]
-    logs = np.log(lad) - np.log(alphas)
-    return limit_verdict_zero(
-        lad, logs, "n/alpha_n", trend_params,
-        extra={"alpha": seq.spec_string(), "N": N},
-    )
+    return _ratio_to_zero_verdict(seq, N, "n/alpha_n", np.log, trend_params)
 
 
 def sk_convergence(

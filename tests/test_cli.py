@@ -8,6 +8,7 @@ import pytest
 from cesarospec import classify_space, parse_alpha
 from cesarospec.cli import (
     AnalysisConfig,
+    DYNAMICS_STEP_CAP,
     SCHEMA_VERSION,
     UsageError,
     _build_parser,
@@ -70,7 +71,8 @@ class TestExperimentTokens:
 
     @pytest.mark.parametrize("token", [
         "orbit", "profile:zzz", "dynamics:bogus", "eigenpairs:a",
-        "resolvent:nope", "dynamics:e1,0",
+        "resolvent:nope", "dynamics:e1,0", "dynamics:e1,x",
+        f"dynamics:e1,{DYNAMICS_STEP_CAP + 1}",
     ])
     def test_rejects(self, token):
         with pytest.raises(UsageError):
@@ -231,6 +233,62 @@ class TestMainExitCodes:
     def test_usage_errors_exit_2(self, argv, capsys):
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_dynamics_past_golden_bracket_exits_0(self, capsys):
+        # a_28 peaks at t = e^-27, below the old numeric bracket
+        assert main(["--experiments", "dynamics:e1,28"]) == 0
+        tree = json.loads(capsys.readouterr().out)
+        sups = tree["results"][0]["data"]["density_sups"]
+        assert [s["m"] for s in sups] == [28]
+
+    @pytest.mark.parametrize("argv", [
+        ["--experiments", "dynamics:e1,100000000"],
+        ["--experiments", f"dynamics:ones,2,{DYNAMICS_STEP_CAP + 1}"],
+        ["--experiments", "dynamics", "--m", "1000"],
+        ["--experiments", "dynamics:e2", "--m", f"{DYNAMICS_STEP_CAP + 1}"],
+    ])
+    def test_dynamics_step_cap_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the cap" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_dynamics_step_cap_from_config_file(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text('{"m": [3, 500], "experiments": ["dynamics"]}')
+        assert main(["--config", str(path)]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_step_cap_leaves_eigenpair_indices_alone(self):
+        config, _ = _config_from(["--experiments", "eigenpairs",
+                                  "dynamics:e1,2", "--m", "50"])
+        assert config.ms == (50,)
+
+    def test_run_checks_the_step_cap(self):
+        with pytest.raises(UsageError):
+            run(AnalysisConfig(experiments=("dynamics",),
+                               ms=(DYNAMICS_STEP_CAP + 1,)))
+
+    # the profile outcomes of tower below its saturation index (n = 140)
+    TOWER_PROFILE = {
+        "nuclear": "holds", "n_over_alpha_zero": "holds",
+        "shift_stable": "fails", "d_continuous": "fails",
+        "delta_continuous": "holds", "inverse_continuous": "holds",
+        "s1_nonempty": "fails", "v_alpha": "holds",
+    }
+
+    @pytest.mark.parametrize("N", [30, 110, 1024])
+    def test_tower_saturated_tail_gives_no_mismatch(self, N, capsys):
+        argv = ["--alpha", "tower", "--N", str(N),
+                "--experiments", "profile", "spectrum"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        tree = json.loads(captured.out)
+        assert tree["mismatches"] == []
+        prof = tree["results"][0]["data"]["profile"]
+        got = {key: prof[key]["outcome"] for key in self.TOWER_PROFILE}
+        assert got == self.TOWER_PROFILE
 
     @pytest.mark.parametrize("value", ["nan", "1e400"])
     def test_non_finite_lambda_exits_2(self, value, capsys):

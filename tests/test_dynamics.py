@@ -28,6 +28,7 @@ from cesarospec import (
     power_iterate,
     seminorm,
 )
+from cesarospec.cli import DYNAMICS_STEP_CAP
 
 F = Fraction
 
@@ -132,10 +133,13 @@ class TestDensitySups:
         assert gm_sup(2) == pytest.approx(math.exp(-1), abs=1e-14)
 
     def test_closed_matches_numeric(self):
-        for m in range(1, 21):
+        # up to the CLI's dynamics step cap; the maximizer e^-(m-1) is below
+        # 1e-12 from m = 29 on
+        for m in range(1, DYNAMICS_STEP_CAP + 1):
             closed = gm_sup(m, method="closed")
             numeric = gm_sup(m, method="numeric")
             assert abs(closed - numeric) <= 1e-10
+            assert gm_sup(m) == closed
 
     def test_strictly_decreasing(self):
         vals = [gm_sup(m) for m in range(1, 25)]

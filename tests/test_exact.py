@@ -3,11 +3,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cesarospec import exact
 from cesarospec.exact import (
     ComplexRational,
+    _sign_minus_exp_interval,
     compare_seminorms,
     compare_weighted,
     parse_complex_rational,
@@ -120,6 +123,106 @@ class TestSignMinusExp:
             assert sign_minus_exp(p, u) == (1 if diff > 0 else -1)
 
 
+def exp_rounded(u: Fraction, bits: int, ulps: int = 0) -> Fraction:
+    """exp(u) rounded to `bits` significant bits, moved by `ulps` units."""
+    with mpmath.workprec(bits):
+        v = mpmath.exp(mpmath.mpf(u.numerator) / u.denominator)
+    man, e = v.man_exp
+    ulp = Fraction(2) ** (e + man.bit_length() - bits)
+    return Fraction(man) * Fraction(2) ** e + ulps * ulp
+
+
+nonzero_u = st.fractions(min_value=Fraction(-50), max_value=Fraction(50),
+                         max_denominator=1000).filter(lambda u: u != 0)
+
+
+class TestFilteredSign:
+    """The float filter against the pure interval route it short-cuts."""
+
+    @given(p=st.fractions(min_value=Fraction(1, 10**6),
+                          max_value=Fraction(10**6), max_denominator=10**6),
+           u=nonzero_u)
+    @settings(max_examples=150)
+    def test_agrees_with_interval(self, p, u):
+        if p > 0:
+            assert sign_minus_exp(p, u) == _sign_minus_exp_interval(p, u, 1 << 20)
+
+    @given(u=nonzero_u, bits=st.sampled_from([30, 53, 80, 120]),
+           ulps=st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=150)
+    def test_agrees_with_interval_at_near_ties(self, u, bits, ulps):
+        p = exp_rounded(u, bits, ulps)
+        assert sign_minus_exp(p, u) == _sign_minus_exp_interval(p, u, 1 << 20)
+
+    def test_near_tie_escalates(self, monkeypatch):
+        calls = []
+
+        def spy(p, u, max_bits):
+            calls.append((p, u))
+            return _sign_minus_exp_interval(p, u, max_bits)
+
+        monkeypatch.setattr(exact, "_sign_minus_exp_interval", spy)
+        u = Fraction(7, 3)
+        assert sign_minus_exp(exp_rounded(u, 120, 1), u) == 1
+        assert sign_minus_exp(exp_rounded(u, 120, -1), u) == -1
+        assert len(calls) == 2
+        assert sign_minus_exp(Fraction(11), u) == 1   # e^{7/3} = 10.31...
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("p,u,want", [
+        (Fraction(1), Fraction(10**309), -1),
+        (Fraction(1), Fraction(-10**309), 1),
+        (Fraction(10**400), Fraction(10**309, 3), -1),
+    ])
+    def test_overflowing_u_takes_interval_route(self, monkeypatch, p, u, want):
+        calls = []
+
+        def spy(p, u, max_bits):
+            calls.append((p, u))
+            return _sign_minus_exp_interval(p, u, max_bits)
+
+        monkeypatch.setattr(exact, "_sign_minus_exp_interval", spy)
+        assert sign_minus_exp(p, u) == want
+        assert calls == [(p, u)]
+
+
+def sequential_argmax(alphas, xs, k):
+    """The exact scan over every entry, earliest index on ties (reference)."""
+    best = 0
+    for i in range(1, len(xs)):
+        if compare_weighted(alphas[i], xs[i], alphas[best], xs[best], k) > 0:
+            best = i
+    return best
+
+
+@st.composite
+def weighted_vectors(draw):
+    """(alphas, xs, k) with exact ties and near-ties planted among the entries."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=10))
+    steps = draw(st.lists(st.fractions(min_value=0, max_value=3,
+                                       max_denominator=7),
+                          min_size=n, max_size=n))
+    alphas, a = [], Fraction(1)
+    for d in steps:
+        a += d
+        alphas.append(a)
+    xs = draw(st.lists(rationals, min_size=n, max_size=n))
+    for j in range(1, n):
+        i = draw(st.integers(min_value=0, max_value=j - 1))
+        plant = draw(st.sampled_from(["none", "tie", "complex", "near"]))
+        if plant == "tie":
+            alphas[j], xs[j] = alphas[i], -xs[i]
+        elif plant == "complex" and isinstance(xs[i], Fraction):
+            xs[j] = ComplexRational(xs[i] * Fraction(3, 5), xs[i] * Fraction(4, 5))
+            alphas[j] = alphas[i]
+        elif plant == "near" and alphas[j] != alphas[i] and xs[i] != 0:
+            bits = draw(st.sampled_from([30, 53, 80, 120]))
+            ulps = draw(st.sampled_from([-1, 0, 1]))
+            xs[j] = xs[i] * exp_rounded((alphas[j] - alphas[i]) / k, bits, ulps)
+    return alphas, xs, k
+
+
 class TestWeightedComparisons:
     def test_compare_weighted_oracle(self):
         # |1| e^{-1} vs |1| e^{-2}: the lighter exponent wins
@@ -161,6 +264,18 @@ class TestWeightedComparisons:
         # float route may be off exactly at near-ties; only check clear wins
         contenders = [i for i, v in enumerate(weights) if v > best - 1e-12]
         assert got in contenders
+
+    @given(case=weighted_vectors())
+    @settings(max_examples=200)
+    def test_argmax_matches_sequential_scan(self, case):
+        alphas, xs, k = case
+        assert weighted_argmax(alphas, xs, k) == sequential_argmax(alphas, xs, k)
+
+    def test_argmax_with_unrepresentable_alpha(self):
+        # alpha beyond the float range: the float pass is skipped
+        alphas = [Fraction(1), Fraction(10**400), Fraction(2)]
+        xs = [Fraction(1), Fraction(10**500), Fraction(3)]
+        assert weighted_argmax(alphas, xs, 1) == 2
 
     def test_compare_seminorms_oracle(self):
         alphas = [Fraction(n) for n in range(1, 4)]

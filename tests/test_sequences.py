@@ -11,6 +11,7 @@ from cesarospec import (
     AlphaSequence,
     FAILS,
     HOLDS,
+    INCONCLUSIVE,
     SkEmptyError,
     WeightSystem,
     n_over_alpha_check,
@@ -23,6 +24,7 @@ from cesarospec import (
     v_alpha,
 )
 from cesarospec.errors import RepresentationError
+from cesarospec.trend import TrendParams
 
 
 class TestGeneratorValues:
@@ -236,3 +238,33 @@ class TestScalarChecks:
     def test_table_exact_values(self):
         seq = AlphaSequence.table([1, 2], step=Fraction(1, 2))
         assert seq.exact_values(4) == [1, 2, Fraction(5, 2), 3]
+
+
+class TestSaturatedTail:
+    """tower's alpha_n = n^n is clipped to ALPHA_SATURATION from n = 140 on."""
+
+    CHECKS = (nuclearity_check, n_over_alpha_check, shift_stability_check,
+              lambda seq, N, params=None: v_alpha(seq, N)[1])
+
+    @pytest.mark.parametrize("N", [140, 1024, 1990])
+    def test_clipped_tail_is_left_out(self, tower, N):
+        for check in self.CHECKS:
+            v = check(tower, N)
+            assert v.outcome == check(tower, 139).outcome
+            assert v.params["saturated_from"] >= 140
+            assert max(n for n, _ in v.evidence) < 140
+        assert v_alpha(tower, N)[0] == v_alpha(tower, 139)[0] == 3.0
+
+    @pytest.mark.parametrize("N", [30, 110, 139])
+    def test_unsaturated_resolutions_untouched(self, tower, N):
+        for check in self.CHECKS:
+            assert "saturated_from" not in check(tower, N).params
+
+    def test_too_few_unsaturated_samples_is_inconclusive(self, tower):
+        wide = TrendParams(window=20)
+        for check in self.CHECKS[:2]:
+            v = check(tower, 1024, wide)
+            assert v.outcome == INCONCLUSIVE
+            assert "saturation" in v.reason
+        wider = TrendParams(window=200)
+        assert shift_stability_check(tower, 1024, wider).outcome == INCONCLUSIVE
