@@ -51,8 +51,8 @@ OUT_DIR_ENV = "CESAROSPEC_OUT_DIR"
 EXPERIMENT_NAMES = ("profile", "spectrum", "resolvent", "eigenpairs",
                     "dynamics", "suite")
 # Largest dynamics step count.  Exact iterates grow their denominators with
-# every step, so the cost rises faster than linearly: at N = 512 from e1, 40
-# steps take about 20 s and 100 steps several minutes.
+# every step, so the cost rises faster than linearly: at N = 512 from e1 on a
+# 2-vCPU host, 40 steps take 16-21 s and 60 steps 35 s.
 DYNAMICS_STEP_CAP = 40
 
 try:
@@ -143,7 +143,7 @@ def _check_dynamics_steps(ms, where: str) -> None:
                          f"the cap of {DYNAMICS_STEP_CAP}")
 
 
-def validate_experiments(tokens, ms) -> None:
+def _validate_experiments(tokens, ms) -> None:
     """Parse every token; step counts of dynamics runs that take ms are checked."""
     for token in tokens:
         name, inline = parse_experiment_token(token)
@@ -165,7 +165,7 @@ def parse_experiment_token(token: str) -> tuple:
         return name, _parse_int_list(arg, "m")
     if name == "dynamics":
         parts = [p for p in arg.split(",") if p]
-        x = _validate_x_spec(parts[0])
+        x = _validate_x_spec(parts[0] if parts else arg)
         ms = None
         if len(parts) > 1:
             ms = _parse_int_list(",".join(parts[1:]), "step count")
@@ -257,7 +257,7 @@ def assemble_config(ns: argparse.Namespace) -> tuple:
         merged["experiments"] = tuple(tokens)
 
     tokens = merged.get("experiments", ("profile",))
-    validate_experiments(tokens, merged.get("m", (1, 2, 3)))
+    _validate_experiments(tokens, merged.get("m", (1, 2, 3)))
     output = merged.get("output", "json")
     if output not in ("json", "csv"):
         raise UsageError(f"bad output format {output!r}; expected json or csv")
@@ -558,7 +558,7 @@ def _run_suite(ctx: _RunContext) -> tuple:
 
 def run(config: AnalysisConfig) -> Report:
     """Execute the configured experiments in declared order."""
-    validate_experiments(config.experiments, config.ms)
+    _validate_experiments(config.experiments, config.ms)
     ctx = _RunContext(config)
     results = []
     wall_times = []

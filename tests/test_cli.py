@@ -71,7 +71,7 @@ class TestExperimentTokens:
 
     @pytest.mark.parametrize("token", [
         "orbit", "profile:zzz", "dynamics:bogus", "eigenpairs:a",
-        "resolvent:nope", "dynamics:e1,0", "dynamics:e1,x",
+        "resolvent:nope", "dynamics:e1,0", "dynamics:e1,x", "dynamics:,",
         f"dynamics:e1,{DYNAMICS_STEP_CAP + 1}",
     ])
     def test_rejects(self, token):
