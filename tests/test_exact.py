@@ -136,6 +136,19 @@ nonzero_u = st.fractions(min_value=Fraction(-50), max_value=Fraction(50),
                          max_denominator=1000).filter(lambda u: u != 0)
 
 
+@pytest.fixture
+def interval_calls(monkeypatch):
+    """The (p, u) of every call that reaches the interval route."""
+    calls = []
+
+    def spy(p, u, max_bits):
+        calls.append((p, u))
+        return _sign_minus_exp_interval(p, u, max_bits)
+
+    monkeypatch.setattr(exact, "_sign_minus_exp_interval", spy)
+    return calls
+
+
 class TestFilteredSign:
     """The float filter against the pure interval route it short-cuts."""
 
@@ -144,8 +157,7 @@ class TestFilteredSign:
            u=nonzero_u)
     @settings(max_examples=150)
     def test_agrees_with_interval(self, p, u):
-        if p > 0:
-            assert sign_minus_exp(p, u) == _sign_minus_exp_interval(p, u, 1 << 20)
+        assert sign_minus_exp(p, u) == _sign_minus_exp_interval(p, u, 1 << 20)
 
     @given(u=nonzero_u, bits=st.sampled_from([30, 53, 80, 120]),
            ulps=st.sampled_from([-1, 0, 1]))
@@ -154,36 +166,23 @@ class TestFilteredSign:
         p = exp_rounded(u, bits, ulps)
         assert sign_minus_exp(p, u) == _sign_minus_exp_interval(p, u, 1 << 20)
 
-    def test_near_tie_escalates(self, monkeypatch):
-        calls = []
-
-        def spy(p, u, max_bits):
-            calls.append((p, u))
-            return _sign_minus_exp_interval(p, u, max_bits)
-
-        monkeypatch.setattr(exact, "_sign_minus_exp_interval", spy)
+    def test_near_tie_escalates(self, interval_calls):
         u = Fraction(7, 3)
         assert sign_minus_exp(exp_rounded(u, 120, 1), u) == 1
         assert sign_minus_exp(exp_rounded(u, 120, -1), u) == -1
-        assert len(calls) == 2
+        assert len(interval_calls) == 2
         assert sign_minus_exp(Fraction(11), u) == 1   # e^{7/3} = 10.31...
-        assert len(calls) == 2
+        assert len(interval_calls) == 2
 
     @pytest.mark.parametrize("p,u,want", [
         (Fraction(1), Fraction(10**309), -1),
         (Fraction(1), Fraction(-10**309), 1),
         (Fraction(10**400), Fraction(10**309, 3), -1),
     ])
-    def test_overflowing_u_takes_interval_route(self, monkeypatch, p, u, want):
-        calls = []
-
-        def spy(p, u, max_bits):
-            calls.append((p, u))
-            return _sign_minus_exp_interval(p, u, max_bits)
-
-        monkeypatch.setattr(exact, "_sign_minus_exp_interval", spy)
+    def test_overflowing_u_takes_interval_route(self, interval_calls, p, u,
+                                                 want):
         assert sign_minus_exp(p, u) == want
-        assert calls == [(p, u)]
+        assert interval_calls == [(p, u)]
 
 
 def sequential_argmax(alphas, xs, k):
