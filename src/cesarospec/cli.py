@@ -19,6 +19,7 @@ import cmath
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -263,9 +264,12 @@ def assemble_config(ns: argparse.Namespace) -> tuple:
         raise UsageError(f"bad output format {output!r}; expected json or csv")
     if "x" in merged:
         _validate_x_spec(merged["x"])
-    for key in ("N", "K", "kmax"):
-        if key in merged and merged[key] < 1:
-            raise UsageError(f"{key} must be >= 1")
+    for key, low in (("N", 2), ("K", 1), ("kmax", 1)):
+        if key in merged and merged[key] < low:
+            raise UsageError(f"{key} must be >= {low}")
+    tol = merged.get("tol")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"tol must be a finite positive number, got {tol}")
 
     config = AnalysisConfig(
         alpha=merged.get("alpha", "linear"),

@@ -42,12 +42,12 @@ from .trend import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
-    RISING,
     TrendParams,
     UNBOUNDED,
     Verdict,
     ladder,
     limit_verdict_zero,
+    probe_escalation,
     sup_verdict_bounded,
 )
 
@@ -64,7 +64,6 @@ __all__ = [
     "geometric_weights",
     "inverse_continuity_check",
     "koethe_continuity_check",
-    "koethe_continuity_scan",
     "noncompactness_witness",
     "power_weights",
 ]
@@ -125,9 +124,9 @@ def koethe_continuity_check(
     """Boundedness of sup_n (a_k(n)/n) * sum_{m<=n} 1/a_l(m) at resolution N.
 
     This single pair (k, l) is one clause of the averaging operator's matrix
-    continuity criterion; callers quantify over k and l themselves or via
-    koethe_continuity_scan.  Prefix sums run in log scale, so an overflowing
-    quantity is a legitimate unboundedness witness.
+    continuity criterion; callers quantify over k and l themselves.  Prefix
+    sums run in log scale, so an overflowing quantity is a legitimate
+    unboundedness witness.
     """
     _check_levels(k, l)
     ns = np.arange(1, N + 1, dtype=np.int64)
@@ -138,84 +137,6 @@ def koethe_continuity_check(
     return sup_verdict_bounded(
         ns, q, "(a_k(n)/n) * sum_{m<=n} 1/a_l(m)", trend_params,
         extra={"k": k, "l": l, "N": N},
-    )
-
-
-def koethe_continuity_scan(
-    a: WeightFamily,
-    k: int,
-    N: int = 1_000,
-    lmax: int | None = None,
-    trend_params: TrendParams = DEFAULT_PARAMS,
-) -> Verdict:
-    """Existential form at level k: does any l <= lmax bound the sup?
-
-    holds with params["chosen_l"] on first success; fails only when every
-    probed l failed decisively.
-    """
-    if k < 1:
-        raise PreconditionError(f"level k must be >= 1, got {k}")
-    lm = lmax if lmax is not None else default_lmax(k)
-    if lm <= k:
-        raise PreconditionError(f"need lmax > k, got k={k}, lmax={lm}")
-    saw_inconclusive = False
-    last = None
-    for l in range(k + 1, lm + 1):
-        v = koethe_continuity_check(a, k, l, N, trend_params)
-        last = v
-        if v.outcome == HOLDS:
-            return Verdict(HOLDS, v.trend, v.evidence,
-                           params={**v.params, "chosen_l": l})
-        if v.outcome == INCONCLUSIVE:
-            saw_inconclusive = True
-    assert last is not None
-    if saw_inconclusive:
-        return Verdict(
-            INCONCLUSIVE, last.trend, last.evidence,
-            reason=f"no l in ({k}, {lm}] stabilizes, but growth is "
-                   "sub-resolution for at least one l",
-            params={**last.params, "l_range": (k + 1, lm)},
-        )
-    return Verdict(
-        FAILS, last.trend, last.evidence,
-        witness={"k": k, "l_range": (k + 1, lm)},
-        params={**last.params, "l_range": (k + 1, lm)},
-    )
-
-
-def _probe_escalation(
-    verdict: Verdict,
-    probe_labels: list[str],
-    probe_logs: np.ndarray,
-    trend_params: TrendParams,
-) -> Verdict:
-    """Re-examine a non-failing sup verdict against beyond-N probe values.
-
-    A dense truncation can look flat while the quantity creeps upward at a
-    rate below the trend classifier's floor; probe values several orders of
-    magnitude beyond N expose that.  Only the first few exceeding probes are
-    trusted for the monotonicity test because very deep probes may sit in the
-    saturated regime of the generator where differences flatten artificially.
-    """
-    if verdict.outcome == FAILS or len(probe_logs) == 0:
-        return verdict
-    dense_sup = max(v for _, v in verdict.evidence) if verdict.evidence else -math.inf
-    beyond = probe_logs > dense_sup + trend_params.rise_total
-    if not np.any(beyond):
-        return verdict
-    idx = np.flatnonzero(beyond)
-    lead = probe_logs[idx][:10]
-    extra = {"probe_values_log": tuple(float(v) for v in probe_logs)}
-    if len(lead) >= 2 and np.all(np.diff(lead) > -1e-12):
-        return Verdict(
-            FAILS, RISING, verdict.evidence,
-            witness=probe_labels[int(idx[0])],
-            params={**verdict.params, **extra},
-        )
-    return Verdict(
-        INCONCLUSIVE, verdict.trend, verdict.evidence,
-        reason="beyond-N probes exceed the dense sup but do not trend",
-        params={**verdict.params, **extra},
     )
 
 
@@ -311,7 +232,8 @@ def inverse_continuity_check(
             ns, q, f"log n - (1/{kp} - 1/{l}) alpha_n", trend_params,
             extra={"alpha": seq.spec_string(), "k": kp, "l": l, "N": N},
         )
-        return _probe_escalation(v, labels, p_logn - c * p_alpha, trend_params)
+        return probe_escalation(v, labels, p_logn - c * p_alpha,
+                                "probe_values_log", trend_params)
 
     return _window_scan(k, lmax, per_pair, "log n - (1/k - 1/l) alpha_n")
 

@@ -29,7 +29,7 @@ from .exact import compare_seminorms
 from .operators import (
     CoordinateVector,
     as_vector,
-    b_matrix,
+    b_apply,
     cesaro_apply,
     logbinom,
 )
@@ -467,8 +467,7 @@ def ergodic_decomposition_check(
     if x.exact:
         one = x.values[0]
         z = [v - one for v in x.values]
-        shifted = CoordinateVector(z[1:], N - 1)
-        u = b_matrix(N - 1).apply(shifted)
+        u = b_apply(z[1:])
         zero = u.values[0] * 0
         v = CoordinateVector([zero] + list(u.values), N)
         cv = cesaro_apply(v)
@@ -484,7 +483,7 @@ def ergodic_decomposition_check(
 
     xf = x.as_float()
     z = xf - xf[0]
-    u = b_matrix(N - 1).apply(CoordinateVector(z[1:], N - 1))
+    u = b_apply(z[1:])
     v = np.concatenate([[0.0], u.as_float()])
     resid = v - (np.cumsum(v) / np.arange(1, N + 1)) - z
     worst = float(np.max(np.abs(resid)))

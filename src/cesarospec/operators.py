@@ -14,9 +14,8 @@ All matrices are N x N truncations.  Three arithmetic modes are supported:
   entries overflow float range (binomials, scaled resolvent tails).
 
 Truncation honesty is tracked rather than hidden: a CoordinateVector carries
-the length of its trustworthy prefix, and applying an operator adjusts it by
-the operator's prefix_shrink (how many trailing coordinates an application
-consumes; 0 for lower-triangular matrices).
+the length of its trustworthy prefix.  Matrix applications keep it, and
+differentiation_apply, which consumes a trailing coordinate, shrinks it.
 """
 
 from __future__ import annotations
@@ -125,10 +124,10 @@ def basis_vector(j: int, N: int, exact: bool = True) -> CoordinateVector:
 
 
 class TruncOperator:
-    """An N x N matrix truncation with mode, structure, and prefix bookkeeping."""
+    """An N x N matrix truncation with mode and structure."""
 
     def __init__(self, name: str, N: int, entries, mode: str,
-                 structure: str = "full", prefix_shrink: int = 0):
+                 structure: str = "full"):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if structure not in STRUCTURES:
@@ -137,7 +136,6 @@ class TruncOperator:
         self.N = int(N)
         self.mode = mode
         self.structure = structure
-        self.prefix_shrink = int(prefix_shrink)
         if mode == "logmag":
             sign, logs = entries
             self._sign = np.asarray(sign, dtype=float)
@@ -201,14 +199,22 @@ class TruncOperator:
         x = as_vector(x)
         if len(x) < self.N:
             raise ValueError(f"vector of length {len(x)} too short for N={self.N}")
-        xv = x.values[:self.N]
-        out_valid = max(0, min(x.valid_len, self.N) - self.prefix_shrink)
-        if self.mode == "float":
-            data = self._data
-            xf = x.prefix(self.N).as_float()
-            return CoordinateVector(data @ xf, out_valid)
+        out_valid = min(x.valid_len, self.N)
+        if self.mode == "rational" and x.exact:
+            xv = x.values[:self.N]
+            out = []
+            for n in range(self.N):
+                row = self._rows[n]
+                hi = n + 1 if self.structure in ("lower", "diagonal") else self.N
+                lo = n if self.structure == "diagonal" else 0
+                acc = None
+                for m in range(lo, hi):
+                    term = row[m] * xv[m]
+                    acc = term if acc is None else acc + term
+                out.append(acc if acc is not None else Fraction(0))
+            return CoordinateVector(out, out_valid)
+        xf = x.prefix(self.N).as_float()
         if self.mode == "logmag":
-            xf = x.prefix(self.N).as_float()
             if np.iscomplexobj(xf):
                 raise RepresentationError("logmag apply supports real vectors only")
             with np.errstate(divide="ignore"):
@@ -221,22 +227,8 @@ class TruncOperator:
                 raise RepresentationError("logmag apply result exceeds float range")
             with np.errstate(over="ignore"):
                 return CoordinateVector(res_sign * np.exp(res_log), out_valid)
-        if not x.exact:
-            return TruncOperator(
-                self.name, self.N, self.as_float_entries(), "float",
-                self.structure, self.prefix_shrink,
-            ).apply(x)
-        out = []
-        for n in range(self.N):
-            row = self._rows[n]
-            hi = n + 1 if self.structure in ("lower", "diagonal") else self.N
-            lo = n if self.structure == "diagonal" else 0
-            acc = None
-            for m in range(lo, hi):
-                term = row[m] * xv[m]
-                acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else Fraction(0))
-        return CoordinateVector(out, out_valid)
+        data = self._data if self.mode == "float" else self.as_float_entries()
+        return CoordinateVector(data @ xf, out_valid)
 
     def as_float_entries(self) -> np.ndarray:
         d = self.dense()
@@ -261,10 +253,9 @@ class TruncOperator:
         else:
             structure = "full"
         name = f"{self.name}*{other.name}"
-        shrink = self.prefix_shrink + other.prefix_shrink
         if self.mode == "float":
             return TruncOperator(name, N, self._data @ other._data, "float",
-                                 structure, shrink)
+                                 structure)
         if self.mode == "logmag":
             raise RepresentationError(
                 "logmag composition not supported; compose in float or rational"
@@ -287,7 +278,7 @@ class TruncOperator:
                     acc = term if acc is None else acc + term
                 row.append(acc if acc is not None else Fraction(0))
             rows.append(row)
-        return TruncOperator(name, N, rows, "rational", structure, shrink)
+        return TruncOperator(name, N, rows, "rational", structure)
 
     def __matmul__(self, other):
         if isinstance(other, TruncOperator):
@@ -296,7 +287,7 @@ class TruncOperator:
 
     def __repr__(self) -> str:
         return (f"TruncOperator({self.name!r}, N={self.N}, mode={self.mode}, "
-                f"structure={self.structure}, prefix_shrink={self.prefix_shrink})")
+                f"structure={self.structure})")
 
 
 def identity(N: int, mode: str = "rational") -> TruncOperator:
@@ -346,6 +337,24 @@ def cesaro_inverse_apply(y) -> CoordinateVector:
     ns = np.arange(1, len(vals) + 1)
     shifted = np.concatenate([[0.0], vals[:-1]])
     return CoordinateVector(ns * vals - (ns - 1) * shifted, y.valid_len)
+
+
+def b_apply(z) -> CoordinateVector:
+    """The map of b_matrix, without materializing it:
+    u_n = (n+1)/n z_n + sum_{m<n} z_m/m, as a running sum."""
+    z = as_vector(z)
+    if z.exact:
+        out, acc = [], Fraction(0)
+        for n, v in enumerate(z.values, start=1):
+            out.append(acc + Fraction(n + 1, n) * v)
+            acc = acc + v / n
+        return CoordinateVector(out, z.valid_len)
+    vals = np.asarray(z.values)
+    ns = np.arange(1, len(vals) + 1)
+    scaled = vals / ns
+    prior = np.zeros_like(scaled)
+    np.cumsum(scaled[:-1], out=prior[1:])
+    return CoordinateVector((ns + 1) / ns * vals + prior, z.valid_len)
 
 
 def differentiation_apply(x) -> CoordinateVector:
@@ -636,15 +645,13 @@ def b_matrix(N: int) -> TruncOperator:
 def dump_csv(op: TruncOperator, stream) -> None:
     """Write the operator as CSV: a comment header, then one line per row.
 
-    Header format: ``# op=<name> N=<N> mode=<mode> prefix_shrink=<s>``.
+    Header format: ``# op=<name> N=<N> mode=<mode>``.
     Entries use the deterministic scalar forms (p/q, 17-digit floats, a+bi).
     Logmag matrices are converted entrywise and refuse on overflow.
     """
     from .serialize import format_entry
 
-    stream.write(
-        f"# op={op.name} N={op.N} mode={op.mode} prefix_shrink={op.prefix_shrink}\n"
-    )
+    stream.write(f"# op={op.name} N={op.N} mode={op.mode}\n")
     if op.mode == "rational":
         rows = op._rows
     else:

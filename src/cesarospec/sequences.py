@@ -45,6 +45,7 @@ from .trend import (
     ladder,
     limit_verdict_positive,
     limit_verdict_zero,
+    probe_escalation,
     sup_verdict_bounded,
 )
 
@@ -602,7 +603,6 @@ def shift_stability_check(
     seq: AlphaSequence,
     N: int | None = None,
     trend_params: TrendParams = DEFAULT_PARAMS,
-    use_probes: bool = True,
 ) -> Verdict:
     """Verdict on limsup alpha_{n+1}/alpha_n < infinity.
 
@@ -625,38 +625,13 @@ def shift_stability_check(
     extra["sup_ratio_observed"] = float(np.max(ratios))
     verdict = sup_verdict_bounded(
         ns, logs, "alpha_{n+1}/alpha_n", trend_params, extra=extra)
-    if not use_probes:
-        return verdict
     probes = seq.tail_probes(N)
-    if not probes:
-        return verdict
     plogs = np.array([
         math.log(p.alpha / p.alpha_prev) if p.alpha_prev > 0 else np.inf
         for p in probes
     ])
-    observed_sup = float(np.max(logs))
-    beyond = plogs > observed_sup + trend_params.rise_total
-    if np.any(beyond) and verdict.outcome != FAILS:
-        # Escalate only when the probe ratios keep growing; a single early
-        # transient above the dense sup is not evidence of an unbounded limsup.
-        # Only the first few exceeding probes are examined: far probes may sit
-        # in the saturated regime where ratios flatten artificially.
-        idx = np.flatnonzero(beyond)
-        lead = plogs[idx][:10]
-        if len(lead) >= 2 and np.all(np.diff(lead) > -1e-12):
-            return Verdict(
-                FAILS, RISING, verdict.evidence,
-                witness=probes[int(idx[0])].label,
-                params={**verdict.params,
-                        "probe_ratios_log": tuple(float(v) for v in plogs)},
-            )
-        return Verdict(
-            INCONCLUSIVE, verdict.trend, verdict.evidence,
-            reason="tail probes exceed the dense ratio sup but do not trend",
-            params={**verdict.params,
-                    "probe_ratios_log": tuple(float(v) for v in plogs)},
-        )
-    return verdict
+    return probe_escalation(verdict, [p.label for p in probes], plogs,
+                            "probe_ratios_log", trend_params)
 
 
 def n_over_alpha_check(
@@ -675,7 +650,6 @@ def sk_convergence(
     s: float,
     N: int = 10_000,
     trend_params: TrendParams = DEFAULT_PARAMS,
-    use_probes: bool = True,
     slope_margin: float = 0.02,
 ) -> Verdict:
     """Verdict on convergence of sum_n exp(alpha_n/k) / n^s.
@@ -730,20 +704,19 @@ def sk_convergence(
                         "window_mass": tuple(float(v) for v in mass)},
             )
 
-    if use_probes:
-        probes = seq.tail_probes(N)
-        if probes:
-            pe = np.array([
-                min(p.alpha / k, ALPHA_SATURATION) - s * p.log_n for p in probes
-            ])
-            threshold = max(0.0, float(np.max(lt))) + 10.0
-            if np.max(pe) > threshold:
-                j = int(np.argmax(pe > threshold))
-                return Verdict(
-                    FAILS, RISING, ev, witness=probes[j].label,
-                    params={**info, "mode": "probe_terms",
-                            "probe_log_terms": tuple(float(v) for v in pe)},
-                )
+    probes = seq.tail_probes(N)
+    if probes:
+        pe = np.array([
+            min(p.alpha / k, ALPHA_SATURATION) - s * p.log_n for p in probes
+        ])
+        threshold = max(0.0, float(np.max(lt))) + 10.0
+        if np.max(pe) > threshold:
+            j = int(np.argmax(pe > threshold))
+            return Verdict(
+                FAILS, RISING, ev, witness=probes[j].label,
+                params={**info, "mode": "probe_terms",
+                        "probe_log_terms": tuple(float(v) for v in pe)},
+            )
 
     dlog = np.diff(np.log(lad))
     theta = -np.diff(lt_l) / dlog

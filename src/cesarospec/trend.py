@@ -115,14 +115,6 @@ def ladder(N: int, start: int = 2) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def sample_at(ns: np.ndarray, values: np.ndarray, ladder_ns: np.ndarray) -> np.ndarray:
-    """Pick values at the ladder indices (ns must be sorted, ladder subset of ns)."""
-    pos = np.searchsorted(ns, ladder_ns)
-    if np.any(pos >= len(ns)) or np.any(ns[pos] != ladder_ns):
-        raise ValueError("ladder indices missing from sample grid")
-    return values[pos]
-
-
 def _tail(a: np.ndarray, window: int) -> np.ndarray:
     return a[-min(window, len(a)):]
 
@@ -183,6 +175,25 @@ def classify_limit(
     return UNDECIDED, None
 
 
+def _limit_verdict(claim, reason, ns, logs, quantity, params, extra) -> Verdict:
+    """Verdict for the claim "the limit trend is ``claim``" (TO_ZERO or
+    POSITIVE_LIMIT); an undecided tail is inconclusive with ``reason``."""
+    trend, detail = classify_limit(ns, logs, params)
+    ev = tuple((int(n), float(v)) for n, v in zip(ns, logs))
+    info = {"quantity": quantity, "scale": "log"}
+    if extra:
+        info.update(extra)
+    if trend == POSITIVE_LIMIT:
+        info["limit_estimate"] = detail
+    if trend == claim:
+        return Verdict(HOLDS, trend, ev, params=info)
+    if trend in (TO_ZERO, POSITIVE_LIMIT):
+        return Verdict(FAILS, trend, ev, witness=int(ns[-1]), params=info)
+    if trend in (RISING, OSCILLATING):
+        return Verdict(FAILS, trend, ev, witness=detail, params=info)
+    return Verdict(INCONCLUSIVE, UNDECIDED, ev, reason=reason, params=info)
+
+
 def limit_verdict_zero(
     ns: np.ndarray,
     logs: np.ndarray,
@@ -191,23 +202,10 @@ def limit_verdict_zero(
     extra: dict | None = None,
 ) -> Verdict:
     """Verdict for the claim "quantity tends to zero"."""
-    trend, detail = classify_limit(ns, logs, params)
-    ev = tuple((int(n), float(v)) for n, v in zip(ns, logs))
-    info = {"quantity": quantity, "scale": "log"}
-    if extra:
-        info.update(extra)
-    if trend == TO_ZERO:
-        return Verdict(HOLDS, trend, ev, params=info)
-    if trend == POSITIVE_LIMIT:
-        info["limit_estimate"] = detail
-        return Verdict(FAILS, trend, ev, witness=int(ns[-1]), params=info)
-    if trend in (RISING, OSCILLATING):
-        return Verdict(FAILS, trend, ev, witness=detail, params=info)
-    return Verdict(
-        INCONCLUSIVE, UNDECIDED, ev,
-        reason="tail neither vanishes, stabilizes, nor grows cleanly at this resolution",
-        params=info,
-    )
+    return _limit_verdict(
+        TO_ZERO,
+        "tail neither vanishes, stabilizes, nor grows cleanly at this resolution",
+        ns, logs, quantity, params, extra)
 
 
 def limit_verdict_positive(
@@ -218,23 +216,9 @@ def limit_verdict_positive(
     extra: dict | None = None,
 ) -> Verdict:
     """Verdict for the claim "quantity tends to a finite positive limit"."""
-    trend, detail = classify_limit(ns, logs, params)
-    ev = tuple((int(n), float(v)) for n, v in zip(ns, logs))
-    info = {"quantity": quantity, "scale": "log"}
-    if extra:
-        info.update(extra)
-    if trend == POSITIVE_LIMIT:
-        info["limit_estimate"] = detail
-        return Verdict(HOLDS, trend, ev, params=info)
-    if trend == TO_ZERO:
-        return Verdict(FAILS, trend, ev, witness=int(ns[-1]), params=info)
-    if trend in (RISING, OSCILLATING):
-        return Verdict(FAILS, trend, ev, witness=detail, params=info)
-    return Verdict(
-        INCONCLUSIVE, UNDECIDED, ev,
-        reason="tail does not stabilize at this resolution",
-        params=info,
-    )
+    return _limit_verdict(
+        POSITIVE_LIMIT, "tail does not stabilize at this resolution",
+        ns, logs, quantity, params, extra)
 
 
 def classify_sup(
@@ -321,4 +305,42 @@ def sup_verdict_bounded(
         INCONCLUSIVE, UNDECIDED, ev,
         reason="running sup neither stabilizes nor grows cleanly at this resolution",
         params=info,
+    )
+
+
+def probe_escalation(
+    verdict: Verdict,
+    probe_labels: list[str],
+    probe_logs: np.ndarray,
+    field: str,
+    trend_params: TrendParams = DEFAULT_PARAMS,
+) -> Verdict:
+    """Re-examine a non-failing sup verdict against beyond-N probe values.
+
+    A dense truncation can look flat while the quantity creeps upward at a
+    rate below the trend classifier's floor; probe values several orders of
+    magnitude beyond N expose that.  The dense sup is the largest evidence
+    value, the last running-sup point.  Escalation needs the probes above it
+    to keep growing: a single early transient is not evidence of an unbounded
+    sup.  Only the first few exceeding probes are trusted for the
+    monotonicity test because very deep probes may sit in the saturated
+    regime of the generator where differences flatten artificially.  The
+    probe values are recorded in the verdict params under ``field``.
+    """
+    if verdict.outcome == FAILS or len(probe_logs) == 0:
+        return verdict
+    dense_sup = max((v for _, v in verdict.evidence), default=-math.inf)
+    beyond = probe_logs > dense_sup + trend_params.rise_total
+    if not np.any(beyond):
+        return verdict
+    idx = np.flatnonzero(beyond)
+    lead = probe_logs[idx][:10]
+    params = {**verdict.params, field: tuple(float(v) for v in probe_logs)}
+    if len(lead) >= 2 and np.all(np.diff(lead) > -1e-12):
+        return Verdict(FAILS, RISING, verdict.evidence,
+                       witness=probe_labels[int(idx[0])], params=params)
+    return Verdict(
+        INCONCLUSIVE, verdict.trend, verdict.evidence,
+        reason="beyond-N probes exceed the dense sup but do not trend",
+        params=params,
     )

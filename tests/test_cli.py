@@ -307,6 +307,25 @@ class TestMainExitCodes:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("field,value,literal,message", [
+        ("N", "1", "1", "N must be >= 2"),
+        ("N", "0", "0", "N must be >= 2"),
+        ("tol", "nan", "NaN", "tol must be"),
+        ("tol", "inf", "Infinity", "tol must be"),
+        ("tol", "-1", "-1", "tol must be"),
+        ("tol", "0", "0", "tol must be"),
+    ])
+    def test_bad_resolution_or_tolerance_exits_2(self, tmp_path, field, value,
+                                                 literal, message, capsys):
+        flag = ["--" + field, value, "--experiments", "dynamics"]
+        path = tmp_path / "job.json"
+        path.write_text(f'{{"{field}": {literal}, "experiments": ["dynamics"]}}')
+        for argv in (flag, ["--config", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}")
+            assert len(err.strip().splitlines()) == 1
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -14,6 +14,7 @@ from cesarospec import (
     PreconditionError,
     RepresentationError,
     a_matrix,
+    b_apply,
     b_matrix,
     basis_vector,
     cesaro,
@@ -363,13 +364,28 @@ class TestShiftedDifferencePair:
         y = a_matrix(len(xs)).apply(b_matrix(len(xs)).apply(x))
         assert all(y.values[i] == x.values[i] for i in range(y.valid_len))
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 511])
+    def test_b_apply_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        b = b_matrix(n)
+        zs = [F(int(p), int(q)) for p, q in zip(rng.integers(-50, 50, n),
+                                                 rng.integers(1, 30, n))]
+        dense, free = b.apply(CoordinateVector(zs)), b_apply(zs)
+        assert [(type(v), v) for v in free.values] \
+            == [(type(v), v) for v in dense.values]
+        assert free.valid_len == dense.valid_len == n
+        zf = rng.uniform(-1.0, 1.0, n)
+        ref = b.apply(CoordinateVector(zf)).as_float()
+        got = b_apply(zf).as_float()
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
 
 class TestSerialization:
     def test_dump_csv_golden(self):
         buf = io.StringIO()
         dump_csv(cesaro(2), buf)
         assert buf.getvalue() == (
-            "# op=cesaro N=2 mode=rational prefix_shrink=0\n"
+            "# op=cesaro N=2 mode=rational\n"
             "1,0\n"
             "1/2,1/2\n"
         )
