@@ -53,8 +53,13 @@ EXPERIMENT_NAMES = ("profile", "spectrum", "resolvent", "eigenpairs",
                     "dynamics", "suite")
 # Largest dynamics step count.  Exact iterates grow their denominators with
 # every step, so the cost rises faster than linearly: at N = 512 from e1 on a
-# 2-vCPU host, 40 steps take 16-21 s and 60 steps 35 s.
+# 2-vCPU host, 40 steps take 5.5 s and 60 steps 12 s.
 DYNAMICS_STEP_CAP = 40
+# Largest eigenpair index.  Index m checks its eigenvector against a dense
+# cesaro(2m) Fraction matrix, so time and memory grow quadratically: on the
+# same host a run at index 200 takes 1.0 s at 111 MB peak RSS, 600 takes
+# 3.8 s at 203 MB.
+EIGENPAIR_INDEX_CAP = 200
 
 try:
     _VERSION = metadata.version("cesarospec")
@@ -136,20 +141,43 @@ def _validate_x_spec(spec: str) -> str:
                      "expected e<j>, ones, or random")
 
 
-def _check_dynamics_steps(ms, where: str) -> None:
-    if any(m < 1 for m in ms):
-        raise UsageError(f"dynamics step counts must be >= 1 in {where}")
-    if max(ms) > DYNAMICS_STEP_CAP:
-        raise UsageError(f"dynamics step count {max(ms)} in {where} exceeds "
-                         f"the cap of {DYNAMICS_STEP_CAP}")
+def _check_counts(values, what: str, cap: int, where: str) -> None:
+    if not values or min(values) < 1:
+        raise UsageError(f"each {what} in {where} must be >= 1, "
+                         f"got {list(values)}")
+    if max(values) > cap:
+        raise UsageError(f"{what} {max(values)} in {where} exceeds "
+                         f"the cap of {cap}")
 
 
-def _validate_experiments(tokens, ms) -> None:
-    """Parse every token; step counts of dynamics runs that take ms are checked."""
-    for token in tokens:
+def _check_config(config: AnalysisConfig) -> None:
+    """Every token, range and spec check, whether the config came from flags,
+    a config file or code; the m list is checked for the runs that take it."""
+    for token in config.experiments:
         name, inline = parse_experiment_token(token)
         if name == "dynamics" and (inline is None or inline[1] is None):
-            _check_dynamics_steps(ms, "the m list")
+            _check_counts(config.ms, "dynamics step count", DYNAMICS_STEP_CAP,
+                          "the m list")
+        if name == "eigenpairs" and inline is None:
+            _check_counts(config.ms, "eigenpair index", EIGENPAIR_INDEX_CAP,
+                          "the m list")
+    if config.output not in ("json", "csv"):
+        raise UsageError(f"bad output format {config.output!r}; "
+                         "expected json or csv")
+    _validate_x_spec(config.x)
+    for key, low in (("N", 2), ("K", 1), ("kmax", 1)):
+        value = getattr(config, key)
+        if value is not None and value < low:
+            raise UsageError(f"{key} must be >= {low}")
+    if not all(cmath.isfinite(z) for z in config.lambdas):
+        raise UsageError(f"lambda values must be finite, got {config.lambdas}")
+    tol = config.tol
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"tol must be a finite positive number, got {tol}")
+    try:
+        parse_alpha(config.alpha)
+    except (ValueError, CesaroError) as err:
+        raise UsageError(f"bad --alpha {config.alpha!r}: {err}") from None
 
 
 def parse_experiment_token(token: str) -> tuple:
@@ -163,14 +191,17 @@ def parse_experiment_token(token: str) -> tuple:
     if name == "resolvent":
         return name, _parse_lambda_list(arg)
     if name == "eigenpairs":
-        return name, _parse_int_list(arg, "m")
+        ms = _parse_int_list(arg, "m")
+        _check_counts(ms, "eigenpair index", EIGENPAIR_INDEX_CAP, repr(token))
+        return name, ms
     if name == "dynamics":
         parts = [p for p in arg.split(",") if p]
         x = _validate_x_spec(parts[0] if parts else arg)
         ms = None
         if len(parts) > 1:
             ms = _parse_int_list(",".join(parts[1:]), "step count")
-            _check_dynamics_steps(ms, repr(token))
+            _check_counts(ms, "dynamics step count", DYNAMICS_STEP_CAP,
+                          repr(token))
         return name, (x, ms)
     raise UsageError(f"experiment {name!r} takes no inline arguments")
 
@@ -257,20 +288,6 @@ def assemble_config(ns: argparse.Namespace) -> tuple:
             tokens.extend(p for p in item.split(";") if p)
         merged["experiments"] = tuple(tokens)
 
-    tokens = merged.get("experiments", ("profile",))
-    _validate_experiments(tokens, merged.get("m", (1, 2, 3)))
-    output = merged.get("output", "json")
-    if output not in ("json", "csv"):
-        raise UsageError(f"bad output format {output!r}; expected json or csv")
-    if "x" in merged:
-        _validate_x_spec(merged["x"])
-    for key, low in (("N", 2), ("K", 1), ("kmax", 1)):
-        if key in merged and merged[key] < low:
-            raise UsageError(f"{key} must be >= {low}")
-    tol = merged.get("tol")
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise UsageError(f"tol must be a finite positive number, got {tol}")
-
     config = AnalysisConfig(
         alpha=merged.get("alpha", "linear"),
         N=merged.get("N"),
@@ -279,16 +296,13 @@ def assemble_config(ns: argparse.Namespace) -> tuple:
         lmax=merged.get("lmax"),
         tol=merged.get("tol"),
         seed=merged.get("seed", 1729),
-        experiments=tokens,
+        experiments=merged.get("experiments", ("profile",)),
         lambdas=merged.get("lambda", (complex(2),)),
         ms=merged.get("m", (1, 2, 3)),
         x=merged.get("x", "e1"),
-        output=output,
+        output=merged.get("output", "json"),
     )
-    try:
-        parse_alpha(config.alpha)
-    except (ValueError, CesaroError) as err:
-        raise UsageError(f"bad --alpha {config.alpha!r}: {err}") from None
+    _check_config(config)
     delivery = {"out": merged.get("out"),
                 "include_timings": bool(ns.include_timings)}
     return config, delivery
@@ -371,8 +385,6 @@ def _run_eigenpairs(ctx: _RunContext, ms) -> tuple:
     entries = []
     mism = []
     for m in ms:
-        if m < 1:
-            raise UsageError(f"eigenpair index must be >= 1, got {m}")
         n_eig = max(40, 2 * m)
         vec = delta_eigenvector(m, n_eig)
         image = cesaro(n_eig).apply(vec)
@@ -413,11 +425,12 @@ def _run_dynamics(ctx: _RunContext, x_spec: str, ms) -> tuple:
     ks = tuple(range(1, min(config.K, 5) + 1))
     entries = []
     mism = []
+    M = max(max(ms), 10)
+    trace = power_iterate(x, max(M, min(n_dyn, 32)), w=ctx.weights, ks=ks)
     for m in ms:
-        trace = power_iterate(x, m, w=ctx.weights, ks=ks)
-        final = trace.final()
+        final = trace.vectors[m]
         entry = {"m": m, "head": list(final.values[:8]),
-                 "seminorms": trace.seminorms[-1][1] if trace.seminorms else ()}
+                 "seminorms": trace.seminorms[m][1]}
         if m <= 5 and n_dyn <= 40:
             diff = float(np.max(np.abs(
                 iterate_via_kernel(x, m).as_float().astype(complex)
@@ -431,9 +444,8 @@ def _run_dynamics(ctx: _RunContext, x_spec: str, ms) -> tuple:
     sups = [{"m": m, "sup": gm_sup(m)} for m in sorted(set(ms))]
 
     exact_ok = x.exact and ctx.seq.exact_values(len(x)) is not None
-    bound = power_bound_check(
-        ctx.weights, x, K=min(config.K, 5), M=max(max(ms), 10),
-        mode="rational" if exact_ok else "float")
+    bound = power_bound_check(ctx.weights, trace, K=len(ks), M=M,
+                              mode="rational" if exact_ok else "float")
     if bound.outcome == FAILS:
         mism.append("dynamics: seminorm contraction under averaging violated")
     limit = iterate_limit_check(x, tol=config.tol or 1e-6)
@@ -444,7 +456,7 @@ def _run_dynamics(ctx: _RunContext, x_spec: str, ms) -> tuple:
     if ergodic.outcome == FAILS:
         mism.append("dynamics: mean-ergodic splitting failed to reconstruct")
 
-    means = cesaro_means(x, nmax=min(n_dyn, 32), w=ctx.weights, ks=ks)
+    means = cesaro_means(trace, nmax=min(n_dyn, 32), w=ctx.weights, ks=ks)
     last_gap = None
     if means.distances:
         step, gaps = means.distances[-1]
@@ -562,7 +574,7 @@ def _run_suite(ctx: _RunContext) -> tuple:
 
 def run(config: AnalysisConfig) -> Report:
     """Execute the configured experiments in declared order."""
-    _validate_experiments(config.experiments, config.ms)
+    _check_config(config)
     ctx = _RunContext(config)
     results = []
     wall_times = []

@@ -536,10 +536,6 @@ def _s1_verdict(seq: AlphaSequence, N: int) -> Verdict:
     return Verdict(HOLDS, BOUNDED, tuple(est.probed), params=params)
 
 
-def _decisively(v: Verdict, outcome: str) -> bool:
-    return v.outcome == outcome
-
-
 def classify_space(seq: AlphaSequence, N: int | None = None) -> SpaceProfile:
     """Run every scalar diagnostic and criterion and cross-check the results.
 
@@ -559,22 +555,22 @@ def classify_space(seq: AlphaSequence, N: int | None = None) -> SpaceProfile:
     warnings: list[str] = []
     notes: list[str] = []
 
-    if _decisively(v_verdict, HOLDS) and _decisively(nuclear, FAILS):
+    if v_verdict.outcome == HOLDS and nuclear.outcome == FAILS:
         warnings.append(
             "v(alpha) > 0 forces log(n)/alpha_n -> 0, but the nuclearity "
             "verdict failed"
         )
-    if _decisively(nuclear, HOLDS) and _decisively(s1, HOLDS):
+    if nuclear.outcome == HOLDS and s1.outcome == HOLDS:
         warnings.append(
             "nuclearity and a nonempty S_1 are mutually exclusive, yet both "
             "verdicts hold"
         )
-    if _decisively(inverse, HOLDS) and _decisively(nuclear, FAILS):
+    if inverse.outcome == HOLDS and nuclear.outcome == FAILS:
         warnings.append(
             "inverse continuity holds but nuclearity fails; the two are "
             "provably equivalent"
         )
-    if _decisively(inverse, FAILS) and _decisively(nuclear, HOLDS):
+    if inverse.outcome == FAILS and nuclear.outcome == HOLDS:
         warnings.append(
             "inverse continuity fails but nuclearity holds; the two are "
             "provably equivalent"

@@ -64,19 +64,34 @@ class QuadSpec:
 class IterateTrace:
     """Recorded trajectory of m running-mean passes.
 
-    iterates holds (step, coordinate tuple) pairs including step 0; the
-    seminorm history holds (step, ((k, p_k value), ...)) when a weight system
-    was supplied.  Every iterate keeps the full trustworthy prefix of x0: the
-    map is lower triangular and consumes nothing.
+    vectors holds x0 and every iterate in step order; the seminorm history
+    holds (step, ((k, p_k value), ...)) when a weight system was supplied.
+    Every iterate keeps the full trustworthy prefix of x0: the map is lower
+    triangular and consumes nothing.
     """
 
-    x0: CoordinateVector
-    iterates: tuple
+    vectors: tuple
     seminorms: tuple
-    limit_prediction: complex | float
+
+    @property
+    def x0(self) -> CoordinateVector:
+        return self.vectors[0]
+
+    @property
+    def steps(self) -> int:
+        return len(self.vectors) - 1
+
+    @property
+    def limit_prediction(self) -> complex | float:
+        return self.x0.values[0]
+
+    @property
+    def iterates(self) -> tuple:
+        """(step, coordinate tuple) pairs including step 0."""
+        return tuple((m, tuple(v.values)) for m, v in enumerate(self.vectors))
 
     def final(self) -> CoordinateVector:
-        return CoordinateVector(list(self.iterates[-1][1]), self.x0.valid_len)
+        return self.vectors[-1]
 
     def write_csv(self, stream) -> None:
         """Rows m,n,value,p_k... with the per-step seminorms repeated."""
@@ -88,10 +103,10 @@ class IterateTrace:
         header = "m,n,value" + "".join(f",p_{k}" for k in ks)
         stream.write(header + "\n")
         sem_by_step = {step: dict(vals) for step, vals in self.seminorms}
-        for step, coords in self.iterates:
+        for step, vec in enumerate(self.vectors):
             sems = sem_by_step.get(step, {})
             tail = "".join(f",{format_float(sems[k])}" for k in ks if k in sems)
-            for n, v in enumerate(coords, start=1):
+            for n, v in enumerate(vec.values, start=1):
                 stream.write(f"{step},{n},{format_entry(v)}{tail}\n")
 
 
@@ -104,38 +119,31 @@ def power_iterate(
     """Apply m running-mean passes, recording every intermediate step.
 
     O(m N) total.  Exact input stays exact; the seminorm history (float) is
-    recorded only when a weight system is given.
+    recorded only when a weight system is given.  This is the one producer
+    of iterates: the contraction check and the Cesaro means read its trace.
     """
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
     x = as_vector(x)
     if len(x) == 0:
         raise PreconditionError("empty vector")
+    vectors = [x]
+    for _ in range(m):
+        vectors.append(cesaro_apply(vectors[-1]))
+    sems = () if w is None else tuple(
+        (step, tuple((k, seminorm(w, k, np.abs(v.as_float()))) for k in ks))
+        for step, v in enumerate(vectors))
+    return IterateTrace(vectors=tuple(vectors), seminorms=sems)
 
-    def record_sem(vec: CoordinateVector):
-        if w is None:
-            return None
-        mags = np.abs(vec.as_float())
-        return tuple((k, seminorm(w, k, mags)) for k in ks)
 
-    iterates = [(0, tuple(x.values))]
-    sems = []
-    s0 = record_sem(x)
-    if s0 is not None:
-        sems.append((0, s0))
-    y = x
-    for step in range(1, m + 1):
-        y = cesaro_apply(y)
-        iterates.append((step, tuple(y.values)))
-        s = record_sem(y)
-        if s is not None:
-            sems.append((step, s))
-    return IterateTrace(
-        x0=x,
-        iterates=tuple(iterates),
-        seminorms=tuple(sems),
-        limit_prediction=x.values[0],
-    )
+def _trace_of(x, steps: int) -> IterateTrace:
+    """x itself if it is a trace of at least `steps` passes, else its orbit."""
+    if not isinstance(x, IterateTrace):
+        return power_iterate(x, steps)
+    if x.steps < steps:
+        raise PreconditionError(
+            f"trace of {x.steps} passes is shorter than the {steps} needed")
+    return x
 
 
 def _kernel_cell(n: int, j: int, m: int, spec: QuadSpec) -> float:
@@ -293,32 +301,18 @@ def cesaro_means(
     w: WeightSystem | AlphaSequence | None = None,
     ks: tuple = (1, 2, 3),
 ) -> CesaroMeansTrace:
-    """Incrementally accumulate the first nmax averaged iterates."""
+    """Accumulate the first nmax averaged iterates of x, a start vector or
+    an IterateTrace of at least nmax passes."""
     if nmax < 1:
         raise PreconditionError(f"need nmax >= 1, got {nmax}")
-    x = as_vector(x)
-    if len(x) == 0:
-        raise PreconditionError("empty vector")
-    limit = x.values[0]
+    trace = _trace_of(x, nmax)
+    limit = trace.limit_prediction
     means = []
     distances = []
-    y = x
-    acc: CoordinateVector | None = None
-    for j in range(1, nmax + 1):
-        y = cesaro_apply(y)
-        if acc is None:
-            acc = y
-        else:
-            acc = CoordinateVector(
-                [a + b for a, b in zip(acc.values, y.values)]
-                if y.exact else np.asarray(acc.values) + np.asarray(y.values),
-                y.valid_len,
-            )
-        tj = CoordinateVector(
-            [v / j for v in acc.values] if acc.exact
-            else np.asarray(acc.values) / j,
-            acc.valid_len,
-        )
+    acc = None
+    for j, y in enumerate(trace.vectors[1:nmax + 1], start=1):
+        acc = y.values if acc is None else acc + y.values
+        tj = CoordinateVector(acc / j, y.valid_len)
         means.append((j, tuple(tj.values)))
         if w is not None:
             diff = np.abs(tj.as_float().astype(complex) - complex(limit))
@@ -326,7 +320,7 @@ def cesaro_means(
                 (j, tuple((k, seminorm(w, k, diff)) for k in ks))
             )
     return CesaroMeansTrace(
-        x0=x, means=tuple(means), distances=tuple(distances),
+        x0=trace.x0, means=tuple(means), distances=tuple(distances),
         limit_prediction=limit,
     )
 
@@ -341,18 +335,22 @@ def power_bound_check(
 ) -> Verdict:
     """Seminorm contraction p_k(iterate) <= p_k(x) for k <= K, m <= M.
 
-    Float mode allows a relative slack of tol_float; rational mode compares
-    exactly (weighted magnitudes against exponentials decided by interval
+    x is a start vector or an IterateTrace of at least M passes.  Float mode
+    allows a relative slack of tol_float; rational mode compares exactly
+    (weighted magnitudes against exponentials decided by interval
     arithmetic) and requires a generator with exact rational values.
     """
     if K < 1 or M < 1:
         raise PreconditionError("need K >= 1 and M >= 1")
     if mode not in ("float", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
-    x = as_vector(x)
     seq = w.alpha if isinstance(w, WeightSystem) else w
     if not isinstance(seq, AlphaSequence):
         raise PreconditionError("need a weight system or generator")
+    trace = _trace_of(x, M)
+    x = trace.x0
+    iterates = enumerate(trace.vectors[1:M + 1], start=1)
+    params = {"alpha": seq.spec_string(), "K": K, "M": M, "mode": mode}
 
     evidence = []
     if mode == "rational":
@@ -363,31 +361,22 @@ def power_bound_check(
             )
         if not x.exact:
             raise PreconditionError("rational mode needs an exact vector")
-        y = x
-        for m in range(1, M + 1):
-            y = cesaro_apply(y)
+        xs = list(x.values)
+        for m, y in iterates:
+            ys = list(y.values)
             for k in range(1, K + 1):
-                sign = compare_seminorms(alphas, k, list(y.values),
-                                         list(x.values))
-                if sign > 0:
-                    return Verdict(
-                        FAILS, "expansion", tuple(evidence),
-                        witness={"k": k, "m": m},
-                        params={"alpha": seq.spec_string(), "K": K, "M": M,
-                                "mode": mode},
-                    )
+                if compare_seminorms(alphas, k, ys, xs) > 0:
+                    return Verdict(FAILS, "expansion", tuple(evidence),
+                                   witness={"k": k, "m": m}, params=params)
             evidence.append((m, 0.0))
-        return Verdict(HOLDS, "contraction", tuple(evidence),
-                       params={"alpha": seq.spec_string(), "K": K, "M": M,
-                               "mode": mode})
+        return Verdict(HOLDS, "contraction", tuple(evidence), params=params)
 
+    params["tol"] = tol_float
     ws = w if isinstance(w, WeightSystem) else WeightSystem(w)
     xf = np.abs(x.as_float())
     base = {k: seminorm(ws, k, xf) for k in range(1, K + 1)}
-    y = x
     worst = 0.0
-    for m in range(1, M + 1):
-        y = cesaro_apply(y)
+    for m, y in iterates:
         yf = np.abs(y.as_float())
         for k in range(1, K + 1):
             pk = seminorm(ws, k, yf)
@@ -397,13 +386,10 @@ def power_bound_check(
                 return Verdict(
                     FAILS, "expansion", tuple(evidence),
                     witness={"k": k, "m": m, "p_k": pk, "bound": base[k]},
-                    params={"alpha": seq.spec_string(), "K": K, "M": M,
-                            "mode": mode, "tol": tol_float},
+                    params=params,
                 )
         evidence.append((m, worst))
-    return Verdict(HOLDS, "contraction", tuple(evidence),
-                   params={"alpha": seq.spec_string(), "K": K, "M": M,
-                           "mode": mode, "tol": tol_float})
+    return Verdict(HOLDS, "contraction", tuple(evidence), params=params)
 
 
 def iterate_limit_check(

@@ -9,6 +9,7 @@ from cesarospec import classify_space, parse_alpha
 from cesarospec.cli import (
     AnalysisConfig,
     DYNAMICS_STEP_CAP,
+    EIGENPAIR_INDEX_CAP,
     SCHEMA_VERSION,
     UsageError,
     _build_parser,
@@ -21,6 +22,8 @@ from cesarospec.cli import (
     run,
 )
 import cesarospec.cli as cli_module
+import cesarospec.dynamics as dynamics_module
+from cesarospec.operators import cesaro_apply
 
 
 class TestComplexLiterals:
@@ -72,7 +75,8 @@ class TestExperimentTokens:
     @pytest.mark.parametrize("token", [
         "orbit", "profile:zzz", "dynamics:bogus", "eigenpairs:a",
         "resolvent:nope", "dynamics:e1,0", "dynamics:e1,x", "dynamics:,",
-        f"dynamics:e1,{DYNAMICS_STEP_CAP + 1}",
+        f"dynamics:e1,{DYNAMICS_STEP_CAP + 1}", "eigenpairs:0",
+        f"eigenpairs:2,{EIGENPAIR_INDEX_CAP + 1}",
     ])
     def test_rejects(self, token):
         with pytest.raises(UsageError):
@@ -190,6 +194,26 @@ class TestRunAndEmit:
         assert cells["config.K"] == "4"
         assert cells["schema_version"] == "1"
 
+    @pytest.mark.parametrize("config", [
+        AnalysisConfig(N=1, experiments=("profile",)),
+        AnalysisConfig(tol=float("nan"), experiments=("dynamics",)),
+        AnalysisConfig(tol=-1.0, experiments=("dynamics",)),
+        AnalysisConfig(alpha="mystery"),
+        AnalysisConfig(K=0),
+        AnalysisConfig(kmax=0),
+        AnalysisConfig(output="xml"),
+        AnalysisConfig(lambdas=(complex("nan"),), experiments=("resolvent",)),
+        AnalysisConfig(x="q1", experiments=("dynamics",)),
+        AnalysisConfig(experiments=("dynamics",), ms=()),
+        AnalysisConfig(experiments=("eigenpairs",), ms=(0,)),
+        AnalysisConfig(experiments=("eigenpairs",),
+                       ms=(EIGENPAIR_INDEX_CAP + 1,)),
+    ])
+    def test_run_checks_the_config(self, config):
+        # run is also called directly, without assemble_config
+        with pytest.raises(UsageError):
+            run(config)
+
     def test_timings_only_when_requested(self):
         report = run(AnalysisConfig(experiments=("profile",)))
         bare = json.loads(emit(report, "json"))
@@ -263,6 +287,48 @@ class TestMainExitCodes:
         config, _ = _config_from(["--experiments", "eigenpairs",
                                   "dynamics:e1,2", "--m", "50"])
         assert config.ms == (50,)
+
+    def test_eigenpair_cap_is_at_least_ten(self):
+        assert EIGENPAIR_INDEX_CAP >= 10
+        assert parse_experiment_token(f"eigenpairs:{EIGENPAIR_INDEX_CAP}") \
+            == ("eigenpairs", (EIGENPAIR_INDEX_CAP,))
+
+    @pytest.mark.parametrize("argv", [
+        ["--experiments", f"eigenpairs:{EIGENPAIR_INDEX_CAP + 1}"],
+        ["--experiments", "eigenpairs", "--m", f"{EIGENPAIR_INDEX_CAP + 1}"],
+    ])
+    def test_eigenpair_cap_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the cap" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_eigenpair_cap_from_config_file(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(f'{{"m": [2, {EIGENPAIR_INDEX_CAP + 1}], '
+                        '"experiments": ["eigenpairs"]}')
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the cap" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("token,applies", [
+        # one trace of max(40, 10, 32) passes, plus the ergodic check's one
+        ("dynamics:e1,40", 41),
+        # the default m list: max(3, 10, 32) passes, plus one
+        ("dynamics", 33),
+    ])
+    def test_one_iterate_chain_per_dynamics_run(self, token, applies,
+                                                 monkeypatch, capsys):
+        calls = []
+
+        def spy(x):
+            calls.append(len(x))
+            return cesaro_apply(x)
+
+        monkeypatch.setattr(dynamics_module, "cesaro_apply", spy)
+        assert main(["--N", "64", "--experiments", token]) == 0
+        assert len(calls) == applies
 
     def test_run_checks_the_step_cap(self):
         with pytest.raises(UsageError):

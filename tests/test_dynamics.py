@@ -180,6 +180,47 @@ class TestContraction:
             assert after <= before * (1 + 1e-12) + 1e-300
 
 
+class TestTraceInput:
+    """The contraction check and the means read a given trace, and agree
+    with the results they compute from the start vector."""
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_power_bound_check_from_trace(self, linear, mode):
+        x = CoordinateVector([F(5), F(-3), F(7, 2), F(0), F(2)])
+        trace = power_iterate(x, 12)
+        from_vector = power_bound_check(linear, x, K=3, M=9, mode=mode)
+        assert power_bound_check(linear, trace, K=3, M=9, mode=mode) \
+            == from_vector
+        assert len(from_vector.evidence) == 9
+
+    def test_float_power_bound_check_from_float_trace(self, linear, rng):
+        x = CoordinateVector(rng.uniform(-1, 1, size=30))
+        trace = power_iterate(x, 20, w=linear, ks=(1, 2))
+        assert power_bound_check(linear, trace, K=4, M=20) \
+            == power_bound_check(linear, x, K=4, M=20)
+
+    @pytest.mark.parametrize("x", [
+        basis_vector(1, 8),
+        CoordinateVector(np.linspace(-1.0, 1.0, 12)),
+    ])
+    def test_cesaro_means_from_trace(self, linear, x):
+        trace = power_iterate(x, 15, w=linear, ks=(1, 2))
+        got = cesaro_means(trace, 10, w=linear, ks=(1, 2))
+        want = cesaro_means(x, 10, w=linear, ks=(1, 2))
+        assert got.means == want.means
+        assert got.distances == want.distances
+        assert got.limit_prediction == want.limit_prediction
+        assert got.x0 is trace.x0
+
+    def test_short_trace_rejected(self, linear):
+        trace = power_iterate(basis_vector(1, 6), 3)
+        for mode in ("rational", "float"):
+            with pytest.raises(PreconditionError):
+                power_bound_check(linear, trace, K=2, M=4, mode=mode)
+        with pytest.raises(PreconditionError):
+            cesaro_means(trace, 4)
+
+
 class TestIterateLimit:
     def test_basis_vector_settles(self):
         v = iterate_limit_check(basis_vector(1, 30), tol=1e-6)
