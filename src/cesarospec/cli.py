@@ -40,7 +40,7 @@ from .operators import CoordinateVector, a_matrix, b_matrix, basis_vector, \
     cesaro, cesaro_apply, cesaro_inverse_apply, delta, delta_eigenvector, \
     identity, ops_equal_exact, resolvent
 from .sequences import WeightSystem, parse_alpha
-from .serialize import dumps_json, format_float
+from .serialize import dumps_json, format_float, jsonable
 from .spectral import IN, OUT, boun_bounds_fit, disc_report, \
     eigenvector_membership, predict_spectra, resolvent_point_profile, \
     verify_resolvent_point
@@ -661,13 +661,13 @@ def _flatten_tree(node, path: str, rows: list) -> None:
 
 def emit(report: Report, fmt: str = "json", include_timings: bool = False) -> bytes:
     """Render the report as canonical JSON or flattened path,value CSV."""
-    tree = json.loads(dumps_json(_report_tree(report, include_timings)))
+    tree = _report_tree(report, include_timings)
     if fmt == "json":
-        return (json.dumps(tree, indent=2, sort_keys=True) + "\n").encode()
+        return dumps_json(tree).encode()
     if fmt != "csv":
         raise UsageError(f"bad output format {fmt!r}; expected json or csv")
     rows: list = []
-    _flatten_tree(tree, "", rows)
+    _flatten_tree(jsonable(tree), "", rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("path", "value"))

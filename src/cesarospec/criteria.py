@@ -45,6 +45,7 @@ from .trend import (
     TrendParams,
     UNBOUNDED,
     Verdict,
+    first_deciding,
     ladder,
     limit_verdict_zero,
     probe_escalation,
@@ -149,55 +150,49 @@ def _window_scan(
     """Aggregate per-(k', l) sup verdicts over the k-window into one Verdict.
 
     holds: every k' in the window found some l.  fails: some k' failed for
-    every probed l, decisively.  Anything else is inconclusive.
+    every probed l, decisively; the scan stops there.  Anything else is
+    inconclusive.
     """
     chosen: dict[int, int] = {}
-    base_holds: Verdict | None = None
-    inconclusive_at: int | None = None
-    for kp in range(k, k + K_WINDOW):
+    held: list[Verdict] = []
+
+    def l_range(kp: int) -> tuple[int, int]:
         lm = lmax if (lmax is not None and kp == k) else default_lmax(kp)
         if lm <= kp:
             raise PreconditionError(f"need lmax > k, got k={kp}, lmax={lm}")
-        found = None
-        kp_inconclusive = False
-        last = None
-        for l in range(kp + 1, lm + 1):
-            v = per_pair(kp, l)
-            last = v
-            if v.outcome == HOLDS:
-                found = (l, v)
-                break
-            if v.outcome == INCONCLUSIVE:
-                kp_inconclusive = True
-        assert last is not None
-        if found is not None:
-            chosen[kp] = found[0]
-            if kp == k:
-                base_holds = found[1]
-            continue
-        if kp_inconclusive:
-            if inconclusive_at is None:
-                inconclusive_at = kp
-            continue
+        return kp + 1, lm
+
+    def some_l(kp: int) -> Verdict:
+        lo, hi = l_range(kp)
+        j, v = first_deciding(
+            (per_pair(kp, l) for l in range(lo, hi + 1)), stop=HOLDS)
+        if v.outcome == HOLDS:
+            chosen[kp] = lo + j
+            held.append(v)
+        return v
+
+    i, v = first_deciding(map(some_l, range(k, k + K_WINDOW)))
+    kp = k + i
+    if v.outcome == FAILS:
         # Every l decisively failed at this k': the for-every-k statement fails.
         return Verdict(
-            FAILS, last.trend, last.evidence,
-            witness={"k": kp, "l_range": (kp + 1, lm)},
-            params={**last.params, "quantity": quantity,
+            FAILS, v.trend, v.evidence,
+            witness={"k": kp, "l_range": l_range(kp)},
+            params={**v.params, "quantity": quantity,
                     "chosen_l_by_k": dict(chosen)},
         )
-    if inconclusive_at is not None:
+    if v.outcome == INCONCLUSIVE:
         return Verdict(
             INCONCLUSIVE, UNBOUNDED if not chosen else BOUNDED, (),
-            reason=f"growth at k'={inconclusive_at} is sub-resolution for at "
+            reason=f"growth at k'={kp} is sub-resolution for at "
                    "least one probed l",
             params={"quantity": quantity, "k": k,
                     "chosen_l_by_k": dict(chosen)},
         )
-    assert base_holds is not None
+    base = held[0]
     return Verdict(
-        HOLDS, base_holds.trend, base_holds.evidence,
-        params={**base_holds.params, "quantity": quantity,
+        HOLDS, base.trend, base.evidence,
+        params={**base.params, "quantity": quantity,
                 "chosen_l": chosen[k], "chosen_l_by_k": dict(chosen)},
     )
 
@@ -280,11 +275,11 @@ def noncompactness_witness(
     params = {**v_direct.params,
               "lower_bound_trend": v_lower.trend,
               "lower_bound_evidence": v_lower.evidence}
-    if v_direct.outcome == FAILS:
-        return Verdict(HOLDS, v_direct.trend, v_direct.evidence, params=params)
-    if v_lower.outcome == FAILS:
-        return Verdict(HOLDS, v_lower.trend, v_direct.evidence,
-                       params={**params, "decided_by": "lower_bound"})
+    i, v = first_deciding((v_direct, v_lower))
+    if v.outcome == FAILS:
+        if i:
+            params["decided_by"] = "lower_bound"
+        return Verdict(HOLDS, v.trend, v_direct.evidence, params=params)
     return Verdict(
         INCONCLUSIVE, v_direct.trend, v_direct.evidence,
         reason="neither the direct sum nor its lower bound grows cleanly at "

@@ -469,7 +469,8 @@ def resolvent(lam, N: int, mode: str = "float",
 
     Rational mode takes Fraction or ComplexRational lambda and produces exact
     entries.  Float mode takes any complex lambda at distance tol from the
-    pole set {0} union {1/m : m <= N}.  Logmag mode requires real lambda.
+    pole set {0} union {1/m : m <= N}.  Any other mode is rejected; the
+    log-scale tail lives in resolvent_tail_logs.
     """
     if mode == "rational":
         if isinstance(lam, (int, Fraction)):
@@ -512,31 +513,6 @@ def resolvent(lam, N: int, mode: str = "float",
         if lam_f.imag == 0:
             data = data.real
         return TruncOperator(f"resolvent(lambda={lam_f})", N, data, "float", "lower")
-    if mode == "logmag":
-        if lam_f.imag != 0:
-            raise RepresentationError("logmag resolvent supports real lambda only")
-        lr = lam_f.real
-        ns = np.arange(1, N + 1, dtype=float)
-        factors = 1.0 - 1.0 / (lr * ns)
-        signs_f = np.sign(factors)
-        with np.errstate(divide="ignore"):
-            logs_f = np.log(np.abs(factors))
-        Ls = np.concatenate([[0.0], np.cumsum(logs_f)])
-        Ss = np.concatenate([[1.0], np.cumprod(signs_f)])
-        log_e = Ls[None, :N] - np.log(ns)[:, None] - Ls[1:][:, None]
-        sign_e = Ss[None, :N] * Ss[1:][:, None]
-        logs = log_e + math.log(1.0 / lr**2)
-        signs = -sign_e
-        mask = np.tri(N, k=-1, dtype=bool)
-        logs = np.where(mask, logs, -np.inf)
-        signs = np.where(mask, signs, 0.0)
-        dvals = 1.0 / (1.0 / ns - lr)
-        idx = np.arange(N)
-        logs[idx, idx] = np.log(np.abs(dvals))
-        signs[idx, idx] = np.sign(dvals)
-        return TruncOperator(
-            f"resolvent(lambda={lr})", N, (signs, logs), "logmag", "lower",
-        )
     raise ValueError(f"unknown mode {mode!r}")
 
 

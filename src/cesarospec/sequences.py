@@ -458,6 +458,8 @@ def parse_alpha(text: str) -> AlphaSequence:
             key, _, val = piece.partition("=")
             if not val:
                 raise ValueError(f"bad parameter {piece!r} in {text!r}")
+            if key in kwargs:
+                raise ValueError(f"repeated parameter {key!r} in {text!r}")
             kwargs[key] = float(Fraction(val))
     return AlphaSequence(kind, **kwargs)
 

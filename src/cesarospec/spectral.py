@@ -34,6 +34,7 @@ from .trend import (
     INCONCLUSIVE,
     TrendParams,
     Verdict,
+    first_deciding,
     ladder,
     limit_verdict_zero,
     sup_verdict_bounded,
@@ -240,26 +241,18 @@ def eigenvector_membership(
     lad = ladder(N, start=max(2, m))
     alpha = seq.values_saturated(N)[lad - 1]
     logx = logbinom(lad - 1, m - 1)
-    first_inconclusive: Verdict | None = None
-    last_hold: Verdict | None = None
-    for k in range(1, K + 1):
-        logs = -alpha / k + logx
-        v = limit_verdict_zero(
-            lad, logs, f"w_{k}(n) binom(n-1, {m - 1})", trend_params,
-            extra={"alpha": seq.spec_string(), "m": m, "k": k, "N": N},
-        )
-        if v.outcome == FAILS:
-            return Verdict(FAILS, v.trend, v.evidence,
-                           witness={"k": k}, params=v.params)
-        if v.outcome == INCONCLUSIVE and first_inconclusive is None:
-            first_inconclusive = v
-        if v.outcome == HOLDS:
-            last_hold = v
-    if first_inconclusive is not None:
-        return first_inconclusive
-    assert last_hold is not None
-    return Verdict(HOLDS, last_hold.trend, last_hold.evidence,
-                   params={**last_hold.params, "K": K})
+    i, v = first_deciding(
+        limit_verdict_zero(
+            lad, -alpha / k + logx, f"w_{k}(n) binom(n-1, {m - 1})",
+            trend_params,
+            extra={"alpha": seq.spec_string(), "m": m, "k": k, "N": N})
+        for k in range(1, K + 1))
+    if v.outcome == FAILS:
+        return Verdict(FAILS, v.trend, v.evidence,
+                       witness={"k": i + 1}, params=v.params)
+    if v.outcome == INCONCLUSIVE:
+        return v
+    return Verdict(HOLDS, v.trend, v.evidence, params={**v.params, "K": K})
 
 
 def _scaled_tail_parts(seq: AlphaSequence, lam, k: int, N: int):
@@ -301,31 +294,18 @@ def verify_resolvent_point(
     _check_not_pole(lam, N, tol)
     row_part, col_part = _scaled_tail_parts(seq, lam, k, N)
 
-    # (a) column decay for a geometric sample of columns
-    col_ms: list[int] = []
-    m = 1
-    while m <= N // 4:
-        col_ms.append(m)
-        m *= 2
-    column_trends: dict[int, str] = {}
-    col_fail: Verdict | None = None
-    col_inconclusive: Verdict | None = None
+    # (a) column decay for the sampled columns m = 1, 2, 4, ... <= N/4
+    col_ms = [1 << j for j in range((N // 4).bit_length())]
+    columns: list[Verdict] = []
     for cm in col_ms:
         lad = ladder(N, start=2 * cm)
         lad = lad[lad > cm]
         logs = row_part[lad - 1] + col_part[cm - 1]
-        v = limit_verdict_zero(
+        columns.append(limit_verdict_zero(
             lad, logs, f"scaled tail column m={cm}", trend_params,
             extra={"alpha": seq.spec_string(), "lambda": complex(lam),
                    "k": k, "m": cm, "N": N},
-        )
-        column_trends[cm] = v.outcome
-        if v.outcome == FAILS and col_fail is None:
-            col_fail = Verdict(FAILS, v.trend, v.evidence,
-                               witness={"condition": "column", "m": cm},
-                               params=v.params)
-        if v.outcome == INCONCLUSIVE and col_inconclusive is None:
-            col_inconclusive = v
+        ))
 
     # (b) bounded absolute row sums via prefix log-sum-exp of the column part
     G = np.logaddexp.accumulate(col_part)
@@ -337,24 +317,19 @@ def verify_resolvent_point(
                "k": k, "N": N},
     )
 
-    params = {**rows.params, "column_trends": column_trends,
+    trends = {cm: v.outcome for cm, v in zip(col_ms, columns)}
+    params = {**rows.params, "column_trends": trends,
               "columns_sampled": tuple(col_ms)}
-    if rows.outcome == FAILS:
-        return Verdict(FAILS, rows.trend, rows.evidence,
-                       witness={"condition": "row_sums",
-                                "at": rows.witness},
+    i, v = first_deciding([rows, *columns])
+    if v.outcome == FAILS:
+        witness = ({"condition": "row_sums", "at": rows.witness} if i == 0
+                   else {"condition": "column", "m": col_ms[i - 1]})
+        return Verdict(FAILS, v.trend, v.evidence, witness=witness,
                        params=params)
-    if col_fail is not None:
-        return Verdict(FAILS, col_fail.trend, col_fail.evidence,
-                       witness=col_fail.witness, params=params)
-    if rows.outcome == HOLDS and col_inconclusive is None:
-        return Verdict(HOLDS, rows.trend, rows.evidence, params=params)
-    reason = (rows.reason if rows.outcome == INCONCLUSIVE
-              else col_inconclusive.reason if col_inconclusive is not None
-              else "")
-    return Verdict(INCONCLUSIVE, rows.trend, rows.evidence,
-                   reason=reason or "mixed sub-resolution trends",
-                   params=params)
+    if v.outcome == INCONCLUSIVE:
+        return Verdict(INCONCLUSIVE, rows.trend, rows.evidence,
+                       reason=v.reason, params=params)
+    return Verdict(HOLDS, rows.trend, rows.evidence, params=params)
 
 
 def resolvent_point_profile(
@@ -372,30 +347,19 @@ def resolvent_point_profile(
     """
     if kmax < 1:
         raise PreconditionError(f"need kmax >= 1, got {kmax}")
-    per_k: dict[int, str] = {}
-    first_fail: tuple[int, Verdict] | None = None
-    first_inc: tuple[int, Verdict] | None = None
-    last: Verdict | None = None
-    for k in range(1, kmax + 1):
-        v = verify_resolvent_point(seq, lam, k, N, trend_params)
-        per_k[k] = v.outcome
-        last = v
-        if v.outcome == FAILS and first_fail is None:
-            first_fail = (k, v)
-        if v.outcome == INCONCLUSIVE and first_inc is None:
-            first_inc = (k, v)
-    assert last is not None
+    steps = [verify_resolvent_point(seq, lam, k, N, trend_params)
+             for k in range(1, kmax + 1)]
     params = {"alpha": seq.spec_string(), "lambda": complex(lam),
-              "kmax": kmax, "per_step": per_k}
-    if first_fail is not None:
-        k, v = first_fail
+              "kmax": kmax,
+              "per_step": {k: v.outcome for k, v in enumerate(steps, 1)}}
+    i, v = first_deciding(steps)
+    if v.outcome == FAILS:
         return Verdict(FAILS, v.trend, v.evidence,
-                       witness={"k": k, **(v.witness or {})}, params=params)
-    if first_inc is not None:
-        k, v = first_inc
+                       witness={"k": i + 1, **v.witness}, params=params)
+    if v.outcome == INCONCLUSIVE:
         return Verdict(INCONCLUSIVE, v.trend, v.evidence,
-                       reason=f"step k={k}: {v.reason}", params=params)
-    return Verdict(HOLDS, last.trend, last.evidence, params=params)
+                       reason=f"step k={i + 1}: {v.reason}", params=params)
+    return Verdict(HOLDS, v.trend, v.evidence, params=params)
 
 
 def boun_bounds_fit(
@@ -438,13 +402,13 @@ def boun_bounds_fit(
     params = {"lambda": complex(lam), "a": a, "N": N,
               "log_c": log_c, "log_C": log_C,
               "upper_trend": upper.trend, "lower_trend": lower.trend}
-    if upper.outcome == HOLDS and lower.outcome == HOLDS:
+    i, v = first_deciding((upper, lower))
+    if v.outcome == HOLDS:
         verdict = Verdict(HOLDS, BOUNDED, upper.evidence, params=params)
-    elif FAILS in (upper.outcome, lower.outcome):
-        side = "upper" if upper.outcome == FAILS else "lower"
-        bad = upper if upper.outcome == FAILS else lower
-        verdict = Verdict(FAILS, bad.trend, bad.evidence,
-                          witness={"side": side, "at": bad.witness},
+    elif v.outcome == FAILS:
+        verdict = Verdict(FAILS, v.trend, v.evidence,
+                          witness={"side": ("upper", "lower")[i],
+                                   "at": v.witness},
                           params=params)
     else:
         verdict = Verdict(

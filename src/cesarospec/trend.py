@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -90,6 +90,27 @@ class Verdict:
         # Deliberately undefined: a three-state verdict must not be used as a
         # boolean, that is exactly the bug this type exists to prevent.
         raise TypeError("Verdict is three-state; test .outcome explicitly")
+
+
+def first_deciding(verdicts: Iterable[Verdict],
+                   stop: str = FAILS) -> tuple[int, Verdict]:
+    """Join verdicts under one quantifier; return the deciding (index, verdict).
+
+    With ``stop=FAILS`` this is "every item holds": the first failing verdict
+    decides and nothing after it is read.  With ``stop=HOLDS`` it is the dual
+    "some item holds".  Without a ``stop`` verdict the first inconclusive one
+    decides, and otherwise the last verdict stands for the whole run.
+    """
+    pending = last = None
+    for i, v in enumerate(verdicts):
+        if v.outcome == stop:
+            return i, v
+        if pending is None and v.outcome == INCONCLUSIVE:
+            pending = (i, v)
+        last = (i, v)
+    if last is None:
+        raise ValueError("no verdicts to combine")
+    return pending or last
 
 
 def ladder(N: int, start: int = 2) -> np.ndarray:

@@ -392,6 +392,17 @@ class TestMainExitCodes:
             assert err.startswith(f"error: {message}")
             assert len(err.strip().splitlines()) == 1
 
+    def test_repeated_alpha_key_exits_2(self, tmp_path, capsys):
+        spec = "power:beta=2:beta=3"
+        path = tmp_path / "job.json"
+        path.write_text(f'{{"alpha": "{spec}", "experiments": ["profile"]}}')
+        for argv in (["--alpha", spec, "--experiments", "profile"],
+                     ["--config", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: bad --alpha {spec!r}: repeated")
+            assert len(err.strip().splitlines()) == 1
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -30,6 +30,7 @@ from cesarospec.criteria import (
     _ROWSUM_N_CAP,
     _log_pascal,
     _log_rowsums,
+    _window_scan,
     default_lmax,
     gallery,
     geometric_weights,
@@ -37,6 +38,7 @@ from cesarospec.criteria import (
 )
 from cesarospec.operators import logbinom
 from cesarospec.sequences import ALPHA_SATURATION
+from cesarospec.trend import Verdict
 
 ALL_PROFILES = {spec: classify_space(parse_alpha(spec))
                 for spec in GALLERY_SPECS}
@@ -101,6 +103,76 @@ class TestKoetheScan:
     def test_lmax_default_window(self):
         assert default_lmax(1) == 12
         assert default_lmax(3) == 20
+
+
+def _spy_pairs(monkeypatch):
+    """Record the (k', l) pair of every per-pair sup verdict the scans make."""
+    pairs = []
+    real = criteria_module.sup_verdict_bounded
+
+    def spy(ns, q, quantity, trend_params, extra=None):
+        pairs.append((extra["k"], extra["l"]))
+        return real(ns, q, quantity, trend_params, extra=extra)
+
+    monkeypatch.setattr(criteria_module, "sup_verdict_bounded", spy)
+    return pairs
+
+
+class TestWindowScan:
+    def test_stops_at_first_holding_l_and_first_failing_k(self):
+        # k'=1 holds at l=3, k'=2 at l=4, k'=3 fails for every l
+        calls = []
+
+        def per_pair(kp, l):
+            calls.append((kp, l))
+            if kp < 3 and l == kp + 2:
+                return Verdict(HOLDS, "bounded")
+            return Verdict(FAILS, "unbounded", witness=l)
+
+        v = _window_scan(1, None, per_pair, "q")
+        assert v.outcome == FAILS
+        assert v.witness == {"k": 3, "l_range": (4, default_lmax(3))}
+        assert v.params["chosen_l_by_k"] == {1: 3, 2: 4}
+        assert calls == [(1, 2), (1, 3), (2, 3), (2, 4)] + [
+            (3, l) for l in range(4, default_lmax(3) + 1)]
+
+    def test_inconclusive_step_reads_the_whole_window(self):
+        calls = []
+
+        def per_pair(kp, l):
+            calls.append((kp, l))
+            if kp == 2:
+                return Verdict(INCONCLUSIVE, "undecided", reason="flat")
+            return Verdict(HOLDS, "bounded")
+
+        v = _window_scan(1, 3, per_pair, "q")
+        assert v.outcome == INCONCLUSIVE
+        assert v.reason.startswith("growth at k'=2 ")
+        assert v.params["chosen_l_by_k"] == {1: 2, 3: 4, 4: 5}
+        assert calls == [(1, 2)] + [(2, l) for l in range(3, 17)] \
+            + [(3, 4), (4, 5)]
+
+    def test_log_inverse_scan_pairs(self, log2, monkeypatch):
+        pairs = _spy_pairs(monkeypatch)
+        v = inverse_continuity_check(log2, N=500)
+        assert v.outcome == FAILS
+        assert v.witness == {"k": 2, "l_range": (3, 16)}
+        assert v.params["chosen_l_by_k"] == {1: 2}
+        assert pairs == [(1, 2)] + [(2, l) for l in range(3, 17)]
+
+    def test_tower_d_scan_pairs(self, tower, monkeypatch):
+        pairs = _spy_pairs(monkeypatch)
+        v = d_continuity_check(tower, N=500)
+        assert v.outcome == FAILS
+        assert v.witness == {"k": 1, "l_range": (2, 12)}
+        assert v.params["chosen_l_by_k"] == {}
+        assert pairs == [(1, l) for l in range(2, 13)]
+
+    def test_sparse_blocks_inverse_inconclusive_at_base(self):
+        v = inverse_continuity_check(parse_alpha("s1_empty"), N=500)
+        assert v.outcome == INCONCLUSIVE
+        assert v.reason.startswith("growth at k'=1 ")
+        assert v.params["chosen_l_by_k"] == {}
 
 
 class TestInverseContinuity:

@@ -247,6 +247,8 @@ class TestResolvent:
             resolvent(0.0, 10)
         with pytest.raises(PreconditionError):
             resolvent(1 / 7 + 1e-12, 10)
+        with pytest.raises(ValueError, match="unknown mode"):
+            resolvent(0.4, 5, mode="logmag")
 
     def test_structure_diagonal_plus_tail(self):
         # diagonal entries are 1/(1/n - lambda); the strict lower tail is

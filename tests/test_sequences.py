@@ -93,7 +93,7 @@ class TestParseAlpha:
 
     @pytest.mark.parametrize("bad", [
         "nosuch", "power", "power:beta=0", "psum:beta=1", "log:beta=-2",
-        "table:[]", "table:[3,1]",
+        "table:[]", "table:[3,1]", "power:beta=2:beta=3",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises((ValueError, KeyError)):

@@ -8,6 +8,7 @@ import pytest
 from cesarospec import (
     FAILS,
     HOLDS,
+    INCONCLUSIVE,
     PreconditionError,
     SkEmptyError,
     boun_bounds_fit,
@@ -144,6 +145,11 @@ class TestEigenvectorMembership:
         assert v.outcome == FAILS
         assert v.witness["k"] == 2
 
+    def test_log_space_at_low_resolution_fails_at_level_three(self, log2):
+        v = eigenvector_membership(log2, 2, K=4, N=300)
+        assert v.outcome == FAILS
+        assert v.witness == {"k": 3}
+
     def test_constant_direction_always_inside(self, log2):
         # mode 1 decays under every weight: it is the constant vector
         assert eigenvector_membership(log2, 1, K=4).outcome == HOLDS
@@ -172,6 +178,22 @@ class TestResolventPoints:
         v = resolvent_point_profile(log2, 0.4)
         assert v.outcome == FAILS
         assert v.witness["k"] == 2
+
+    def test_log_profile_lists_every_step(self, log2):
+        v = resolvent_point_profile(log2, 0.4, kmax=4, N=400)
+        assert v.outcome == FAILS
+        assert v.witness == {"k": 2, "condition": "row_sums", "at": 400}
+        assert v.params["per_step"] == {1: HOLDS, 2: FAILS, 3: FAILS, 4: FAILS}
+
+    def test_sparse_blocks_profile_column_witness(self):
+        seq = parse_alpha("s1_empty")
+        v = resolvent_point_profile(seq, 0.4, kmax=4, N=400)
+        assert v.outcome == FAILS
+        assert v.witness == {"k": 1, "condition": "column", "m": 1}
+        v = resolvent_point_profile(seq, 2, kmax=4, N=400)
+        assert v.outcome == INCONCLUSIVE
+        assert v.reason.startswith("step k=1: ")
+        assert v.params["per_step"] == {k: INCONCLUSIVE for k in range(1, 5)}
 
     def test_linear_profile_holds(self, linear):
         assert resolvent_point_profile(linear, 2.0).outcome == HOLDS

@@ -9,6 +9,7 @@ from cesarospec.trend import (
     HOLDS,
     INCONCLUSIVE,
     Verdict,
+    first_deciding,
     ladder,
     limit_verdict_positive,
     limit_verdict_zero,
@@ -65,6 +66,55 @@ class TestVerdictInvariants:
     def test_unknown_outcome_rejected(self):
         with pytest.raises(ValueError):
             Verdict("maybe", "bounded")
+
+
+def _verdicts(*outcomes):
+    return [Verdict(o, "t", witness=i if o == FAILS else None,
+                    reason="r" if o == INCONCLUSIVE else "")
+            for i, o in enumerate(outcomes)]
+
+
+class TestFirstDeciding:
+    @pytest.mark.parametrize("outcomes,index", [
+        ((HOLDS, HOLDS, HOLDS), 2),
+        ((HOLDS, FAILS, FAILS), 1),
+        ((INCONCLUSIVE, FAILS, INCONCLUSIVE), 1),
+        ((HOLDS, INCONCLUSIVE, INCONCLUSIVE), 1),
+        ((INCONCLUSIVE, HOLDS, INCONCLUSIVE), 0),
+        ((FAILS,), 0),
+    ])
+    def test_every_item_rule_follows_input_order(self, outcomes, index):
+        vs = _verdicts(*outcomes)
+        i, v = first_deciding(vs)
+        assert i == index
+        assert v is vs[index]
+
+    @pytest.mark.parametrize("outcomes,index", [
+        ((FAILS, FAILS, FAILS), 2),
+        ((FAILS, HOLDS, HOLDS), 1),
+        ((INCONCLUSIVE, HOLDS), 1),
+        ((FAILS, INCONCLUSIVE, INCONCLUSIVE, FAILS), 1),
+    ])
+    def test_some_item_dual(self, outcomes, index):
+        vs = _verdicts(*outcomes)
+        assert first_deciding(vs, stop=HOLDS) == (index, vs[index])
+
+    @pytest.mark.parametrize("stop", [FAILS, HOLDS])
+    def test_reads_nothing_past_the_stop_verdict(self, stop):
+        read = []
+
+        def stream():
+            for i, v in enumerate(_verdicts(INCONCLUSIVE, stop)):
+                read.append(i)
+                yield v
+            raise AssertionError("read past the deciding verdict")
+
+        i, v = first_deciding(stream(), stop=stop)
+        assert (i, v.outcome, read) == (1, stop, [0, 1])
+
+    def test_empty_input_raises(self):
+        with pytest.raises(ValueError, match="no verdicts"):
+            first_deciding(iter(()))
 
 
 def _on_ladder(n, f):
