@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
@@ -82,7 +82,6 @@ class AnalysisConfig:
     N: int | None = None
     K: int = 4
     kmax: int = 3
-    lmax: int | None = None
     tol: float | None = None
     seed: int = 1729
     experiments: tuple = ("profile",)
@@ -207,10 +206,16 @@ def parse_experiment_token(token: str) -> tuple:
 
 
 _CONFIG_FIELDS = {
-    "alpha": str, "N": int, "K": int, "kmax": int, "lmax": int,
-    "tol": float, "seed": int, "experiments": None, "lambda": None,
-    "m": None, "x": str, "output": str, "out": str,
+    "alpha": str, "N": int, "K": int, "kmax": int, "tol": float, "seed": int,
+    "experiments": None, "lambda": None, "m": None, "x": str, "output": str,
+    "out": str,
 }
+# Config-file and echo names of the AnalysisConfig fields that differ.
+_FIELD_KEYS = {"lambdas": "lambda", "ms": "m"}
+
+
+def _field_key(name: str) -> str:
+    return _FIELD_KEYS.get(name, name)
 
 
 def _flatten_config(tree: dict, path: str = "") -> dict:
@@ -272,8 +277,8 @@ def assemble_config(ns: argparse.Namespace) -> tuple:
             merged[key] = _coerce_field(key, val)
     flag_map = {
         "alpha": ns.alpha, "N": ns.N, "K": ns.K, "kmax": ns.kmax,
-        "lmax": ns.lmax, "tol": ns.tol, "seed": ns.seed, "x": ns.x,
-        "output": ns.output, "out": ns.out,
+        "tol": ns.tol, "seed": ns.seed, "x": ns.x, "output": ns.output,
+        "out": ns.out,
     }
     for key, val in flag_map.items():
         if val is not None:
@@ -288,20 +293,9 @@ def assemble_config(ns: argparse.Namespace) -> tuple:
             tokens.extend(p for p in item.split(";") if p)
         merged["experiments"] = tuple(tokens)
 
-    config = AnalysisConfig(
-        alpha=merged.get("alpha", "linear"),
-        N=merged.get("N"),
-        K=merged.get("K", 4),
-        kmax=merged.get("kmax", 3),
-        lmax=merged.get("lmax"),
-        tol=merged.get("tol"),
-        seed=merged.get("seed", 1729),
-        experiments=merged.get("experiments", ("profile",)),
-        lambdas=merged.get("lambda", (complex(2),)),
-        ms=merged.get("m", (1, 2, 3)),
-        x=merged.get("x", "e1"),
-        output=merged.get("output", "json"),
-    )
+    config = AnalysisConfig(**{
+        f.name: merged[_field_key(f.name)] for f in fields(AnalysisConfig)
+        if _field_key(f.name) in merged})
     _check_config(config)
     delivery = {"out": merged.get("out"),
                 "include_timings": bool(ns.include_timings)}
@@ -443,7 +437,7 @@ def _run_dynamics(ctx: _RunContext, x_spec: str, ms) -> tuple:
 
     sups = [{"m": m, "sup": gm_sup(m)} for m in sorted(set(ms))]
 
-    exact_ok = x.exact and ctx.seq.exact_values(len(x)) is not None
+    exact_ok = x.exact and ctx.seq.exact_values(1) is not None
     bound = power_bound_check(ctx.weights, trace, K=len(ks), M=M,
                               mode="rational" if exact_ok else "float")
     if bound.outcome == FAILS:
@@ -601,13 +595,8 @@ def run(config: AnalysisConfig) -> Report:
             if item not in mismatches:
                 mismatches.append(item)
 
-    echo = {
-        "alpha": config.alpha, "N": config.N, "K": config.K,
-        "kmax": config.kmax, "lmax": config.lmax, "tol": config.tol,
-        "seed": config.seed, "experiments": list(config.experiments),
-        "lambda": list(config.lambdas), "m": list(config.ms),
-        "x": config.x, "output": config.output,
-    }
+    echo = {_field_key(f.name): getattr(config, f.name)
+            for f in fields(config)}
     versions = {
         "cesarospec": _VERSION,
         "numpy": np.__version__,
@@ -690,8 +679,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--K", type=int, help="number of weight levels")
     parser.add_argument("--kmax", type=int,
                         help="weight levels scanned by resolvent checks")
-    parser.add_argument("--lmax", type=int,
-                        help="cap on the dominating-level search")
     parser.add_argument("--experiments", nargs="+", metavar="EXPR",
                         help="experiment tokens: profile, spectrum, "
                         "resolvent[:l1,l2,...], eigenpairs[:m1,m2,...], "

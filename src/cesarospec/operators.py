@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import PreconditionError, RepresentationError
 from .exact import ComplexRational
@@ -214,19 +214,6 @@ class TruncOperator:
                 out.append(acc if acc is not None else Fraction(0))
             return CoordinateVector(out, out_valid)
         xf = x.prefix(self.N).as_float()
-        if self.mode == "logmag":
-            if np.iscomplexobj(xf):
-                raise RepresentationError("logmag apply supports real vectors only")
-            with np.errstate(divide="ignore"):
-                lx = np.log(np.abs(xf))
-            sx = np.sign(xf)
-            terms = self._log + lx[None, :]
-            signs = self._sign * sx[None, :]
-            res_log, res_sign = logsumexp(terms, axis=1, b=signs, return_sign=True)
-            if np.any(res_log > 700.0):
-                raise RepresentationError("logmag apply result exceeds float range")
-            with np.errstate(over="ignore"):
-                return CoordinateVector(res_sign * np.exp(res_log), out_valid)
         data = self._data if self.mode == "float" else self.as_float_entries()
         return CoordinateVector(data @ xf, out_valid)
 
@@ -533,26 +520,36 @@ def resolvent_tail_logs(lam, N: int) -> tuple[np.ndarray, np.ndarray]:
     return L, np.log(ns)
 
 
+def _scaled_tail_parts(seq: AlphaSequence, lam, k: int, N: int):
+    """Log-scale row/column factors of the scaled resolvent tail matrix.
+
+    Entry (n, m), m < n, factors as row_part[n] + col_part[m] with
+    row_part[n] = -alpha_n/k - log n - L_n and
+    col_part[m] = alpha_m/(k+1) + L_{m-1}; L is the prefix log-product of the
+    resolvent's diagonal corrections.
+    """
+    L, logn = resolvent_tail_logs(lam, N)
+    alpha = seq.values_saturated(N)
+    row_part = -alpha / k - logn - L[1:]
+    col_part = alpha / (k + 1) + L[:-1]
+    return row_part, col_part
+
+
 def scaled_e_matrix(lam, k: int, w, N: int, mode: str = "logmag") -> TruncOperator:
     """The weight-scaled resolvent tail: entry (n, m) is w_k(n)/w_{k+1}(m) e_nm.
 
     This is the part of the resolvent whose continuity on the space is at
     stake; its entries routinely overflow float range, so logmag is the
-    default mode.
+    default mode.  w may be a WeightSystem or an AlphaSequence.
     """
-    if isinstance(w, AlphaSequence):
-        w = WeightSystem(w)
+    seq = w.alpha if isinstance(w, WeightSystem) else w
     if k < 1:
         raise ValueError("k must be >= 1")
     lam_f = complex(lam)
-    L, logn = resolvent_tail_logs(lam_f, N)
-    lw_k = w.log_w(k, N)
-    lw_k1 = w.log_w(k + 1, N)
-    # log of scaled magnitude; sign bookkeeping only matters for real lambda
-    logs = (lw_k[:, None] - lw_k1[None, :]) \
-        + (L[None, :N] - logn[:, None] - L[1:][:, None])
+    row_part, col_part = _scaled_tail_parts(seq, lam_f, k, N)
     mask = np.tri(N, k=-1, dtype=bool)
-    logs = np.where(mask, logs, -np.inf)
+    # log of scaled magnitude; sign bookkeeping only matters for real lambda
+    logs = np.where(mask, row_part[:, None] + col_part[None, :], -np.inf)
     if mode == "logmag":
         if lam_f.imag == 0:
             ns = np.arange(1, N + 1, dtype=float)
@@ -570,11 +567,12 @@ def scaled_e_matrix(lam, k: int, w, N: int, mode: str = "logmag") -> TruncOperat
                 "scaled tail overflows float range; use logmag mode"
             )
         # recompute with phases for complex lambda
+        alpha = seq.values_saturated(N)
         ns = np.arange(1, N + 1, dtype=float)
         factors = 1.0 - 1.0 / (lam_f * ns)
         P = np.concatenate([[1.0 + 0j], np.cumprod(factors)])
         e = P[None, :N] / (ns[:, None] * P[1:][:, None])
-        data = np.exp(lw_k)[:, None] * np.exp(-lw_k1)[None, :] * e
+        data = np.exp(-alpha / k)[:, None] * np.exp(alpha / (k + 1))[None, :] * e
         data = np.where(mask, data, 0.0)
         if lam_f.imag == 0:
             data = data.real

@@ -25,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import mpmath
 import numpy as np
@@ -41,7 +41,6 @@ from .trend import (
     DEFAULT_PARAMS,
     TrendParams,
     Verdict,
-    classify_limit,
     ladder,
     limit_verdict_positive,
     limit_verdict_zero,
@@ -85,8 +84,9 @@ def _zeta(beta: float) -> float:
 
 
 def _psum_asymptotic(ns: np.ndarray, beta: float) -> np.ndarray:
-    # Euler-Maclaurin for sum_{j<=n} j^-beta, 0 < beta < 1; absolute error is
-    # below 1e-8 for n >= 50 and below 1e-11 for n >= 200.
+    # Euler-Maclaurin for sum_{j<=n} j^-beta, 0 < beta < 1.  Against mpmath's
+    # Hurwitz zeta at beta = 1/2 the absolute error is below 3e-9 for n >= 50
+    # and below 2.4e-11 for n >= 200; the dropped term falls like n^(-beta-3).
     return (
         ns ** (1.0 - beta) / (1.0 - beta)
         + _zeta(beta)
@@ -137,38 +137,6 @@ class AlphaSequence:
         self._validate()
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def linear(cls) -> "AlphaSequence":
-        return cls("linear")
-
-    @classmethod
-    def power(cls, beta: float) -> "AlphaSequence":
-        return cls("power", beta=float(beta))
-
-    @classmethod
-    def sqrt(cls) -> "AlphaSequence":
-        return cls("sqrt")
-
-    @classmethod
-    def log(cls, beta: float) -> "AlphaSequence":
-        return cls("log", beta=float(beta))
-
-    @classmethod
-    def psum(cls, beta: float) -> "AlphaSequence":
-        return cls("psum", beta=float(beta))
-
-    @classmethod
-    def tower(cls) -> "AlphaSequence":
-        return cls("tower")
-
-    @classmethod
-    def rsw_b(cls) -> "AlphaSequence":
-        return cls("rsw_b")
-
-    @classmethod
-    def s1_empty(cls) -> "AlphaSequence":
-        return cls("s1_empty")
 
     @classmethod
     def table(cls, values, step=None) -> "AlphaSequence":
@@ -246,26 +214,20 @@ class AlphaSequence:
     # -- dense values ----------------------------------------------------------
 
     def _compute(self, N: int) -> np.ndarray:
+        """Dense alpha_1 .. alpha_N.  Only the forms that must differ from
+        alpha_at live here; every other kind reads its closed form."""
         ns = np.arange(1, N + 1, dtype=float)
         kind, p = self.kind, self.params
-        if kind == "linear":
-            return ns
         if kind == "power":
+            # unclipped, so that values() refuses entries beyond float range
             return ns ** p["beta"]
-        if kind == "sqrt":
-            return np.sqrt(ns)
-        if kind == "log":
-            return p["beta"] * np.log(ns + 1.0)
         if kind == "psum":
             return np.cumsum(ns ** (-p["beta"]))
         if kind == "tower":
+            # n^n as a power: closer than the closed form exp(n log n)
             out = np.full(N, np.inf)
             m = min(N, _TOWER_FLOAT_LIMIT)
             out[:m] = ns[:m] ** ns[:m]
-            return out
-        if kind == "rsw_b":
-            out = np.where(ns % 2 == 0, 1.5 * ns, 1.5 * ns + 0.5)
-            out[0] = 2.0
             return out
         if kind == "s1_empty":
             js, _ = _sparse_block_table(math.log(N) + 1)
@@ -281,25 +243,21 @@ class AlphaSequence:
                 idx = np.arange(lo, hi + 1, dtype=float)
                 out[lo - 1:hi] = np.log(beta + 3.0 - 1.0 / idx)
             return out
-        if kind == "table":
-            vals, step = p["values"], p["step"]
-            out = np.empty(N)
-            m = min(N, len(vals))
-            out[:m] = [float(v) for v in vals[:m]]
-            if N > m:
-                out[m:] = float(vals[-1]) + float(step) * np.arange(1, N - m + 1)
-            return out
-        raise AssertionError(kind)
+        return self.alpha_at(ns)
+
+    def _dense(self, N: int) -> np.ndarray:
+        """Cached, read-only, unclipped alpha_1 .. alpha_N."""
+        if self._cache is None or len(self._cache) < N:
+            arr = self._compute(max(N, 16))
+            arr.flags.writeable = False
+            self._cache = arr
+        return self._cache[:N]
 
     def values(self, N: int) -> np.ndarray:
         """alpha_1 .. alpha_N as float64; raises if any entry exceeds float range."""
         if N < 1:
             raise ValueError("N must be positive")
-        if self._cache is None or len(self._cache) < N:
-            arr = self._compute(max(N, 16))
-            arr.flags.writeable = False
-            self._cache = arr
-        out = self._cache[:N]
+        out = self._dense(N)
         if not np.all(np.isfinite(out)):
             bad = int(np.argmin(np.isfinite(out))) + 1
             raise RepresentationError(
@@ -310,13 +268,7 @@ class AlphaSequence:
 
     def values_saturated(self, N: int) -> np.ndarray:
         """Like values() but entries beyond float range are clipped, not errors."""
-        if self._cache is None or len(self._cache) < N:
-            try:
-                self.values(N)
-            except RepresentationError:
-                pass
-        assert self._cache is not None
-        return np.minimum(self._cache[:N], ALPHA_SATURATION)
+        return np.minimum(self._dense(N), ALPHA_SATURATION)
 
     def exact_values(self, N: int) -> Optional[list[Fraction]]:
         """Exact rational alpha prefix, or None when entries are irrational."""
@@ -347,10 +299,15 @@ class AlphaSequence:
         """alpha at arbitrary (float) indices via closed/asymptotic forms.
 
         Saturates at 1e300.  For the partial-sum generator the asymptotic
-        form is used from n >= 50 (absolute error < 1e-10); exact below.
+        form is used from n >= 50 (absolute error below 3e-9 at beta = 1/2);
+        exact below.  The sparse-block generator has no pointwise form here:
+        its probes come from the block table in tail_probes.
         """
         ns = np.atleast_1d(np.asarray(ns, dtype=float))
         kind, p = self.kind, self.params
+        if kind == "s1_empty":
+            raise ValueError("s1_empty has no closed form for alpha_at; "
+                             "use tail_probes for its beyond-N samples")
         if kind == "linear":
             return ns.copy()
         if kind == "power":
@@ -374,20 +331,6 @@ class AlphaSequence:
         if kind == "rsw_b":
             out = np.where(np.round(ns) % 2 == 0, 1.5 * ns, 1.5 * ns + 0.5)
             return np.where(ns <= 1.0, 2.0, out)
-        if kind == "s1_empty":
-            js, ylogs = _sparse_block_table(700.0)
-            out = np.empty(len(ns))
-            for i, n in enumerate(ns):
-                k = 1
-                while k < len(js) - 1 and js[k] is not None and js[k] <= n:
-                    k += 1
-                # block k starts at j(k); beta = k * j(k)^k
-                lb = math.log(k) + k * ylogs[k - 1]
-                if lb < 690.0:
-                    out[i] = math.log(math.exp(lb) + 3.0 - 1.0 / n)
-                else:
-                    out[i] = min(lb, ALPHA_SATURATION)
-            return out
         if kind == "table":
             vals, step = p["values"], p["step"]
             m = len(vals)

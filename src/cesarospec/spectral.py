@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .operators import TOL_SIGMA, _check_not_pole, logbinom, resolvent_tail_logs
+from .operators import TOL_SIGMA, _check_not_pole, _scaled_tail_parts, \
+    logbinom, resolvent_tail_logs
 from .sequences import AlphaSequence, default_resolution, s0_estimate
 from .criteria import SpaceProfile
 from .trend import (
@@ -253,21 +254,6 @@ def eigenvector_membership(
     if v.outcome == INCONCLUSIVE:
         return v
     return Verdict(HOLDS, v.trend, v.evidence, params={**v.params, "K": K})
-
-
-def _scaled_tail_parts(seq: AlphaSequence, lam, k: int, N: int):
-    """Log-scale row/column factors of the scaled resolvent tail matrix.
-
-    Entry (n, m), m < n, factors as row_part[n] + col_part[m] with
-    row_part[n] = -alpha_n/k - log n - L_n and
-    col_part[m] = alpha_m/(k+1) + L_{m-1}; L is the prefix log-product of the
-    resolvent's diagonal corrections.
-    """
-    L, logn = resolvent_tail_logs(lam, N)
-    alpha = seq.values_saturated(N)
-    row_part = -alpha / k - logn - L[1:]
-    col_part = alpha / (k + 1) + L[:-1]
-    return row_part, col_part
 
 
 def verify_resolvent_point(

@@ -98,6 +98,7 @@ class TestConfigAssembly:
         assert config.lambdas == (2 + 0j,)
         assert config.ms == (1, 2, 3)
         assert config.x == "e1"
+        assert config == AnalysisConfig()
         assert delivery == {"out": None, "include_timings": False}
 
     def test_flags(self):
@@ -170,7 +171,9 @@ class TestRunAndEmit:
 
     def test_config_echo_has_no_delivery_fields(self):
         report = run(AnalysisConfig(experiments=()))
-        assert "out" not in report.config
+        assert set(report.config) == {
+            "alpha", "N", "K", "kmax", "tol", "seed", "experiments",
+            "lambda", "m", "x", "output"}
         assert report.config["alpha"] == "linear"
         assert report.config["seed"] == 1729
 
@@ -413,6 +416,17 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--output", "xml"])
         assert exc.value.code == 2
+
+    def test_lmax_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--lmax", "5"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        path = tmp_path / "job.json"
+        path.write_text('{"lmax": 5}')
+        assert main(["--config", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: config field 'lmax': unknown key\n"
 
     def test_out_dir_env_resolves_relative_paths(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CESAROSPEC_OUT_DIR", str(tmp_path))

@@ -139,6 +139,14 @@ class TestInvolution:
         scale = float(max(abs(v) for row in d_rat.dense() for v in row))
         assert max_entry_diff(d_log, d_rat) / scale <= 1e-12
 
+    def test_logmag_apply_goes_through_float_entries(self):
+        # signs that cancel the alternation: row n sums C(n-1, m-1) to 2^(n-1)
+        x = [(-1.0) ** m for m in range(30)]
+        got = delta(30, mode="logmag").apply(x).as_float()
+        assert got == pytest.approx(2.0 ** np.arange(30), rel=1e-12)
+        with pytest.raises(RepresentationError):
+            delta(1100, mode="logmag").apply(np.ones(1100))
+
     def test_logmag_compose_refuses(self):
         with pytest.raises(RepresentationError):
             delta(8, mode="logmag") @ delta(8, mode="logmag")

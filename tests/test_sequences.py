@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from cesarospec import (
     v_alpha,
 )
 from cesarospec.errors import RepresentationError
+from cesarospec.sequences import ALPHA_SATURATION
 from cesarospec.trend import TrendParams
 
 
@@ -75,6 +77,47 @@ class TestGeneratorValues:
     def test_sparse_block_generator_is_nondecreasing(self):
         vals = parse_alpha("s1_empty").values(5000)
         assert np.all(np.diff(vals) >= -1e-12)
+
+
+class TestClosedForms:
+    """alpha_at, the closed or asymptotic form behind every beyond-N probe."""
+
+    @pytest.mark.parametrize("spec", [
+        "linear", "sqrt", "log:beta=1/2", "rsw_b", "table:[1,3,4]:step=2",
+        "table:[1,5/2,7/2]:step=1/3",
+    ])
+    @pytest.mark.parametrize("N", [1, 16, 1000])
+    def test_dense_values_are_the_closed_form(self, spec, N):
+        seq = parse_alpha(spec)
+        dense = seq.values(N)
+        closed = seq.alpha_at(np.arange(1, N + 1))
+        assert dense.tobytes() == closed.tobytes()
+
+    def test_tower_closed_form(self):
+        tower = parse_alpha("tower")
+        got = tower.alpha_at(np.arange(1, 140))
+        rel = [abs(float(Fraction(g) / n ** n - 1)) for n, g in
+               zip(range(1, 140), got)]
+        assert max(rel) <= 1e-12
+        assert np.all(tower.alpha_at(np.arange(140, 400)) == ALPHA_SATURATION)
+
+    def test_partial_sum_against_hurwitz_zeta(self):
+        # sum_{j<=n} j^-beta = zeta(beta) - zeta(beta, n + 1)
+        seq = parse_alpha("psum:beta=1/2")
+        ns = [*range(1, 60), 200, 500, 1000, 10 ** 4, 10 ** 6]
+        with mpmath.workdps(30):
+            ref = [mpmath.zeta(0.5) - mpmath.zeta(0.5, n + 1) for n in ns]
+            err = [float(abs(mpmath.mpf(float(g)) - r))
+                   for g, r in zip(seq.alpha_at(ns), ref)]
+        assert max(err[:49]) <= 1e-13      # exact partial sums below n = 50
+        assert max(err[49:59]) <= 3e-9     # asymptotic form from n = 50
+        assert max(err[59:]) <= 2.4e-11    # and from n = 200
+        assert np.max(np.abs(seq.values(1000) - seq.alpha_at(range(1, 1001)))) \
+            <= 3e-9
+
+    def test_sparse_blocks_have_no_pointwise_form(self):
+        with pytest.raises(ValueError, match="tail_probes"):
+            parse_alpha("s1_empty").alpha_at([5.0])
 
 
 class TestParseAlpha:
