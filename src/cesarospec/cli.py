@@ -164,7 +164,7 @@ def _check_config(config: AnalysisConfig) -> None:
         raise UsageError(f"bad output format {config.output!r}; "
                          "expected json or csv")
     _validate_x_spec(config.x)
-    for key, low in (("N", 2), ("K", 1), ("kmax", 1)):
+    for key, low in (("N", 2), ("K", 1), ("kmax", 1), ("seed", 0)):
         value = getattr(config, key)
         if value is not None and value < low:
             raise UsageError(f"{key} must be >= {low}")

@@ -1,13 +1,14 @@
 """Iterates of the averaging operator: powers, kernel form, means, ergodics.
 
-The m-th power of the running-mean map admits an integral kernel built from
-Beta-type integrals against f_m(t) = log^(m-1)(1/t)/(m-1)!.  This module
-computes iterates both ways (m running-mean passes, and adaptive quadrature
-of the kernel), the envelope constants a_m = sup t f_m(t) that control the
-convergence of iterates to the mean-ergodic projection, the Cesaro means of
-the iterate sequence, and the explicit splitting of a vector into its
-projection onto the constants plus a piece reconstructed from the shifted
-inverse, which is the finite-truncation shadow of the closed-range property.
+The m-th power of the running-mean map is the Hausdorff mean with density
+f_m(t) = log^(m-1)(1/t)/(m-1)!, whose moments int_0^1 t^i f_m dt are
+exactly (i+1)^(-m).  This module computes iterates both ways (m running-mean
+passes, and the kernel in closed form from those moments), the envelope
+constants a_m = sup t f_m(t) that control the convergence of iterates to
+the mean-ergodic projection, the Cesaro means of the iterate sequence, and
+the explicit splitting of a vector into its projection onto the constants
+plus a piece reconstructed from the shifted inverse, which is the
+finite-truncation shadow of the closed-range property.
 
 Claims here are deliberately modest: iterates converge to x_1 on every
 coordinate and the seminorms never expand, but no convergence *rate* is
@@ -21,25 +22,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .errors import InternalConsistencyError, PreconditionError, QuadratureError
+from .errors import InternalConsistencyError, PreconditionError
 from .exact import compare_seminorms
-from .operators import (
-    CoordinateVector,
-    as_vector,
-    b_apply,
-    cesaro_apply,
-    logbinom,
-)
+from .operators import CoordinateVector, as_vector, b_apply, cesaro_apply
 from .sequences import AlphaSequence, WeightSystem, seminorm
 from .trend import FAILS, HOLDS, Verdict
 
 __all__ = [
     "CesaroMeansTrace",
     "IterateTrace",
-    "QuadSpec",
     "cesaro_means",
     "ergodic_decomposition_check",
     "gm_sup",
@@ -49,15 +42,6 @@ __all__ = [
     "power_bound_check",
     "power_iterate",
 ]
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Quadrature budget for the kernel integrals."""
-
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-13
-    limit: int = 200
 
 
 @dataclass(frozen=True)
@@ -146,71 +130,43 @@ def _trace_of(x, steps: int) -> IterateTrace:
     return x
 
 
-def _kernel_cell(n: int, j: int, m: int, spec: QuadSpec) -> float:
-    """binom(n-1, j-1) * integral_0^inf e^(-ju) (1-e^(-u))^(n-j) u^(m-1)/(m-1)! du.
-
-    The binomial is folded into the integrand in log scale, so the cell value
-    is always of moderate size (the rows of the m-th power sum to one).
-    """
-    logc = float(logbinom(np.array(float(n - 1)), np.array(float(j - 1))))
-    lg = gammaln(m)
-
-    def f(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        expu = math.exp(-u)
-        if expu >= 1.0:
-            return 0.0
-        log1m = math.log1p(-expu)
-        return math.exp(
-            logc - j * u + (n - j) * log1m + (m - 1) * math.log(u) - lg
-        )
-
-    peak = (m - 1) / j
-    log_peak = -j * peak + (m - 1) * math.log(peak) if peak > 0 else 0.0
-    U = max(peak, 1.0)
-    # push the cutoff until the bare exponential factor is 1e-16 of its peak
-    while -j * U + (m - 1) * math.log(U) > log_peak + math.log(1e-16):
-        U *= 1.5
-    points = [peak] if 0.0 < peak < U else None
-    val, abserr = quad(
-        f, 0.0, U, limit=spec.limit, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        points=points,
-    )
-    budget = max(spec.abs_tol, spec.rel_tol * abs(val)) * 10.0
-    if abserr > budget:
-        raise QuadratureError(abserr, budget, where=(n, j, m))
-    return val
-
-
 @lru_cache(maxsize=8)
-def kernel_matrix(m: int, N: int, spec: QuadSpec = QuadSpec()) -> np.ndarray:
+def kernel_matrix(m: int, N: int) -> np.ndarray:
     """Dense lower-triangular kernel of the m-th power on the truncation.
 
-    m = 1 is the analytic shortcut: every Beta integral collapses and row n
-    is constantly 1/n, the running-mean matrix itself.
+    The m-th power is the Hausdorff mean whose density f_m(t) =
+    log^(m-1)(1/t)/(m-1)! has moments int_0^1 t^i f_m dt = (i+1)^(-m), so
+    cell (n, j) = binom(n-1, j-1) int_0^1 t^(j-1) (1-t)^(n-j) f_m dt expands
+    to binom(n-1, j-1) sum_r (-1)^r binom(n-j, r) (j+r)^(-m): the binomial
+    times (-1)^(n-j) times the (n-j)-th forward difference of k^(-m) at j.
+    The differences are taken in integers over the common denominator
+    lcm(1..N)^m, so each cell is the exact rational rounded once to float.
+    Nothing here goes through the running-mean passes, which keeps this an
+    independent check of them.
     """
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
     if N < 1:
         raise PreconditionError(f"need N >= 1, got {N}")
+    lcm = math.lcm(*range(1, N + 1))
+    denom = lcm ** m
+    # diffs[j-1] = denom * sum_s (-1)^s binom(r, s) (j+s)^(-m) at pass r
+    diffs = [(lcm // k) ** m for k in range(1, N + 1)]
     out = np.zeros((N, N))
-    if m == 1:
-        for n in range(1, N + 1):
-            out[n - 1, :n] = 1.0 / n
-        return out
-    for n in range(1, N + 1):
-        for j in range(1, n + 1):
-            out[n - 1, j - 1] = _kernel_cell(n, j, m, spec)
+    for r in range(N):
+        for j in range(1, N - r + 1):
+            num = math.comb(j + r - 1, j - 1) * diffs[j - 1]
+            out[j + r - 1, j - 1] = num / denom
+        diffs = [a - b for a, b in zip(diffs, diffs[1:])]
     return out
 
 
-def iterate_via_kernel(x, m: int, spec: QuadSpec = QuadSpec()) -> CoordinateVector:
-    """Evaluate the m-th iterate through the integral kernel (float only)."""
+def iterate_via_kernel(x, m: int) -> CoordinateVector:
+    """Evaluate the m-th iterate through the closed-form kernel (float only)."""
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
     x = as_vector(x)
-    K = kernel_matrix(m, len(x), spec)
+    K = kernel_matrix(m, len(x))
     return CoordinateVector(K @ x.as_float(), x.valid_len)
 
 

@@ -38,15 +38,3 @@ class SkEmptyError(CesaroError):
             f"series diverges for every probed exponent s <= {cap} at k={k}"
         )
 
-
-class QuadratureError(CesaroError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-    def __init__(self, achieved: float, required: float, where: tuple = ()):
-        self.achieved = achieved
-        self.required = required
-        self.where = where
-        super().__init__(
-            f"quadrature error estimate {achieved:.3g} exceeds the requested "
-            f"{required:.3g} at cell {where}"
-        )

@@ -247,6 +247,8 @@ class AlphaSequence:
 
     def _dense(self, N: int) -> np.ndarray:
         """Cached, read-only, unclipped alpha_1 .. alpha_N."""
+        if N < 1:
+            raise ValueError("N must be positive")
         if self._cache is None or len(self._cache) < N:
             arr = self._compute(max(N, 16))
             arr.flags.writeable = False
@@ -255,8 +257,6 @@ class AlphaSequence:
 
     def values(self, N: int) -> np.ndarray:
         """alpha_1 .. alpha_N as float64; raises if any entry exceeds float range."""
-        if N < 1:
-            raise ValueError("N must be positive")
         out = self._dense(N)
         if not np.all(np.isfinite(out)):
             bad = int(np.argmin(np.isfinite(out))) + 1

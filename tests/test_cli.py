@@ -156,6 +156,7 @@ class TestConfigAssembly:
         ["--N", "0"],
         ["--experiments", "orbit"],
         ["--x", "q7"],
+        ["--seed", "-1"],
     ])
     def test_bad_values_rejected(self, argv):
         with pytest.raises(UsageError):
@@ -204,6 +205,7 @@ class TestRunAndEmit:
         AnalysisConfig(alpha="mystery"),
         AnalysisConfig(K=0),
         AnalysisConfig(kmax=0),
+        AnalysisConfig(seed=-1, experiments=("dynamics",)),
         AnalysisConfig(output="xml"),
         AnalysisConfig(lambdas=(complex("nan"),), experiments=("resolvent",)),
         AnalysisConfig(x="q1", experiments=("dynamics",)),
@@ -383,6 +385,7 @@ class TestMainExitCodes:
         ("tol", "inf", "Infinity", "tol must be"),
         ("tol", "-1", "-1", "tol must be"),
         ("tol", "0", "0", "tol must be"),
+        ("seed", "-1", "-1", "seed must be >= 0"),
     ])
     def test_bad_resolution_or_tolerance_exits_2(self, tmp_path, field, value,
                                                  literal, message, capsys):

@@ -2,6 +2,9 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +21,7 @@ from cesarospec import (
     cesaro,
     cesaro_apply,
     cesaro_means,
+    delta,
     ergodic_decomposition_check,
     gm_sup,
     iterate_limit_check,
@@ -120,6 +124,31 @@ class TestKernel:
 
     def test_cache_returns_same_object(self):
         assert kernel_matrix(2, 10) is kernel_matrix(2, 10)
+
+    @pytest.mark.parametrize("N", [1, 2, 17, 40])
+    def test_cells_are_the_rounded_exact_kernel(self, N):
+        # the m-th power is delta diag(1/k^m) delta exactly; each kernel cell
+        # must be that rational rounded once
+        d = delta(N).dense()
+        for m in (1, 2, 3, 5):
+            recip = np.array([F(1, k ** m) for k in range(1, N + 1)],
+                             dtype=object)
+            exact = (d * recip[None, :]).dot(d)
+            got = kernel_matrix(m, N)
+            for n in range(N):
+                for j in range(N):
+                    assert got[n, j] == float(exact[n, j]), (m, n + 1, j + 1)
+
+    def test_cli_import_leaves_quadrature_unloaded(self):
+        import cesarospec
+
+        src = os.path.dirname(os.path.dirname(cesarospec.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, cesarospec.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_ones_preserved(self):
         ones = CoordinateVector([1.0] * 15)

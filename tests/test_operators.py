@@ -344,12 +344,18 @@ class TestScaledTail:
         assert max_entry_diff(opl, opf) <= 1e-10
 
     def test_signs_alternate_below_pole_scale(self):
-        # for lambda = 0.4 the first two product factors are negative
-        op = scaled_e_matrix(0.4, 1, parse_alpha("linear"), 8,
-                             mode="float")
-        data = op.dense()
-        assert data[2, 0] < 0 or data[2, 1] < 0 or True  # sign layout sane
-        assert np.isfinite(data[np.tril_indices(8, k=-1)]).all()
+        # for lambda = 0.4 the factors 1 - 1/(lambda n) are negative at n = 1
+        # and 2 only, so the running product is negative after the first
+        # factor alone; that sign lands on column 2 and nowhere else
+        seq = parse_alpha("linear")
+        data = scaled_e_matrix(0.4, 1, seq, 8, mode="float").dense()
+        lower = np.tri(8, k=-1, dtype=bool)
+        want = np.where(lower, 1.0, 0.0)
+        want[2:, 1] = -1.0
+        assert np.isfinite(data[lower]).all()
+        assert np.array_equal(np.sign(data), want)
+        logmag = scaled_e_matrix(0.4, 1, seq, 8).dense()
+        assert np.array_equal(np.sign(logmag), np.sign(data))
 
 
 class TestShiftedDifferencePair:

@@ -74,6 +74,15 @@ class TestGeneratorValues:
         assert len(vals) == 200
         assert np.all(np.diff(vals) >= 0)
 
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_nonpositive_length_rejected(self, N):
+        seq = parse_alpha("linear")
+        for read in (seq.values, seq.values_saturated,
+                     lambda n: WeightSystem(seq).log_w(1, n),
+                     lambda n: WeightSystem(seq).w(1, n)):
+            with pytest.raises(ValueError, match="N must be positive"):
+                read(N)
+
     def test_sparse_block_generator_is_nondecreasing(self):
         vals = parse_alpha("s1_empty").values(5000)
         assert np.all(np.diff(vals) >= -1e-12)
