@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InternalConsistencyError, PreconditionError
 from .exact import compare_seminorms
@@ -142,7 +141,7 @@ def kernel_matrix(m: int, N: int) -> np.ndarray:
     The differences are taken in integers over the common denominator
     lcm(1..N)^m, so each cell is the exact rational rounded once to float.
     Nothing here goes through the running-mean passes, which keeps this an
-    independent check of them.
+    independent check of them.  The matrix is cached and read-only.
     """
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
@@ -158,6 +157,7 @@ def kernel_matrix(m: int, N: int) -> np.ndarray:
             num = math.comb(j + r - 1, j - 1) * diffs[j - 1]
             out[j + r - 1, j - 1] = num / denom
         diffs = [a - b for a, b in zip(diffs, diffs[1:])]
+    out.setflags(write=False)
     return out
 
 
@@ -214,11 +214,11 @@ def gm_sup(m: int, method: str = "both") -> float:
     if m == 1:
         closed = 1.0
     else:
-        closed = math.exp((m - 1) * (math.log(m - 1.0) - 1.0) - gammaln(m))
+        closed = math.exp((m - 1) * (math.log(m - 1.0) - 1.0) - math.lgamma(m))
     if method == "closed":
         return closed
 
-    lg = gammaln(m)
+    lg = math.lgamma(m)
 
     def g(s: float) -> float:
         if m == 1:

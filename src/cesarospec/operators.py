@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import PreconditionError, RepresentationError
 from .exact import ComplexRational
@@ -49,12 +48,43 @@ def _is_exact(v) -> bool:
     return isinstance(v, (int, Fraction, ComplexRational))
 
 
+# log(i!) for 0 <= i < len, grown to the largest n asked for so far.
+_log_factorial_cache: dict[int, np.ndarray] = {}
+
+
+def _log_factorials(n_max: int) -> np.ndarray:
+    """Read-only table whose entry i is log(i!), for i up to at least n_max."""
+    table = next(iter(_log_factorial_cache.values()), None)
+    if table is None or len(table) <= n_max:
+        table = np.array([math.lgamma(i + 1.0) for i in range(n_max + 1)])
+        table.setflags(write=False)
+        _log_factorial_cache.clear()
+        _log_factorial_cache[n_max + 1] = table
+    return table
+
+
+def _as_integers(x) -> np.ndarray:
+    a = np.asarray(x)
+    if a.dtype.kind in "iu" or (a.dtype.kind == "f" and np.all(np.isfinite(a))
+                                and np.all(a == np.floor(a))):
+        return a.astype(np.int64)
+    raise ValueError("logbinom needs integer arguments")
+
+
 def logbinom(n, k) -> np.ndarray:
-    """log of the binomial coefficient, vectorized, -inf outside the triangle."""
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float)
-    out = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-    return np.where((k < 0) | (k > n), -np.inf, out)
+    """log binom(n, k) for integer n and k, vectorized; -inf outside 0 <= k <= n.
+
+    n and k may be integer arrays or float arrays holding integers; any other
+    value raises ValueError.  Each entry is log(n!) - log(k!) - log((n-k)!)
+    read from one cached log-factorial table.
+    """
+    n = _as_integers(n)
+    k = _as_integers(k)
+    inside = (k >= 0) & (k <= n)
+    n = np.where(inside, n, 0)
+    k = np.where(inside, k, 0)
+    lf = _log_factorials(int(n.max(initial=0)))
+    return np.where(inside, lf[n] - lf[k] - lf[n - k], -np.inf)
 
 
 class CoordinateVector:
@@ -66,17 +96,20 @@ class CoordinateVector:
     """
 
     def __init__(self, values, valid_len: int | None = None):
-        vals = list(values)
-        if any(_is_exact(v) for v in vals) and not any(
-            isinstance(v, (float, complex)) for v in vals
-        ):
-            arr = np.empty(len(vals), dtype=object)
-            for i, v in enumerate(vals):
-                arr[i] = Fraction(v) if isinstance(v, int) else v
+        if isinstance(values, np.ndarray) and values.dtype.kind in "fc":
+            arr = np.array(values)
         else:
-            arr = np.asarray(vals)
-            if arr.dtype.kind not in "fc":
-                arr = arr.astype(float)
+            vals = list(values)
+            if any(_is_exact(v) for v in vals) and not any(
+                isinstance(v, (float, complex)) for v in vals
+            ):
+                arr = np.empty(len(vals), dtype=object)
+                for i, v in enumerate(vals):
+                    arr[i] = Fraction(v) if isinstance(v, int) else v
+            else:
+                arr = np.asarray(vals)
+                if arr.dtype.kind not in "fc":
+                    arr = arr.astype(float)
         self.values = arr
         self.valid_len = len(arr) if valid_len is None else int(valid_len)
         if not 0 <= self.valid_len <= len(arr):

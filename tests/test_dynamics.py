@@ -139,16 +139,32 @@ class TestKernel:
                 for j in range(N):
                     assert got[n, j] == float(exact[n, j]), (m, n + 1, j + 1)
 
+    def test_cached_matrix_is_read_only(self):
+        k = kernel_matrix(2, 5)
+        with pytest.raises(ValueError):
+            k[4, 0] = 99.0
+        out = iterate_via_kernel(CoordinateVector(np.ones(5)), 2).as_float()
+        assert np.max(np.abs(out - 1.0)) <= 1e-12
+
     def test_cli_import_leaves_quadrature_unloaded(self):
+        # checked after the import and again after a run, so that no lazy
+        # import moves the cost from start-up into the run
         import cesarospec
 
         src = os.path.dirname(os.path.dirname(cesarospec.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, cesarospec.cli; "
-                "print('scipy.integrate' in sys.modules)")
+        code = (
+            "import sys, cesarospec.cli as cli\n"
+            "heavy = ('scipy.special', 'scipy.integrate')\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+            "code = cli.main(['--N', '40', '--experiments', 'profile',\n"
+            "                 'eigenpairs:1,2', 'dynamics'])\n"
+            "print([m for m in heavy if m in sys.modules], code)\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        lines = out.stdout.strip().splitlines()
+        assert lines[0] == "[]"
+        assert lines[-1] == "[] 0"
 
     def test_ones_preserved(self):
         ones = CoordinateVector([1.0] * 15)

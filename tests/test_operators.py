@@ -28,9 +28,11 @@ from cesarospec import (
     resolvent_tail_logs,
     scaled_e_matrix,
 )
+import cesarospec.operators as operators_module
 from cesarospec.operators import (
     TruncOperator,
     dump_csv,
+    logbinom,
     max_entry_diff,
     ops_equal_exact,
 )
@@ -69,6 +71,78 @@ class TestCoordinateVector:
         assert e2.exact
         with pytest.raises(ValueError):
             basis_vector(5, 4)
+
+    def test_storage_follows_the_input(self):
+        ints = CoordinateVector([1, 2, 3])
+        assert ints.exact
+        assert all(type(v) is F for v in ints.values)
+        assert list(ints.values) == [1, 2, 3]
+
+        from_int64 = CoordinateVector(np.arange(3, dtype=np.int64))
+        assert from_int64.values.dtype == np.float64
+        assert list(from_int64.values) == [0.0, 1.0, 2.0]
+
+        mixed = CoordinateVector([1, F(1, 2), 0.25])
+        assert mixed.values.dtype == np.float64
+        assert list(mixed.values) == [1.0, 0.5, 0.25]
+
+        fractions = np.array([F(1, 3), F(2)], dtype=object)
+        kept = CoordinateVector(fractions)
+        assert kept.exact
+        assert list(kept.values) == [F(1, 3), F(2)]
+
+        for dtype in (np.float64, np.complex128):
+            src = np.array([1.5, -2.0], dtype=dtype)
+            v = CoordinateVector(src)
+            assert v.values.dtype == dtype
+            assert not np.shares_memory(v.values, src)
+            src[0] = 7.0
+            assert v.values[0] == 1.5
+
+
+class TestLogBinom:
+    def test_matches_exact_binomials(self):
+        for n in range(301):
+            got = logbinom(n, np.arange(n + 1))
+            for k in range(n + 1):
+                want = math.log(math.comb(n, k))
+                tol = max(1e-12 * abs(want), 4 * math.ulp(want))
+                assert abs(got[k] - want) <= tol, (n, k)
+
+    def test_outside_the_triangle_is_minus_inf(self):
+        n = np.arange(-2, 8)[:, None]
+        k = np.arange(-3, 10)[None, :]
+        got = logbinom(n, k)
+        outside = (k < 0) | (k > n)
+        assert np.all(got[outside] == -np.inf)
+        assert np.all(np.isfinite(got[~outside]))
+
+    def test_float_integers_match_integer_input(self):
+        idx = np.arange(40)
+        assert (logbinom(idx[:, None].astype(float), idx.astype(float)).tobytes()
+                == logbinom(idx[:, None], idx).tobytes())
+
+    @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, 1j, [3.0, 0.5]])
+    def test_non_integral_input_rejected(self, bad):
+        with pytest.raises(ValueError):
+            logbinom(bad, 1)
+        with pytest.raises(ValueError):
+            logbinom(10, bad)
+
+    def test_table_is_cached_read_only_and_reused(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(operators_module, "_log_factorial_cache", cache)
+        logbinom(500, 3)
+        (table,) = cache.values()
+        assert len(table) == 501
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+        logbinom(np.arange(100), 7)
+        assert next(iter(cache.values())) is table
+        logbinom(600, 3)
+        (grown,) = cache.values()
+        assert len(grown) == 601
+        assert grown[:501].tobytes() == table.tobytes()
 
 
 class TestAveraging:
