@@ -25,6 +25,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from importlib import metadata
 from pathlib import Path
 
@@ -60,6 +61,18 @@ DYNAMICS_STEP_CAP = 40
 # same host a run at index 200 takes 1.0 s at 111 MB peak RSS, 600 takes
 # 3.8 s at 203 MB.
 EIGENPAIR_INDEX_CAP = 200
+# Largest resolution.  The criteria and resolvent scans are linear in N: at
+# N = 1,000,000 the run `profile spectrum resolvent:2,-1,0.4+0.3i
+# eigenpairs:1,2,3 dynamics` takes 9.7 s at 123 MB peak RSS for linear and
+# 9.9 s at 153 MB for log:beta=2 (2-vCPU host); at N = 10,000,000 the four
+# scans alone take 13-21 s at 674 MB.
+N_CAP = 1_000_000
+# Largest level count K and resolvent scan depth kmax.  At the default N the
+# same run takes 0.6-0.7 s at 55 MB with K = 64, and 1.1 s at 55 MB with
+# kmax = 64 (linear and log:beta=2).  With N, K and kmax all at their caps it
+# takes 38-41 s at 123 MB.
+K_CAP = 64
+KMAX_CAP = 64
 
 try:
     _VERSION = metadata.version("cesarospec")
@@ -164,10 +177,13 @@ def _check_config(config: AnalysisConfig) -> None:
         raise UsageError(f"bad output format {config.output!r}; "
                          "expected json or csv")
     _validate_x_spec(config.x)
-    for key, low in (("N", 2), ("K", 1), ("kmax", 1), ("seed", 0)):
+    for key, low, cap in (("N", 2, N_CAP), ("K", 1, K_CAP),
+                          ("kmax", 1, KMAX_CAP), ("seed", 0, None)):
         value = getattr(config, key)
         if value is not None and value < low:
             raise UsageError(f"{key} must be >= {low}")
+        if value is not None and cap is not None and value > cap:
+            raise UsageError(f"{key} {value} exceeds the cap of {cap}")
     if not all(cmath.isfinite(z) for z in config.lambdas):
         raise UsageError(f"lambda values must be finite, got {config.lambdas}")
     tol = config.tol
@@ -312,9 +328,14 @@ class _RunContext:
         self.config = config
         self.seq = parse_alpha(config.alpha)
         self.weights = WeightSystem(self.seq)
-        self.rng = np.random.default_rng(config.seed)
         self._profile = None
         self._spectrum = None
+
+    @cached_property
+    def rng(self):
+        # Built on the first draw, so that runs which draw nothing do not
+        # import numpy.random.
+        return np.random.default_rng(self.config.seed)
 
     def profile(self):
         if self._profile is None:
@@ -401,11 +422,11 @@ def _run_eigenpairs(ctx: _RunContext, ms) -> tuple:
     return {"pairs": entries}, mism
 
 
-def _make_vector(spec: str, n: int, rng) -> CoordinateVector:
+def _make_vector(spec: str, n: int, ctx: _RunContext) -> CoordinateVector:
     if spec == "ones":
         return CoordinateVector([Fraction(1)] * n)
     if spec == "random":
-        return CoordinateVector(rng.uniform(-1.0, 1.0, size=n))
+        return CoordinateVector(ctx.rng.uniform(-1.0, 1.0, size=n))
     j = int(spec[1:])
     if j > n:
         raise UsageError(f"basis index {j} exceeds vector length {n}")
@@ -415,7 +436,7 @@ def _make_vector(spec: str, n: int, rng) -> CoordinateVector:
 def _run_dynamics(ctx: _RunContext, x_spec: str, ms) -> tuple:
     config = ctx.config
     n_dyn = min(config.N or 64, 512)
-    x = _make_vector(x_spec, n_dyn, ctx.rng)
+    x = _make_vector(x_spec, n_dyn, ctx)
     ks = tuple(range(1, min(config.K, 5) + 1))
     entries = []
     mism = []

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PreconditionError, SkEmptyError
 from .sequences import (
@@ -347,45 +348,104 @@ def d_continuity_check(
 
 
 _ROWSUM_N_CAP = 1024
-_ROWSUM_BLOCK = 128
-# One table, grown to the largest N asked for so far; smaller N get a view.
-_logc_cache: dict[int, np.ndarray] = {}
+_ROWSUM_BLOCK = 64
+# A mat-vec row-sum block is kept only if every sum in it is at least this.
+# Terms lost to underflow are below 2**-1074 each, so at most N * 2**-1074 in
+# all, which is under 2**-100 of any sum that passes.
+_MATVEC_FLOOR = 2.0 ** -960
+# Row s of a block has s + 1 < 2**10 terms, each at most exp(max a[:s+1] -
+# max a[:e]); past this gap their sum is under 2**-960, so the block would
+# fail the floor and the mat-vec is skipped.
+_MATVEC_GAP = 970 * math.log(2)
+
+
+class _PascalTables(NamedTuple):
+    logc: np.ndarray    # log binom(n-1, m-1), -inf above the diagonal
+    scaled: np.ndarray  # exp(logc - rowmax), 0 above the diagonal
+    rowmax: np.ndarray  # the largest entry of each row of logc
+
+
+# One entry, grown to the largest N asked for so far; smaller N get a view.
+_logc_cache: dict[int, _PascalTables] = {}
+
+
+def _pascal_tables(N: int) -> _PascalTables:
+    """The cached tables, built for N rows unless a larger entry exists."""
+    if N > _ROWSUM_N_CAP:
+        raise ValueError(f"log-Pascal table size {N} above {_ROWSUM_N_CAP}")
+    entry = next(iter(_logc_cache.values()), None)
+    if entry is None or len(entry.logc) < N:
+        from .operators import _log_factorials
+
+        lf = _log_factorials(N)[:N]
+        # toeplitz[n, m] = lf[n - m] below the diagonal, +inf above it.
+        padded = np.concatenate((np.full(N - 1, np.inf), lf))
+        toeplitz = sliding_window_view(padded, N)[:, ::-1]
+        logc = lf[:, None] - lf[None, :]
+        logc -= toeplitz
+        rowmax = logc.max(axis=1)
+        scaled = logc - rowmax[:, None]
+        np.exp(scaled, out=scaled)
+        entry = _PascalTables(logc, scaled, rowmax)
+        for table in entry:
+            table.setflags(write=False)
+        _logc_cache.clear()
+        _logc_cache[N] = entry
+    return entry
 
 
 def _log_pascal(N: int) -> np.ndarray:
-    """Lower-triangular table of log binom(n-1, m-1), 1-based in both indices."""
-    if N > _ROWSUM_N_CAP:
-        raise ValueError(f"log-Pascal table size {N} above {_ROWSUM_N_CAP}")
-    table = next(iter(_logc_cache.values()), None)
-    if table is None or len(table) < N:
-        from .operators import logbinom
+    """Lower-triangular table of log binom(n-1, m-1), 1-based in both indices.
 
-        n_idx = np.arange(N, dtype=float)[:, None]
-        m_idx = np.arange(N, dtype=float)[None, :]
-        table = logbinom(n_idx, m_idx)
-        table.setflags(write=False)
-        _logc_cache.clear()
-        _logc_cache[N] = table
-    return table[:N, :N]
+    Entry (n, m) is lf[n] - lf[m] - lf[n-m] over the log-factorial table, the
+    operations and order of `operators.logbinom`, so the bytes match it.  The
+    last term is a window view of lf padded with +inf, which makes the upper
+    triangle -inf with no mask.
+    """
+    return _pascal_tables(N).logc[:N, :N]
 
 
 def _log_rowsums(logc: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """log sum_{m<=n} exp(logc[n, m] + a[m]) for every row n.
+    """log sum_{m<=n} exp(logc[n, m] + a[m]) for every row n, in row blocks.
 
-    Row blocks only read the columns up to their last row; the entries
-    beyond are -inf and add nothing.  The diagonal log binom(n-1, n-1) = 0
-    keeps every row maximum finite.
+    A block reads only the columns up to its last row; the entries beyond add
+    nothing.  When logc is a view of the cached table, a block after the
+    first is one mat-vec over the cached scaled = exp(logc - rowmax):
+    sum_m scaled[n, m] exp(a[m] - max a), one exp per column instead of one
+    per entry.  At N <= _ROWSUM_N_CAP every lower-triangle entry of scaled is
+    a normal float (log binom(1023, 511) < 705 < 708), so only the a side can
+    underflow.  A block with a sum under _MATVEC_FLOOR, or whose first row is
+    bound to have one (_MATVEC_GAP), takes the max-shift route instead: each
+    row's largest term is subtracted before the exp, which is exact to
+    rounding however fast a grows.  The first block always takes that route,
+    so that row 1 comes out as exactly a[0].  The diagonal
+    log binom(n-1, n-1) = 0 keeps every row maximum finite.
     """
     N = len(a)
+    entry = next(iter(_logc_cache.values()), None)
+    matvec = entry is not None and logc.base is entry.logc
     out = np.empty(N)
     for s in range(0, N, _ROWSUM_BLOCK):
         e = min(s + _ROWSUM_BLOCK, N)
-        block = logc[s:e, :e] + a[:e]
-        top = block.max(axis=1)
-        block -= top[:, None]
-        np.exp(block, out=block)
-        out[s:e] = np.log(block.sum(axis=1)) + top
+        shift = a[:e].max()
+        if s and matvec and shift - a[:s + 1].max() < _MATVEC_GAP:
+            sums = entry.scaled[s:e, :e] @ np.exp(a[:e] - shift)
+            if sums.min() >= _MATVEC_FLOOR:
+                out[s:e] = np.log(sums) + entry.rowmax[s:e] + shift
+                continue
+        out[s:e] = _max_shift_rows(logc, a, s, e)
     return out
+
+
+def _max_shift_rows(logc: np.ndarray, a: np.ndarray, s: int, e: int
+                    ) -> np.ndarray:
+    """Rows s..e-1 of `_log_rowsums`, each row's largest term taken out
+    before the exp."""
+    block = logc[s:e, :e] + a[:e]
+    top = block.max(axis=1)
+    block -= top[:, None]
+    np.exp(block, out=block)
+    return np.log(block.sum(axis=1)) + top
 
 
 def delta_continuity_check(
@@ -403,7 +463,11 @@ def delta_continuity_check(
         sup_n sum_{m<=n} (w_k(n)/w_l(m)) binom(n-1, m-1),
         evaluated by log-sum-exp on a truncation capped at 1024 rows (the
         row-sum table is quadratic in N and the binomial mass saturates the
-        trend long before that);
+        trend long before that).  Each l is summed once per call, in 64-row
+        blocks: one mat-vec of the cached exp(log binom - row max) table
+        against exp(alpha/l - max), or the per-entry max-shift route for the
+        first block and for any block with a sum under 2**-960, where
+        underflow could cost more than 2**-100 of it (see `_log_rowsums`);
     (2) the scalar limit n/alpha_n -> 0.
 
     Decisive tracks must agree; disagreement is reported as inconclusive
@@ -416,9 +480,14 @@ def delta_continuity_check(
     alpha = seq.values_saturated(N1)
     ns = np.arange(1, N1 + 1, dtype=np.int64)
     logc = _log_pascal(N1)
+    # The row sums depend on l alone, and several k' of the window can
+    # probe the same l.
+    rowsums: dict[int, np.ndarray] = {}
 
     def per_pair(kp: int, l: int) -> Verdict:
-        q = _log_rowsums(logc, alpha / l) - alpha / kp
+        if l not in rowsums:
+            rowsums[l] = _log_rowsums(logc, alpha / l)
+        q = rowsums[l] - alpha / kp
         return sup_verdict_bounded(
             ns, q, f"sum_m (w_{kp}(n)/w_{l}(m)) binom(n-1,m-1)", trend_params,
             extra={"alpha": seq.spec_string(), "k": kp, "l": l, "N": N1},

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,9 @@ from cesarospec.cli import (
     AnalysisConfig,
     DYNAMICS_STEP_CAP,
     EIGENPAIR_INDEX_CAP,
+    K_CAP,
+    KMAX_CAP,
+    N_CAP,
     SCHEMA_VERSION,
     UsageError,
     _build_parser,
@@ -24,6 +30,7 @@ from cesarospec.cli import (
 import cesarospec.cli as cli_module
 import cesarospec.dynamics as dynamics_module
 from cesarospec.operators import cesaro_apply
+from cesarospec.sequences import default_resolution
 
 
 class TestComplexLiterals:
@@ -213,6 +220,9 @@ class TestRunAndEmit:
         AnalysisConfig(experiments=("eigenpairs",), ms=(0,)),
         AnalysisConfig(experiments=("eigenpairs",),
                        ms=(EIGENPAIR_INDEX_CAP + 1,)),
+        AnalysisConfig(N=N_CAP + 1, experiments=("profile",)),
+        AnalysisConfig(K=K_CAP + 1),
+        AnalysisConfig(kmax=KMAX_CAP + 1, experiments=("resolvent",)),
     ])
     def test_run_checks_the_config(self, config):
         # run is also called directly, without assemble_config
@@ -397,6 +407,46 @@ class TestMainExitCodes:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {message}")
             assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("field,cap", [
+        ("N", N_CAP), ("K", K_CAP), ("kmax", KMAX_CAP)])
+    def test_values_above_the_caps_exit_2(self, tmp_path, field, cap, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(f'{{"{field}": {cap + 1}, "experiments": ["profile"]}}')
+        for argv in (["--" + field, str(cap + 1), "--experiments", "profile"],
+                     ["--config", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {field} {cap + 1} exceeds the cap of {cap}\n"
+
+    def test_caps_admit_the_defaults_and_themselves(self):
+        defaults = AnalysisConfig()
+        assert default_resolution(parse_alpha(defaults.alpha)) < N_CAP
+        assert defaults.K < K_CAP and defaults.kmax < KMAX_CAP
+        config, _ = _config_from(["--N", str(N_CAP), "--K", str(K_CAP),
+                                  "--kmax", str(KMAX_CAP)])
+        assert (config.N, config.K, config.kmax) == (N_CAP, K_CAP, KMAX_CAP)
+
+    def test_runs_that_draw_nothing_leave_numpy_random_unloaded(self):
+        # the generator is made on the first draw, and only dynamics:random
+        # and suite draw
+        import cesarospec
+
+        src = os.path.dirname(os.path.dirname(cesarospec.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import contextlib, io, sys, cesarospec.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['--N', '64', '--experiments', 'profile',\n"
+            "                     'spectrum', 'resolvent', 'eigenpairs:1,2'])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['--N', '64', '--experiments',\n"
+            "                     'dynamics:random,2'])\n"
+            "print(code, 'numpy.random' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0", "False", "0", "True"]
 
     def test_repeated_alpha_key_exits_2(self, tmp_path, capsys):
         spec = "power:beta=2:beta=3"

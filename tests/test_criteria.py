@@ -30,6 +30,7 @@ from cesarospec.criteria import (
     _ROWSUM_N_CAP,
     _log_pascal,
     _log_rowsums,
+    _pascal_tables,
     _window_scan,
     default_lmax,
     gallery,
@@ -315,6 +316,125 @@ class TestRowSumKernel:
             assert got.witness == ref.witness, spec
             assert (got.params["rowsum_params"].get("chosen_l_by_k")
                     == ref.params["rowsum_params"].get("chosen_l_by_k")), spec
+
+
+class TestRowSumRoutes:
+    def test_scaled_table_is_normal_at_the_cap(self, monkeypatch):
+        # the mat-vec route's floor argument needs every lower-triangle entry
+        # of exp(logc - rowmax) to be a normal float; this fails if the cap
+        # is raised past log binom(N-1, (N-1)/2) ~ 708
+        monkeypatch.setattr(criteria_module, "_logc_cache", {})
+        scaled = _pascal_tables(_ROWSUM_N_CAP).scaled
+        lower = scaled[np.tril_indices(_ROWSUM_N_CAP)]
+        assert np.all(lower >= np.finfo(float).tiny)
+        assert np.all(lower <= 1.0)
+        assert not np.any(np.triu(scaled, 1))
+
+    @staticmethod
+    def _fallback_blocks(monkeypatch, logc, a):
+        """Start rows of the blocks that took the max-shift route."""
+        starts = []
+        inner = criteria_module._max_shift_rows
+
+        def spy(logc, a, s, e):
+            starts.append(s)
+            return inner(logc, a, s, e)
+
+        monkeypatch.setattr(criteria_module, "_max_shift_rows", spy)
+        np.testing.assert_allclose(_log_rowsums(logc, a),
+                                   _reference_rowsums(logc, a),
+                                   rtol=1e-12, atol=0)
+        return starts
+
+    @pytest.mark.parametrize("l", [2, 5, 20])
+    def test_fast_growth_falls_back_past_the_first_block(self, monkeypatch, l):
+        a = parse_alpha("power:beta=2").values_saturated(_ROWSUM_N_CAP) / l
+        starts = self._fallback_blocks(monkeypatch, _log_pascal(_ROWSUM_N_CAP),
+                                       a)
+        assert starts[0] == 0 and len(starts) > 1
+
+    @pytest.mark.parametrize("l", [2, 5, 20])
+    def test_linear_takes_the_matvec_after_the_first_block(self, monkeypatch,
+                                                           l):
+        a = parse_alpha("linear").values_saturated(_ROWSUM_N_CAP) / l
+        assert self._fallback_blocks(
+            monkeypatch, _log_pascal(_ROWSUM_N_CAP), a) == [0]
+
+    def test_other_tables_take_the_max_shift_route(self, monkeypatch):
+        # the mat-vec reads the cached table, so only a view of it may use it
+        a = parse_alpha("linear").values_saturated(300) / 3
+        starts = self._fallback_blocks(monkeypatch,
+                                       np.array(_log_pascal(300)), a)
+        assert starts == list(range(0, 300, criteria_module._ROWSUM_BLOCK))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        segments=st.lists(
+            st.tuples(st.integers(1, 400), st.floats(0.0, 1e4)),
+            min_size=1, max_size=6),
+        saturate_at=st.one_of(st.none(), st.integers(0, _ROWSUM_N_CAP - 1)),
+        l=st.integers(1, 40),
+    )
+    def test_random_growth_matches_full_table(self, segments, saturate_at,
+                                              l):
+        lengths, steps = zip(*segments)
+        alpha = np.cumsum(np.repeat(steps, lengths))[:_ROWSUM_N_CAP]
+        if saturate_at is not None:
+            alpha[saturate_at:] = ALPHA_SATURATION
+        a = alpha / l
+        logc = _log_pascal(len(a))
+        np.testing.assert_allclose(_log_rowsums(logc, a),
+                                   _reference_rowsums(logc, a),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("spec", GALLERY_SPECS)
+    def test_one_rowsum_per_l(self, monkeypatch, spec):
+        ls, sums = [], []
+        inner_sums = criteria_module._log_rowsums
+        inner_sup = criteria_module.sup_verdict_bounded
+
+        def rowsums(logc, a):
+            sums.append(a.copy())
+            return inner_sums(logc, a)
+
+        def sup(ns, q, label, params, extra):
+            ls.append(extra["l"])
+            return inner_sup(ns, q, label, params, extra=extra)
+
+        monkeypatch.setattr(criteria_module, "_log_rowsums", rowsums)
+        monkeypatch.setattr(criteria_module, "sup_verdict_bounded", sup)
+        delta_continuity_check(parse_alpha(spec))
+        assert len(sums) == len(set(ls)) > 0
+        assert len({a.tobytes() for a in sums}) == len(sums)
+
+    def test_the_window_revisits_l(self, monkeypatch):
+        # rsw_b scans l = 3..14 at k' = 2 without a decision, then l = 4..20
+        # at k' = 3; the l they share are summed once
+        seen = []
+        inner = criteria_module.sup_verdict_bounded
+        monkeypatch.setattr(
+            criteria_module, "sup_verdict_bounded",
+            lambda ns, q, label, params, extra: seen.append(extra["l"])
+            or inner(ns, q, label, params, extra=extra))
+        delta_continuity_check(parse_alpha("rsw_b"))
+        assert len(seen) > len(set(seen))
+
+    @pytest.mark.parametrize("N", [200, 1024])
+    @pytest.mark.parametrize("spec", [
+        "log:beta=1", "power:beta=1", "table:[1,3,4]:step=2"])
+    def test_more_delta_verdicts_match_reference_kernel(self, monkeypatch,
+                                                        spec, N):
+        got = delta_continuity_check(parse_alpha(spec), N=N)
+        monkeypatch.setattr(criteria_module, "_log_rowsums", _reference_rowsums)
+        ref = delta_continuity_check(parse_alpha(spec), N=N)
+        assert got.outcome == ref.outcome
+        assert got.witness == ref.witness
+        assert got.params == ref.params
+        assert [n for n, _ in got.evidence] == [n for n, _ in ref.evidence]
+        # evidence is row sum minus alpha/k, so it can sit near 0
+        np.testing.assert_allclose([q for _, q in got.evidence],
+                                   [q for _, q in ref.evidence],
+                                   rtol=1e-12, atol=1e-13)
 
 
 class TestLogPascalCache:
