@@ -444,7 +444,7 @@ def _run_dynamics(ctx: _RunContext, x_spec: str, ms) -> tuple:
     trace = power_iterate(x, max(M, min(n_dyn, 32)), w=ctx.weights, ks=ks)
     for m in ms:
         final = trace.vectors[m]
-        entry = {"m": m, "head": list(final.values[:8]),
+        entry = {"m": m, "head": list(final.prefix(8).values),
                  "seminorms": trace.seminorms[m][1]}
         if m <= 5 and n_dyn <= 40:
             diff = float(np.max(np.abs(

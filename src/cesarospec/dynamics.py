@@ -10,6 +10,13 @@ the explicit splitting of a vector into its projection onto the constants
 plus a piece reconstructed from the shifted inverse, which is the
 finite-truncation shadow of the closed-range property.
 
+Exact iterates are kept in shared-denominator form: iterate m of x = p/D
+is q_m / (D L^m) with L = lcm(1..N) and integer numerators q_m, so one pass
+is an integer prefix sum and one multiplication by L/n per entry, with no
+gcd (operators.cesaro_apply).  The rational contraction check reads log|q|
+- log(D L^m) once per iterate, the Cesaro means sum the numerators, and
+Fractions are built only for the entries a caller reads.
+
 Claims here are deliberately modest: iterates converge to x_1 on every
 coordinate and the seminorms never expand, but no convergence *rate* is
 asserted anywhere because the underlying statements are qualitative.
@@ -18,13 +25,14 @@ asserted anywhere because the underlying statements are qualitative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import repeat
 
 import numpy as np
 
 from .errors import InternalConsistencyError, PreconditionError
-from .exact import compare_seminorms
+from .exact import WeightedSups, compare_sups
 from .operators import CoordinateVector, as_vector, b_apply, cesaro_apply
 from .sequences import AlphaSequence, WeightSystem, seminorm
 from .trend import FAILS, HOLDS, Verdict
@@ -47,8 +55,9 @@ __all__ = [
 class IterateTrace:
     """Recorded trajectory of m running-mean passes.
 
-    vectors holds x0 and every iterate in step order; the seminorm history
-    holds (step, ((k, p_k value), ...)) when a weight system was supplied.
+    vectors holds x0 and every iterate in step order (exact iterates in
+    shared-denominator form); the seminorm history holds
+    (step, ((k, p_k value), ...)) when a weight system was supplied.
     Every iterate keeps the full trustworthy prefix of x0: the map is lower
     triangular and consumes nothing.
     """
@@ -114,8 +123,8 @@ def power_iterate(
     for _ in range(m):
         vectors.append(cesaro_apply(vectors[-1]))
     sems = () if w is None else tuple(
-        (step, tuple((k, seminorm(w, k, np.abs(v.as_float()))) for k in ks))
-        for step, v in enumerate(vectors))
+        (step, tuple((k, seminorm(w, k, mags)) for k in ks))
+        for step, mags in enumerate(np.abs(v.as_float()) for v in vectors))
     return IterateTrace(vectors=tuple(vectors), seminorms=sems)
 
 
@@ -243,12 +252,48 @@ class CesaroMeansTrace:
 
     distances records the seminorm gap to the predicted ergodic limit, the
     constant vector at height x_1, per recorded n and weight index.
+    iterates holds the averaged iterates; the means, as (n, coordinate
+    tuple) pairs, are built from them on first read.
     """
 
     x0: CoordinateVector
-    means: tuple
     distances: tuple
     limit_prediction: complex | float
+    iterates: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def means(self) -> tuple:
+        return tuple((j, tuple(t.values))
+                     for j, t in _running_means(self.iterates))
+
+
+def _running_means(iterates):
+    """Yield (j, T_j) for the running averages T_j of the iterates.
+
+    Exact iterates y_j = p_j / D_j are summed on their numerators: S_j =
+    S_{j-1} (D/D_{j-1}) + p_j (D/D_j) over D = lcm(D_{j-1}, D_j), which is
+    D_j itself along a running-mean chain.  T_j is then S_j / (j D) in
+    shared-denominator form, with no gcd on the way; its entries are
+    complex from the first index at which some iterate is.
+    """
+    if not iterates or not iterates[0].exact:
+        acc = None
+        for j, y in enumerate(iterates, start=1):
+            acc = y.values if acc is None else acc + y.values
+            yield j, CoordinateVector(acc / j, y.valid_len)
+        return
+    re_sum = im_sum = [0] * len(iterates[0])
+    den, complex_from = 1, len(iterates[0])
+    for j, y in enumerate(iterates, start=1):
+        re, im, den_y = y.shared()
+        lcm = math.lcm(den, den_y)
+        a, b = lcm // den, lcm // den_y
+        re_sum = [s * a + p * b for s, p in zip(re_sum, re)]
+        im_sum = [s * a + q * b
+                  for s, q in zip(im_sum, repeat(0) if im is None else im)]
+        den, complex_from = lcm, min(complex_from, y.complex_from)
+        yield j, CoordinateVector.over_denominator(
+            re_sum, j * den, y.valid_len, im_sum, complex_from)
 
 
 def cesaro_means(
@@ -258,26 +303,23 @@ def cesaro_means(
     ks: tuple = (1, 2, 3),
 ) -> CesaroMeansTrace:
     """Accumulate the first nmax averaged iterates of x, a start vector or
-    an IterateTrace of at least nmax passes."""
+    an IterateTrace of at least nmax passes.  The exact means are built only
+    when .means is read."""
     if nmax < 1:
         raise PreconditionError(f"need nmax >= 1, got {nmax}")
     trace = _trace_of(x, nmax)
     limit = trace.limit_prediction
-    means = []
+    iterates = trace.vectors[1:nmax + 1]
     distances = []
-    acc = None
-    for j, y in enumerate(trace.vectors[1:nmax + 1], start=1):
-        acc = y.values if acc is None else acc + y.values
-        tj = CoordinateVector(acc / j, y.valid_len)
-        means.append((j, tuple(tj.values)))
-        if w is not None:
+    if w is not None:
+        for j, tj in _running_means(iterates):
             diff = np.abs(tj.as_float().astype(complex) - complex(limit))
             distances.append(
                 (j, tuple((k, seminorm(w, k, diff)) for k in ks))
             )
     return CesaroMeansTrace(
-        x0=trace.x0, means=tuple(means), distances=tuple(distances),
-        limit_prediction=limit,
+        x0=trace.x0, distances=tuple(distances), limit_prediction=limit,
+        iterates=iterates,
     )
 
 
@@ -293,8 +335,11 @@ def power_bound_check(
 
     x is a start vector or an IterateTrace of at least M passes.  Float mode
     allows a relative slack of tol_float; rational mode compares exactly
-    (weighted magnitudes against exponentials decided by interval
-    arithmetic) and requires a generator with exact rational values.
+    and requires a generator with exact rational values.  There each
+    iterate's log-magnitudes are taken once and each level k costs one float
+    pass; the start vector's sups are bracketed once per k.  Only the pairs
+    whose brackets overlap (such as exact ties at coordinate 1, which every
+    pass fixes) go to exact.compare_weighted (exact.compare_sups).
     """
     if K < 1 or M < 1:
         raise PreconditionError("need K >= 1 and M >= 1")
@@ -317,11 +362,11 @@ def power_bound_check(
             )
         if not x.exact:
             raise PreconditionError("rational mode needs an exact vector")
-        xs = list(x.values)
+        xw = WeightedSups(alphas, x, x.parts())
         for m, y in iterates:
-            ys = list(y.values)
+            yw = xw.like(y, y.parts())
             for k in range(1, K + 1):
-                if compare_seminorms(alphas, k, ys, xs) > 0:
+                if compare_sups(yw, xw, k) > 0:
                     return Verdict(FAILS, "expansion", tuple(evidence),
                                    witness={"k": k, "m": m}, params=params)
             evidence.append((m, 0.0))

@@ -9,6 +9,17 @@ band (a filtered predicate); only inside the band is it decided by interval
 arithmetic at escalating precision, which is guaranteed to terminate because
 exp(u) is irrational for rational u != 0, so the two sides are never equal
 unless the comparison is trivial.
+
+Weighted sups p_k(x) = max_n |x_n| e^{-alpha_n/k} are compared the same way,
+one level up.  Each entry's log-weight w_n = log|x_n| - alpha_n/k is computed
+in floats from its integer numerator and denominator (log_magnitudes), with
+an error below 2**-49 times its scale; its band b_n is _FILTER_BAND times
+that scale, so the true log-weight lies in [w_n - b_n, w_n + b_n].  The
+log-sup then lies between the largest w_n - b_n and the largest w_n + b_n.
+When the gap between two vectors' log-sups exceeds the sum of their bands,
+these brackets are disjoint and the float order is the exact order.  Only a
+comparison inside the bands, such as an exact tie, goes to compare_weighted
+and from there to sign_minus_exp.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from .errors import InternalConsistencyError
 
@@ -146,24 +158,62 @@ def parse_complex_rational(text: str) -> ComplexRational:
 # Half-width, per unit of scale, of the band in which the float filters below
 # do not trust their own sign.  Every float quantity they compare carries an
 # absolute rounding error below 2**-49 (1.8e-15) times its scale (derived in
-# _log_abs and sign_minus_exp), so the band is over 5 * 10**5 times the error.
+# log_magnitudes and sign_minus_exp), so the band is over 5 * 10**5 times the
+# error.
 _FILTER_BAND = 1e-9
 
 
-def _log_abs(f: Fraction) -> tuple[float, float]:
-    """(log |f|, scale) in floats for a nonzero rational f.
+def exact_parts(v) -> tuple:
+    """An exact scalar (int, Fraction or ComplexRational) as integers
+    (re, im, den) with v = (re + i im) / den and den > 0."""
+    if isinstance(v, ComplexRational):
+        den = math.lcm(v.re.denominator, v.im.denominator)
+        return (v.re.numerator * (den // v.re.denominator),
+                v.im.numerator * (den // v.im.denominator), den)
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
+    return v.numerator, 0, v.denominator
 
-    log |f| is taken as log|num| - log(den) on the integer parts, so it is
-    finite however large num and den are.  math.log of a positive integer is
-    within 2 ulp of the true value (for big integers it is log of the
-    frexp mantissa plus exponent*log 2, each rounded once), an absolute error
-    of at most 2**-51 (1 + |log n|); the subtraction adds 2**-53 of the
-    result.  So the error is below 2**-50 * scale with
-    scale = 1 + |log num| + |log den|.
+
+def common_denominator(entries) -> tuple:
+    """Exact entries as integer numerators over their least common denominator.
+
+    Returns (re, im, den).  im is None when no entry is a ComplexRational;
+    otherwise it holds every entry's imaginary numerator (0 for real ones).
     """
-    ln = math.log(abs(f.numerator))
-    ld = math.log(f.denominator)
-    return ln - ld, 1.0 + abs(ln) + abs(ld)
+    parts = [exact_parts(v) for v in entries]
+    den = math.lcm(*(d for _, _, d in parts))
+    re = [p * (den // d) for p, _, d in parts]
+    if not any(isinstance(v, ComplexRational) for v in entries):
+        return re, None, den
+    return re, [q * (den // d) for _, q, d in parts], den
+
+
+def log_magnitudes(parts) -> list:
+    """(log |v|, scale) in floats for each v = (re + i im) / den in parts.
+
+    parts yields integer triples (re, im, den) with den > 0; a zero entry
+    gives (-inf, 0.0).  log |v| is taken as log|re| (or half the log of
+    re^2 + im^2) minus log(den) on the integers, so it is finite however
+    large they are.  math.log of a positive integer is within 2 ulp of the
+    true value (for big integers it is log of the frexp mantissa plus
+    exponent*log 2, each rounded once), an absolute error of at most
+    2**-51 (1 + |log n|); halving the log of re^2 + im^2 halves that error,
+    and the subtraction adds 2**-53 of the result.  So the error is below
+    2**-50 * scale with scale = 1 + |log|re + i im|| + |log den|.
+    """
+    out = []
+    for p, q, den in parts:
+        if q:
+            ln = 0.5 * math.log(p * p + q * q)
+        elif p:
+            ln = math.log(abs(p))
+        else:
+            out.append((-math.inf, 0.0))
+            continue
+        ld = math.log(den)
+        out.append((ln - ld, 1.0 + abs(ln) + abs(ld)))
+    return out
 
 
 def sign_minus_exp(p: Fraction, u: Fraction, max_bits: int = 1 << 20) -> int:
@@ -171,11 +221,11 @@ def sign_minus_exp(p: Fraction, u: Fraction, max_bits: int = 1 << 20) -> int:
 
     Float filter first: sign(p - exp(u)) = sign(log p - u), and log p - u is
     computed in floats with an absolute error below 2**-49 * scale, where
-    scale = 1 + |log num| + |log den| + |u| (the log error of _log_abs, plus
-    2**-53 |u| for the correctly rounded float(u) and 2**-53 of the result
-    for the final subtraction).  Outside a band of _FILTER_BAND * scale the
-    float sign is the exact sign.  Inside it, or when u does not fit a float,
-    the sign is decided by interval arithmetic.
+    scale = 1 + |log num| + |log den| + |u| (the log error of
+    log_magnitudes, plus 2**-53 |u| for the correctly rounded float(u) and
+    2**-53 of the result for the final subtraction).  Outside a band of
+    _FILTER_BAND * scale the float sign is the exact sign.  Inside it, or
+    when u does not fit a float, the sign is decided by interval arithmetic.
     """
     p, u = Fraction(p), Fraction(u)
     if p <= 0:
@@ -186,7 +236,7 @@ def sign_minus_exp(p: Fraction, u: Fraction, max_bits: int = 1 << 20) -> int:
         uf = float(u)
     except OverflowError:
         return _sign_minus_exp_interval(p, u, max_bits)
-    lp, scale = _log_abs(p)
+    ((lp, scale),) = log_magnitudes([(p.numerator, 0, p.denominator)])
     d = lp - uf
     band = _FILTER_BAND * (scale + abs(uf))
     if d > band:
@@ -248,59 +298,116 @@ def compare_weighted(a1, x1, a2, x2, k: int) -> int:
     return sign_minus_exp(m1 / m2, u)
 
 
-def _log_weights(alphas, xs, k: int) -> list:
-    """Float (log |x_n| - alpha_n/k, error band) per entry; zeros get -inf.
+class WeightedSups:
+    """The weighted sups p_k(x) = max_n |x_n| e^{-alpha_n/k} of one exact vector.
 
-    The band is _FILTER_BAND times the scale of _log_abs plus |alpha_n/k|,
-    which bounds the float error of each log-weight (float(alpha_n) / k is
-    two correctly rounded steps) with the same margin as sign_minus_exp.
-    Raises OverflowError when some alpha_n does not fit a float.
+    xs holds Fraction or ComplexRational entries (any indexable sequence);
+    parts may give their exact_parts triples when the caller has them in
+    another form.  The log-magnitudes are taken once.  Each level k then
+    costs one float pass that brackets log p_k(x) and keeps the indices that
+    can attain it; exact comparisons are made only where a bracket cannot
+    decide.  Brackets and maximizers are kept per level.
     """
-    out = []
-    for a, x in zip(alphas, xs):
-        if isinstance(x, ComplexRational):
-            m, half = x.abs2(), 0.5
+
+    def __init__(self, alphas, xs, parts=None):
+        try:
+            floats = np.array([float(a) for a in alphas])
+        except OverflowError:
+            floats = None
+        self._setup(alphas, floats, xs, parts)
+
+    def like(self, xs, parts=None) -> "WeightedSups":
+        """The sups of another vector over the same alphas."""
+        other = WeightedSups.__new__(WeightedSups)
+        other._setup(self.alphas, self.alphas_f, xs, parts)
+        return other
+
+    def _setup(self, alphas, alphas_f, xs, parts) -> None:
+        if len(alphas) != len(xs) or not len(xs):
+            raise ValueError("need matching nonempty alpha and x")
+        self.alphas, self.alphas_f, self.xs = alphas, alphas_f, xs
+        mags = log_magnitudes(map(exact_parts, xs) if parts is None else parts)
+        self.log_mags, self.scales = np.array(mags).T
+        self._brackets: dict = {}
+        self._argmax: dict = {}
+
+    def bracket(self, k: int) -> tuple:
+        """(lo, hi, candidates) with lo <= log p_k(x) <= hi, decided in floats.
+
+        The band of w_n = log|x_n| - alpha_n/k is b_n = _FILTER_BAND
+        (scale_n + |alpha_n/k|) (float(alpha_n) / k is two correctly rounded
+        steps); lo is the largest w_n - b_n and hi the largest w_n + b_n.
+        The candidates, the n with w_n + b_n >= lo in index order, hold every
+        exact maximizer.  When some alpha_n does not fit a float the bracket
+        is (-inf, inf) and every index is a candidate.
+        """
+        got = self._brackets.get(k)
+        if got is not None:
+            return got
+        if self.alphas_f is None:
+            got = (-math.inf, math.inf, range(len(self.xs)))
         else:
-            m, half = (x if isinstance(x, Fraction) else Fraction(x)), 1.0
-        if m == 0:
-            out.append((-math.inf, 0.0))
-            continue
-        lm, scale = _log_abs(m)
-        e = float(a) / k
-        out.append((half * lm - e, _FILTER_BAND * (scale + abs(e))))
-    return out
+            e = self.alphas_f / k
+            w = self.log_mags - e
+            band = _FILTER_BAND * (self.scales + np.abs(e))
+            high = w + band
+            lo = float((w - band).max())
+            got = (lo, float(high.max()), (high >= lo).nonzero()[0].tolist())
+        self._brackets[k] = got
+        return got
+
+    def argmax(self, k: int) -> int:
+        """Earliest index attaining p_k(x), decided exactly.
+
+        Ties (only possible between exactly equal weighted magnitudes)
+        resolve to the earliest index: every exact maximizer is a candidate
+        of the bracket, and an exact scan over them in index order picks the
+        earliest.
+        """
+        best = self._argmax.get(k)
+        if best is None:
+            candidates = self.bracket(k)[2]
+            best = candidates[0]
+            for i in candidates[1:]:
+                if compare_weighted(self.alphas[i], self.xs[i],
+                                    self.alphas[best], self.xs[best], k) > 0:
+                    best = i
+            self._argmax[k] = best
+        return best
+
+
+def compare_sups(a: WeightedSups, b: WeightedSups, k: int) -> int:
+    """Exact sign of p_k(a) - p_k(b).
+
+    Disjoint brackets decide it in floats: the gap between the two log-sups
+    then exceeds the sum of their error bands.  Otherwise the two exact
+    maximizers are compared by compare_weighted.
+    """
+    alo, ahi, _ = a.bracket(k)
+    blo, bhi, _ = b.bracket(k)
+    if alo > bhi:
+        return 1
+    if ahi < blo:
+        return -1
+    i, j = a.argmax(k), b.argmax(k)
+    return compare_weighted(a.alphas[i], a.xs[i], b.alphas[j], b.xs[j], k)
 
 
 def weighted_argmax(alphas, xs, k: int) -> int:
     """Index attaining max_n |x_n| e^{-alpha_n/k}, decided exactly.
 
-    Ties (only possible between exactly equal weighted magnitudes) resolve to
-    the earliest index.  A float pass keeps only the entries whose log-weight
-    lies within the error bands of the float maximum; every exact maximizer is
-    among them, and an exact scan over them in index order picks the earliest.
+    Ties resolve to the earliest index (WeightedSups.argmax).
     """
-    if len(alphas) != len(xs) or not xs:
-        raise ValueError("need matching nonempty alpha and x")
     if k < 1:
         raise ValueError("k must be >= 1")
-    try:
-        weights = _log_weights(alphas, xs, k)
-    except OverflowError:
-        candidates = range(len(xs))
-    else:
-        top, top_band = max(weights)
-        floor = top - top_band
-        candidates = [i for i, (w, band) in enumerate(weights)
-                      if w + band >= floor]
-    best = candidates[0]
-    for i in candidates[1:]:
-        if compare_weighted(alphas[i], xs[i], alphas[best], xs[best], k) > 0:
-            best = i
-    return best
+    return WeightedSups(alphas, xs).argmax(k)
 
 
 def compare_seminorms(alphas, k: int, xs, ys) -> int:
     """Exact sign of p_k(x) - p_k(y) over the common truncation."""
-    i = weighted_argmax(alphas[:len(xs)], xs, k)
-    j = weighted_argmax(alphas[:len(ys)], ys, k)
-    return compare_weighted(alphas[i], xs[i], alphas[j], ys[j], k)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    xw = WeightedSups(alphas[:len(xs)], xs)
+    yw = xw.like(ys) if len(ys) == len(xs) \
+        else WeightedSups(alphas[:len(ys)], ys)
+    return compare_sups(xw, yw, k)

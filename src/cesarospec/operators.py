@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Union
 
 import numpy as np
 
 from .errors import PreconditionError, RepresentationError
-from .exact import ComplexRational
+from .exact import ComplexRational, common_denominator, exact_parts
 from .sequences import AlphaSequence, WeightSystem
 
 MODES = ("rational", "float", "logmag")
@@ -93,6 +96,14 @@ class CoordinateVector:
     values may be floats/complex or exact scalars (Fraction, ComplexRational);
     valid_len says how many leading coordinates are meaningful (truncated
     operator applications can consume trailing ones).  Indexing is 0-based.
+
+    An exact vector may instead be held in shared-denominator form (built by
+    over_denominator): integer numerators re (and im, for complex entries)
+    over one positive integer D, entry n being (re[n] + i im[n]) / D.  The
+    exact running means keep their iterates this way, so a step needs no
+    gcd.  Its Fraction / ComplexRational values are built only when .values
+    is read; a single entry, as_float and prefix read the numerators
+    directly.  shared() gives the form of any exact vector.
     """
 
     def __init__(self, values, valid_len: int | None = None):
@@ -110,30 +121,109 @@ class CoordinateVector:
                 arr = np.asarray(vals)
                 if arr.dtype.kind not in "fc":
                     arr = arr.astype(float)
-        self.values = arr
-        self.valid_len = len(arr) if valid_len is None else int(valid_len)
-        if not 0 <= self.valid_len <= len(arr):
+        self._values = arr
+        self._shared = None
+        self._set_valid_len(valid_len)
+
+    @classmethod
+    def over_denominator(cls, re: list, den: int, valid_len: int | None = None,
+                         im: list | None = None,
+                         complex_from: int = 0) -> "CoordinateVector":
+        """The exact vector (re[n] + i im[n]) / den in shared form.
+
+        im is None for a real vector.  Otherwise the entries from index
+        complex_from on read as ComplexRational and those before it as
+        Fraction (their im numerators are 0), which is how running means
+        carry the first complex entry of their input forward.  A
+        complex_from of len or more makes the vector real.
+        """
+        if im is None or complex_from >= len(re):
+            im, complex_from = None, len(re)
+        vec = cls.__new__(cls)
+        vec._values = None
+        vec._shared = (re, im, den, complex_from)
+        vec._set_valid_len(valid_len)
+        return vec
+
+    def _set_valid_len(self, valid_len) -> None:
+        self.valid_len = len(self) if valid_len is None else int(valid_len)
+        if not 0 <= self.valid_len <= len(self):
             raise ValueError("valid_len out of range")
 
     @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            arr = np.empty(len(self), dtype=object)
+            for i in range(len(self)):
+                arr[i] = self._entry(i)
+            self._values = arr
+        return self._values
+
+    def _entry(self, i: int):
+        re, im, den, complex_from = self._shared
+        if i < complex_from:
+            return Fraction(re[i], den)
+        return ComplexRational(Fraction(re[i], den), Fraction(im[i], den))
+
+    @property
+    def complex_from(self) -> int:
+        """Index of the first ComplexRational entry (len when there is none)."""
+        if self._shared is not None:
+            return self._shared[3]
+        return next((i for i, v in enumerate(self._values)
+                     if isinstance(v, ComplexRational)), len(self))
+
+    def parts(self):
+        """The exact_parts triple (re, im, den) of every entry, in order."""
+        if self._shared is None:
+            return map(exact_parts, self.values)
+        re, im, den, _ = self._shared
+        return zip(re, repeat(0) if im is None else im, repeat(den))
+
+    def shared(self) -> tuple:
+        """(re, im, den) of an exact vector: integer numerators over one
+        positive denominator, im None when no entry is complex."""
+        if self._shared is not None:
+            return self._shared[:3]
+        return common_denominator(self._values)
+
+    @property
     def exact(self) -> bool:
-        return self.values.dtype == object
+        return self._shared is not None or self._values.dtype == object
 
     def __len__(self) -> int:
-        return len(self.values)
+        if self._shared is not None:
+            return len(self._shared[0])
+        return len(self._values)
 
     def __getitem__(self, i):
+        if self._shared is not None and self._values is None \
+                and isinstance(i, (int, np.integer)):
+            return self._entry(range(len(self))[i])
         return self.values[i]
 
     def as_float(self) -> np.ndarray:
+        if self._shared is not None:
+            # int / int is correctly rounded, so each entry equals
+            # float(Fraction(p, den)) bit for bit
+            re, im, den, _ = self._shared
+            if im is None:
+                return np.array([p / den for p in re])
+            return np.array([complex(p / den, q / den)
+                             for p, q in zip(re, im)])
         if not self.exact:
-            return np.asarray(self.values)
-        if any(isinstance(v, ComplexRational) for v in self.values):
-            return np.array([complex(v) for v in self.values])
-        return np.array([float(v) for v in self.values])
+            return np.asarray(self._values)
+        if any(isinstance(v, ComplexRational) for v in self._values):
+            return np.array([complex(v) for v in self._values])
+        return np.array([float(v) for v in self._values])
 
     def prefix(self, n: int) -> "CoordinateVector":
-        return CoordinateVector(self.values[:n], min(self.valid_len, n))
+        valid = min(self.valid_len, n)
+        if self._shared is None:
+            return CoordinateVector(self._values[:n], valid)
+        re, im, den, complex_from = self._shared
+        return CoordinateVector.over_denominator(
+            re[:n], den, valid, None if im is None else im[:n], complex_from)
 
     def __repr__(self) -> str:
         return f"CoordinateVector(len={len(self)}, valid={self.valid_len})"
@@ -329,15 +419,28 @@ def cesaro(N: int, mode: str = "rational") -> TruncOperator:
     return TruncOperator("cesaro", N, rows, "rational", "lower")
 
 
+@lru_cache(maxsize=8)
+def _mean_multipliers(N: int) -> tuple:
+    """(L, (L/1, ..., L/N)) with L = lcm(1..N)."""
+    L = math.lcm(*range(1, N + 1))
+    return L, tuple(L // n for n in range(1, N + 1))
+
+
 def cesaro_apply(x) -> CoordinateVector:
-    """Running means of x, without materializing the matrix."""
+    """Running means of x, without materializing the matrix.
+
+    An exact x = p / D comes back in shared-denominator form: entry n is
+    (p_1 + ... + p_n) (L/n) / (D L) with L = lcm(1..N), one integer prefix
+    sum and one multiplication per entry, with no gcd.
+    """
     x = as_vector(x)
     if x.exact:
-        out, acc = [], Fraction(0)
-        for n, v in enumerate(x.values, start=1):
-            acc = acc + v
-            out.append(acc / n)
-        return CoordinateVector(out, x.valid_len)
+        re, im, den = x.shared()
+        L, mult = _mean_multipliers(len(x))
+        return CoordinateVector.over_denominator(
+            list(map(mul, accumulate(re), mult)), den * L, x.valid_len,
+            None if im is None else list(map(mul, accumulate(im), mult)),
+            x.complex_from)
     vals = np.asarray(x.values)
     means = np.cumsum(vals) / np.arange(1, len(vals) + 1)
     return CoordinateVector(means, x.valid_len)

@@ -739,6 +739,14 @@ def s0_estimate(
     only logarithmic alpha admits any convergent exponent).  Inconclusive
     verdicts during bisection stop the refinement at the last decisive
     bracket rather than guessing.
+
+    s = 1 always diverges, by comparison: every generator has alpha_n >= 0
+    (nondecreasing from a positive alpha_1), so every term exp(alpha_n/k)/n
+    is at least 1/n, and the harmonic series diverges.  When the grid finds
+    no divergent exponent below the first convergent one (near the harmonic
+    edge sk_convergence may read s = 1 as inconclusive), the bracket's lower
+    end is therefore s = 1 with a "comparison" verdict.  Only a grid that
+    reads s = 1 itself as convergent contradicts this, and raises.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -757,10 +765,15 @@ def s0_estimate(
             lo, lo_v = s, v
     if hi is None:
         raise SkEmptyError(k, s_cap, tuple(probed))
-    if lo is None:
+    if lo is None and hi <= 1.0:
         raise InternalConsistencyError(
-            f"series at k={k} converges at s={hi} but the grid found no "
-            f"divergent exponent below it; s=1 must always diverge"
+            f"series at k={k} converges at s={hi}; s=1 must always diverge"
+        )
+    if lo is None:
+        lo, lo_v = 1.0, Verdict(
+            FAILS, "comparison", (), witness={"s": 1.0},
+            params={"quantity": "terms against the harmonic series 1/n",
+                    "alpha": seq.spec_string(), "k": k, "s": 1.0},
         )
     status = "bracketed_to_tol"
     while hi - lo > tol:

@@ -419,6 +419,23 @@ class TestMainExitCodes:
             err = capsys.readouterr().err
             assert err == f"error: {field} {cap + 1} exceeds the cap of {cap}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "log:beta=1/10", "--K", "5"],
+        ["--alpha", "log:beta=1", "--K", "50"],
+        # log:beta=2 first needs the s = 1 seed at K = 100, past the cap;
+        # sequences' TestHarmonicEdge runs s0_estimate there directly
+        ["--alpha", "log:beta=2", "--K", str(K_CAP)],
+    ])
+    def test_spectrum_at_the_harmonic_edge_exits_0(self, argv, capsys):
+        # s0(k) = 1 + beta/k comes close enough to 1 that the series scan
+        # reads s = 1 as inconclusive; the bracket then starts at s = 1
+        assert main(argv + ["--experiments", "spectrum"]) == 0
+        tree = json.loads(capsys.readouterr().out)
+        assert tree["mismatches"] == []
+        discs = tree["results"][0]["data"]["discs"]["entries"]
+        assert len(discs) == int(argv[-1])
+        assert all(d["s0_lo"] >= 1.0 for d in discs)
+
     def test_caps_admit_the_defaults_and_themselves(self):
         defaults = AnalysisConfig()
         assert default_resolution(parse_alpha(defaults.alpha)) < N_CAP

@@ -24,7 +24,7 @@ from cesarospec import (
     sk_convergence,
     v_alpha,
 )
-from cesarospec.errors import RepresentationError
+from cesarospec.errors import InternalConsistencyError, RepresentationError
 from cesarospec.sequences import ALPHA_SATURATION
 from cesarospec.trend import TrendParams
 
@@ -273,6 +273,39 @@ class TestSeriesExponents:
         for spec in ("linear", "sqrt", "power:beta=2", "psum:beta=1/2"):
             v = sk_convergence(parse_alpha(spec), 1, 10.0)
             assert v.outcome == FAILS, spec
+
+
+class TestHarmonicEdge:
+    """s = 1 diverges by comparison with 1/n, so it seeds the lower end of
+    the s0 bracket when the grid reads it as inconclusive."""
+
+    @pytest.mark.parametrize("spec,k", [
+        ("log:beta=1/10", 5), ("log:beta=1", 50), ("log:beta=2", 100),
+    ])
+    def test_bracket_seeds_at_one(self, spec, k):
+        est = s0_estimate(parse_alpha(spec), k)
+        assert est.probed[0] == (1.0, INCONCLUSIVE)
+        assert est.lo == 1.0 and est.lo_verdict.outcome == FAILS
+        assert est.lo_verdict.trend == "comparison"
+        assert est.lo_verdict.witness == {"s": 1.0}
+        # log:beta=b has s0(k) = 1 + b/k
+        beta = float(parse_alpha(spec).params["beta"])
+        assert est.lo <= 1.0 + beta / k <= est.hi
+
+    def test_grid_divergence_keeps_its_own_verdict(self, log2):
+        est = s0_estimate(log2, 1)
+        assert est.lo_verdict.trend != "comparison"
+        assert est.lo > 1.0
+
+    def test_convergence_at_one_still_raises(self, log2, monkeypatch):
+        import cesarospec.sequences as sequences
+
+        def converges(seq, k, s, N=10_000):
+            return sequences.Verdict(HOLDS, "bounded", ())
+
+        monkeypatch.setattr(sequences, "sk_convergence", converges)
+        with pytest.raises(InternalConsistencyError, match="s=1.0"):
+            s0_estimate(log2, 1)
 
 
 class TestScalarChecks:
