@@ -30,7 +30,6 @@ from importlib import metadata
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .criteria import GALLERY_SPECS, banach_step_compactness, classify_space, \
     noncompactness_witness
@@ -52,14 +51,15 @@ OUT_DIR_ENV = "CESAROSPEC_OUT_DIR"
 
 EXPERIMENT_NAMES = ("profile", "spectrum", "resolvent", "eigenpairs",
                     "dynamics", "suite")
-# Largest dynamics step count.  Exact iterates grow their denominators with
-# every step, so the cost rises faster than linearly: at N = 512 from e1 on a
-# 2-vCPU host, 40 steps take 5.5 s and 60 steps 12 s.
+# Largest dynamics step count.  Exact iterates grow their numerators with
+# every step and the run keeps them all, so memory rises faster than
+# linearly: at N = 512 from e1 on a 2-vCPU host, 40 steps take 1.6-2.8 s at
+# 80 MB peak RSS and 60 steps 2.5-3.0 s at 129 MB (fresh processes).
 DYNAMICS_STEP_CAP = 40
 # Largest eigenpair index.  Index m checks its eigenvector against a dense
-# cesaro(2m) Fraction matrix, so time and memory grow quadratically: on the
-# same host a run at index 200 takes 1.0 s at 111 MB peak RSS, 600 takes
-# 3.8 s at 203 MB.
+# cesaro(2m) matrix of integer numerators, so time and memory grow
+# quadratically: on the same host a run at index 200 takes 0.5-0.7 s at
+# 56 MB peak RSS, 600 takes 1.1-1.3 s at 77 MB.
 EIGENPAIR_INDEX_CAP = 200
 # Largest resolution.  The criteria and resolvent scans are linear in N: at
 # N = 1,000,000 the run `profile spectrum resolvent:2,-1,0.4+0.3i
@@ -78,6 +78,9 @@ try:
     _VERSION = metadata.version("cesarospec")
 except metadata.PackageNotFoundError:  # running from a source tree
     _VERSION = "0.0.0+unpackaged"
+# read from the installed metadata, once: importing scipy would cost more,
+# and no code path here uses it
+_SCIPY_VERSION = metadata.version("scipy")
 
 
 class UsageError(Exception):
@@ -395,6 +398,17 @@ def _run_resolvent(ctx: _RunContext, lambdas) -> tuple:
     return {"points": entries}, mism
 
 
+def _is_eigenpair(image: CoordinateVector, vec: CoordinateVector,
+                  m: int) -> bool:
+    """Whether image = vec / m exactly, for real exact vectors, on their
+    integer numerators: with image = p / D_p and vec = v / D_v that is
+    m p_n D_v == v_n D_p for every n."""
+    p, p_im, den_p = image.shared()
+    v, v_im, den_v = vec.shared()
+    return p_im is None and v_im is None and all(
+        m * a * den_v == b * den_p for a, b in zip(p, v))
+
+
 def _run_eigenpairs(ctx: _RunContext, ms) -> tuple:
     nuclear = ctx.profile().nuclear
     entries = []
@@ -402,9 +416,7 @@ def _run_eigenpairs(ctx: _RunContext, ms) -> tuple:
     for m in ms:
         n_eig = max(40, 2 * m)
         vec = delta_eigenvector(m, n_eig)
-        image = cesaro(n_eig).apply(vec)
-        residuals = [image.values[i] - vec.values[i] / m for i in range(n_eig)]
-        exact_zero = all(r == 0 for r in residuals)
+        exact_zero = _is_eigenpair(cesaro(n_eig).apply(vec), vec, m)
         membership = eigenvector_membership(
             ctx.seq, m, K=ctx.config.K, N=ctx.config.N)
         entries.append({"m": m, "N": n_eig, "residual_zero": exact_zero,
@@ -529,9 +541,7 @@ def _run_suite(ctx: _RunContext) -> tuple:
           all(back.values[i] == x3.values[i] for i in range(back.valid_len)),
           "inverse mean does not undo the mean")
     vec = delta_eigenvector(3, 40)
-    image = cesaro(40).apply(vec)
-    check("eigenpair_m3",
-          all(image.values[i] * 3 == vec.values[i] for i in range(40)),
+    check("eigenpair_m3", _is_eigenpair(cesaro(40).apply(vec), vec, 3),
           "m=3 eigenvector relation broken")
     res = resolvent(2.0, 30, mode="float").dense()
     shifted = cesaro(30, mode="float").dense() - 2.0 * np.eye(30)
@@ -621,7 +631,7 @@ def run(config: AnalysisConfig) -> Report:
     versions = {
         "cesarospec": _VERSION,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _SCIPY_VERSION,
         "python": ".".join(str(p) for p in sys.version_info[:3]),
     }
     return Report(SCHEMA_VERSION, echo, tuple(results), tuple(mismatches),

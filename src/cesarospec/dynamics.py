@@ -273,8 +273,8 @@ def _running_means(iterates):
     Exact iterates y_j = p_j / D_j are summed on their numerators: S_j =
     S_{j-1} (D/D_{j-1}) + p_j (D/D_j) over D = lcm(D_{j-1}, D_j), which is
     D_j itself along a running-mean chain.  T_j is then S_j / (j D) in
-    shared-denominator form, with no gcd on the way; its entries are
-    complex from the first index at which some iterate is.
+    shared-denominator form, with no gcd on the way; an entry is complex
+    where some iterate's is.
     """
     if not iterates or not iterates[0].exact:
         acc = None
@@ -283,7 +283,7 @@ def _running_means(iterates):
             yield j, CoordinateVector(acc / j, y.valid_len)
         return
     re_sum = im_sum = [0] * len(iterates[0])
-    den, complex_from = 1, len(iterates[0])
+    den, mask = 1, np.zeros(len(iterates[0]), dtype=bool)
     for j, y in enumerate(iterates, start=1):
         re, im, den_y = y.shared()
         lcm = math.lcm(den, den_y)
@@ -291,9 +291,11 @@ def _running_means(iterates):
         re_sum = [s * a + p * b for s, p in zip(re_sum, re)]
         im_sum = [s * a + q * b
                   for s, q in zip(im_sum, repeat(0) if im is None else im)]
-        den, complex_from = lcm, min(complex_from, y.complex_from)
+        den = lcm
+        if im is not None:
+            mask = mask | y.complex_mask
         yield j, CoordinateVector.over_denominator(
-            re_sum, j * den, y.valid_len, im_sum, complex_from)
+            re_sum, j * den, y.valid_len, im_sum, mask)
 
 
 def cesaro_means(

@@ -8,7 +8,9 @@ exact inverse pair used by the ergodic decomposition.
 
 All matrices are N x N truncations.  Three arithmetic modes are supported:
 
-* "rational": exact Fraction / ComplexRational entries,
+* "rational": exact entries held as integer numerators over one shared
+  denominator, so products need no gcd; Fraction / ComplexRational values
+  are built only when an entry is read,
 * "float": float64 / complex128,
 * "logmag": sign plus log-magnitude arrays for real-valued matrices whose
   entries overflow float range (binomials, scaled resolvent tails).
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -100,10 +102,10 @@ class CoordinateVector:
     An exact vector may instead be held in shared-denominator form (built by
     over_denominator): integer numerators re (and im, for complex entries)
     over one positive integer D, entry n being (re[n] + i im[n]) / D.  The
-    exact running means keep their iterates this way, so a step needs no
-    gcd.  Its Fraction / ComplexRational values are built only when .values
-    is read; a single entry, as_float and prefix read the numerators
-    directly.  shared() gives the form of any exact vector.
+    exact running means and rational matrix applies return this form, so
+    they need no gcd.  Its Fraction / ComplexRational values are built only
+    when .values is read; a single entry, as_float and prefix read the
+    numerators directly.  shared() gives the form of any exact vector.
     """
 
     def __init__(self, values, valid_len: int | None = None):
@@ -128,20 +130,23 @@ class CoordinateVector:
     @classmethod
     def over_denominator(cls, re: list, den: int, valid_len: int | None = None,
                          im: list | None = None,
-                         complex_from: int = 0) -> "CoordinateVector":
+                         complex_mask=None) -> "CoordinateVector":
         """The exact vector (re[n] + i im[n]) / den in shared form.
 
-        im is None for a real vector.  Otherwise the entries from index
-        complex_from on read as ComplexRational and those before it as
-        Fraction (their im numerators are 0), which is how running means
-        carry the first complex entry of their input forward.  A
-        complex_from of len or more makes the vector real.
+        im is None for a real vector.  Otherwise the entries that
+        complex_mask marks (every entry when it is None) read as
+        ComplexRational and the others as Fraction (their im numerators are
+        0).  The mask is how a result keeps the entry types that Fraction
+        arithmetic would give it; a vector with no marked entry is real.
         """
-        if im is None or complex_from >= len(re):
-            im, complex_from = None, len(re)
+        if im is not None:
+            complex_mask = (np.ones(len(re), dtype=bool) if complex_mask is None
+                            else np.asarray(complex_mask, dtype=bool))
+            if not complex_mask.any():
+                im = complex_mask = None
         vec = cls.__new__(cls)
         vec._values = None
-        vec._shared = (re, im, den, complex_from)
+        vec._shared = (re, im, den, None if im is None else complex_mask)
         vec._set_valid_len(valid_len)
         return vec
 
@@ -160,18 +165,20 @@ class CoordinateVector:
         return self._values
 
     def _entry(self, i: int):
-        re, im, den, complex_from = self._shared
-        if i < complex_from:
+        re, im, den, mask = self._shared
+        if mask is None or not mask[i]:
             return Fraction(re[i], den)
         return ComplexRational(Fraction(re[i], den), Fraction(im[i], den))
 
     @property
-    def complex_from(self) -> int:
-        """Index of the first ComplexRational entry (len when there is none)."""
+    def complex_mask(self) -> np.ndarray | None:
+        """Boolean array marking the ComplexRational entries, None when
+        there is none."""
         if self._shared is not None:
             return self._shared[3]
-        return next((i for i, v in enumerate(self._values)
-                     if isinstance(v, ComplexRational)), len(self))
+        mask = np.array([isinstance(v, ComplexRational) for v in self._values],
+                        dtype=bool)
+        return mask if mask.any() else None
 
     def parts(self):
         """The exact_parts triple (re, im, den) of every entry, in order."""
@@ -221,9 +228,11 @@ class CoordinateVector:
         valid = min(self.valid_len, n)
         if self._shared is None:
             return CoordinateVector(self._values[:n], valid)
-        re, im, den, complex_from = self._shared
-        return CoordinateVector.over_denominator(
-            re[:n], den, valid, None if im is None else im[:n], complex_from)
+        re, im, den, mask = self._shared
+        if im is None:
+            return CoordinateVector.over_denominator(re[:n], den, valid)
+        return CoordinateVector.over_denominator(re[:n], den, valid, im[:n],
+                                                 mask[:n])
 
     def __repr__(self) -> str:
         return f"CoordinateVector(len={len(self)}, valid={self.valid_len})"
@@ -246,8 +255,70 @@ def basis_vector(j: int, N: int, exact: bool = True) -> CoordinateVector:
     return CoordinateVector(vals)
 
 
+class _Numerators(NamedTuple):
+    """An exact N x N matrix as integer numerators over one denominator.
+
+    re, and im when some entry is complex, are N x N object arrays of Python
+    ints and den > 0, so entry (n, m) is (re + i im) / den.  The entries
+    complex_mask marks read as ComplexRational and the others as Fraction
+    (their im numerators are 0); im and complex_mask are None together.
+    """
+
+    re: np.ndarray
+    den: int
+    im: np.ndarray | None = None
+    complex_mask: np.ndarray | None = None
+
+
+def _numerators_of(rows, N: int) -> _Numerators:
+    """Rows of exact scalars over their least common denominator."""
+    rows = [list(r) for r in rows]
+    if len(rows) != N or any(len(r) != N for r in rows):
+        raise ValueError("entries must be N x N")
+    flat = [v for r in rows for v in r]
+    re, im, den = common_denominator(flat)
+    re = np.array(re, dtype=object).reshape(N, N)
+    if im is None:
+        return _Numerators(re, den)
+    mask = np.array([isinstance(v, ComplexRational) for v in flat], dtype=bool)
+    return _Numerators(re, den, np.array(im, dtype=object).reshape(N, N),
+                       mask.reshape(N, N))
+
+
+def _within(a, keep):
+    """a with the entries outside the boolean pattern keep set to 0."""
+    return a if a is None or keep is None else np.where(keep, a, 0)
+
+
+def _matmul(ar, ai, br, bi) -> tuple:
+    """(ar + i ai) @ (br + i bi) on integer object arrays, as (re, im); an
+    im of None is zero."""
+    if ai is None and bi is None:
+        return ar @ br, None
+    if ai is None:
+        return ar @ br, ar @ bi
+    if bi is None:
+        return ar @ br, ai @ br
+    return ar @ br - ai @ bi, ar @ bi + ai @ br
+
+
+def _nonzero(num: _Numerators, keep) -> np.ndarray:
+    """Entries inside keep that Fraction arithmetic would not skip as zero:
+    every complex entry and every nonzero real one."""
+    nz = num.re != 0
+    if num.complex_mask is not None:
+        nz |= num.complex_mask
+    return nz if keep is None else nz & keep
+
+
 class TruncOperator:
-    """An N x N matrix truncation with mode and structure."""
+    """An N x N matrix truncation with mode and structure.
+
+    Rational entries are held as integer numerators over one positive
+    denominator (_Numerators): products are integer dot products with no
+    gcd, and Fraction / ComplexRational entries are built only when read.
+    entries may be rows of exact scalars, converted once, or _Numerators.
+    """
 
     def __init__(self, name: str, N: int, entries, mode: str,
                  structure: str = "full"):
@@ -270,9 +341,11 @@ class TruncOperator:
             if self._data.shape != (N, N):
                 raise ValueError("entries must be N x N")
         else:
-            self._rows = [list(r) for r in entries]
-            if len(self._rows) != N or any(len(r) != N for r in self._rows):
+            if not isinstance(entries, _Numerators):
+                entries = _numerators_of(entries, self.N)
+            if entries.re.shape != (N, N):
                 raise ValueError("entries must be N x N")
+            self._num = entries
 
     # -- access -----------------------------------------------------------
 
@@ -287,7 +360,13 @@ class TruncOperator:
             return float(s * math.exp(L)) if s != 0 else 0.0
         if self.mode == "float":
             return self._data[n - 1, m - 1]
-        return self._rows[n - 1][m - 1]
+        return self._exact(n - 1, m - 1)
+
+    def _exact(self, i: int, j: int):
+        re, den, im, mask = self._num
+        if mask is None or not mask[i, j]:
+            return Fraction(re[i, j], den)
+        return ComplexRational(Fraction(re[i, j], den), Fraction(im[i, j], den))
 
     def dense(self) -> np.ndarray:
         """Materialize as a numpy array (object-dtype in rational mode)."""
@@ -295,8 +374,9 @@ class TruncOperator:
             return self._data.copy()
         if self.mode == "rational":
             out = np.empty((self.N, self.N), dtype=object)
-            for i, row in enumerate(self._rows):
-                out[i, :] = row
+            for i in range(self.N):
+                for j in range(self.N):
+                    out[i, j] = self._exact(i, j)
             return out
         if np.any(self._log > 700.0):
             raise RepresentationError(
@@ -309,13 +389,23 @@ class TruncOperator:
         """log|entries| as a float array (exact entries via float conversion)."""
         if self.mode == "logmag":
             return self._log.copy()
-        dense = self.dense()
-        if dense.dtype == object:
-            dense = np.array([[abs(complex(v)) for v in row] for row in dense])
+        mags = self.as_float_entries()
+        if self.mode == "rational" and mags.dtype.kind == "c":
+            # abs(complex(entry)) as Python rounds it
+            mags = np.array([abs(z) for z in mags.ravel().tolist()]
+                            ).reshape(mags.shape)
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(dense))
+            return np.log(np.abs(mags))
 
     # -- algebra ----------------------------------------------------------
+
+    def _read_pattern(self) -> np.ndarray | None:
+        """The entries a row-times-vector product reads (None: all)."""
+        if self.structure == "diagonal":
+            return np.eye(self.N, dtype=bool)
+        if self.structure == "lower":
+            return np.tri(self.N, dtype=bool)
+        return None
 
     def apply(self, x) -> CoordinateVector:
         """Matrix-vector product, tracking the trustworthy prefix."""
@@ -324,29 +414,45 @@ class TruncOperator:
             raise ValueError(f"vector of length {len(x)} too short for N={self.N}")
         out_valid = min(x.valid_len, self.N)
         if self.mode == "rational" and x.exact:
-            xv = x.values[:self.N]
-            out = []
-            for n in range(self.N):
-                row = self._rows[n]
-                hi = n + 1 if self.structure in ("lower", "diagonal") else self.N
-                lo = n if self.structure == "diagonal" else 0
-                acc = None
-                for m in range(lo, hi):
-                    term = row[m] * xv[m]
-                    acc = term if acc is None else acc + term
-                out.append(acc if acc is not None else Fraction(0))
-            return CoordinateVector(out, out_valid)
+            x = x.prefix(self.N)
+            re, den, im, mask = self._num
+            keep = self._read_pattern()
+            xre, xim, xden = x.shared()
+            out_re, out_im = _matmul(
+                _within(re, keep), _within(im, keep),
+                np.array(xre, dtype=object),
+                None if xim is None else np.array(xim, dtype=object))
+            if out_im is None:
+                return CoordinateVector.over_denominator(
+                    out_re.tolist(), den * xden, out_valid)
+            # entry n is complex when row n meets a complex matrix entry or
+            # a complex coordinate, as in Fraction arithmetic
+            cx = np.zeros((self.N, self.N), dtype=bool)
+            if mask is not None:
+                cx |= mask
+            if xim is not None:
+                cx |= x.complex_mask[None, :]
+            if keep is not None:
+                cx &= keep
+            return CoordinateVector.over_denominator(
+                out_re.tolist(), den * xden, out_valid, out_im.tolist(),
+                cx.any(axis=1))
         xf = x.prefix(self.N).as_float()
         data = self._data if self.mode == "float" else self.as_float_entries()
         return CoordinateVector(data @ xf, out_valid)
 
     def as_float_entries(self) -> np.ndarray:
-        d = self.dense()
-        if d.dtype != object:
-            return d
-        if any(isinstance(v, ComplexRational) for row in self._rows for v in row):
-            return np.array([[complex(v) for v in row] for row in self._rows])
-        return np.array([[float(v) for v in row] for row in self._rows])
+        """Entries as floats (complex when some entry is); each rational
+        entry p/den is correctly rounded, as float(Fraction) is."""
+        if self.mode != "rational":
+            return self.dense()
+        re, den, im, _ = self._num
+        if im is None:
+            return (re / den).astype(float)
+        out = np.empty((self.N, self.N), dtype=complex)
+        out.real = (re / den).astype(float)
+        out.imag = (im / den).astype(float)
+        return out
 
     def compose(self, other: "TruncOperator") -> "TruncOperator":
         """Truncated product self @ other (valid where both truncations agree)."""
@@ -370,25 +476,28 @@ class TruncOperator:
             raise RepresentationError(
                 "logmag composition not supported; compose in float or rational"
             )
-        a, b = self._rows, other._rows
-        rows = []
-        for n in range(N):
-            hi_k = n + 1 if self.structure in ("lower", "diagonal") else N
-            row = []
-            for m in range(N):
-                acc = None
-                for k in range(m if structure != "full" else 0, hi_k):
-                    av = a[n][k]
-                    if av == 0:
-                        continue
-                    bv = b[k][m]
-                    if bv == 0:
-                        continue
-                    term = av * bv
-                    acc = term if acc is None else acc + term
-                row.append(acc if acc is not None else Fraction(0))
-            rows.append(row)
-        return TruncOperator(name, N, rows, "rational", structure)
+        a, b = self._num, other._num
+        # row n of self is read up to column n, column m of other from row
+        # m on, where their structures say the rest is zero
+        lower = np.tri(N, dtype=bool)
+        keep_a = lower if self.structure != "full" else None
+        keep_b = lower if structure != "full" else None
+        re, im = _matmul(_within(a.re, keep_a), _within(a.im, keep_a),
+                         _within(b.re, keep_b), _within(b.im, keep_b))
+        mask = None
+        if im is not None:
+            # a sum is complex when one of its terms is; zero real factors
+            # contribute no term
+            nz_a, nz_b = _nonzero(a, keep_a), _nonzero(b, keep_b)
+            mask = np.zeros((N, N), dtype=bool)
+            if a.complex_mask is not None:
+                mask |= (nz_a & a.complex_mask) @ nz_b
+            if b.complex_mask is not None:
+                mask |= nz_a @ (nz_b & b.complex_mask)
+            if not mask.any():
+                im = mask = None
+        return TruncOperator(name, N, _Numerators(re, a.den * b.den, im, mask),
+                             "rational", structure)
 
     def __matmul__(self, other):
         if isinstance(other, TruncOperator):
@@ -403,20 +512,23 @@ class TruncOperator:
 def identity(N: int, mode: str = "rational") -> TruncOperator:
     if mode == "float":
         return TruncOperator("identity", N, np.eye(N), "float", "diagonal")
-    rows = [[Fraction(int(i == j)) for j in range(N)] for i in range(N)]
-    return TruncOperator("identity", N, rows, "rational", "diagonal")
+    return TruncOperator("identity", N, _Numerators(np.eye(N, dtype=object), 1),
+                         "rational", "diagonal")
 
 
 def cesaro(N: int, mode: str = "rational") -> TruncOperator:
-    """The running-mean matrix: 1/n on row n up to the diagonal."""
+    """The running-mean matrix: 1/n on row n up to the diagonal.
+
+    Rational mode holds row n as lcm(1..N)/n over lcm(1..N).
+    """
     if mode == "float":
         data = np.tril(np.ones((N, N)) / np.arange(1, N + 1)[:, None])
         return TruncOperator("cesaro", N, data, "float", "lower")
-    rows = [
-        [Fraction(1, n) if m < n else Fraction(0) for m in range(N)]
-        for n in range(1, N + 1)
-    ]
-    return TruncOperator("cesaro", N, rows, "rational", "lower")
+    L, mult = _mean_multipliers(N)
+    re = np.zeros((N, N), dtype=object)
+    for n in range(N):
+        re[n, :n + 1] = mult[n]
+    return TruncOperator("cesaro", N, _Numerators(re, L), "rational", "lower")
 
 
 @lru_cache(maxsize=8)
@@ -437,10 +549,13 @@ def cesaro_apply(x) -> CoordinateVector:
     if x.exact:
         re, im, den = x.shared()
         L, mult = _mean_multipliers(len(x))
+        out = list(map(mul, accumulate(re), mult))
+        if im is None:
+            return CoordinateVector.over_denominator(out, den * L, x.valid_len)
+        # a running mean is complex from the first complex entry on
         return CoordinateVector.over_denominator(
-            list(map(mul, accumulate(re), mult)), den * L, x.valid_len,
-            None if im is None else list(map(mul, accumulate(im), mult)),
-            x.complex_from)
+            out, den * L, x.valid_len, list(map(mul, accumulate(im), mult)),
+            np.logical_or.accumulate(x.complex_mask))
     vals = np.asarray(x.values)
     means = np.cumsum(vals) / np.arange(1, len(vals) + 1)
     return CoordinateVector(means, x.valid_len)
@@ -523,14 +638,10 @@ def delta(N: int, mode: str = "rational") -> TruncOperator:
         signs = np.where(ms <= ns, (-1.0) ** ms, 0.0)
         signs = np.where(np.isfinite(logs), signs, 0.0)
         return TruncOperator("delta", N, (signs, logs), "logmag", "lower")
-    rows = [
-        [
-            Fraction((-1) ** (m - 1) * math.comb(n - 1, m - 1)) if m <= n else Fraction(0)
-            for m in range(1, N + 1)
-        ]
-        for n in range(1, N + 1)
-    ]
-    return TruncOperator("delta", N, rows, "rational", "lower")
+    re = np.zeros((N, N), dtype=object)
+    for n in range(N):
+        re[n, :n + 1] = [(-1) ** m * math.comb(n, m) for m in range(n + 1)]
+    return TruncOperator("delta", N, _Numerators(re, 1), "rational", "lower")
 
 
 def delta_eigenvector(m: int, N: int) -> CoordinateVector:
@@ -542,8 +653,8 @@ def delta_eigenvector(m: int, N: int) -> CoordinateVector:
     if not 1 <= m <= N:
         raise ValueError("need 1 <= m <= N")
     sign = (-1) ** (m - 1)
-    vals = [Fraction(sign * math.comb(n - 1, m - 1)) for n in range(1, N + 1)]
-    return CoordinateVector(vals)
+    return CoordinateVector.over_denominator(
+        [sign * math.comb(n - 1, m - 1) for n in range(1, N + 1)], 1)
 
 
 def _pole_distance(lam_f: complex, N: int) -> float:
@@ -721,35 +832,23 @@ def scaled_e_matrix(lam, k: int, w, N: int, mode: str = "logmag") -> TruncOperat
 def a_matrix(N: int) -> TruncOperator:
     """Shifted form of (identity minus averaging): n/(n+1) on the diagonal,
     -1/(n+1) strictly below."""
-    rows = []
+    L, mult = _mean_multipliers(N + 1)
+    re = np.zeros((N, N), dtype=object)
     for n in range(1, N + 1):
-        row = []
-        for m in range(1, N + 1):
-            if m == n:
-                row.append(Fraction(n, n + 1))
-            elif m < n:
-                row.append(Fraction(-1, n + 1))
-            else:
-                row.append(Fraction(0))
-        rows.append(row)
-    return TruncOperator("a_matrix", N, rows, "rational", "lower")
+        re[n - 1, :n - 1] = -mult[n]
+        re[n - 1, n - 1] = n * mult[n]
+    return TruncOperator("a_matrix", N, _Numerators(re, L), "rational", "lower")
 
 
 def b_matrix(N: int) -> TruncOperator:
     """Exact inverse of a_matrix at every truncation size: (n+1)/n on the
     diagonal, 1/m strictly below."""
-    rows = []
+    L, mult = _mean_multipliers(N)
+    re = np.zeros((N, N), dtype=object)
     for n in range(1, N + 1):
-        row = []
-        for m in range(1, N + 1):
-            if m == n:
-                row.append(Fraction(n + 1, n))
-            elif m < n:
-                row.append(Fraction(1, m))
-            else:
-                row.append(Fraction(0))
-        rows.append(row)
-    return TruncOperator("b_matrix", N, rows, "rational", "lower")
+        re[n - 1, :n - 1] = mult[:n - 1]
+        re[n - 1, n - 1] = (n + 1) * mult[n - 1]
+    return TruncOperator("b_matrix", N, _Numerators(re, L), "rational", "lower")
 
 
 def dump_csv(op: TruncOperator, stream) -> None:
@@ -762,11 +861,7 @@ def dump_csv(op: TruncOperator, stream) -> None:
     from .serialize import format_entry
 
     stream.write(f"# op={op.name} N={op.N} mode={op.mode}\n")
-    if op.mode == "rational":
-        rows = op._rows
-    else:
-        rows = op.dense()
-    for row in rows:
+    for row in op.dense():
         stream.write(",".join(format_entry(v) for v in row) + "\n")
 
 
@@ -780,11 +875,19 @@ def max_entry_diff(a: TruncOperator, b: TruncOperator) -> float:
 
 
 def ops_equal_exact(a: TruncOperator, b: TruncOperator) -> bool:
-    """Exact entrywise equality for rational-mode operators."""
+    """Exact entrywise equality for rational-mode operators.
+
+    Entries are equal when their values are, by cross-multiplying the
+    numerators, and their types are: a Fraction never equals a
+    ComplexRational, as in Fraction arithmetic.
+    """
     if a.mode != "rational" or b.mode != "rational" or a.N != b.N:
         raise ValueError("exact comparison needs two rational operators of equal size")
-    return all(
-        va == vb
-        for ra, rb in zip(a._rows, b._rows)
-        for va, vb in zip(ra, rb)
-    )
+    na, nb = a._num, b._num
+    if (na.complex_mask is None) != (nb.complex_mask is None):
+        return False
+    if na.complex_mask is not None and not np.array_equal(
+            na.complex_mask, nb.complex_mask):
+        return False
+    return np.array_equal(na.re * nb.den, nb.re * na.den) and (
+        na.im is None or np.array_equal(na.im * nb.den, nb.im * na.den))

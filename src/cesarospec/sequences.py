@@ -25,6 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import mpmath
@@ -79,8 +80,12 @@ class TailProbe:
     alpha_prev: float
 
 
+@lru_cache(maxsize=None)
 def _zeta(beta: float) -> float:
-    return float(mpmath.zeta(beta))
+    # at mpmath's default precision whatever the caller's context, so that
+    # the cached value does not depend on which call came first
+    with mpmath.workprec(53):
+        return float(mpmath.zeta(beta))
 
 
 def _psum_asymptotic(ns: np.ndarray, beta: float) -> np.ndarray:

@@ -29,7 +29,8 @@ from cesarospec.cli import (
 )
 import cesarospec.cli as cli_module
 import cesarospec.dynamics as dynamics_module
-from cesarospec.operators import cesaro_apply
+from cesarospec.operators import CoordinateVector, cesaro_apply, \
+    delta_eigenvector
 from cesarospec.sequences import default_resolution
 
 
@@ -326,6 +327,30 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "exceeds the cap" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_eigenpair_relations_hold_exactly(self, capsys):
+        assert main(["--experiments", "eigenpairs:1,2,3,20,200"]) == 0
+        pairs = json.loads(capsys.readouterr().out)["results"][0]["data"][
+            "pairs"]
+        assert [(p["m"], p["N"], p["residual_zero"]) for p in pairs] == [
+            (1, 40, True), (2, 40, True), (3, 40, True), (20, 40, True),
+            (200, 400, True)]
+
+    def test_a_broken_eigenvector_fails_the_exact_check(self, monkeypatch,
+                                                        capsys):
+        def off_by_one(m, N):
+            vals = list(delta_eigenvector(m, N).values)
+            vals[N // 2] += 1
+            return CoordinateVector(vals)
+
+        monkeypatch.setattr(cli_module, "delta_eigenvector", off_by_one)
+        assert main(["--experiments", "eigenpairs:1,3"]) == 1
+        tree = json.loads(capsys.readouterr().out)
+        pairs = tree["results"][0]["data"]["pairs"]
+        assert [p["residual_zero"] for p in pairs] == [False, False]
+        assert tree["mismatches"][:2] == [
+            "eigenpairs[m=1]: exact eigenvalue relation violated at N=40",
+            "eigenpairs[m=3]: exact eigenvalue relation violated at N=40"]
 
     @pytest.mark.parametrize("token,applies", [
         # one trace of max(40, 10, 32) passes, plus the ergodic check's one

@@ -155,7 +155,7 @@ class TestKernel:
         env = dict(os.environ, PYTHONPATH=src)
         code = (
             "import sys, cesarospec.cli as cli\n"
-            "heavy = ('scipy.special', 'scipy.integrate')\n"
+            "heavy = ('scipy', 'scipy.special', 'scipy.integrate')\n"
             "print([m for m in heavy if m in sys.modules])\n"
             "code = cli.main(['--N', '40', '--experiments', 'profile',\n"
             "                 'eigenpairs:1,2', 'dynamics'])\n"

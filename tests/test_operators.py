@@ -30,6 +30,7 @@ from cesarospec import (
 )
 import cesarospec.operators as operators_module
 from cesarospec.operators import (
+    STRUCTURES,
     TruncOperator,
     dump_csv,
     logbinom,
@@ -486,3 +487,197 @@ class TestSerialization:
         lines = buf.getvalue().splitlines()
         assert lines[1] == "1,0"
         assert lines[2] == "0.5,0.5"
+
+
+# -- integer numerators against plain Fraction arithmetic ---------------------
+#
+# The reference below works on rows of Fraction / ComplexRational entries, one
+# gcd-reduced operation at a time.  Row n of an apply reads columns up to n
+# ("lower", "diagonal" only n); a compose reads row n of the left factor up to
+# column n when that factor is not "full", column m of the right one from row
+# m on when the product is not "full", and skips real zero factors.  So an
+# entry's type is ComplexRational exactly when some term it sums is.
+
+CR = ComplexRational
+_small = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+_real_entry = st.one_of(st.just(F(0)), _small)
+_any_entry = st.one_of(st.just(F(0)), st.just(CR(0)), _small,
+                       st.builds(CR, _small, _small))
+
+
+def _ref_apply(rows, structure, xs):
+    out = []
+    for n, row in enumerate(rows):
+        lo = n if structure == "diagonal" else 0
+        hi = n + 1 if structure in ("lower", "diagonal") else len(rows)
+        acc = None
+        for m in range(lo, hi):
+            term = row[m] * xs[m]
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def _ref_compose(a, a_structure, b, structure):
+    N = len(a)
+    rows = []
+    for n in range(N):
+        hi = n + 1 if a_structure in ("lower", "diagonal") else N
+        row = []
+        for m in range(N):
+            acc = None
+            for k in range(m if structure != "full" else 0, hi):
+                if a[n][k] == 0 or b[k][m] == 0:
+                    continue
+                term = a[n][k] * b[k][m]
+                acc = term if acc is None else acc + term
+            row.append(F(0) if acc is None else acc)
+        rows.append(row)
+    return rows
+
+
+def _ref_floats(values):
+    if any(isinstance(v, CR) for v in values):
+        return np.array([complex(v) for v in values])
+    return np.array([float(v) for v in values])
+
+
+def _product_structure(sa, sb):
+    if sa == sb == "diagonal":
+        return "diagonal"
+    if sa != "full" and sb != "full":
+        return "lower"
+    return "full"
+
+
+@st.composite
+def _matrices(draw, N=None, structure=None):
+    """(N, structure, rows): entries outside the structure are zero when
+    shaped, arbitrary otherwise (the products must not read them)."""
+    N = N or draw(st.integers(1, 12))
+    structure = structure or draw(st.sampled_from(STRUCTURES))
+    entry = _any_entry if draw(st.booleans()) else _real_entry
+    shaped = draw(st.booleans())
+    rows = draw(st.lists(st.lists(entry, min_size=N, max_size=N),
+                         min_size=N, max_size=N))
+    if shaped:
+        for n, row in enumerate(rows):
+            for m in range(N):
+                if structure == "diagonal" and m != n or m > n \
+                        and structure != "full":
+                    row[m] = F(0)
+    return N, structure, rows
+
+
+@st.composite
+def _vectors(draw, N):
+    """A vector of length N..N+2: a Fraction list, or in shared form."""
+    size = N + draw(st.integers(0, 2))
+    complex_ = draw(st.booleans())
+    if draw(st.booleans()):
+        entry = _any_entry if complex_ else _real_entry
+        vals = draw(st.lists(entry, min_size=size, max_size=size))
+        return CoordinateVector(vals), vals
+    ints = st.lists(st.integers(-50, 50), min_size=size, max_size=size)
+    re, den = draw(ints), draw(st.integers(1, 60))
+    im = draw(ints) if complex_ else None
+    mask = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    if im is not None:
+        im = [q if c else 0 for q, c in zip(im, mask)]
+    vec = CoordinateVector.over_denominator(re, den, None, im, mask)
+    return vec, list(vec.values)
+
+
+def _assert_same_entries(got, want):
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+
+
+def _assert_same_operator(op, rows):
+    N = len(rows)
+    _assert_same_entries(op.dense().ravel(), [v for r in rows for v in r])
+    _assert_same_entries([op.entry(n, m) for n in range(1, N + 1)
+                          for m in range(1, N + 1)],
+                         [v for r in rows for v in r])
+    want = np.array([_ref_floats([v for r in rows for v in r])]).reshape(N, N)
+    got = op.as_float_entries()
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with np.errstate(divide="ignore"):
+        want_log = np.log(np.abs(np.array(
+            [[abs(complex(v)) for v in r] for r in rows])))
+    assert op.log_abs().tobytes() == want_log.tobytes()
+
+
+class TestIntegerNumerators:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_apply_matches_fraction_arithmetic(self, data):
+        N, structure, rows = data.draw(_matrices())
+        op = TruncOperator("m", N, rows, "rational", structure)
+        _assert_same_operator(op, rows)
+        x, xs = data.draw(_vectors(N))
+        got = op.apply(x)
+        want = _ref_apply(rows, structure, xs)
+        _assert_same_entries(got.values, want)
+        assert got.valid_len == N
+        expected = _ref_floats(want)
+        assert got.as_float().dtype == expected.dtype
+        assert got.as_float().tobytes() == expected.tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_compose_matches_fraction_arithmetic(self, data):
+        N, sa, a = data.draw(_matrices())
+        _, sb, b = data.draw(_matrices(N=N))
+        prod = TruncOperator("a", N, a, "rational", sa).compose(
+            TruncOperator("b", N, b, "rational", sb))
+        structure = _product_structure(sa, sb)
+        assert prod.structure == structure
+        want = _ref_compose(a, sa, b, structure)
+        _assert_same_operator(prod, want)
+        rebuilt = TruncOperator("w", N, want, "rational", structure)
+        assert ops_equal_exact(prod, rebuilt)
+        assert ops_equal_exact(rebuilt, prod)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_equality_matches_fraction_comparison(self, data):
+        N, structure, a = data.draw(_matrices())
+        b = [list(r) for r in a]
+        n, m = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
+        b[n][m] = data.draw(st.one_of(
+            _any_entry,
+            st.just(CR(b[n][m]) if isinstance(b[n][m], F) else b[n][m].re),
+            st.just(b[n][m])))
+        if data.draw(st.booleans()):
+            # the same values over a different denominator
+            b = [[v * 7 / 7 for v in r] for r in b]
+        want = all(va == vb for ra, rb in zip(a, b) for va, vb in zip(ra, rb))
+        opa = TruncOperator("a", N, a, "rational", structure)
+        opb = TruncOperator("b", N, b, "rational", structure)
+        assert ops_equal_exact(opa, opb) is want
+        assert ops_equal_exact(opb, opa) is want
+
+    def test_closed_forms_match_their_entries(self):
+        N = 9
+        forms = {
+            "cesaro": (cesaro(N), lambda n, m: F(1, n) if m <= n else F(0)),
+            "identity": (identity(N), lambda n, m: F(int(n == m))),
+            "delta": (delta(N), lambda n, m: F((-1) ** (m - 1)
+                                               * math.comb(n - 1, m - 1))),
+            "a_matrix": (a_matrix(N), lambda n, m: F(n, n + 1) if m == n
+                         else F(-1, n + 1) if m < n else F(0)),
+            "b_matrix": (b_matrix(N), lambda n, m: F(n + 1, n) if m == n
+                         else F(1, m) if m < n else F(0)),
+        }
+        for name, (op, cell) in forms.items():
+            rows = [[cell(n, m) for m in range(1, N + 1)]
+                    for n in range(1, N + 1)]
+            _assert_same_operator(op, rows)
+            assert ops_equal_exact(
+                op, TruncOperator(name, N, rows, "rational", op.structure))
+
+    def test_complex_resolvent_keeps_real_zeros_above_the_diagonal(self):
+        r = resolvent(CR(F(1, 2), F(1, 4)), 4, mode="rational")
+        assert type(r.entry(1, 2)) is F and r.entry(1, 2) == 0
+        assert type(r.entry(2, 1)) is CR
+        assert r.as_float_entries().dtype == np.complex128

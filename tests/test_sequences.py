@@ -25,6 +25,7 @@ from cesarospec import (
     v_alpha,
 )
 from cesarospec.errors import InternalConsistencyError, RepresentationError
+import cesarospec.sequences as sequences_module
 from cesarospec.sequences import ALPHA_SATURATION
 from cesarospec.trend import TrendParams
 
@@ -123,6 +124,27 @@ class TestClosedForms:
         assert max(err[59:]) <= 2.4e-11    # and from n = 200
         assert np.max(np.abs(seq.values(1000) - seq.alpha_at(range(1, 1001)))) \
             <= 3e-9
+
+    def test_zeta_constant_is_computed_once_per_beta(self, monkeypatch):
+        calls = []
+        zeta = mpmath.zeta
+
+        def counted(s, *args):
+            calls.append(s)
+            return zeta(s, *args)
+
+        monkeypatch.setattr(mpmath, "zeta", counted)
+        sequences_module._zeta.cache_clear()
+        first = parse_alpha("psum:beta=1/2").alpha_at([100, 10 ** 6])
+        with mpmath.workdps(30):
+            again = parse_alpha("psum:beta=1/2").alpha_at([100, 10 ** 6])
+        parse_alpha("psum:beta=1/2").tail_probes(200)
+        assert calls == [0.5]
+        assert first.tobytes() == again.tobytes()
+        sequences_module._zeta.cache_clear()
+        with mpmath.workdps(30):
+            fresh = parse_alpha("psum:beta=1/2").alpha_at([100, 10 ** 6])
+        assert fresh.tobytes() == first.tobytes()
 
     def test_sparse_blocks_have_no_pointwise_form(self):
         with pytest.raises(ValueError, match="tail_probes"):

@@ -142,9 +142,9 @@ class TestSharedIterates:
         want = _fraction_chain(x.values, 2)[2]
         assert [y[i] for i in range(4)] == want
         assert y[-1] == want[-1]
-        assert y.complex_from == 2
+        assert y.complex_mask.tolist() == [False, False, True, True]
         head = y.prefix(2)
-        assert head.complex_from == 2
+        assert head.complex_mask is None
         _assert_same_vector(head, want[:2])
         _assert_same_vector(y.prefix(3), want[:3])
         _assert_same_vector(y, want)
