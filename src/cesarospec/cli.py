@@ -78,9 +78,24 @@ try:
     _VERSION = metadata.version("cesarospec")
 except metadata.PackageNotFoundError:  # running from a source tree
     _VERSION = "0.0.0+unpackaged"
+
+
+def _header_version(name: str) -> str:
+    """The Version field of an installed distribution's METADATA header.
+
+    metadata.version runs the email parser over the whole file (62 KB for
+    scipy); the header block before the first blank line holds the field.
+    """
+    text = metadata.distribution(name).read_text("METADATA") or ""
+    for line in text.partition("\n\n")[0].splitlines():
+        if line.startswith("Version:"):
+            return line[len("Version:"):].strip()
+    return metadata.version(name)
+
+
 # read from the installed metadata, once: importing scipy would cost more,
 # and no code path here uses it
-_SCIPY_VERSION = metadata.version("scipy")
+_SCIPY_VERSION = _header_version("scipy")
 
 
 class UsageError(Exception):

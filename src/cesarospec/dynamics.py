@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InternalConsistencyError, PreconditionError
 from .exact import WeightedSups, compare_sups
 from .operators import CoordinateVector, as_vector, b_apply, cesaro_apply
-from .sequences import AlphaSequence, WeightSystem, seminorm
+from .sequences import AlphaSequence, SeminormTable, WeightSystem
 from .trend import FAILS, HOLDS, Verdict
 
 __all__ = [
@@ -122,9 +122,11 @@ def power_iterate(
     vectors = [x]
     for _ in range(m):
         vectors.append(cesaro_apply(vectors[-1]))
-    sems = () if w is None else tuple(
-        (step, tuple((k, seminorm(w, k, mags)) for k in ks))
-        for step, mags in enumerate(np.abs(v.as_float()) for v in vectors))
+    sems = ()
+    if w is not None:
+        table = SeminormTable(w, ks, len(x))
+        sems = tuple((step, tuple(zip(table.ks, table(v.as_float()))))
+                     for step, v in enumerate(vectors))
     return IterateTrace(vectors=tuple(vectors), seminorms=sems)
 
 
@@ -314,11 +316,10 @@ def cesaro_means(
     iterates = trace.vectors[1:nmax + 1]
     distances = []
     if w is not None:
+        table = SeminormTable(w, ks, len(trace.x0))
         for j, tj in _running_means(iterates):
-            diff = np.abs(tj.as_float().astype(complex) - complex(limit))
-            distances.append(
-                (j, tuple((k, seminorm(w, k, diff)) for k in ks))
-            )
+            gaps = table(tj.as_float().astype(complex) - complex(limit))
+            distances.append((j, tuple(zip(table.ks, gaps))))
     return CesaroMeansTrace(
         x0=trace.x0, distances=tuple(distances), limit_prediction=limit,
         iterates=iterates,
@@ -375,20 +376,17 @@ def power_bound_check(
         return Verdict(HOLDS, "contraction", tuple(evidence), params=params)
 
     params["tol"] = tol_float
-    ws = w if isinstance(w, WeightSystem) else WeightSystem(w)
-    xf = np.abs(x.as_float())
-    base = {k: seminorm(ws, k, xf) for k in range(1, K + 1)}
+    table = SeminormTable(w, range(1, K + 1), len(x))
+    base = table(x.as_float())
     worst = 0.0
     for m, y in iterates:
-        yf = np.abs(y.as_float())
-        for k in range(1, K + 1):
-            pk = seminorm(ws, k, yf)
-            slack = pk - base[k] * (1.0 + tol_float)
+        for k, pk, bound in zip(table.ks, table(y.as_float()), base):
+            slack = pk - bound * (1.0 + tol_float)
             worst = max(worst, slack)
             if slack > 0.0:
                 return Verdict(
                     FAILS, "expansion", tuple(evidence),
-                    witness={"k": k, "m": m, "p_k": pk, "bound": base[k]},
+                    witness={"k": k, "m": m, "p_k": pk, "bound": bound},
                     params=params,
                 )
         evidence.append((m, worst))

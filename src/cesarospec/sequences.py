@@ -199,7 +199,11 @@ class AlphaSequence:
         if kind in ("linear", "sqrt", "tower", "rsw_b", "s1_empty"):
             return kind
         if kind in ("power", "log", "psum"):
-            return f"{kind}:beta={p['beta']:g}"
+            beta = p["beta"]
+            text = f"{beta:g}"
+            # :g keeps the short form where it is exact (0.5, 2, 1e-07);
+            # repr is the shortest text that reparses to the same float
+            return f"{kind}:beta={text if float(text) == beta else repr(beta)}"
         vals = ",".join(str(v) for v in p["values"])
         return f"table:[{vals}]:step={p['step']}"
 
@@ -442,16 +446,38 @@ def seminorm(w, k: int, x) -> float:
     truncation only; whether the tail contributes is a separate question the
     caller must settle (e.g. via membership checks).
     """
-    if isinstance(w, AlphaSequence):
-        w = WeightSystem(w)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("x must be a nonempty 1-d array")
-    lw = w.log_w(k, len(x))
-    with np.errstate(divide="ignore"):
-        logs = lw + np.log(np.abs(x))
-    top = float(np.max(logs))
-    return math.exp(top) if top > -np.inf else 0.0
+    return SeminormTable(w, (k,), len(x))(x)[0]
+
+
+class SeminormTable:
+    """The truncated seminorms p_k, k in ks, of vectors of one length N.
+
+    log w_k(n) is stacked for every k once, so a vector costs one log pass
+    and one row maximum per level, not one weight build per (vector, level).
+    seminorm is the one-level case, so the two agree bit for bit.
+    """
+
+    def __init__(self, w, ks, N: int):
+        if isinstance(w, AlphaSequence):
+            w = WeightSystem(w)
+        self.ks = tuple(ks)
+        self.N = N
+        self._log_w = np.array([w.log_w(k, N) for k in self.ks]).reshape(
+            len(self.ks), N)
+
+    def __call__(self, x) -> tuple:
+        """(p_k(x) for k in ks) for a real or complex vector x of length N."""
+        mags = np.abs(x)
+        if mags.shape != (self.N,):
+            raise ValueError(f"need a 1-d array of length {self.N}, "
+                             f"got shape {mags.shape}")
+        with np.errstate(divide="ignore"):
+            tops = np.max(self._log_w + np.log(mags), axis=1)
+        return tuple(math.exp(t) if t > -math.inf else 0.0
+                     for t in tops.tolist())
 
 
 # -- scalar diagnostics ---------------------------------------------------------

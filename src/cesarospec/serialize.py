@@ -3,17 +3,30 @@
 Identical inputs must produce byte-identical output across runs and machines,
 so floats are printed with repr-faithful 17 significant digits, rationals as
 p/q, complex values as a+bi, and dict keys are emitted sorted.
+
+The report text has one byte contract: ``dumps_json(v)`` is exactly
+``json.dumps(jsonable(v), indent=2, sort_keys=True) + "\\n"``.  With
+``indent`` set the standard library encodes in pure Python, so the text is
+written here in one walk instead, with no intermediate tree.  ``_scalar``
+and ``_members`` hold the one set of type rules; ``jsonable`` (the CSV
+path) and the writer both go through them.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
 
 from .exact import ComplexRational
+
+_CONTAINER = object()
+_SEQUENCES = (list, tuple, np.ndarray)
+# exact types that most report nodes have, answered before the general rules
+_AS_IS = frozenset({type(None), bool, str, int})
+_PLAIN_CONTAINERS = frozenset({dict, list, tuple})
 
 
 def format_float(x: float) -> str:
@@ -49,37 +62,88 @@ def format_entry(v) -> str:
     raise TypeError(f"cannot format {type(v).__name__} as a matrix entry")
 
 
-def jsonable(v) -> Any:
-    """Convert nested values to JSON-compatible structures, deterministically.
+def _scalar(v) -> Any:
+    """The JSON value of a scalar, or _CONTAINER when v is not one.
 
     Exact numbers become their string forms (p/q, a+bi) so nothing silently
-    loses precision; floats stay floats (json prints them repr-faithfully).
+    loses precision; finite floats stay floats (printed repr-faithfully),
+    and nan and the infinities become strings.
     """
-    if v is None or isinstance(v, (bool, str, int)):
+    t = type(v)
+    if t in _AS_IS:
         return v
-    if isinstance(v, (Fraction, ComplexRational)):
-        return str(v)
+    if t in _PLAIN_CONTAINERS:
+        return _CONTAINER
+    if isinstance(v, (bool, str, int)):
+        return v
     if isinstance(v, (np.floating, float)):
         f = float(v)
         if f != f or f in (float("inf"), float("-inf")):
             return format_float(f)
         return f
+    if isinstance(v, (Fraction, ComplexRational)):
+        return str(v)
     if isinstance(v, np.integer):
         return int(v)
     if isinstance(v, (np.complexfloating, complex)):
         return format_complex(complex(v))
+    return _CONTAINER
+
+
+def _members(v) -> list | None:
+    """(key, value) pairs of a dict or dataclass, sorted by key text; None
+    for a list, tuple or array, whose elements are read in order."""
     if isinstance(v, dict):
-        return {str(k): jsonable(v[k]) for k in sorted(v, key=str)}
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return [jsonable(x) for x in v]
+        return [(str(k), v[k]) for k in sorted(v, key=str)]
+    if isinstance(v, _SEQUENCES):
+        return None
     if hasattr(v, "__dataclass_fields__"):
-        return {
-            name: jsonable(getattr(v, name))
-            for name in sorted(v.__dataclass_fields__)
-        }
+        return [(name, getattr(v, name))
+                for name in sorted(v.__dataclass_fields__)]
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
+def jsonable(v) -> Any:
+    """Convert nested values to JSON-compatible structures, deterministically."""
+    s = _scalar(v)
+    if s is not _CONTAINER:
+        return s
+    pairs = _members(v)
+    if pairs is None:
+        return [jsonable(x) for x in v]
+    return {k: jsonable(x) for k, x in pairs}
+
+
+def _write(v, pad: str) -> str:
+    """JSON text of v at indent ``pad``, as json.dumps(indent=2) lays it out."""
+    s = _scalar(v)
+    if s is not _CONTAINER:
+        if s is None:
+            return "null"
+        if s is True:
+            return "true"
+        if s is False:
+            return "false"
+        if isinstance(s, str):
+            return encode_basestring_ascii(s)
+        if isinstance(s, int):
+            return int.__repr__(s)
+        return float.__repr__(s)
+    inner = pad + "  "
+    pairs = _members(v)
+    if pairs is None:
+        items, brackets = [_write(x, inner) for x in v], "[]"
+    else:
+        # equal key texts keep the last value, as a dict built from them would
+        texts = {k: _write(x, inner) for k, x in pairs}
+        items = [f"{encode_basestring_ascii(k)}: {t}" for k, t in texts.items()]
+        brackets = "{}"
+    if not items:
+        return brackets
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+
+
 def dumps_json(payload) -> str:
-    """Canonical JSON text: sorted keys, no trailing whitespace drift."""
-    return json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, one final newline."""
+    return _write(payload, "") + "\n"

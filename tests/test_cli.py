@@ -191,6 +191,13 @@ class TestRunAndEmit:
         assert set(report.versions) >= {"cesarospec", "numpy", "scipy",
                                         "python"}
 
+    def test_scipy_version_is_read_from_the_metadata_header(self):
+        from importlib import metadata
+
+        assert cli_module._SCIPY_VERSION == metadata.version("scipy")
+        report = run(AnalysisConfig(experiments=()))
+        assert report.versions["scipy"] == metadata.version("scipy")
+
     def test_identical_runs_identical_bytes(self):
         config = AnalysisConfig(experiments=("profile", "eigenpairs"))
         first = emit(run(config), "json")

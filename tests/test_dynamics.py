@@ -33,6 +33,7 @@ from cesarospec import (
     seminorm,
 )
 from cesarospec.cli import DYNAMICS_STEP_CAP
+from cesarospec.dynamics import IterateTrace
 
 F = Fraction
 
@@ -223,6 +224,63 @@ class TestContraction:
             before = seminorm(linear, k, np.abs(xs))
             after = seminorm(linear, k, np.abs(y))
             assert after <= before * (1 + 1e-12) + 1e-300
+
+
+def reference_float_bound(w, trace, K, M, tol=1e-12):
+    """Float-mode contraction as one seminorm call per (iterate, level):
+    the outcome, its first failing (m, k) and the witness values."""
+    xf = np.abs(trace.x0.as_float())
+    base = {k: seminorm(w, k, xf) for k in range(1, K + 1)}
+    worst, evidence = 0.0, []
+    for m, y in enumerate(trace.vectors[1:M + 1], start=1):
+        yf = np.abs(y.as_float())
+        for k in range(1, K + 1):
+            pk = seminorm(w, k, yf)
+            slack = pk - base[k] * (1.0 + tol)
+            worst = max(worst, slack)
+            if slack > 0.0:
+                return FAILS, tuple(evidence), {
+                    "k": k, "m": m, "p_k": pk, "bound": base[k]}
+        evidence.append((m, worst))
+    return HOLDS, tuple(evidence), None
+
+
+class TestFloatContractionTable:
+    """Hand-built traces, some of which expand, give the verdict and the
+    witness of the per-call reference loop."""
+
+    @given(n=st.integers(1, 12), K=st.integers(1, 5), M=st.integers(1, 6),
+           data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_loop(self, linear, n, K, M, data):
+        entries = st.floats(min_value=-1e3, max_value=1e3) | st.just(0.0)
+        rows = [data.draw(st.lists(entries, min_size=n, max_size=n))
+                for _ in range(M + 1)]
+        if data.draw(st.booleans()):
+            rows = [np.array(r) * 1j + np.array(r[::-1]) for r in rows]
+        trace = IterateTrace(
+            vectors=tuple(CoordinateVector(np.asarray(r)) for r in rows),
+            seminorms=())
+        got = power_bound_check(linear, trace, K=K, M=M, mode="float")
+        outcome, evidence, witness = reference_float_bound(
+            WeightSystem(linear), trace, K, M)
+        assert got.outcome == outcome
+        assert repr(got.evidence) == repr(evidence)
+        assert repr(got.witness) == repr(witness)
+
+    def test_first_failing_level_and_step(self, linear):
+        # p_k(x0) = e^(-1/k).  Step 1 contracts; at step 2 slot 3 holds 3,
+        # and 3 e^(-3/k) exceeds e^(-1/k) first at k = 2 (3 > e, 3 < e^2)
+        rows = [[1.0, 0.0, 1.0], [1.0, 0.0, 0.5], [1.0, 0.0, 3.0]]
+        trace = IterateTrace(
+            vectors=tuple(CoordinateVector(np.array(r)) for r in rows),
+            seminorms=())
+        got = power_bound_check(linear, trace, K=3, M=2, mode="float")
+        outcome, evidence, witness = reference_float_bound(
+            WeightSystem(linear), trace, 3, 2)
+        assert got.outcome == outcome == FAILS
+        assert (witness["m"], witness["k"]) == (2, 2)
+        assert got.witness == witness and got.evidence == evidence
 
 
 class TestTraceInput:

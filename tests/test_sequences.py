@@ -26,7 +26,7 @@ from cesarospec import (
 )
 from cesarospec.errors import InternalConsistencyError, RepresentationError
 import cesarospec.sequences as sequences_module
-from cesarospec.sequences import ALPHA_SATURATION
+from cesarospec.sequences import ALPHA_SATURATION, SeminormTable
 from cesarospec.trend import TrendParams
 
 
@@ -161,6 +161,32 @@ class TestParseAlpha:
         again = parse_alpha(seq.spec_string())
         assert again == seq
 
+    @pytest.mark.parametrize("spec, text", [
+        ("power:beta=1/3", "power:beta=0.3333333333333333"),
+        ("log:beta=2/7", "log:beta=0.2857142857142857"),
+        ("psum:beta=1/3", "psum:beta=0.3333333333333333"),
+        ("power:beta=0.5", "power:beta=0.5"),
+        ("power:beta=2", "power:beta=2"),
+        ("log:beta=1/10", "log:beta=0.1"),
+        ("log:beta=0.0000001", "log:beta=1e-07"),
+        ("psum:beta=1/2", "psum:beta=0.5"),
+    ])
+    def test_float_parameters_print_losslessly(self, spec, text):
+        # :g where it reparses to the same float, repr otherwise
+        seq = parse_alpha(spec)
+        assert seq.spec_string() == text
+        again = parse_alpha(text)
+        assert again == seq and hash(again) == hash(seq)
+
+    def test_benchmarked_specs_print_as_before(self):
+        from cesarospec.criteria import GALLERY_SPECS
+
+        for spec in GALLERY_SPECS + ("log:beta=1/10", "log:beta=1e-7"):
+            seq = parse_alpha(spec)
+            if "beta" in seq.params:
+                kind = spec.split(":")[0]
+                assert seq.spec_string() == f"{kind}:beta={seq.params['beta']:g}"
+
     def test_table_grammar(self):
         seq = parse_alpha("table:[1,2,4]")
         assert list(seq.values(4)) == [1, 2, 4, 6]
@@ -209,6 +235,81 @@ class TestWeights:
     def test_seminorm_rejects_empty(self, linear):
         with pytest.raises(ValueError):
             seminorm(linear, 1, [])
+
+
+def reference_seminorm(w, k, x):
+    """The per-call seminorm as one weight build and one log pass."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        top = float(np.max(w.log_w(k, len(x)) + np.log(np.abs(x))))
+    return math.exp(top) if top > -np.inf else 0.0
+
+
+def _same_bits(got, want):
+    return type(got) is float and got.hex() == want.hex()
+
+
+_TABLE_SPECS = ("linear", "sqrt", "log:beta=2", "power:beta=2", "tower",
+                "psum:beta=1/2")
+
+
+class TestSeminormTable:
+    """One stacked log-weight table gives every level's seminorm of a
+    vector, bit for bit as the per-call seminorm."""
+
+    @given(spec=st.sampled_from(_TABLE_SPECS),
+           K=st.integers(1, 5),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_call_seminorm(self, spec, K, data):
+        seq = parse_alpha(spec)
+        n = data.draw(st.integers(1, 40))
+        finite = st.floats(min_value=-1e300, max_value=1e300)
+        re = data.draw(st.lists(finite | st.just(0.0), min_size=n, max_size=n))
+        row = np.array(re)
+        if data.draw(st.booleans()):
+            im = data.draw(st.lists(finite | st.just(0.0), min_size=n,
+                                    max_size=n))
+            row = row + 1j * np.array(im)
+        ks = tuple(range(1, K + 1))
+        w = WeightSystem(seq)
+        table = SeminormTable(seq, ks, n)
+        got = table(row)
+        assert len(got) == K
+        for k, value in zip(ks, got):
+            want = reference_seminorm(w, k, np.abs(row))
+            assert _same_bits(value, want), (k, value, want)
+            assert _same_bits(seminorm(w, k, np.abs(row)), want)
+
+    @pytest.mark.parametrize("row", [
+        np.zeros(7), np.zeros(1), np.array([0j, 0j]), np.array([2.5]),
+        np.array([-3.0 + 4.0j]), np.array([0.0, 1e-320, -2.0]),
+    ])
+    def test_zero_complex_and_length_one_rows(self, log2, row):
+        ks = (1, 2, 3, 4, 5)
+        got = SeminormTable(log2, ks, len(row))(row)
+        w = WeightSystem(log2)
+        assert all(_same_bits(g, reference_seminorm(w, k, np.abs(row)))
+                   for k, g in zip(ks, got))
+        if not np.any(row):
+            assert got == (0.0,) * 5
+
+    def test_levels_keep_their_order(self, linear):
+        row = np.array([1.0, 0.0, 3.0])
+        w = WeightSystem(linear)
+        got = SeminormTable(w, (3, 1, 2), 3)(row)
+        assert got == tuple(reference_seminorm(w, k, row) for k in (3, 1, 2))
+
+    def test_rejects_a_row_of_another_length(self, linear):
+        table = SeminormTable(linear, (1, 2), 4)
+        with pytest.raises(ValueError):
+            table(np.ones(1))
+        with pytest.raises(ValueError):
+            table(np.ones((2, 4)))
+
+    def test_rejects_bad_level(self, linear):
+        with pytest.raises(ValueError):
+            SeminormTable(linear, (0, 1), 4)
 
 
 class TestNuclearity:
