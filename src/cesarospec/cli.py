@@ -26,11 +26,11 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .criteria import GALLERY_SPECS, banach_step_compactness, classify_space, \
     noncompactness_witness
 from .dynamics import cesaro_means, ergodic_decomposition_check, gm_sup, \
@@ -46,7 +46,7 @@ from .spectral import IN, OUT, boun_bounds_fit, disc_report, \
     verify_resolvent_point
 from .trend import FAILS, HOLDS
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 OUT_DIR_ENV = "CESAROSPEC_OUT_DIR"
 
 EXPERIMENT_NAMES = ("profile", "spectrum", "resolvent", "eigenpairs",
@@ -73,30 +73,6 @@ N_CAP = 1_000_000
 # takes 38-41 s at 123 MB.
 K_CAP = 64
 KMAX_CAP = 64
-
-try:
-    _VERSION = metadata.version("cesarospec")
-except metadata.PackageNotFoundError:  # running from a source tree
-    _VERSION = "0.0.0+unpackaged"
-
-
-def _header_version(name: str) -> str:
-    """The Version field of an installed distribution's METADATA header.
-
-    metadata.version runs the email parser over the whole file (62 KB for
-    scipy); the header block before the first blank line holds the field.
-    """
-    text = metadata.distribution(name).read_text("METADATA") or ""
-    for line in text.partition("\n\n")[0].splitlines():
-        if line.startswith("Version:"):
-            return line[len("Version:"):].strip()
-    return metadata.version(name)
-
-
-# read from the installed metadata, once: importing scipy would cost more,
-# and no code path here uses it
-_SCIPY_VERSION = _header_version("scipy")
-
 
 class UsageError(Exception):
     """Bad flag value, config file field, or experiment token."""
@@ -644,9 +620,8 @@ def run(config: AnalysisConfig) -> Report:
     echo = {_field_key(f.name): getattr(config, f.name)
             for f in fields(config)}
     versions = {
-        "cesarospec": _VERSION,
+        "cesarospec": __version__,
         "numpy": np.__version__,
-        "scipy": _SCIPY_VERSION,
         "python": ".".join(str(p) for p in sys.version_info[:3]),
     }
     return Report(SCHEMA_VERSION, echo, tuple(results), tuple(mismatches),

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import InternalConsistencyError
@@ -250,8 +249,11 @@ def _sign_minus_exp_interval(p: Fraction, u: Fraction, max_bits: int) -> int:
     """sign_minus_exp for p > 0 and u != 0 by interval arithmetic.
 
     Doubling precision; terminates because exp of a nonzero rational is
-    irrational, so the difference is never exactly zero.
+    irrational, so the difference is never exactly zero.  mpmath is imported
+    here: only near-ties that the float filter cannot separate get this far.
     """
+    import mpmath
+
     prec = 64
     while prec <= max_bits:
         old = mpmath.iv.prec

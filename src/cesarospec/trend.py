@@ -153,7 +153,9 @@ def classify_limit(
 
     Returns (trend, detail) where trend is one of TO_ZERO, POSITIVE_LIMIT,
     RISING, OSCILLATING, UNDECIDED.  detail is the estimated limit for
-    POSITIVE_LIMIT and the witness index for RISING/OSCILLATING.
+    POSITIVE_LIMIT and the witness index for RISING/OSCILLATING.  The limit
+    estimate saturates at math.inf when the tail's mean log is past float
+    range (above about 709.78).
 
     Rules are applied in order; -inf entries mean the quantity underflowed or
     is exactly zero there.
@@ -184,7 +186,10 @@ def classify_limit(
 
     # Stabilized at a level comparable to the peak.
     if _spread(tail) <= params.flat_band:
-        return POSITIVE_LIMIT, float(math.exp(np.mean(tail)))
+        try:
+            return POSITIVE_LIMIT, math.exp(np.mean(tail))
+        except OverflowError:
+            return POSITIVE_LIMIT, math.inf
 
     steps = np.diff(tail)
     if np.all(steps < 0) and -float(np.mean(steps)) >= params.decay_step:

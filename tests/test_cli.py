@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cesarospec import classify_space, parse_alpha
+from cesarospec import FAILS, HOLDS, classify_space, parse_alpha
 from cesarospec.cli import (
     AnalysisConfig,
     DYNAMICS_STEP_CAP,
@@ -187,16 +187,11 @@ class TestRunAndEmit:
         assert report.config["seed"] == 1729
 
     def test_versions_block(self):
-        report = run(AnalysisConfig(experiments=()))
-        assert set(report.versions) >= {"cesarospec", "numpy", "scipy",
-                                        "python"}
+        import cesarospec
 
-    def test_scipy_version_is_read_from_the_metadata_header(self):
-        from importlib import metadata
-
-        assert cli_module._SCIPY_VERSION == metadata.version("scipy")
         report = run(AnalysisConfig(experiments=()))
-        assert report.versions["scipy"] == metadata.version("scipy")
+        assert set(report.versions) == {"cesarospec", "numpy", "python"}
+        assert report.versions["cesarospec"] == cesarospec.__version__
 
     def test_identical_runs_identical_bytes(self):
         config = AnalysisConfig(experiments=("profile", "eigenpairs"))
@@ -211,7 +206,7 @@ class TestRunAndEmit:
         assert lines[0] == "path,value"
         cells = dict(line.split(",", 1) for line in lines[1:])
         assert cells["config.K"] == "4"
-        assert cells["schema_version"] == "1"
+        assert cells["schema_version"] == "2"
 
     @pytest.mark.parametrize("config", [
         AnalysisConfig(N=1, experiments=("profile",)),
@@ -467,6 +462,27 @@ class TestMainExitCodes:
         discs = tree["results"][0]["data"]["discs"]["entries"]
         assert len(discs) == int(argv[-1])
         assert all(d["s0_lo"] >= 1.0 for d in discs)
+
+    @pytest.mark.parametrize("spec", ["log:beta=1e-310", "log:beta=1e-320"])
+    def test_tiny_log_scale_profile_exits_0(self, spec, capsys):
+        # the shift-stability tail sits past float range; its limit
+        # estimate saturates instead of overflowing
+        assert main(["--alpha", spec, "--experiments", "profile"]) == 0
+        tree = json.loads(capsys.readouterr().out)
+        assert tree["mismatches"] == []
+        profile = tree["results"][0]["data"]["profile"]
+        assert (profile["nuclear"]["outcome"],
+                profile["s1_nonempty"]["outcome"],
+                profile["shift_stable"]["outcome"]) == (FAILS, HOLDS, HOLDS)
+
+    @pytest.mark.parametrize("spec", [
+        "table:[1e308,1e309]", "table:[1e400]", "table:[1]:step=1e400",
+    ])
+    def test_table_beyond_float_range_exits_2(self, spec, capsys):
+        assert main(["--alpha", spec, "--experiments", "profile"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad --alpha {spec!r}: ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_caps_admit_the_defaults_and_themselves(self):
         defaults = AnalysisConfig()

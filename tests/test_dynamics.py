@@ -167,6 +167,28 @@ class TestKernel:
         assert lines[0] == "[]"
         assert lines[-1] == "[] 0"
 
+    def test_cli_import_and_runs_leave_mpmath_and_metadata_unloaded(self):
+        # zeta for psum is computed without mpmath, and the versions block
+        # reads no installed metadata; checked after the import and after a
+        # psum run and a suite run
+        import cesarospec
+
+        src = os.path.dirname(os.path.dirname(cesarospec.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import contextlib, io, sys, cesarospec.cli as cli\n"
+            "heavy = ('mpmath', 'importlib.metadata', 'email', 'scipy')\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+            "for argv in (['--alpha', 'psum:beta=1/2', '--experiments',\n"
+            "              'profile', 'spectrum'],\n"
+            "             ['--experiments', 'suite']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    print([m for m in heavy if m in sys.modules], code)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines() == ["[]", "[] 0", "[] 0"]
+
     def test_ones_preserved(self):
         ones = CoordinateVector([1.0] * 15)
         out = iterate_via_kernel(ones, 4).as_float()

@@ -1,6 +1,9 @@
 """Exact complex rationals and interval-decided weighted comparisons."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -173,6 +176,27 @@ class TestFilteredSign:
         assert len(interval_calls) == 2
         assert sign_minus_exp(Fraction(11), u) == 1   # e^{7/3} = 10.31...
         assert len(interval_calls) == 2
+
+    def test_near_tie_loads_mpmath_on_demand(self):
+        # mpmath is off the import path; the interval route imports it
+        import cesarospec
+
+        u = Fraction(7, 3)
+        src = os.path.dirname(os.path.dirname(cesarospec.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for ulps in (1, -1):
+            p = exp_rounded(u, 120, ulps)
+            code = (
+                "import sys\n"
+                "from fractions import Fraction\n"
+                "from cesarospec.exact import sign_minus_exp\n"
+                "loaded = 'mpmath' in sys.modules\n"
+                f"sign = sign_minus_exp(Fraction('{p}'), Fraction('{u}'))\n"
+                "print(loaded, sign, 'mpmath' in sys.modules)\n")
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            assert out.stdout.split() == \
+                ["False", str(sign_minus_exp(p, u)), "True"]
 
     @pytest.mark.parametrize("p,u,want", [
         (Fraction(1), Fraction(10**309), -1),

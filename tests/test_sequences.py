@@ -1,6 +1,8 @@
 """Exponent generators, weights, and scalar growth diagnostics."""
 
+import decimal
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -125,30 +127,66 @@ class TestClosedForms:
         assert np.max(np.abs(seq.values(1000) - seq.alpha_at(range(1, 1001)))) \
             <= 3e-9
 
-    def test_zeta_constant_is_computed_once_per_beta(self, monkeypatch):
-        calls = []
-        zeta = mpmath.zeta
-
-        def counted(s, *args):
-            calls.append(s)
-            return zeta(s, *args)
-
-        monkeypatch.setattr(mpmath, "zeta", counted)
+    def test_zeta_constant_is_computed_once_per_beta(self):
+        # cache misses count the evaluations of the zeta routine
         sequences_module._zeta.cache_clear()
         first = parse_alpha("psum:beta=1/2").alpha_at([100, 10 ** 6])
-        with mpmath.workdps(30):
+        with mpmath.workdps(30), decimal.localcontext(decimal.Context(prec=5)):
             again = parse_alpha("psum:beta=1/2").alpha_at([100, 10 ** 6])
         parse_alpha("psum:beta=1/2").tail_probes(200)
-        assert calls == [0.5]
+        assert sequences_module._zeta.cache_info().misses == 1
         assert first.tobytes() == again.tobytes()
         sequences_module._zeta.cache_clear()
-        with mpmath.workdps(30):
+        with mpmath.workdps(30), decimal.localcontext(decimal.Context(prec=5)):
             fresh = parse_alpha("psum:beta=1/2").alpha_at([100, 10 ** 6])
         assert fresh.tobytes() == first.tobytes()
 
     def test_sparse_blocks_have_no_pointwise_form(self):
         with pytest.raises(ValueError, match="tail_probes"):
             parse_alpha("s1_empty").alpha_at([5.0])
+
+
+def _zeta_grid() -> list:
+    rng = random.Random(20170)
+    return ([i / 1000 for i in range(1, 1000)]
+            + [rng.random() for _ in range(3000)]
+            + [1e-6, 1e-300, 1 / 3, 2 / 3, 1 - 2 ** -40])
+
+
+def _mpmath_zeta(beta: float) -> float:
+    with mpmath.workprec(53):
+        return float(mpmath.zeta(beta))
+
+
+class TestZeta:
+    """zeta(beta) on 0 < beta < 1 by Euler-Maclaurin in a local decimal
+    context, for the partial-sum generator's constant."""
+
+    def test_bernoulli_table(self):
+        # B_n/n! = -sum_{k<n} (B_k/k!) / (n+1-k)!, from x/(e^x - 1)
+        c = [Fraction(1)]
+        for n in range(1, 49):
+            c.append(-sum(c[k] / math.factorial(n + 1 - k) for k in range(n)))
+        want = [c[n] * math.factorial(n) for n in range(2, 49, 2)]
+        assert [Fraction(*b) for b in sequences_module._BERNOULLI] == want
+
+    def test_matches_mpmath_bit_for_bit(self):
+        zeta = sequences_module._zeta.__wrapped__
+        grid = _zeta_grid()
+        assert all(0 < b < 1 for b in grid)
+        assert [b for b in grid if zeta(b) != _mpmath_zeta(b)] == []
+
+    def test_independent_of_caller_contexts(self):
+        zeta = sequences_module._zeta.__wrapped__
+        grid = _zeta_grid()[::97]
+        want = [zeta(b).hex() for b in grid]
+        hostile = decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR,
+                                  traps=[decimal.Inexact])
+        with decimal.localcontext(hostile), mpmath.workdps(5):
+            got = [zeta(b).hex() for b in grid]
+        with decimal.localcontext(hostile), mpmath.workprec(300):
+            got_wide = [zeta(b).hex() for b in grid]
+        assert got == want and got_wide == want
 
 
 class TestParseAlpha:
@@ -202,6 +240,13 @@ class TestParseAlpha:
     def test_nonincreasing_table_rejected(self):
         with pytest.raises(ValueError):
             AlphaSequence.table([5, 2])
+
+    @pytest.mark.parametrize("spec", [
+        "table:[1e308,1e309]", "table:[1e400]", "table:[1]:step=1e400",
+    ])
+    def test_table_beyond_float_range_rejected(self, spec):
+        with pytest.raises(ValueError, match="float range"):
+            parse_alpha(spec)
 
 
 class TestWeights:

@@ -1,5 +1,7 @@
 """Ladder sampling and three-state verdict core."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +10,9 @@ from cesarospec.trend import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    POSITIVE_LIMIT,
     Verdict,
+    classify_limit,
     first_deciding,
     ladder,
     limit_verdict_positive,
@@ -152,6 +156,13 @@ class TestLimitVerdicts:
         lad, logs = _on_ladder(100_000, lambda n: np.log(c) - p * np.log(n))
         v = limit_verdict_zero(lad, logs, "c/n^p")
         assert v.outcome == HOLDS
+
+    def test_positive_limit_past_float_range_saturates(self):
+        # a flat tail at log 720 is a positive limit above the largest float
+        lad, logs = _on_ladder(100_000, lambda n: 720.0)
+        assert classify_limit(lad, logs) == (POSITIVE_LIMIT, math.inf)
+        assert limit_verdict_positive(lad, logs, "e^720").outcome == HOLDS
+        assert limit_verdict_zero(lad, logs, "e^720").outcome == FAILS
 
     def test_near_flat_decay_is_inconclusive_not_wrong(self):
         lad, logs = _on_ladder(100_000, lambda n: -0.03 * np.log(n))
