@@ -142,6 +142,15 @@ def koethe_continuity_check(
     )
 
 
+def _l_range(k: int, lmax: int | None, kp: int) -> tuple[int, int]:
+    """First and last l a window scan from k probes at k': lmax at k' = k
+    when given, default_lmax(k') otherwise."""
+    lm = lmax if (lmax is not None and kp == k) else default_lmax(kp)
+    if lm <= kp:
+        raise PreconditionError(f"need lmax > k, got k={kp}, lmax={lm}")
+    return kp + 1, lm
+
+
 def _window_scan(
     k: int,
     lmax: int | None,
@@ -157,14 +166,8 @@ def _window_scan(
     chosen: dict[int, int] = {}
     held: list[Verdict] = []
 
-    def l_range(kp: int) -> tuple[int, int]:
-        lm = lmax if (lmax is not None and kp == k) else default_lmax(kp)
-        if lm <= kp:
-            raise PreconditionError(f"need lmax > k, got k={kp}, lmax={lm}")
-        return kp + 1, lm
-
     def some_l(kp: int) -> Verdict:
-        lo, hi = l_range(kp)
+        lo, hi = _l_range(k, lmax, kp)
         j, v = first_deciding(
             (per_pair(kp, l) for l in range(lo, hi + 1)), stop=HOLDS)
         if v.outcome == HOLDS:
@@ -178,7 +181,7 @@ def _window_scan(
         # Every l decisively failed at this k': the for-every-k statement fails.
         return Verdict(
             FAILS, v.trend, v.evidence,
-            witness={"k": kp, "l_range": l_range(kp)},
+            witness={"k": kp, "l_range": _l_range(k, lmax, kp)},
             params={**v.params, "quantity": quantity,
                     "chosen_l_by_k": dict(chosen)},
         )
@@ -349,14 +352,20 @@ def d_continuity_check(
 
 _ROWSUM_N_CAP = 1024
 _ROWSUM_BLOCK = 64
-# A mat-vec row-sum block is kept only if every sum in it is at least this.
-# Terms lost to underflow are below 2**-1074 each, so at most N * 2**-1074 in
-# all, which is under 2**-100 of any sum that passes.
+# A column's mat-vec sums for a block are kept only if every one is at least
+# this.  Terms lost to underflow are below 2**-1074 each, so at most
+# N * 2**-1074 in all, which is under 2**-100 of any sum that passes.
 _MATVEC_FLOOR = 2.0 ** -960
 # Row s of a block has s + 1 < 2**10 terms, each at most exp(max a[:s+1] -
-# max a[:e]); past this gap their sum is under 2**-960, so the block would
-# fail the floor and the mat-vec is skipped.
+# max a[:e]); past this gap their sum is under 2**-960, so the column would
+# fail the floor and its mat-vec is skipped.
 _MATVEC_GAP = 970 * math.log(2)
+# exp(x) rounds to 0.0 for every x below -745.14; see _band_start.
+_BAND_MARGIN = 746.0
+# The max-shift route takes its columns in groups of at most this many block
+# entries (one column at a time past it), so that its scratch stays under
+# one column's block at the cap.
+_MAX_SHIFT_ENTRIES = 2 ** 14
 
 
 class _PascalTables(NamedTuple):
@@ -405,47 +414,112 @@ def _log_pascal(N: int) -> np.ndarray:
     return _pascal_tables(N).logc[:N, :N]
 
 
-def _log_rowsums(logc: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """log sum_{m<=n} exp(logc[n, m] + a[m]) for every row n, in row blocks.
-
-    A block reads only the columns up to its last row; the entries beyond add
-    nothing.  When logc is a view of the cached table, a block after the
-    first is one mat-vec over the cached scaled = exp(logc - rowmax):
-    sum_m scaled[n, m] exp(a[m] - max a), one exp per column instead of one
-    per entry.  At N <= _ROWSUM_N_CAP every lower-triangle entry of scaled is
-    a normal float (log binom(1023, 511) < 705 < 708), so only the a side can
-    underflow.  A block with a sum under _MATVEC_FLOOR, or whose first row is
-    bound to have one (_MATVEC_GAP), takes the max-shift route instead: each
-    row's largest term is subtracted before the exp, which is exact to
-    rounding however fast a grows.  The first block always takes that route,
-    so that row 1 comes out as exactly a[0].  The diagonal
-    log binom(n-1, n-1) = 0 keeps every row maximum finite.
-    """
-    N = len(a)
+def _cached_tables(logc: np.ndarray) -> _PascalTables | None:
+    """The cache entry that logc is a view of, if any."""
     entry = next(iter(_logc_cache.values()), None)
-    matvec = entry is not None and logc.base is entry.logc
-    out = np.empty(N)
-    for s in range(0, N, _ROWSUM_BLOCK):
+    return entry if entry is not None and logc.base is entry.logc else None
+
+
+def _log_rowsums(logc: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """log sum_{m<=n} exp(logc[n, m] + A[m, j]) for every row n and column j.
+
+    A is N x L (in the row-sum scan, column j is alpha/l_j); a 1-D A is the
+    one-column case and gives a 1-D result.  Rows go in 64-row blocks, and a
+    block reads only the columns of logc up to its last row; the entries
+    beyond add nothing.  Every column goes through a block before the next
+    block starts, so each block comes from memory once per call and from
+    cache for the other columns.  When logc is a view of the cached table, a
+    block after the first takes one mat-vec per column over the cached
+    scaled = exp(logc - rowmax): column j's sums are
+    sum_m scaled[n, m] exp(A[m, j] - max A[:e, j]), one exp per column entry
+    instead of one per table entry.  At N <= _ROWSUM_N_CAP every
+    lower-triangle entry of scaled is a normal float
+    (log binom(1023, 511) < 705 < 708), so only the A side can underflow.
+    The route is chosen per column: a column whose first row is bound to have
+    a sum under _MATVEC_FLOOR (_MATVEC_GAP) skips the mat-vec, and a mat-vec
+    with a sum under _MATVEC_FLOOR is dropped.  Those columns, and every
+    column of the first block, take the max-shift route: each row's largest
+    term is subtracted before the exp, which is exact to rounding however
+    fast A grows.  In the first block that makes row 1 exactly A[0, j].
+    The diagonal log binom(n-1, n-1) = 0 keeps every row maximum finite.
+    """
+    A2 = A if A.ndim == 2 else A[:, None]
+    N, L = A2.shape
+    entry = _cached_tables(logc)
+    out = np.empty((N, L))
+
+    def max_shift(s: int, e: int, cols: np.ndarray) -> None:
+        step = max(1, _MAX_SHIFT_ENTRIES // ((e - s) * e))
+        for i in range(0, len(cols), step):
+            group = cols[i:i + step]
+            out[s:e, group] = _max_shift_rows(logc, A2[:e, group], s, e)
+
+    e = min(_ROWSUM_BLOCK, N)
+    max_shift(0, e, np.arange(L))
+    shift = A2[:e].max(axis=0)
+    for s in range(_ROWSUM_BLOCK, N, _ROWSUM_BLOCK):
         e = min(s + _ROWSUM_BLOCK, N)
-        shift = a[:e].max()
-        if s and matvec and shift - a[:s + 1].max() < _MATVEC_GAP:
-            sums = entry.scaled[s:e, :e] @ np.exp(a[:e] - shift)
-            if sums.min() >= _MATVEC_FLOOR:
-                out[s:e] = np.log(sums) + entry.rowmax[s:e] + shift
-                continue
-        out[s:e] = _max_shift_rows(logc, a, s, e)
-    return out
+        head = np.maximum(shift, A2[s])           # max A2[:s + 1]
+        shift = np.maximum(shift, A2[s:e].max(axis=0))  # max A2[:e]
+        slow = np.ones(L, dtype=bool)
+        if entry is not None:
+            cols = np.flatnonzero(shift - head < _MATVEC_GAP)
+            x = np.ascontiguousarray(A2[:e, cols].T)
+            x -= shift[cols, None]
+            np.exp(x, out=x)
+            block = entry.scaled[s:e, :e]
+            # one mat-vec per column while the block stays in cache; a BLAS-3
+            # product would save the rereads, but the first level-3 call of
+            # OpenBLAS makes 256 KiB of its buffer resident
+            sums = np.array([block @ v for v in x]).reshape(len(cols), e - s)
+            ok = sums.min(axis=1) >= _MATVEC_FLOOR
+            cols = cols[ok]
+            out[s:e, cols] = (np.log(sums[ok]) + entry.rowmax[s:e]
+                              + shift[cols, None]).T
+            slow[cols] = False
+        max_shift(s, e, np.flatnonzero(slow))
+    return out.reshape(A.shape)
 
 
-def _max_shift_rows(logc: np.ndarray, a: np.ndarray, s: int, e: int
+def _band_start(logc: np.ndarray, A: np.ndarray, s: int, e: int) -> int:
+    """First column of logc that rows s..e-1 of the max-shift route must
+    read for the columns of A.
+
+    Row n's largest term top_n is at least its diagonal term a_n, since
+    logc[n, n] = 0, and logc[n, m] <= rowmax_n.  So a column m with
+    a_m < min_n (a_n - rowmax_n) - 746 gives each row the shifted exponent
+    x = logc[n, m] + a_m - top_n < -746, and exp(x) rounds to 0.0 exactly:
+    leaving the column out changes only the grouping of the sum.  (Once a
+    passes 2**52 the rounding of the cut and of x can leave such a term
+    nonzero, but still far below the last bit of its row sum, which is at
+    least 1.)  The band starts at the first column not below the cut of
+    some column of A, so every column before it is below every cut, whether
+    or not A is monotone.
+    """
+    entry = _cached_tables(logc)
+    rowmax = (entry.rowmax[s:e] if entry is not None
+              else logc[s:e, :e].max(axis=1))
+    cut = (A[s:e] - rowmax[:, None]).min(axis=0) - _BAND_MARGIN
+    return int((A[:e] >= cut).argmax(axis=0).min())
+
+
+def _max_shift_rows(logc: np.ndarray, A: np.ndarray, s: int, e: int
                     ) -> np.ndarray:
-    """Rows s..e-1 of `_log_rowsums`, each row's largest term taken out
-    before the exp."""
-    block = logc[s:e, :e] + a[:e]
-    top = block.max(axis=1)
-    block -= top[:, None]
+    """Rows s..e-1 of `_log_rowsums` for the columns of A (at least e rows),
+    each row's largest term taken out before the exp; the columns of logc
+    before `_band_start` add 0.0 and are not read."""
+    # the first block is too narrow for the band to pay
+    m = _band_start(logc, A, s, e) if s else 0
+    # one C-ordered (column, row, m) block, so each sum runs as in 1-D
+    block = logc[s:e, m:e] + np.ascontiguousarray(A[m:e].T)[:, None, :]
+    top = block.max(axis=2)
+    block -= top[:, :, None]
+    # Each sum is at least 1, its top term, so terms under e**-700 (even
+    # 1024 of them) lie far below its last bit; raising them to e**-700
+    # keeps exp off its slow path for -inf and for underflow.
+    np.maximum(block, -700.0, out=block)
     np.exp(block, out=block)
-    return np.log(block.sum(axis=1)) + top
+    return (np.log(block.sum(axis=2)) + top).T
 
 
 def delta_continuity_check(
@@ -463,11 +537,14 @@ def delta_continuity_check(
         sup_n sum_{m<=n} (w_k(n)/w_l(m)) binom(n-1, m-1),
         evaluated by log-sum-exp on a truncation capped at 1024 rows (the
         row-sum table is quadratic in N and the binomial mass saturates the
-        trend long before that).  Each l is summed once per call, in 64-row
-        blocks: one mat-vec of the cached exp(log binom - row max) table
-        against exp(alpha/l - max), or the per-entry max-shift route for the
-        first block and for any block with a sum under 2**-960, where
-        underflow could cost more than 2**-100 of it (see `_log_rowsums`);
+        trend long before that).  Each l is summed once per call.  The first
+        time the scan reaches an l it has not summed, every l of that k'
+        range not summed yet goes through one `_log_rowsums` call, which
+        reads the table once for all of them, 64 rows at a time: per block,
+        one mat-vec of the cached exp(log binom - row max) table against
+        exp(alpha/l - max) for each l, or the per-entry max-shift route for
+        the first block and for any l with a sum under 2**-960, where
+        underflow could cost more than 2**-100 of it;
     (2) the scalar limit n/alpha_n -> 0.
 
     Decisive tracks must agree; disagreement is reported as inconclusive
@@ -486,7 +563,10 @@ def delta_continuity_check(
 
     def per_pair(kp: int, l: int) -> Verdict:
         if l not in rowsums:
-            rowsums[l] = _log_rowsums(logc, alpha / l)
+            lo, hi = _l_range(k, lmax, kp)
+            ls = [m for m in range(lo, hi + 1) if m not in rowsums]
+            sums = _log_rowsums(logc, alpha[:, None] / np.array(ls))
+            rowsums.update(zip(ls, sums.T))
         q = rowsums[l] - alpha / kp
         return sup_verdict_bounded(
             ns, q, f"sum_m (w_{kp}(n)/w_{l}(m)) binom(n-1,m-1)", trend_params,

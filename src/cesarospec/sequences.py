@@ -178,6 +178,7 @@ class AlphaSequence:
         self.kind = kind
         self.params = dict(params)
         self._cache: np.ndarray | None = None
+        self._probes: dict[tuple[int, int], tuple[TailProbe, ...]] = {}
         self.notes: tuple[str, ...] = ()
         self._validate()
 
@@ -299,6 +300,9 @@ class AlphaSequence:
                 idx = np.arange(lo, hi + 1, dtype=float)
                 out[lo - 1:hi] = np.log(beta + 3.0 - 1.0 / idx)
             return out
+        if kind == "table":
+            # unclipped, so that values() refuses a tail beyond float range
+            return self._table_at(ns)
         return self.alpha_at(ns)
 
     def _dense(self, N: int) -> np.ndarray:
@@ -388,23 +392,35 @@ class AlphaSequence:
             out = np.where(np.round(ns) % 2 == 0, 1.5 * ns, 1.5 * ns + 0.5)
             return np.where(ns <= 1.0, 2.0, out)
         if kind == "table":
-            vals, step = p["values"], p["step"]
-            m = len(vals)
-            dense = np.array([float(v) for v in vals])
-            out = float(vals[-1]) + float(step) * (ns - m)
-            small = ns <= m
-            if np.any(small):
-                out[small] = dense[ns[small].astype(int) - 1]
-            return out
+            return np.minimum(self._table_at(ns), ALPHA_SATURATION)
         raise AssertionError(kind)
 
-    def tail_probes(self, N: int, count: int = 24) -> list[TailProbe]:
+    def _table_at(self, ns: np.ndarray) -> np.ndarray:
+        """The table and its linear tail at float indices, unclipped: a tail
+        past float range is inf."""
+        vals, step = self.params["values"], self.params["step"]
+        m = len(vals)
+        with np.errstate(over="ignore"):
+            out = float(vals[-1]) + float(step) * (ns - m)
+        small = ns <= m
+        if np.any(small):
+            dense = np.array([float(v) for v in vals])
+            out[small] = dense[ns[small].astype(int) - 1]
+        return out
+
+    def tail_probes(self, N: int, count: int = 24) -> tuple[TailProbe, ...]:
         """Samples of alpha past index N for divergence-at-infinity checks.
 
         Default: doubling indices N*2^t.  The sparse-block generator instead
         probes the start of every block beyond N, because its interesting
-        behaviour is concentrated there.
+        behaviour is concentrated there.  Computed once per (N, count).
         """
+        key = (N, count)
+        if key not in self._probes:
+            self._probes[key] = tuple(self._tail_probes(N, count))
+        return self._probes[key]
+
+    def _tail_probes(self, N: int, count: int) -> list[TailProbe]:
         if self.kind == "s1_empty":
             _, ylogs = _sparse_block_table(math.inf)
             probes = []

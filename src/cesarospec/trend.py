@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Iterable
 
 import numpy as np
@@ -113,11 +114,12 @@ def first_deciding(verdicts: Iterable[Verdict],
     return pending or last
 
 
+@lru_cache(maxsize=256)
 def ladder(N: int, start: int = 2) -> np.ndarray:
     """Geometric sample indices start <= n <= N, roughly sqrt(2) apart.
 
     The last entry is always N itself so the final sample sits at full
-    resolution.
+    resolution.  The array is cached and shared, so it is read-only.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -133,7 +135,9 @@ def ladder(N: int, start: int = 2) -> np.ndarray:
     if not out or out[-1] != N:
         if N >= start or not out:
             out.append(N)
-    return np.array(out, dtype=np.int64)
+    lad = np.array(out, dtype=np.int64)
+    lad.setflags(write=False)
+    return lad
 
 
 def _tail(a: np.ndarray, window: int) -> np.ndarray:

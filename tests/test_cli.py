@@ -484,6 +484,19 @@ class TestMainExitCodes:
         assert err.startswith(f"error: bad --alpha {spec!r}: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("spec", [
+        "table:[1e308]:step=1e308", "table:[1e308,1.7e308]"])
+    def test_table_tail_past_float_range_runs_quietly(self, spec):
+        import cesarospec
+
+        src = os.path.dirname(os.path.dirname(cesarospec.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cesarospec.cli", "--alpha", spec,
+             "--experiments", "profile", "spectrum"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_caps_admit_the_defaults_and_themselves(self):
         defaults = AnalysisConfig()
         assert default_resolution(parse_alpha(defaults.alpha)) < N_CAP

@@ -1,5 +1,6 @@
 """Continuity, compactness, and classification criteria over the gallery."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -283,6 +284,11 @@ def _reference_rowsums(logc, a):
         return logsumexp(logc + a[None, :], axis=1)
 
 
+def _reference_columns(logc, A):
+    # the reference route, one column of A at a time
+    return np.column_stack([_reference_rowsums(logc, a) for a in A.T])
+
+
 class TestRowSumKernel:
     @pytest.mark.parametrize("N", [1, 2, 127, 128, 129, 1024])
     @pytest.mark.parametrize("spec", GALLERY_SPECS)
@@ -308,7 +314,8 @@ class TestRowSumKernel:
     def test_delta_verdicts_match_reference_kernel(self, monkeypatch):
         new = {spec: delta_continuity_check(parse_alpha(spec))
                for spec in GALLERY_SPECS}
-        monkeypatch.setattr(criteria_module, "_log_rowsums", _reference_rowsums)
+        monkeypatch.setattr(criteria_module, "_log_rowsums",
+                            _reference_columns)
         for spec in GALLERY_SPECS:
             ref = delta_continuity_check(parse_alpha(spec))
             got = new[spec]
@@ -393,9 +400,9 @@ class TestRowSumRoutes:
         inner_sums = criteria_module._log_rowsums
         inner_sup = criteria_module.sup_verdict_bounded
 
-        def rowsums(logc, a):
-            sums.append(a.copy())
-            return inner_sums(logc, a)
+        def rowsums(logc, A):
+            sums.extend(a.tobytes() for a in A.T)
+            return inner_sums(logc, A)
 
         def sup(ns, q, label, params, extra):
             ls.append(extra["l"])
@@ -404,8 +411,11 @@ class TestRowSumRoutes:
         monkeypatch.setattr(criteria_module, "_log_rowsums", rowsums)
         monkeypatch.setattr(criteria_module, "sup_verdict_bounded", sup)
         delta_continuity_check(parse_alpha(spec))
-        assert len(sums) == len(set(ls)) > 0
-        assert len({a.tobytes() for a in sums}) == len(sums)
+        assert len(set(ls)) > 0
+        assert len(set(sums)) == len(sums)
+        # every probed l is among the summed columns alpha/l
+        alpha = parse_alpha(spec).values_saturated(len(np.frombuffer(sums[0])))
+        assert {(alpha / l).tobytes() for l in ls} <= set(sums)
 
     def test_the_window_revisits_l(self, monkeypatch):
         # rsw_b scans l = 3..14 at k' = 2 without a decision, then l = 4..20
@@ -425,7 +435,8 @@ class TestRowSumRoutes:
     def test_more_delta_verdicts_match_reference_kernel(self, monkeypatch,
                                                         spec, N):
         got = delta_continuity_check(parse_alpha(spec), N=N)
-        monkeypatch.setattr(criteria_module, "_log_rowsums", _reference_rowsums)
+        monkeypatch.setattr(criteria_module, "_log_rowsums",
+                            _reference_columns)
         ref = delta_continuity_check(parse_alpha(spec), N=N)
         assert got.outcome == ref.outcome
         assert got.witness == ref.witness
@@ -435,6 +446,157 @@ class TestRowSumRoutes:
         np.testing.assert_allclose([q for _, q in got.evidence],
                                    [q for _, q in ref.evidence],
                                    rtol=1e-12, atol=1e-13)
+
+
+def _growth_column(N, kind, segments, beta, saturate_at, l):
+    """alpha / l for a piecewise-constant-step or power-growth alpha of
+    length N, optionally saturated from saturate_at on."""
+    if kind == "steps":
+        lengths, steps = zip(*segments)
+        alpha = np.cumsum(np.resize(np.repeat(steps, lengths), N))
+    else:
+        alpha = np.arange(1, N + 1, dtype=float) ** beta
+    if saturate_at is not None:
+        alpha[saturate_at:] = ALPHA_SATURATION
+    return alpha / l
+
+
+_COLUMNS = st.tuples(
+    st.sampled_from(["steps", "power"]),
+    st.lists(st.tuples(st.integers(1, 400), st.floats(0.0, 1e4)),
+             min_size=1, max_size=6),
+    st.floats(0.1, 4.0),
+    st.one_of(st.none(), st.integers(0, _ROWSUM_N_CAP - 1)),
+    st.integers(1, 40),
+)
+
+
+class TestBatchedRowSums:
+    @settings(max_examples=30, deadline=None)
+    @given(N=st.one_of(st.sampled_from([1, 64, 65, 200, _ROWSUM_N_CAP]),
+                       st.integers(1, _ROWSUM_N_CAP)),
+           columns=st.lists(_COLUMNS, min_size=1, max_size=23))
+    def test_each_column_matches_full_table_and_one_column_call(self, N,
+                                                                columns):
+        A = np.column_stack([_growth_column(N, *c) for c in columns])
+        logc = _log_pascal(N)
+        got = _log_rowsums(logc, A)
+        assert got.shape == A.shape
+        for j, a in enumerate(A.T):
+            np.testing.assert_allclose(got[:, j], _reference_rowsums(logc, a),
+                                       rtol=1e-12, atol=0)
+            # a row sum can sit near 0
+            np.testing.assert_allclose(got[:, j], _log_rowsums(logc, a.copy()),
+                                       rtol=1e-14, atol=1e-14)
+
+    def test_matvecs_take_the_columns_that_pass_gap_and_floor(self,
+                                                               monkeypatch):
+        # columns: linear (a mat-vec in every later block), power:beta=2
+        # over 2 (every later block past the gap) and over 190 (late blocks
+        # pass the gap, then fail the floor: their sums underflow)
+        matvecs = Counter()
+
+        class Spy(np.ndarray):
+            def __matmul__(self, other):
+                matvecs[self.shape[1]] += 1
+                return np.asarray(self) @ other
+
+        entry = _pascal_tables(_ROWSUM_N_CAP)
+        monkeypatch.setattr(criteria_module, "_logc_cache", {
+            _ROWSUM_N_CAP: entry._replace(scaled=entry.scaled.view(Spy))})
+        ns = np.arange(1, _ROWSUM_N_CAP + 1, dtype=float)
+        A = np.column_stack((ns / 3, ns ** 2 / 2, ns ** 2 / 190))
+        logc = _log_pascal(_ROWSUM_N_CAP)
+        got = _log_rowsums(logc, A)
+        for j, a in enumerate(A.T):
+            np.testing.assert_allclose(got[:, j], _reference_rowsums(logc, a),
+                                       rtol=1e-12, atol=0)
+        # one entry per block after the first, keyed by its last column
+        assert matvecs == {e: 2 for e in range(128, _ROWSUM_N_CAP + 1, 64)}
+
+    def test_band_keeps_every_term_that_counts(self):
+        # on a table that is not the cached one every block takes the
+        # max-shift route, and at slopes 1 to 3 the columns just below a cut
+        # without its 746 margin still carry terms above the last bit
+        logc = np.array(_log_pascal(_ROWSUM_N_CAP))
+        ns = np.arange(1, _ROWSUM_N_CAP + 1, dtype=float)
+        for a in (ns, 2 * ns, 3 * ns, ns ** 2 / 24):
+            np.testing.assert_allclose(_log_rowsums(logc, a),
+                                       _reference_rowsums(logc, a),
+                                       rtol=1e-12, atol=0)
+
+    def test_band_reads_few_columns_of_fast_growth(self, monkeypatch):
+        # power:beta=2 takes the max-shift route in most blocks; the band
+        # reads the columns near the diagonal and skips the rest
+        reads = []
+        inner = criteria_module._band_start
+
+        def spy(logc, a, s, e):
+            m = inner(logc, a, s, e)
+            if s:
+                reads.append((e - s, e - m, e))
+            return m
+
+        monkeypatch.setattr(criteria_module, "_band_start", spy)
+        alpha = parse_alpha("power:beta=2").values_saturated(_ROWSUM_N_CAP)
+        logc = _log_pascal(_ROWSUM_N_CAP)
+        for l in range(2, 25):
+            reads.clear()
+            a = alpha / l
+            np.testing.assert_allclose(_log_rowsums(logc, a),
+                                       _reference_rowsums(logc, a),
+                                       rtol=1e-12, atol=0)
+            assert reads, l
+            if l in (2, 5, 12):
+                assert max(width for _, width, _ in reads) <= 128, l
+            banded = sum(rows * width for rows, width, _ in reads)
+            unbanded = sum(rows * e for rows, _, e in reads)
+            assert 5 * banded < unbanded, l
+
+    @pytest.mark.parametrize("spec,lmax", [
+        *((spec, None) for spec in GALLERY_SPECS), ("log:beta=1", None),
+        ("rsw_b", 5)])
+    def test_summed_l_are_the_k_ranges_reached(self, monkeypatch, spec, lmax):
+        # the first miss at k' sums the rest of k''s l range, so a k' whose
+        # probes were all summed earlier adds nothing
+        seq = parse_alpha(spec)
+        columns, pairs = [], []
+        inner_sums = criteria_module._log_rowsums
+        inner_sup = criteria_module.sup_verdict_bounded
+
+        def rowsums(logc, A):
+            columns.extend(a.tobytes() for a in A.T)
+            return inner_sums(logc, A)
+
+        def sup(ns, q, label, params, extra):
+            pairs.append((extra["k"], extra["l"]))
+            return inner_sup(ns, q, label, params, extra=extra)
+
+        monkeypatch.setattr(criteria_module, "_log_rowsums", rowsums)
+        monkeypatch.setattr(criteria_module, "sup_verdict_bounded", sup)
+        delta_continuity_check(seq, lmax=lmax)
+        alpha = seq.values_saturated(len(np.frombuffer(columns[0])))
+        l_of = {(alpha / l).tobytes(): l for l in range(2, 200)}
+        summed = [l_of[c] for c in columns]
+        assert len(summed) == len(set(summed))
+        reached = set()
+        for kp, l in pairs:
+            if l not in reached:
+                hi = lmax if (kp == 1 and lmax) else default_lmax(kp)
+                reached.update(range(kp + 1, hi + 1))
+        assert set(summed) == reached
+
+    @pytest.mark.parametrize("N", [200, _ROWSUM_N_CAP])
+    @pytest.mark.parametrize("spec", GALLERY_SPECS)
+    def test_gallery_verdicts_match_reference_kernel(self, monkeypatch, spec,
+                                                     N):
+        got = delta_continuity_check(parse_alpha(spec), N=N)
+        monkeypatch.setattr(criteria_module, "_log_rowsums",
+                            _reference_columns)
+        ref = delta_continuity_check(parse_alpha(spec), N=N)
+        assert got.outcome == ref.outcome
+        assert got.witness == ref.witness
+        assert got.params == ref.params
 
 
 class TestLogPascalCache:

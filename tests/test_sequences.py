@@ -3,6 +3,7 @@
 import decimal
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -516,6 +517,23 @@ class TestSaturatedTail:
     def test_unsaturated_resolutions_untouched(self, tower, N):
         for check in self.CHECKS:
             assert "saturated_from" not in check(tower, N).params
+
+    @pytest.mark.parametrize("spec", [
+        "table:[1e308]:step=1e308", "table:[1e308,1.7e308]"])
+    def test_table_tail_saturates_without_overflow(self, spec):
+        seq = parse_alpha(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = seq.alpha_at([1.0, 2.0, 3.0, 1e6, 1e300])
+            probes = seq.tail_probes(1000)
+            dense = seq.values_saturated(50)
+        assert np.all(far == ALPHA_SATURATION)
+        assert all(p.alpha == p.alpha_prev == ALPHA_SATURATION
+                   for p in probes)
+        assert np.all(dense == ALPHA_SATURATION)
+        # the unclipped values still refuse a tail beyond float range
+        with pytest.raises(RepresentationError):
+            seq.values(50)
 
     def test_too_few_unsaturated_samples_is_inconclusive(self, tower):
         wide = TrendParams(window=20)
