@@ -354,7 +354,8 @@ def _run_spectrum(ctx: _RunContext) -> tuple:
     payload = {"profile": prof, "spectrum": rep}
     if prof.s1_nonempty.outcome == HOLDS:
         payload["discs"] = disc_report(
-            ctx.seq, kmax=ctx.config.K, tol=ctx.config.tol or 0.05)
+            ctx.seq, kmax=ctx.config.K, tol=ctx.config.tol or 0.05,
+            s1=prof.s1_nonempty)
     mism = [f"spectrum[{prof.alpha}]: {w}" for w in prof.warnings]
     return payload, mism
 

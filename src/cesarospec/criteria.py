@@ -653,16 +653,19 @@ class SpaceProfile:
     notes: tuple = ()
 
 
-def _s1_verdict(seq: AlphaSequence, N: int) -> Verdict:
+# (N, tol) of the S_1 scan, which brackets s0(1); disc_report reuses it
+S1_SCAN = (10_000, 0.05)
+
+
+def _s1_verdict(seq: AlphaSequence) -> Verdict:
     """Wrap s0_estimate into a Verdict on "S_1 is nonempty".
 
-    The series scan keeps its own resolution: profile N values tuned for
-    dense matrix work (tiny for fast-overflow generators) are either too
-    small for a series verdict or needlessly large.
+    The series scan keeps its own resolution, S1_SCAN: profile N values
+    tuned for dense matrix work (tiny for fast-overflow generators) are
+    either too small for a series verdict or needlessly large.
     """
-    del N
     try:
-        est = s0_estimate(seq, 1, N=10_000)
+        est = s0_estimate(seq, 1, N=S1_SCAN[0], tol=S1_SCAN[1])
     except SkEmptyError as err:
         return Verdict(
             FAILS, UNBOUNDED, (),
@@ -691,7 +694,7 @@ def classify_space(seq: AlphaSequence, N: int | None = None) -> SpaceProfile:
     v_value, v_verdict = v_alpha(seq, N)
     shift = shift_stability_check(seq, N)
     noa = n_over_alpha_check(seq, N)
-    s1 = _s1_verdict(seq, N)
+    s1 = _s1_verdict(seq)
     inverse = inverse_continuity_check(seq, 1, N=N)
     d_cont = d_continuity_check(seq, 1, N=N)
     delta_cont = delta_continuity_check(seq, 1, N=N)

@@ -701,99 +701,110 @@ def sk_convergence(
     the check separates n*t(n) -> c > 0 (divergent) from slower corrections
     (inconclusive).
     """
+    return _series_verdicts(seq, k, N, trend_params, slope_margin)(s)
+
+
+def _series_verdicts(seq: AlphaSequence, k: int, N: int,
+                     trend_params: TrendParams = DEFAULT_PARAMS,
+                     slope_margin: float = 0.02):
+    """sk_convergence at level k as a function of s alone; what does not
+    depend on s is computed once, for a whole bisection."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if N < 100:
         raise ValueError("series verdicts need N >= 100")
-    alphas = seq.values_saturated(N)
-    ns = np.arange(1, N + 1, dtype=float)
-    lt = alphas / k - s * np.log(ns)
+    alpha_k = seq.values_saturated(N) / k
+    log_n = np.log(np.arange(1, N + 1, dtype=float))
     lad = ladder(N)
-    lt_l = lt[lad - 1]
-    ev = tuple((int(n), float(v)) for n, v in zip(lad, lt_l))
-    info = {
-        "quantity": "log term of sum exp(alpha_n/k)/n^s",
-        "scale": "log", "alpha": seq.spec_string(), "k": k, "s": s, "N": N,
-    }
-    w = trend_params.window
-
-    if np.max(lt) > LOG_OVERFLOW:
-        witness = int(np.argmax(lt > LOG_OVERFLOW)) + 1
-        return Verdict(FAILS, RISING, ev, witness=witness,
-                       params={**info, "mode": "term_overflow"})
-
-    tail = lt_l[-w:]
-    if len(tail) >= 2 and np.all(np.diff(tail) > 0) \
-            and tail[-1] - tail[0] >= trend_params.rise_total:
-        return Verdict(FAILS, RISING, ev, witness=int(lad[-1]),
-                       params={**info, "mode": "rising_terms"})
-
-    # Window mass along the ladder; a late window dominating everything before
-    # it means the tail carries unbounded mass even though each term is small.
-    t = np.exp(lt)
+    lad_list = lad.tolist()
     starts = np.concatenate([[0], lad[:-1]])
-    mass = np.add.reduceat(t, starts)
-    w0 = max(1, len(mass) // 3)
-    prior = np.maximum.accumulate(mass)
-    for j in range(w0, len(mass)):
-        if mass[j] > 5.0 * prior[j - 1] and mass[j] > 1e-12 * float(np.max(mass)):
-            return Verdict(
-                FAILS, "late_mass", ev, witness=int(starts[j] + 1),
-                params={**info, "mode": "late_window_mass",
-                        "window_mass": tuple(float(v) for v in mass)},
-            )
-
-    probes = seq.tail_probes(N)
-    if probes:
-        pe = np.array([
-            min(p.alpha / k, ALPHA_SATURATION) - s * p.log_n for p in probes
-        ])
-        threshold = max(0.0, float(np.max(lt))) + 10.0
-        if np.max(pe) > threshold:
-            j = int(np.argmax(pe > threshold))
-            return Verdict(
-                FAILS, RISING, ev, witness=probes[j].label,
-                params={**info, "mode": "probe_terms",
-                        "probe_log_terms": tuple(float(v) for v in pe)},
-            )
-
     dlog = np.diff(np.log(lad))
-    theta = -np.diff(lt_l) / dlog
-    ttail = theta[-(w - 1):] if len(theta) >= w - 1 else theta
-    if len(ttail) == 0:
-        return Verdict(INCONCLUSIVE, "undecided", ev,
-                       reason="too few ladder samples", params=info)
-    spread = float(np.max(ttail) - np.min(ttail))
-    info["decay_exponent"] = float(np.mean(ttail))
-    if spread <= slope_margin:
+    w = trend_params.window
+    probes = seq.tail_probes(N)
+    probe_alpha = np.array([min(p.alpha / k, ALPHA_SATURATION) for p in probes])
+    probe_log_n = np.array([p.log_n for p in probes])
+    base = {
+        "quantity": "log term of sum exp(alpha_n/k)/n^s",
+        "scale": "log", "alpha": seq.spec_string(), "k": k,
+    }
+
+    def verdict(s: float) -> Verdict:
+        lt = alpha_k - s * log_n
+        lt_l = lt[lad - 1]
+        ev = tuple(zip(lad_list, lt_l.tolist()))
+        info = {**base, "s": s, "N": N}
+
+        if np.max(lt) > LOG_OVERFLOW:
+            witness = int(np.argmax(lt > LOG_OVERFLOW)) + 1
+            return Verdict(FAILS, RISING, ev, witness=witness,
+                           params={**info, "mode": "term_overflow"})
+
+        tail = lt_l[-w:].tolist()
+        if all(b - a > 0 for a, b in zip(tail, tail[1:])) \
+                and tail[-1] - tail[0] >= trend_params.rise_total:
+            return Verdict(FAILS, RISING, ev, witness=lad_list[-1],
+                           params={**info, "mode": "rising_terms"})
+
+        # Window mass along the ladder; a late window dominating everything
+        # before it means the tail carries unbounded mass even though each
+        # term is small.
+        mass = np.add.reduceat(np.exp(lt), starts)
+        prior = np.maximum.accumulate(mass).tolist()
+        mass = mass.tolist()
+        for j in range(max(1, len(mass) // 3), len(mass)):
+            if mass[j] > 5.0 * prior[j - 1] and mass[j] > 1e-12 * max(mass):
+                return Verdict(
+                    FAILS, "late_mass", ev, witness=int(starts[j] + 1),
+                    params={**info, "mode": "late_window_mass",
+                            "window_mass": tuple(mass)},
+                )
+
+        if probes:
+            pe = probe_alpha - s * probe_log_n
+            threshold = max(0.0, float(np.max(lt))) + 10.0
+            if np.max(pe) > threshold:
+                j = int(np.argmax(pe > threshold))
+                return Verdict(
+                    FAILS, RISING, ev, witness=probes[j].label,
+                    params={**info, "mode": "probe_terms",
+                            "probe_log_terms": tuple(pe.tolist())},
+                )
+
+        # N >= 100 puts 13 or more samples on the ladder, so ttail is not empty
+        ttail = (-np.diff(lt_l[-w:]) / dlog[-(w - 1):]).tolist()
+        spread = max(ttail) - min(ttail)
         theta_star = float(np.mean(ttail))
-        if theta_star >= 1.0 + slope_margin:
+        info["decay_exponent"] = theta_star
+        if spread <= slope_margin:
+            if theta_star >= 1.0 + slope_margin:
+                return Verdict(HOLDS, "power_decay", ev, params=info)
+            if theta_star <= 1.0 - slope_margin:
+                return Verdict(FAILS, "slow_decay", ev, witness=lad_list[-1],
+                               params={**info, "mode": "decay_exponent_below_1"})
+            # n * term stabilizing at a positive level pins divergence; a
+            # tail that is flat in spread but steadily drifting could still
+            # be a slowly-varying correction on either side of the edge.
+            u = (lt_l[-w:] + np.log(lad[-w:])).tolist()
+            drift = abs(u[-1] - u[0])
+            if max(u) - min(u) <= trend_params.flat_band \
+                    and drift <= 0.3 * trend_params.flat_band:
+                info["harmonic_level"] = float(math.exp(np.mean(u)))
+                return Verdict(FAILS, "harmonic", ev, witness=lad_list[-1],
+                               params={**info, "mode": "n_times_term_stabilizes"})
+            return Verdict(
+                INCONCLUSIVE, "undecided", ev,
+                reason="decay exponent within margin of the harmonic edge",
+                params=info,
+            )
+        if min(ttail) >= 1.0 + slope_margin:
             return Verdict(HOLDS, "power_decay", ev, params=info)
-        if theta_star <= 1.0 - slope_margin:
-            return Verdict(FAILS, "slow_decay", ev, witness=int(lad[-1]),
+        if max(ttail) <= 1.0 - slope_margin:
+            return Verdict(FAILS, "slow_decay", ev, witness=lad_list[-1],
                            params={**info, "mode": "decay_exponent_below_1"})
-        # n * term stabilizing at a positive level pins divergence; a tail
-        # that is flat in spread but steadily drifting could still be a
-        # slowly-varying correction on either side of the edge.
-        u = lt_l[-w:] + np.log(lad[-w:])
-        drift = abs(float(u[-1] - u[0]))
-        if float(np.max(u) - np.min(u)) <= trend_params.flat_band \
-                and drift <= 0.3 * trend_params.flat_band:
-            info["harmonic_level"] = float(math.exp(np.mean(u)))
-            return Verdict(FAILS, "harmonic", ev, witness=int(lad[-1]),
-                           params={**info, "mode": "n_times_term_stabilizes"})
-        return Verdict(
-            INCONCLUSIVE, "undecided", ev,
-            reason="decay exponent within margin of the harmonic edge",
-            params=info,
-        )
-    if float(np.min(ttail)) >= 1.0 + slope_margin:
-        return Verdict(HOLDS, "power_decay", ev, params=info)
-    if float(np.max(ttail)) <= 1.0 - slope_margin:
-        return Verdict(FAILS, "slow_decay", ev, witness=int(lad[-1]),
-                       params={**info, "mode": "decay_exponent_below_1"})
-    return Verdict(INCONCLUSIVE, "undecided", ev,
-                   reason="decay exponent has not stabilized", params=info)
+        return Verdict(INCONCLUSIVE, "undecided", ev,
+                       reason="decay exponent has not stabilized", params=info)
+
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -844,13 +855,14 @@ def s0_estimate(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    verdict_at = _series_verdicts(seq, k, N)
     probed: list[tuple[float, str]] = []
     lo, lo_v = None, None
     hi, hi_v = None, None
     for s in _S_GRID:
         if s > s_cap:
             break
-        v = sk_convergence(seq, k, s, N=N)
+        v = verdict_at(s)
         probed.append((s, v.outcome))
         if v.outcome == HOLDS:
             hi, hi_v = s, v
@@ -872,7 +884,7 @@ def s0_estimate(
     status = "bracketed_to_tol"
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        v = sk_convergence(seq, k, mid, N=N)
+        v = verdict_at(mid)
         probed.append((mid, v.outcome))
         if v.outcome == HOLDS:
             hi, hi_v = mid, v

@@ -9,7 +9,9 @@ The report text has one byte contract: ``dumps_json(v)`` is exactly
 ``indent`` set the standard library encodes in pure Python, so the text is
 written here in one walk instead, with no intermediate tree.  ``_scalar``
 and ``_members`` hold the one set of type rules; ``jsonable`` (the CSV
-path) and the writer both go through them.
+path) and the writer both go through them.  The contract covers the one
+shortcut too: ``_number_pairs`` writes a tuple of pairs of plain ``int`` and
+finite ``float`` values (every verdict's evidence) in one loop.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ _SEQUENCES = (list, tuple, np.ndarray)
 # exact types that most report nodes have, answered before the general rules
 _AS_IS = frozenset({type(None), bool, str, int})
 _PLAIN_CONTAINERS = frozenset({dict, list, tuple})
+_NUMBERS = frozenset({int, float})
 
 
 def format_float(x: float) -> str:
@@ -114,6 +117,23 @@ def jsonable(v) -> Any:
     return {k: jsonable(x) for k, x in pairs}
 
 
+def _number_pairs(v: tuple, inner: str) -> list | None:
+    """Texts of the pairs in v at indent ``inner``, when every element is a
+    pair of plain ints and finite floats; None for any other tuple."""
+    sep = "\n" + inner + "  "
+    items = []
+    for pair in v:
+        if type(pair) is not tuple or len(pair) != 2:
+            return None
+        a, b = pair
+        # x - x is NaN, not 0, exactly when x is nan or infinite
+        if type(a) not in _NUMBERS or type(b) not in _NUMBERS \
+                or a - a != 0 or b - b != 0:
+            return None
+        items.append(f"[{sep}{a!r},{sep}{b!r}\n{inner}]")
+    return items
+
+
 def _write(v, pad: str) -> str:
     """JSON text of v at indent ``pad``, as json.dumps(indent=2) lays it out."""
     s = _scalar(v)
@@ -132,7 +152,10 @@ def _write(v, pad: str) -> str:
     inner = pad + "  "
     pairs = _members(v)
     if pairs is None:
-        items, brackets = [_write(x, inner) for x in v], "[]"
+        items = _number_pairs(v, inner) if type(v) is tuple else None
+        if items is None:
+            items = [_write(x, inner) for x in v]
+        brackets = "[]"
     else:
         # equal key texts keep the last value, as a dict built from them would
         texts = {k: _write(x, inner) for k, x in pairs}

@@ -26,7 +26,7 @@ from .errors import PreconditionError
 from .operators import TOL_SIGMA, _check_not_pole, _scaled_tail_parts, \
     logbinom, resolvent_tail_logs
 from .sequences import AlphaSequence, default_resolution, s0_estimate
-from .criteria import SpaceProfile
+from .criteria import S1_SCAN, SpaceProfile
 from .trend import (
     BOUNDED,
     DEFAULT_PARAMS,
@@ -435,6 +435,7 @@ def disc_report(
     kmax: int = 4,
     N: int = 10_000,
     tol: float = 0.05,
+    s1: Verdict | None = None,
 ) -> DiscReport:
     """Estimate the disc ladder D(s0(k)) for k = 1..kmax.
 
@@ -442,21 +443,30 @@ def disc_report(
     unit-diameter disc as the critical exponents fall toward 1.  Raises the
     level's empty-exponent error untouched when nothing converges, which is
     the correct report for generators outside this regime.
+
+    ``s1``, classify_space's S_1 verdict for ``seq``, stands in for the
+    k = 1 bisection when it holds and (N, tol) is the S_1 scan's pair.
     """
     if kmax < 1:
         raise PreconditionError(f"need kmax >= 1, got {kmax}")
     entries: list[DiscEntry] = []
     notes: list[str] = []
     for k in range(1, kmax + 1):
-        est = s0_estimate(seq, k, N=N, tol=tol)
+        if k == 1 and s1 is not None and s1.outcome == HOLDS \
+                and (N, tol) == S1_SCAN:
+            lo, hi = s1.params["s0_interval"]
+            estimate, status = s1.params["s0_estimate"], s1.params["status"]
+        else:
+            est = s0_estimate(seq, k, N=N, tol=tol)
+            lo, hi, estimate, status = est.lo, est.hi, est.estimate, est.status
         entries.append(DiscEntry(
-            k=k, s0_lo=est.lo, s0_hi=est.hi, s0_estimate=est.estimate,
-            center=1.0 / (2.0 * est.estimate),
-            radius=1.0 / (2.0 * est.estimate),
-            status=est.status,
+            k=k, s0_lo=lo, s0_hi=hi, s0_estimate=estimate,
+            center=1.0 / (2.0 * estimate),
+            radius=1.0 / (2.0 * estimate),
+            status=status,
         ))
-        if est.status != "bracketed_to_tol":
-            notes.append(f"k={k}: bisection stopped early ({est.status})")
+        if status != "bracketed_to_tol":
+            notes.append(f"k={k}: bisection stopped early ({status})")
     ok = all(
         entries[i + 1].s0_estimate <= entries[i].s0_estimate + tol
         for i in range(len(entries) - 1)

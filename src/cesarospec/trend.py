@@ -12,6 +12,11 @@ borderline comes back ``inconclusive`` with a reason string.
 All classification happens on the natural log of the quantity under test, so
 overflow/underflow of the raw values never corrupts a verdict (-inf is a
 legitimate log value meaning "exactly zero" or "underflowed").
+
+Full-length passes run in numpy; the rules on ladder-scale samples run on
+Python floats from ``tolist()`` with numpy's comparison semantics, -inf
+included: a step is ``b - a`` as ``np.diff`` forms it (NaN between two -inf),
+and means stay ``np.mean``.
 """
 
 from __future__ import annotations
@@ -56,6 +61,19 @@ class TrendParams:
     flat_band: float = 0.01
     decay_step: float = 0.02
     rise_total: float = 0.1
+
+    def __post_init__(self) -> None:
+        # a one-sample tail has spread 0, and a[-0:] is all of a
+        if not isinstance(self.window, int) or self.window < 2:
+            raise ValueError(f"window must be an int >= 2, got {self.window!r}")
+        if not 0 < self.zero_rel_tol < 1:
+            raise ValueError(
+                f"zero_rel_tol must lie in (0, 1), got {self.zero_rel_tol!r}")
+        for name in ("flat_band", "decay_step", "rise_total"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value!r}")
 
 
 DEFAULT_PARAMS = TrendParams()
@@ -140,14 +158,6 @@ def ladder(N: int, start: int = 2) -> np.ndarray:
     return lad
 
 
-def _tail(a: np.ndarray, window: int) -> np.ndarray:
-    return a[-min(window, len(a)):]
-
-
-def _spread(a: np.ndarray) -> float:
-    return float(np.max(a) - np.min(a))
-
-
 def classify_limit(
     ns: np.ndarray,
     logs: np.ndarray,
@@ -164,44 +174,41 @@ def classify_limit(
     Rules are applied in order; -inf entries mean the quantity underflowed or
     is exactly zero there.
     """
-    ns = np.asarray(ns)
-    logs = np.asarray(logs, dtype=float)
-    if len(ns) != len(logs) or len(ns) == 0:
+    t = np.asarray(logs, dtype=float).tolist()
+    if len(ns) != len(t) or not t:
         raise ValueError("need matching nonempty samples")
-    if np.any(np.isnan(logs)) or np.any(logs == np.inf):
+    if not all(x < math.inf for x in t):
         raise ValueError("limit samples must be finite or -inf")
 
-    finite = logs[np.isfinite(logs)]
-    if len(finite) == 0:
+    peak = max(t)
+    if peak == -math.inf:
         return TO_ZERO, None
-    peak = float(np.max(finite))
 
-    w = params.window
-    tail = _tail(logs, w)
-    tail_ns = _tail(ns, w)
+    tail = t[-params.window:]
 
     # Reached-zero rule: the whole tail is far below the peak and not climbing.
-    if np.max(tail) <= peak + math.log(params.zero_rel_tol) and tail[-1] <= tail[0]:
+    if max(tail) <= peak + math.log(params.zero_rel_tol) and tail[-1] <= tail[0]:
         return TO_ZERO, None
 
-    if not np.all(np.isfinite(tail)):
+    if -math.inf in tail:
         # Underflow mixed with large values: no stable reading.
         return UNDECIDED, None
 
     # Stabilized at a level comparable to the peak.
-    if _spread(tail) <= params.flat_band:
+    spread = max(tail) - min(tail)
+    if spread <= params.flat_band:
         try:
             return POSITIVE_LIMIT, math.exp(np.mean(tail))
         except OverflowError:
             return POSITIVE_LIMIT, math.inf
 
-    steps = np.diff(tail)
-    if np.all(steps < 0) and -float(np.mean(steps)) >= params.decay_step:
+    steps = [b - a for a, b in zip(tail, tail[1:])]
+    if all(d < 0 for d in steps) and -float(np.mean(steps)) >= params.decay_step:
         return TO_ZERO, None
-    if np.all(steps >= 0) and float(tail[-1] - tail[0]) >= params.rise_total:
-        return RISING, int(tail_ns[-1])
-    if _spread(tail) >= params.rise_total:
-        return OSCILLATING, int(tail_ns[int(np.argmax(tail))])
+    if all(d >= 0 for d in steps) and tail[-1] - tail[0] >= params.rise_total:
+        return RISING, int(ns[-1])
+    if spread >= params.rise_total:
+        return OSCILLATING, int(ns[tail.index(max(tail)) - len(tail)])
     return UNDECIDED, None
 
 
@@ -209,7 +216,8 @@ def _limit_verdict(claim, reason, ns, logs, quantity, params, extra) -> Verdict:
     """Verdict for the claim "the limit trend is ``claim``" (TO_ZERO or
     POSITIVE_LIMIT); an undecided tail is inconclusive with ``reason``."""
     trend, detail = classify_limit(ns, logs, params)
-    ev = tuple((int(n), float(v)) for n, v in zip(ns, logs))
+    idx = np.asarray(ns).astype(np.int64, copy=False).tolist()
+    ev = tuple(zip(idx, np.asarray(logs, dtype=float).tolist()))
     info = {"quantity": quantity, "scale": "log"}
     if extra:
         info.update(extra)
@@ -218,7 +226,7 @@ def _limit_verdict(claim, reason, ns, logs, quantity, params, extra) -> Verdict:
     if trend == claim:
         return Verdict(HOLDS, trend, ev, params=info)
     if trend in (TO_ZERO, POSITIVE_LIMIT):
-        return Verdict(FAILS, trend, ev, witness=int(ns[-1]), params=info)
+        return Verdict(FAILS, trend, ev, witness=idx[-1], params=info)
     if trend in (RISING, OSCILLATING):
         return Verdict(FAILS, trend, ev, witness=detail, params=info)
     return Verdict(INCONCLUSIVE, UNDECIDED, ev, reason=reason, params=info)
@@ -251,6 +259,52 @@ def limit_verdict_positive(
         ns, logs, quantity, params, extra)
 
 
+def _sup_scan(ns, logs, params: TrendParams) -> tuple:
+    """(trend, detail, ladder checkpoints, running sup there) for
+    classify_sup and sup_verdict_bounded.  The running sup carries NaN
+    forward and ends at the max, so both input checks read its last entry."""
+    ns = np.asarray(ns)
+    logs = np.asarray(logs, dtype=float)
+    if len(ns) != len(logs) or len(ns) == 0:
+        raise ValueError("need matching nonempty samples")
+    running = np.maximum.accumulate(logs)
+    top = float(running[-1])
+    if top != top:
+        raise ValueError("sup samples must not be NaN")
+
+    lad = ladder(int(ns[-1]), start=int(ns[0]))
+    lad = lad[lad >= ns[0]]
+    pos = np.searchsorted(ns, lad, side="right") - 1
+    checkpoints = running[pos].tolist()
+    scan = (lad.tolist(), checkpoints)
+
+    if top >= LOG_OVERFLOW:
+        return (UNBOUNDED, int(ns[int(np.argmax(logs >= LOG_OVERFLOW))])) + scan
+
+    w = params.window
+    tail = checkpoints[-w:]
+    if len(tail) >= 2 and all(b - a > 0 for a, b in zip(tail, tail[1:])) \
+            and tail[-1] - tail[0] >= params.rise_total:
+        return (UNBOUNDED, int(ns[int(np.argmax(logs))])) + scan
+
+    # Bounded requires the running sup to be flat over a long trailing stretch,
+    # not just the last few checkpoints.
+    tail_b = checkpoints[-max(w, len(checkpoints) // 4):]
+    if max(tail_b) - min(tail_b) <= params.flat_band:
+        # Guard: a pointwise tail still climbing toward the sup means the
+        # flatness may be an artifact of an early transient peak.
+        pw_tail = logs[pos[-w:]].tolist()
+        climbing = (
+            len(pw_tail) >= 2
+            and all(b - a >= 0 for a, b in zip(pw_tail, pw_tail[1:]))
+            and pw_tail[-1] - pw_tail[0] >= params.rise_total
+        )
+        if climbing:
+            return (UNDECIDED, None) + scan
+        return (BOUNDED, checkpoints[-1]) + scan
+    return (UNDECIDED, None) + scan
+
+
 def classify_sup(
     ns: np.ndarray,
     logs: np.ndarray,
@@ -263,47 +317,7 @@ def classify_sup(
     checkpoints.  Returns (trend, detail): UNBOUNDED with a witness index,
     BOUNDED with the log of the observed sup, or UNDECIDED.
     """
-    ns = np.asarray(ns)
-    logs = np.asarray(logs, dtype=float)
-    if len(ns) != len(logs) or len(ns) == 0:
-        raise ValueError("need matching nonempty samples")
-    if np.any(np.isnan(logs)):
-        raise ValueError("sup samples must not be NaN")
-
-    if np.any(logs >= LOG_OVERFLOW):
-        return UNBOUNDED, int(ns[int(np.argmax(logs >= LOG_OVERFLOW))])
-
-    lad = ladder(int(ns[-1]), start=int(ns[0]))
-    lad = lad[lad >= ns[0]]
-    running = np.maximum.accumulate(logs)
-    pos = np.searchsorted(ns, lad, side="right") - 1
-    checkpoints = running[pos]
-
-    w = params.window
-    tail = _tail(checkpoints, w)
-    if len(tail) >= 2:
-        steps = np.diff(tail)
-        if np.all(steps > 0) and float(tail[-1] - tail[0]) >= params.rise_total:
-            return UNBOUNDED, int(ns[int(np.argmax(logs))])
-
-    # Bounded requires the running sup to be flat over a long trailing stretch,
-    # not just the last few checkpoints.
-    wb = max(w, len(checkpoints) // 4)
-    tail_b = _tail(checkpoints, wb)
-    if _spread(tail_b) <= params.flat_band:
-        # Guard: a pointwise tail still climbing toward the sup means the
-        # flatness may be an artifact of an early transient peak.
-        pw_tail = _tail(logs[pos], w)
-        pw_steps = np.diff(pw_tail)
-        climbing = (
-            len(pw_tail) >= 2
-            and np.all(pw_steps >= 0)
-            and float(pw_tail[-1] - pw_tail[0]) >= params.rise_total
-        )
-        if climbing:
-            return UNDECIDED, None
-        return BOUNDED, float(checkpoints[-1])
-    return UNDECIDED, None
+    return _sup_scan(ns, logs, params)[:2]
 
 
 def sup_verdict_bounded(
@@ -317,12 +331,8 @@ def sup_verdict_bounded(
 
     Evidence records the running sup at ladder checkpoints (log scale).
     """
-    trend, detail = classify_sup(ns, logs, params)
-    lad = ladder(int(ns[-1]), start=int(ns[0]))
-    running = np.maximum.accumulate(np.asarray(logs, dtype=float))
-    pos = np.searchsorted(ns, lad, side="right") - 1
-    pos = pos[pos >= 0]
-    ev = tuple((int(n), float(v)) for n, v in zip(lad[-len(pos):], running[pos]))
+    trend, detail, lad, sups = _sup_scan(ns, logs, params)
+    ev = tuple(zip(lad, sups))
     info = {"quantity": quantity, "scale": "log", "evidence_kind": "running_sup"}
     if extra:
         info.update(extra)

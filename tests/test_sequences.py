@@ -30,7 +30,7 @@ from cesarospec import (
 from cesarospec.errors import InternalConsistencyError, RepresentationError
 import cesarospec.sequences as sequences_module
 from cesarospec.sequences import ALPHA_SATURATION, SeminormTable
-from cesarospec.trend import TrendParams
+from cesarospec.trend import LOG_OVERFLOW, TrendParams, Verdict, ladder
 
 
 class TestGeneratorValues:
@@ -444,6 +444,138 @@ class TestSeriesExponents:
             assert v.outcome == FAILS, spec
 
 
+def reference_sk_convergence(seq, k, s, N=10_000, trend_params=TrendParams(),
+                             slope_margin=0.02):
+    """sk_convergence as it stood before its s-independent terms were
+    hoisted and its tail rules moved to Python floats."""
+    alphas = seq.values_saturated(N)
+    ns = np.arange(1, N + 1, dtype=float)
+    lt = alphas / k - s * np.log(ns)
+    lad = ladder(N)
+    lt_l = lt[lad - 1]
+    ev = tuple((int(n), float(v)) for n, v in zip(lad, lt_l))
+    info = {
+        "quantity": "log term of sum exp(alpha_n/k)/n^s",
+        "scale": "log", "alpha": seq.spec_string(), "k": k, "s": s, "N": N,
+    }
+    w = trend_params.window
+    if np.max(lt) > LOG_OVERFLOW:
+        witness = int(np.argmax(lt > LOG_OVERFLOW)) + 1
+        return Verdict(FAILS, "rising", ev, witness=witness,
+                       params={**info, "mode": "term_overflow"})
+    tail = lt_l[-w:]
+    if len(tail) >= 2 and np.all(np.diff(tail) > 0) \
+            and tail[-1] - tail[0] >= trend_params.rise_total:
+        return Verdict(FAILS, "rising", ev, witness=int(lad[-1]),
+                       params={**info, "mode": "rising_terms"})
+    t = np.exp(lt)
+    starts = np.concatenate([[0], lad[:-1]])
+    mass = np.add.reduceat(t, starts)
+    w0 = max(1, len(mass) // 3)
+    prior = np.maximum.accumulate(mass)
+    for j in range(w0, len(mass)):
+        if mass[j] > 5.0 * prior[j - 1] \
+                and mass[j] > 1e-12 * float(np.max(mass)):
+            return Verdict(
+                FAILS, "late_mass", ev, witness=int(starts[j] + 1),
+                params={**info, "mode": "late_window_mass",
+                        "window_mass": tuple(float(v) for v in mass)},
+            )
+    probes = seq.tail_probes(N)
+    if probes:
+        pe = np.array([min(p.alpha / k, ALPHA_SATURATION) - s * p.log_n
+                       for p in probes])
+        threshold = max(0.0, float(np.max(lt))) + 10.0
+        if np.max(pe) > threshold:
+            j = int(np.argmax(pe > threshold))
+            return Verdict(
+                FAILS, "rising", ev, witness=probes[j].label,
+                params={**info, "mode": "probe_terms",
+                        "probe_log_terms": tuple(float(v) for v in pe)},
+            )
+    dlog = np.diff(np.log(lad))
+    theta = -np.diff(lt_l) / dlog
+    ttail = theta[-(w - 1):] if len(theta) >= w - 1 else theta
+    spread = float(np.max(ttail) - np.min(ttail))
+    info["decay_exponent"] = float(np.mean(ttail))
+    if spread <= slope_margin:
+        theta_star = float(np.mean(ttail))
+        if theta_star >= 1.0 + slope_margin:
+            return Verdict(HOLDS, "power_decay", ev, params=info)
+        if theta_star <= 1.0 - slope_margin:
+            return Verdict(FAILS, "slow_decay", ev, witness=int(lad[-1]),
+                           params={**info, "mode": "decay_exponent_below_1"})
+        u = lt_l[-w:] + np.log(lad[-w:])
+        drift = abs(float(u[-1] - u[0]))
+        if float(np.max(u) - np.min(u)) <= trend_params.flat_band \
+                and drift <= 0.3 * trend_params.flat_band:
+            info["harmonic_level"] = float(math.exp(np.mean(u)))
+            return Verdict(FAILS, "harmonic", ev, witness=int(lad[-1]),
+                           params={**info, "mode": "n_times_term_stabilizes"})
+        return Verdict(INCONCLUSIVE, "undecided", ev,
+                       reason="decay exponent within margin of the harmonic "
+                              "edge", params=info)
+    if float(np.min(ttail)) >= 1.0 + slope_margin:
+        return Verdict(HOLDS, "power_decay", ev, params=info)
+    if float(np.max(ttail)) <= 1.0 - slope_margin:
+        return Verdict(FAILS, "slow_decay", ev, witness=int(lad[-1]),
+                       params={**info, "mode": "decay_exponent_below_1"})
+    return Verdict(INCONCLUSIVE, "undecided", ev,
+                   reason="decay exponent has not stabilized", params=info)
+
+
+class TestSeriesVerdictsMatchReference:
+    """Hoisting the s-independent terms keeps every verdict, bit for bit."""
+
+    SPECS = ("log:beta=2", "log:beta=1/10", "log:beta=1", "linear", "sqrt",
+             "tower", "psum:beta=1/2", "s1_empty", "table:[1e-300]")
+
+    @pytest.mark.parametrize("window", [2, 5, 20])
+    def test_grid(self, window):
+        params = TrendParams(window=window)
+        modes = set()
+        for seq in map(parse_alpha, self.SPECS):
+            for k in (1, 2, 5, 50):
+                for s in (1.0, 1.02, 1.1, 1.25, 2.0, 2.96875, 3.0, 3.05, 4.5,
+                          10.0):
+                    for N in (100, 10_000):
+                        got = sk_convergence(seq, k, s, N=N,
+                                             trend_params=params)
+                        want = reference_sk_convergence(seq, k, s, N, params)
+                        assert got == want, (seq.spec_string(), k, s, N)
+                        assert [tuple(map(type, p)) for p in got.evidence] \
+                            == [tuple(map(type, p)) for p in want.evidence]
+                        modes.add(got.params.get("mode", got.outcome))
+        # every rule of the series verdict is reached on this grid
+        assert modes == {"term_overflow", "rising_terms", "late_window_mass",
+                         "probe_terms", "decay_exponent_below_1",
+                         "n_times_term_stabilizes", "holds", "inconclusive"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["log:beta=2", "log:beta=1/10", "sqrt"]),
+           st.integers(1, 40), st.floats(0.5, 12.0))
+    def test_random_exponents(self, spec, k, s):
+        seq = parse_alpha(spec)
+        assert sk_convergence(seq, k, s, N=1000) \
+            == reference_sk_convergence(seq, k, s, 1000)
+
+    def test_bisection_builds_one_series(self, log2, monkeypatch):
+        built = []
+        real = sequences_module._series_verdicts
+
+        def spy(seq, k, N, *args):
+            built.append((k, N))
+            return real(seq, k, N, *args)
+
+        monkeypatch.setattr(sequences_module, "_series_verdicts", spy)
+        est = s0_estimate(log2, 1)
+        assert built == [(1, 10_000)]
+        assert len(est.probed) > 5
+        want = [(s, reference_sk_convergence(log2, 1, s).outcome)
+                for s, _ in est.probed]
+        assert list(est.probed) == want
+
+
 class TestHarmonicEdge:
     """s = 1 diverges by comparison with 1/n, so it seeds the lower end of
     the s0 bracket when the grid reads it as inconclusive."""
@@ -469,10 +601,11 @@ class TestHarmonicEdge:
     def test_convergence_at_one_still_raises(self, log2, monkeypatch):
         import cesarospec.sequences as sequences
 
-        def converges(seq, k, s, N=10_000):
-            return sequences.Verdict(HOLDS, "bounded", ())
+        def converges(seq, k, N=10_000):
+            return lambda s: sequences.Verdict(HOLDS, "bounded", ())
 
-        monkeypatch.setattr(sequences, "sk_convergence", converges)
+        # s0_estimate reads every exponent through one per-level series
+        monkeypatch.setattr(sequences, "_series_verdicts", converges)
         with pytest.raises(InternalConsistencyError, match="s=1.0"):
             s0_estimate(log2, 1)
 

@@ -99,6 +99,31 @@ ARRAYS = st.one_of(
     hnp.arrays(np.complex128, st.integers(0, 4)),
 )
 
+# Tuples of pairs, the shape of verdict evidence: plain int and finite float
+# pairs take the writer's one-loop path, and any other element (a bool, a
+# numpy scalar, a Fraction, nan or an infinity, a pair as a list, a 1-tuple
+# or a 3-tuple) sends the whole tuple down the general path.
+_PLAIN_PAIR = st.tuples(
+    st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)),
+    st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+              st.just(-0.0)))
+_PAIR_ELEMENT = st.one_of(
+    st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(), _FLOATS.map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), _FRACTIONS,
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+_ODD_ITEM = st.one_of(
+    st.tuples(_PAIR_ELEMENT, _PAIR_ELEMENT),
+    st.tuples(_PAIR_ELEMENT),
+    st.tuples(_PAIR_ELEMENT, _PAIR_ELEMENT, _PAIR_ELEMENT),
+    st.lists(_PAIR_ELEMENT, min_size=2, max_size=2),
+)
+PAIR_TUPLES = st.one_of(
+    st.lists(_PLAIN_PAIR, max_size=6).map(tuple),
+    st.lists(st.one_of(_PLAIN_PAIR, _ODD_ITEM), max_size=6).map(tuple),
+    st.lists(_PLAIN_PAIR, max_size=6),
+)
+
 KEYS = st.one_of(_TEXT, st.integers(-5, 5), st.floats(allow_nan=False),
                  st.booleans(), st.none(), _FRACTIONS)
 
@@ -112,7 +137,8 @@ def _containers(children):
     )
 
 
-TREES = st.recursive(st.one_of(SCALARS, ARRAYS), _containers, max_leaves=20)
+TREES = st.recursive(st.one_of(SCALARS, ARRAYS, PAIR_TUPLES), _containers,
+                     max_leaves=20)
 
 
 class TestWriterMatchesStandardLibrary:
@@ -128,6 +154,22 @@ class TestWriterMatchesStandardLibrary:
         # keys and values do not compare equal to themselves
         assert json.dumps(jsonable(tree), sort_keys=True) \
             == json.dumps(reference_tree(tree), sort_keys=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(PAIR_TUPLES, _containers(PAIR_TUPLES)))
+    def test_pair_tuples_match_the_standard_library(self, tree):
+        want = json.dumps(jsonable(tree), indent=2, sort_keys=True) + "\n"
+        assert dumps_json(tree) == want == reference_dumps(tree)
+
+    @pytest.mark.parametrize("tree", [
+        ((1, 0.5), (2, -0.0)), ((10**30, -1e300), (-3, 5e-324)),
+        ((1, 0.5), (2, math.nan)), ((1, math.inf),), ((True, 1.0),),
+        ((np.int64(2), 1.0),), ((2, np.float64(1.5)),), ((2, Fraction(1, 3)),),
+        ((1, 2), [3, 4]), ((1, 2), (3,)), ((1, 2), (3, 4, 5)), ((),),
+        {"evidence": ((2, 0.0), (3, -math.inf))}, [(1, 2.0)], ((1.5, 2),),
+    ])
+    def test_pair_tuple_edges(self, tree):
+        assert dumps_json(tree) == reference_dumps(tree)
 
     @pytest.mark.parametrize("tree", [
         {}, [], (), np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0)),

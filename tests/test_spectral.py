@@ -251,3 +251,46 @@ class TestDiscReport:
     def test_linear_has_no_discs(self, linear):
         with pytest.raises(SkEmptyError):
             disc_report(linear, kmax=2)
+
+    def test_level_one_comes_from_the_s1_verdict(self, log2, monkeypatch):
+        import cesarospec.spectral as spectral
+
+        s1 = classify_space(log2).s1_nonempty
+        want = disc_report(log2, kmax=3)
+        levels = []
+        real = spectral.s0_estimate
+
+        def spy(seq, k, **kwargs):
+            levels.append(k)
+            return real(seq, k, **kwargs)
+
+        monkeypatch.setattr(spectral, "s0_estimate", spy)
+        assert disc_report(log2, kmax=3, s1=s1) == want
+        assert levels == [2, 3]
+        # another bracket width or resolution bisects level 1 again
+        levels.clear()
+        disc_report(log2, kmax=1, tol=0.1, s1=s1)
+        disc_report(log2, kmax=1, N=5000, s1=s1)
+        assert levels == [1, 1]
+
+    def test_failed_s1_verdict_still_raises(self, linear):
+        s1 = classify_space(linear, N=200).s1_nonempty
+        assert s1.outcome == FAILS
+        with pytest.raises(SkEmptyError):
+            disc_report(linear, kmax=2, s1=s1)
+
+    def test_spectrum_run_bisects_level_one_once(self, monkeypatch):
+        import cesarospec.sequences as sequences
+        from cesarospec import cli
+
+        levels = []
+        real = sequences._series_verdicts
+
+        def spy(seq, k, N, *args):
+            levels.append(k)
+            return real(seq, k, N, *args)
+
+        monkeypatch.setattr(sequences, "_series_verdicts", spy)
+        cli.run(cli.AnalysisConfig(alpha="log:beta=2", N=200,
+                                   experiments=("profile", "spectrum")))
+        assert levels == [1, 2, 3, 4]
