@@ -392,13 +392,12 @@ def _run_resolvent(ctx: _RunContext, lambdas) -> tuple:
 
 def _is_eigenpair(image: CoordinateVector, vec: CoordinateVector,
                   m: int) -> bool:
-    """Whether image = vec / m exactly, for real exact vectors, on their
-    integer numerators: with image = p / D_p and vec = v / D_v that is
+    """Whether image = vec / m exactly, for exact vectors, on their integer
+    numerators: with image = p / D_p and vec = v / D_v that is
     m p_n D_v == v_n D_p for every n."""
-    p, p_im, den_p = image.shared()
-    v, v_im, den_v = vec.shared()
-    return p_im is None and v_im is None and all(
-        m * a * den_v == b * den_p for a, b in zip(p, v))
+    p, den_p = image.shared()
+    v, den_v = vec.shared()
+    return all(m * a * den_v == b * den_p for a, b in zip(p, v))
 
 
 def _run_eigenpairs(ctx: _RunContext, ms) -> tuple:

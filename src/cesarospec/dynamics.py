@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -84,22 +83,6 @@ class IterateTrace:
 
     def final(self) -> CoordinateVector:
         return self.vectors[-1]
-
-    def write_csv(self, stream) -> None:
-        """Rows m,n,value,p_k... with the per-step seminorms repeated."""
-        from .serialize import format_entry, format_float
-
-        ks: tuple = ()
-        if self.seminorms:
-            ks = tuple(k for k, _ in self.seminorms[0][1])
-        header = "m,n,value" + "".join(f",p_{k}" for k in ks)
-        stream.write(header + "\n")
-        sem_by_step = {step: dict(vals) for step, vals in self.seminorms}
-        for step, vec in enumerate(self.vectors):
-            sems = sem_by_step.get(step, {})
-            tail = "".join(f",{format_float(sems[k])}" for k in ks if k in sems)
-            for n, v in enumerate(vec.values, start=1):
-                stream.write(f"{step},{n},{format_entry(v)}{tail}\n")
 
 
 def power_iterate(
@@ -275,8 +258,7 @@ def _running_means(iterates):
     Exact iterates y_j = p_j / D_j are summed on their numerators: S_j =
     S_{j-1} (D/D_{j-1}) + p_j (D/D_j) over D = lcm(D_{j-1}, D_j), which is
     D_j itself along a running-mean chain.  T_j is then S_j / (j D) in
-    shared-denominator form, with no gcd on the way; an entry is complex
-    where some iterate's is.
+    shared-denominator form, with no gcd on the way.
     """
     if not iterates or not iterates[0].exact:
         acc = None
@@ -284,20 +266,15 @@ def _running_means(iterates):
             acc = y.values if acc is None else acc + y.values
             yield j, CoordinateVector(acc / j, y.valid_len)
         return
-    re_sum = im_sum = [0] * len(iterates[0])
-    den, mask = 1, np.zeros(len(iterates[0]), dtype=bool)
+    re_sum, den = [0] * len(iterates[0]), 1
     for j, y in enumerate(iterates, start=1):
-        re, im, den_y = y.shared()
+        re, den_y = y.shared()
         lcm = math.lcm(den, den_y)
         a, b = lcm // den, lcm // den_y
         re_sum = [s * a + p * b for s, p in zip(re_sum, re)]
-        im_sum = [s * a + q * b
-                  for s, q in zip(im_sum, repeat(0) if im is None else im)]
         den = lcm
-        if im is not None:
-            mask = mask | y.complex_mask
-        yield j, CoordinateVector.over_denominator(
-            re_sum, j * den, y.valid_len, im_sum, mask)
+        yield j, CoordinateVector.over_denominator(re_sum, j * den,
+                                                   y.valid_len)
 
 
 def cesaro_means(
@@ -365,9 +342,9 @@ def power_bound_check(
             )
         if not x.exact:
             raise PreconditionError("rational mode needs an exact vector")
-        xw = WeightedSups(alphas, x, x.parts())
+        xw = WeightedSups(alphas, x, x.shared())
         for m, y in iterates:
-            yw = xw.like(y, y.parts())
+            yw = xw.like(y, y.shared())
             for k in range(1, K + 1):
                 if compare_sups(yw, xw, k) > 0:
                     return Verdict(FAILS, "expansion", tuple(evidence),
@@ -452,14 +429,17 @@ def ergodic_decomposition_check(
     x = x.prefix(N)
 
     if x.exact:
-        one = x.values[0]
-        z = [v - one for v in x.values]
-        u = b_apply(z[1:])
-        zero = u.values[0] * 0
-        v = CoordinateVector([zero] + list(u.values), N)
-        cv = cesaro_apply(v)
-        residual = [v.values[i] - cv.values[i] - z[i] for i in range(N)]
-        if any(r != 0 for r in residual):
+        # z = x - x_1 over x's denominator, then v = (0, B z_2..z_N) and the
+        # residual v - C v - z, cross-multiplied onto integers
+        re, den = x.shared()
+        z = [p - re[0] for p in re]
+        u, den_u = b_apply(
+            CoordinateVector.over_denominator(z[1:], den)).shared()
+        v = [0] + u
+        cv, den_c = cesaro_apply(
+            CoordinateVector.over_denominator(v, den_u)).shared()
+        if any((a * den_c - c * den_u) * den != q * den_u * den_c
+               for a, c, q in zip(v, cv, z)):
             raise InternalConsistencyError(
                 "exact ergodic reconstruction left a nonzero residual"
             )

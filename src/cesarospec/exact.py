@@ -1,4 +1,9 @@
-"""Exact scalar arithmetic: rational complex numbers and weighted comparisons.
+"""Exact scalar arithmetic: shared denominators and weighted comparisons.
+
+Every exact vector and operator is held as real integer numerators over one
+positive denominator; common_denominator converts int and Fraction entries
+to that form once.  The paper's exact claims are all real identities, and
+its complex statements are decided in float and log scale.
 
 The rational operator mode keeps every matrix entry exact, which is only
 useful if order comparisons against the (transcendental) weights can also be
@@ -25,133 +30,12 @@ and from there to sign_minus_exp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
 from .errors import InternalConsistencyError
-
-
-@dataclass(frozen=True)
-class ComplexRational:
-    """A complex number with exact rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
-
-    # -- arithmetic -------------------------------------------------------
-
-    @staticmethod
-    def _coerce(v) -> "ComplexRational | None":
-        if isinstance(v, ComplexRational):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return ComplexRational(Fraction(v))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
-
-    # -- queries ----------------------------------------------------------
-
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        """|z|^2, exactly rational."""
-        return self.re * self.re + self.im * self.im
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __abs__(self) -> float:
-        return math.hypot(float(self.re), float(self.im))
-
-    def __str__(self) -> str:
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-
-def parse_complex_rational(text: str) -> ComplexRational:
-    """Parse ``a+bi`` with rational or decimal parts (no exponent notation).
-
-    Accepts plain reals ("2", "-1/3", "0.4"), pure imaginaries ("2i", "-i"),
-    and combinations ("0.4+0.3i", "1/2-3/4i").
-    """
-    t = text.strip().replace(" ", "")
-    if not t:
-        raise ValueError("empty complex literal")
-    if not t.endswith("i"):
-        return ComplexRational(Fraction(t))
-    body = t[:-1]
-    re_part, im_part = "0", body
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "+-/.":
-            re_part, im_part = body[:pos], body[pos:]
-            break
-    if im_part in ("", "+", "-"):
-        im_part += "1"
-    return ComplexRational(Fraction(re_part), Fraction(im_part))
 
 
 # Half-width, per unit of scale, of the band in which the float filters below
@@ -162,55 +46,32 @@ def parse_complex_rational(text: str) -> ComplexRational:
 _FILTER_BAND = 1e-9
 
 
-def exact_parts(v) -> tuple:
-    """An exact scalar (int, Fraction or ComplexRational) as integers
-    (re, im, den) with v = (re + i im) / den and den > 0."""
-    if isinstance(v, ComplexRational):
-        den = math.lcm(v.re.denominator, v.im.denominator)
-        return (v.re.numerator * (den // v.re.denominator),
-                v.im.numerator * (den // v.im.denominator), den)
-    if not isinstance(v, Fraction):
-        v = Fraction(v)
-    return v.numerator, 0, v.denominator
-
-
 def common_denominator(entries) -> tuple:
-    """Exact entries as integer numerators over their least common denominator.
-
-    Returns (re, im, den).  im is None when no entry is a ComplexRational;
-    otherwise it holds every entry's imaginary numerator (0 for real ones).
-    """
-    parts = [exact_parts(v) for v in entries]
-    den = math.lcm(*(d for _, _, d in parts))
-    re = [p * (den // d) for p, _, d in parts]
-    if not any(isinstance(v, ComplexRational) for v in entries):
-        return re, None, den
-    return re, [q * (den // d) for _, q, d in parts], den
+    """Exact real entries (int or Fraction) as integer numerators over their
+    least common denominator: (re, den) with den > 0."""
+    fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in entries]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
-def log_magnitudes(parts) -> list:
-    """(log |v|, scale) in floats for each v = (re + i im) / den in parts.
+def log_magnitudes(pairs) -> list:
+    """(log |v|, scale) in floats for each v = p / den in pairs.
 
-    parts yields integer triples (re, im, den) with den > 0; a zero entry
-    gives (-inf, 0.0).  log |v| is taken as log|re| (or half the log of
-    re^2 + im^2) minus log(den) on the integers, so it is finite however
-    large they are.  math.log of a positive integer is within 2 ulp of the
-    true value (for big integers it is log of the frexp mantissa plus
-    exponent*log 2, each rounded once), an absolute error of at most
-    2**-51 (1 + |log n|); halving the log of re^2 + im^2 halves that error,
-    and the subtraction adds 2**-53 of the result.  So the error is below
-    2**-50 * scale with scale = 1 + |log|re + i im|| + |log den|.
+    pairs yields integer pairs (p, den) with den > 0; a zero entry gives
+    (-inf, 0.0).  log |v| is taken as log|p| minus log(den) on the
+    integers, so it is finite however large they are.  math.log of a
+    positive integer is within 2 ulp of the true value (for big integers it
+    is log of the frexp mantissa plus exponent*log 2, each rounded once), an
+    absolute error of at most 2**-51 (1 + |log n|) for each of the two, and
+    the subtraction adds 2**-53 of the result.  So the error is below
+    2**-49 * scale with scale = 1 + |log|p|| + |log den|.
     """
     out = []
-    for p, q, den in parts:
-        if q:
-            ln = 0.5 * math.log(p * p + q * q)
-        elif p:
-            ln = math.log(abs(p))
-        else:
+    for p, den in pairs:
+        if not p:
             out.append((-math.inf, 0.0))
             continue
-        ld = math.log(den)
+        ln, ld = math.log(abs(p)), math.log(den)
         out.append((ln - ld, 1.0 + abs(ln) + abs(ld)))
     return out
 
@@ -235,7 +96,7 @@ def sign_minus_exp(p: Fraction, u: Fraction, max_bits: int = 1 << 20) -> int:
         uf = float(u)
     except OverflowError:
         return _sign_minus_exp_interval(p, u, max_bits)
-    ((lp, scale),) = log_magnitudes([(p.numerator, 0, p.denominator)])
+    ((lp, scale),) = log_magnitudes([(p.numerator, p.denominator)])
     d = lp - uf
     band = _FILTER_BAND * (scale + abs(uf))
     if d > band:
@@ -274,61 +135,50 @@ def _sign_minus_exp_interval(p: Fraction, u: Fraction, max_bits: int) -> int:
     )
 
 
-def _mag2(x) -> Fraction:
-    if isinstance(x, ComplexRational):
-        return x.abs2()
-    f = Fraction(x)
-    return f * f
-
-
 def compare_weighted(a1, x1, a2, x2, k: int) -> int:
-    """Exact sign of |x1| e^{-a1/k} - |x2| e^{-a2/k} for rational inputs.
-
-    x may be Fraction-like or ComplexRational (magnitudes squared stay
-    rational either way).
-    """
+    """Exact sign of |x1| e^{-a1/k} - |x2| e^{-a2/k} for rational inputs."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    m1, m2 = _mag2(x1), _mag2(x2)
+    m1, m2 = abs(Fraction(x1)), abs(Fraction(x2))
     if m1 == 0 and m2 == 0:
         return 0
     if m1 == 0:
         return -1
     if m2 == 0:
         return 1
-    u = (Fraction(a1) - Fraction(a2)) * Fraction(2, k)
-    return sign_minus_exp(m1 / m2, u)
+    return sign_minus_exp(m1 / m2, (Fraction(a1) - Fraction(a2)) / k)
 
 
 class WeightedSups:
     """The weighted sups p_k(x) = max_n |x_n| e^{-alpha_n/k} of one exact vector.
 
-    xs holds Fraction or ComplexRational entries (any indexable sequence);
-    parts may give their exact_parts triples when the caller has them in
-    another form.  The log-magnitudes are taken once.  Each level k then
-    costs one float pass that brackets log p_k(x) and keeps the indices that
-    can attain it; exact comparisons are made only where a bracket cannot
-    decide.  Brackets and maximizers are kept per level.
+    xs holds int or Fraction entries (any indexable sequence); shared gives
+    them as (re, den), integer numerators over one denominator, when the
+    caller holds that form.  The log-magnitudes are taken once.  Each
+    level k then costs one float pass that brackets log p_k(x) and keeps the
+    indices that can attain it; exact comparisons are made only where a
+    bracket cannot decide.  Brackets and maximizers are kept per level.
     """
 
-    def __init__(self, alphas, xs, parts=None):
+    def __init__(self, alphas, xs, shared=None):
         try:
             floats = np.array([float(a) for a in alphas])
         except OverflowError:
             floats = None
-        self._setup(alphas, floats, xs, parts)
+        self._setup(alphas, floats, xs, shared)
 
-    def like(self, xs, parts=None) -> "WeightedSups":
+    def like(self, xs, shared=None) -> "WeightedSups":
         """The sups of another vector over the same alphas."""
         other = WeightedSups.__new__(WeightedSups)
-        other._setup(self.alphas, self.alphas_f, xs, parts)
+        other._setup(self.alphas, self.alphas_f, xs, shared)
         return other
 
-    def _setup(self, alphas, alphas_f, xs, parts) -> None:
+    def _setup(self, alphas, alphas_f, xs, shared) -> None:
         if len(alphas) != len(xs) or not len(xs):
             raise ValueError("need matching nonempty alpha and x")
         self.alphas, self.alphas_f, self.xs = alphas, alphas_f, xs
-        mags = log_magnitudes(map(exact_parts, xs) if parts is None else parts)
+        re, den = common_denominator(xs) if shared is None else shared
+        mags = log_magnitudes(zip(re, repeat(den)))
         self.log_mags, self.scales = np.array(mags).T
         self._brackets: dict = {}
         self._argmax: dict = {}

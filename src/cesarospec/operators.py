@@ -8,9 +8,9 @@ exact inverse pair used by the ergodic decomposition.
 
 All matrices are N x N truncations.  Three arithmetic modes are supported:
 
-* "rational": exact entries held as integer numerators over one shared
-  denominator, so products need no gcd; Fraction / ComplexRational values
-  are built only when an entry is read,
+* "rational": exact real entries held as integer numerators over one
+  shared denominator, so products need no gcd; Fraction values are built
+  only when an entry is read,
 * "float": float64 / complex128,
 * "logmag": sign plus log-magnitude arrays for real-valued matrices whose
   entries overflow float range (binomials, scaled resolvent tails).
@@ -25,14 +25,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import mul
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionError, RepresentationError
-from .exact import ComplexRational, common_denominator, exact_parts
+from .exact import common_denominator
 from .sequences import AlphaSequence, WeightSystem
 
 MODES = ("rational", "float", "logmag")
@@ -45,13 +45,6 @@ TOL_SIGMA = 1e-9
 # Alternating binomial entries stay exactly representable in float64 only for
 # small sizes; beyond this the float mode refuses rather than silently round.
 _DELTA_FLOAT_LIMIT = 60
-
-Scalar = Union[int, float, complex, Fraction, ComplexRational]
-
-
-def _is_exact(v) -> bool:
-    return isinstance(v, (int, Fraction, ComplexRational))
-
 
 # log(i!) for 0 <= i < len, grown to the largest n asked for so far.
 _log_factorial_cache: dict[int, np.ndarray] = {}
@@ -95,58 +88,40 @@ def logbinom(n, k) -> np.ndarray:
 class CoordinateVector:
     """A finite coordinate block with a trustworthy-prefix marker.
 
-    values may be floats/complex or exact scalars (Fraction, ComplexRational);
+    A float vector holds a float64 or complex128 array.  An exact vector
+    holds integer numerators re over one positive integer den, entry n being
+    re[n] / den: a list of int and Fraction entries is converted once, by
+    common_denominator, and over_denominator builds the form directly.  The
+    exact running means and rational matrix applies return it, so they need
+    no gcd.  Its Fraction values are built only when .values is read; a
+    single entry, as_float and prefix read the numerators directly.
     valid_len says how many leading coordinates are meaningful (truncated
     operator applications can consume trailing ones).  Indexing is 0-based.
-
-    An exact vector may instead be held in shared-denominator form (built by
-    over_denominator): integer numerators re (and im, for complex entries)
-    over one positive integer D, entry n being (re[n] + i im[n]) / D.  The
-    exact running means and rational matrix applies return this form, so
-    they need no gcd.  Its Fraction / ComplexRational values are built only
-    when .values is read; a single entry, as_float and prefix read the
-    numerators directly.  shared() gives the form of any exact vector.
     """
 
     def __init__(self, values, valid_len: int | None = None):
+        self._values = self._shared = None
         if isinstance(values, np.ndarray) and values.dtype.kind in "fc":
-            arr = np.array(values)
+            self._values = np.array(values)
         else:
             vals = list(values)
-            if any(_is_exact(v) for v in vals) and not any(
+            if any(isinstance(v, (int, Fraction)) for v in vals) and not any(
                 isinstance(v, (float, complex)) for v in vals
             ):
-                arr = np.empty(len(vals), dtype=object)
-                for i, v in enumerate(vals):
-                    arr[i] = Fraction(v) if isinstance(v, int) else v
+                self._shared = common_denominator(vals)
             else:
                 arr = np.asarray(vals)
-                if arr.dtype.kind not in "fc":
-                    arr = arr.astype(float)
-        self._values = arr
-        self._shared = None
+                self._values = arr if arr.dtype.kind in "fc" \
+                    else arr.astype(float)
         self._set_valid_len(valid_len)
 
     @classmethod
-    def over_denominator(cls, re: list, den: int, valid_len: int | None = None,
-                         im: list | None = None,
-                         complex_mask=None) -> "CoordinateVector":
-        """The exact vector (re[n] + i im[n]) / den in shared form.
-
-        im is None for a real vector.  Otherwise the entries that
-        complex_mask marks (every entry when it is None) read as
-        ComplexRational and the others as Fraction (their im numerators are
-        0).  The mask is how a result keeps the entry types that Fraction
-        arithmetic would give it; a vector with no marked entry is real.
-        """
-        if im is not None:
-            complex_mask = (np.ones(len(re), dtype=bool) if complex_mask is None
-                            else np.asarray(complex_mask, dtype=bool))
-            if not complex_mask.any():
-                im = complex_mask = None
+    def over_denominator(cls, re: list, den: int,
+                         valid_len: int | None = None) -> "CoordinateVector":
+        """The exact vector re[n] / den, for integers re and den > 0."""
         vec = cls.__new__(cls)
         vec._values = None
-        vec._shared = (re, im, den, None if im is None else complex_mask)
+        vec._shared = (re, den)
         vec._set_valid_len(valid_len)
         return vec
 
@@ -158,45 +133,20 @@ class CoordinateVector:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            arr = np.empty(len(self), dtype=object)
-            for i in range(len(self)):
-                arr[i] = self._entry(i)
+            re, den = self._shared
+            arr = np.empty(len(re), dtype=object)
+            arr[:] = [Fraction(p, den) for p in re]
             self._values = arr
         return self._values
 
-    def _entry(self, i: int):
-        re, im, den, mask = self._shared
-        if mask is None or not mask[i]:
-            return Fraction(re[i], den)
-        return ComplexRational(Fraction(re[i], den), Fraction(im[i], den))
-
-    @property
-    def complex_mask(self) -> np.ndarray | None:
-        """Boolean array marking the ComplexRational entries, None when
-        there is none."""
-        if self._shared is not None:
-            return self._shared[3]
-        mask = np.array([isinstance(v, ComplexRational) for v in self._values],
-                        dtype=bool)
-        return mask if mask.any() else None
-
-    def parts(self):
-        """The exact_parts triple (re, im, den) of every entry, in order."""
-        if self._shared is None:
-            return map(exact_parts, self.values)
-        re, im, den, _ = self._shared
-        return zip(re, repeat(0) if im is None else im, repeat(den))
-
     def shared(self) -> tuple:
-        """(re, im, den) of an exact vector: integer numerators over one
-        positive denominator, im None when no entry is complex."""
-        if self._shared is not None:
-            return self._shared[:3]
-        return common_denominator(self._values)
+        """(re, den) of an exact vector: integer numerators over one
+        positive denominator."""
+        return self._shared
 
     @property
     def exact(self) -> bool:
-        return self._shared is not None or self._values.dtype == object
+        return self._shared is not None
 
     def __len__(self) -> int:
         if self._shared is not None:
@@ -204,35 +154,25 @@ class CoordinateVector:
         return len(self._values)
 
     def __getitem__(self, i):
-        if self._shared is not None and self._values is None \
-                and isinstance(i, (int, np.integer)):
-            return self._entry(range(len(self))[i])
+        if self._values is None and isinstance(i, (int, np.integer)):
+            re, den = self._shared
+            return Fraction(re[i], den)
         return self.values[i]
 
     def as_float(self) -> np.ndarray:
-        if self._shared is not None:
-            # int / int is correctly rounded, so each entry equals
-            # float(Fraction(p, den)) bit for bit
-            re, im, den, _ = self._shared
-            if im is None:
-                return np.array([p / den for p in re])
-            return np.array([complex(p / den, q / den)
-                             for p, q in zip(re, im)])
-        if not self.exact:
+        if self._shared is None:
             return np.asarray(self._values)
-        if any(isinstance(v, ComplexRational) for v in self._values):
-            return np.array([complex(v) for v in self._values])
-        return np.array([float(v) for v in self._values])
+        # int / int is correctly rounded, so each entry equals
+        # float(Fraction(p, den)) bit for bit
+        re, den = self._shared
+        return np.array([p / den for p in re])
 
     def prefix(self, n: int) -> "CoordinateVector":
         valid = min(self.valid_len, n)
         if self._shared is None:
             return CoordinateVector(self._values[:n], valid)
-        re, im, den, mask = self._shared
-        if im is None:
-            return CoordinateVector.over_denominator(re[:n], den, valid)
-        return CoordinateVector.over_denominator(re[:n], den, valid, im[:n],
-                                                 mask[:n])
+        re, den = self._shared
+        return CoordinateVector.over_denominator(re[:n], den, valid)
 
     def __repr__(self) -> str:
         return f"CoordinateVector(len={len(self)}, valid={self.valid_len})"
@@ -258,57 +198,26 @@ def basis_vector(j: int, N: int, exact: bool = True) -> CoordinateVector:
 class _Numerators(NamedTuple):
     """An exact N x N matrix as integer numerators over one denominator.
 
-    re, and im when some entry is complex, are N x N object arrays of Python
-    ints and den > 0, so entry (n, m) is (re + i im) / den.  The entries
-    complex_mask marks read as ComplexRational and the others as Fraction
-    (their im numerators are 0); im and complex_mask are None together.
+    re is an N x N object array of Python ints and den > 0, so entry (n, m)
+    is re[n, m] / den.
     """
 
     re: np.ndarray
     den: int
-    im: np.ndarray | None = None
-    complex_mask: np.ndarray | None = None
 
 
 def _numerators_of(rows, N: int) -> _Numerators:
-    """Rows of exact scalars over their least common denominator."""
+    """Rows of int or Fraction entries over their least common denominator."""
     rows = [list(r) for r in rows]
     if len(rows) != N or any(len(r) != N for r in rows):
         raise ValueError("entries must be N x N")
-    flat = [v for r in rows for v in r]
-    re, im, den = common_denominator(flat)
-    re = np.array(re, dtype=object).reshape(N, N)
-    if im is None:
-        return _Numerators(re, den)
-    mask = np.array([isinstance(v, ComplexRational) for v in flat], dtype=bool)
-    return _Numerators(re, den, np.array(im, dtype=object).reshape(N, N),
-                       mask.reshape(N, N))
+    re, den = common_denominator([v for r in rows for v in r])
+    return _Numerators(np.array(re, dtype=object).reshape(N, N), den)
 
 
 def _within(a, keep):
     """a with the entries outside the boolean pattern keep set to 0."""
-    return a if a is None or keep is None else np.where(keep, a, 0)
-
-
-def _matmul(ar, ai, br, bi) -> tuple:
-    """(ar + i ai) @ (br + i bi) on integer object arrays, as (re, im); an
-    im of None is zero."""
-    if ai is None and bi is None:
-        return ar @ br, None
-    if ai is None:
-        return ar @ br, ar @ bi
-    if bi is None:
-        return ar @ br, ai @ br
-    return ar @ br - ai @ bi, ar @ bi + ai @ br
-
-
-def _nonzero(num: _Numerators, keep) -> np.ndarray:
-    """Entries inside keep that Fraction arithmetic would not skip as zero:
-    every complex entry and every nonzero real one."""
-    nz = num.re != 0
-    if num.complex_mask is not None:
-        nz |= num.complex_mask
-    return nz if keep is None else nz & keep
+    return a if keep is None else np.where(keep, a, 0)
 
 
 class TruncOperator:
@@ -316,8 +225,8 @@ class TruncOperator:
 
     Rational entries are held as integer numerators over one positive
     denominator (_Numerators): products are integer dot products with no
-    gcd, and Fraction / ComplexRational entries are built only when read.
-    entries may be rows of exact scalars, converted once, or _Numerators.
+    gcd, and Fraction entries are built only when read.  entries may be
+    rows of int and Fraction entries, converted once, or _Numerators.
     """
 
     def __init__(self, name: str, N: int, entries, mode: str,
@@ -360,24 +269,17 @@ class TruncOperator:
             return float(s * math.exp(L)) if s != 0 else 0.0
         if self.mode == "float":
             return self._data[n - 1, m - 1]
-        return self._exact(n - 1, m - 1)
-
-    def _exact(self, i: int, j: int):
-        re, den, im, mask = self._num
-        if mask is None or not mask[i, j]:
-            return Fraction(re[i, j], den)
-        return ComplexRational(Fraction(re[i, j], den), Fraction(im[i, j], den))
+        re, den = self._num
+        return Fraction(re[n - 1, m - 1], den)
 
     def dense(self) -> np.ndarray:
         """Materialize as a numpy array (object-dtype in rational mode)."""
         if self.mode == "float":
             return self._data.copy()
         if self.mode == "rational":
-            out = np.empty((self.N, self.N), dtype=object)
-            for i in range(self.N):
-                for j in range(self.N):
-                    out[i, j] = self._exact(i, j)
-            return out
+            re, den = self._num
+            return np.array([Fraction(p, den) for p in re.ravel().tolist()],
+                            dtype=object).reshape(self.N, self.N)
         if np.any(self._log > 700.0):
             raise RepresentationError(
                 "logmag matrix has entries beyond float range; keep it in log scale"
@@ -389,13 +291,8 @@ class TruncOperator:
         """log|entries| as a float array (exact entries via float conversion)."""
         if self.mode == "logmag":
             return self._log.copy()
-        mags = self.as_float_entries()
-        if self.mode == "rational" and mags.dtype.kind == "c":
-            # abs(complex(entry)) as Python rounds it
-            mags = np.array([abs(z) for z in mags.ravel().tolist()]
-                            ).reshape(mags.shape)
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(mags))
+            return np.log(np.abs(self.as_float_entries()))
 
     # -- algebra ----------------------------------------------------------
 
@@ -414,45 +311,22 @@ class TruncOperator:
             raise ValueError(f"vector of length {len(x)} too short for N={self.N}")
         out_valid = min(x.valid_len, self.N)
         if self.mode == "rational" and x.exact:
-            x = x.prefix(self.N)
-            re, den, im, mask = self._num
-            keep = self._read_pattern()
-            xre, xim, xden = x.shared()
-            out_re, out_im = _matmul(
-                _within(re, keep), _within(im, keep),
-                np.array(xre, dtype=object),
-                None if xim is None else np.array(xim, dtype=object))
-            if out_im is None:
-                return CoordinateVector.over_denominator(
-                    out_re.tolist(), den * xden, out_valid)
-            # entry n is complex when row n meets a complex matrix entry or
-            # a complex coordinate, as in Fraction arithmetic
-            cx = np.zeros((self.N, self.N), dtype=bool)
-            if mask is not None:
-                cx |= mask
-            if xim is not None:
-                cx |= x.complex_mask[None, :]
-            if keep is not None:
-                cx &= keep
-            return CoordinateVector.over_denominator(
-                out_re.tolist(), den * xden, out_valid, out_im.tolist(),
-                cx.any(axis=1))
+            re, den = self._num
+            xre, xden = x.prefix(self.N).shared()
+            out = _within(re, self._read_pattern()) @ np.array(xre, dtype=object)
+            return CoordinateVector.over_denominator(out.tolist(), den * xden,
+                                                     out_valid)
         xf = x.prefix(self.N).as_float()
         data = self._data if self.mode == "float" else self.as_float_entries()
         return CoordinateVector(data @ xf, out_valid)
 
     def as_float_entries(self) -> np.ndarray:
-        """Entries as floats (complex when some entry is); each rational
-        entry p/den is correctly rounded, as float(Fraction) is."""
+        """Entries as floats; each rational entry p/den is correctly rounded,
+        as float(Fraction) is."""
         if self.mode != "rational":
             return self.dense()
-        re, den, im, _ = self._num
-        if im is None:
-            return (re / den).astype(float)
-        out = np.empty((self.N, self.N), dtype=complex)
-        out.real = (re / den).astype(float)
-        out.imag = (im / den).astype(float)
-        return out
+        re, den = self._num
+        return (re / den).astype(float)
 
     def compose(self, other: "TruncOperator") -> "TruncOperator":
         """Truncated product self @ other (valid where both truncations agree)."""
@@ -482,21 +356,8 @@ class TruncOperator:
         lower = np.tri(N, dtype=bool)
         keep_a = lower if self.structure != "full" else None
         keep_b = lower if structure != "full" else None
-        re, im = _matmul(_within(a.re, keep_a), _within(a.im, keep_a),
-                         _within(b.re, keep_b), _within(b.im, keep_b))
-        mask = None
-        if im is not None:
-            # a sum is complex when one of its terms is; zero real factors
-            # contribute no term
-            nz_a, nz_b = _nonzero(a, keep_a), _nonzero(b, keep_b)
-            mask = np.zeros((N, N), dtype=bool)
-            if a.complex_mask is not None:
-                mask |= (nz_a & a.complex_mask) @ nz_b
-            if b.complex_mask is not None:
-                mask |= nz_a @ (nz_b & b.complex_mask)
-            if not mask.any():
-                im = mask = None
-        return TruncOperator(name, N, _Numerators(re, a.den * b.den, im, mask),
+        re = _within(a.re, keep_a) @ _within(b.re, keep_b)
+        return TruncOperator(name, N, _Numerators(re, a.den * b.den),
                              "rational", structure)
 
     def __matmul__(self, other):
@@ -547,30 +408,27 @@ def cesaro_apply(x) -> CoordinateVector:
     """
     x = as_vector(x)
     if x.exact:
-        re, im, den = x.shared()
+        re, den = x.shared()
         L, mult = _mean_multipliers(len(x))
-        out = list(map(mul, accumulate(re), mult))
-        if im is None:
-            return CoordinateVector.over_denominator(out, den * L, x.valid_len)
-        # a running mean is complex from the first complex entry on
         return CoordinateVector.over_denominator(
-            out, den * L, x.valid_len, list(map(mul, accumulate(im), mult)),
-            np.logical_or.accumulate(x.complex_mask))
+            list(map(mul, accumulate(re), mult)), den * L, x.valid_len)
     vals = np.asarray(x.values)
     means = np.cumsum(vals) / np.arange(1, len(vals) + 1)
     return CoordinateVector(means, x.valid_len)
 
 
 def cesaro_inverse_apply(y) -> CoordinateVector:
-    """Inverse of the running-mean map: x_n = n y_n - (n-1) y_{n-1}."""
+    """Inverse of the running-mean map: x_n = n y_n - (n-1) y_{n-1}.
+
+    An exact y = p / D gives x over the same D, with numerators
+    n p_n - (n-1) p_{n-1}.
+    """
     y = as_vector(y)
     if y.exact:
-        out = []
-        prev = Fraction(0)
-        for n, v in enumerate(y.values, start=1):
-            out.append(n * v - (n - 1) * prev)
-            prev = v
-        return CoordinateVector(out, y.valid_len)
+        re, den = y.shared()
+        out = [n * p - (n - 1) * q
+               for n, p, q in zip(range(1, len(re) + 1), re, [0] + re[:-1])]
+        return CoordinateVector.over_denominator(out, den, y.valid_len)
     vals = np.asarray(y.values)
     ns = np.arange(1, len(vals) + 1)
     shifted = np.concatenate([[0.0], vals[:-1]])
@@ -579,14 +437,20 @@ def cesaro_inverse_apply(y) -> CoordinateVector:
 
 def b_apply(z) -> CoordinateVector:
     """The map of b_matrix, without materializing it:
-    u_n = (n+1)/n z_n + sum_{m<n} z_m/m, as a running sum."""
+    u_n = (n+1)/n z_n + sum_{m<n} z_m/m, as a running sum.
+
+    An exact z = p / D comes back over D L with L = lcm(1..N): numerator n
+    is (n+1) (L/n) p_n plus the running sum of (L/m) p_m for m < n.
+    """
     z = as_vector(z)
     if z.exact:
-        out, acc = [], Fraction(0)
-        for n, v in enumerate(z.values, start=1):
-            out.append(acc + Fraction(n + 1, n) * v)
-            acc = acc + v / n
-        return CoordinateVector(out, z.valid_len)
+        re, den = z.shared()
+        L, mult = _mean_multipliers(len(re))
+        out, acc = [], 0
+        for n, t in enumerate(map(mul, mult, re), start=1):
+            out.append(acc + (n + 1) * t)
+            acc += t
+        return CoordinateVector.over_denominator(out, den * L, z.valid_len)
     vals = np.asarray(z.values)
     ns = np.arange(1, len(vals) + 1)
     scaled = vals / ns
@@ -604,12 +468,13 @@ def differentiation_apply(x) -> CoordinateVector:
     x = as_vector(x)
     if len(x) < 2:
         raise ValueError("need at least two coordinates")
+    valid = max(0, min(x.valid_len, len(x)) - 1)
     if x.exact:
-        out = [n * x.values[n] for n in range(1, len(x))]
-        return CoordinateVector(out, max(0, min(x.valid_len, len(x)) - 1))
+        re, den = x.shared()
+        return CoordinateVector.over_denominator(
+            [n * p for n, p in enumerate(re[1:], start=1)], den, valid)
     vals = np.asarray(x.values)
-    ns = np.arange(1, len(vals))
-    return CoordinateVector(ns * vals[1:], max(0, min(x.valid_len, len(x)) - 1))
+    return CoordinateVector(np.arange(1, len(vals)) * vals[1:], valid)
 
 
 def delta(N: int, mode: str = "rational") -> TruncOperator:
@@ -663,15 +528,13 @@ def _pole_distance(lam_f: complex, N: int) -> float:
 
 
 def _check_not_pole(lam, N: int, tol: float) -> None:
-    if isinstance(lam, ComplexRational):
-        if lam.is_zero():
+    if isinstance(lam, Fraction):
+        if lam == 0:
             raise PreconditionError("resolvent undefined at 0")
-        if lam.is_real():
-            r = lam.re
-            if r.numerator == 1 and 1 <= r.denominator <= N:
-                raise PreconditionError(
-                    f"{lam} is a reciprocal integer within the truncation"
-                )
+        if lam.numerator == 1 and lam.denominator <= N:
+            raise PreconditionError(
+                f"{lam} is a reciprocal integer within the truncation"
+            )
         return
     lam_f = complex(lam)
     d = _pole_distance(lam_f, N)
@@ -701,22 +564,17 @@ def resolvent(lam, N: int, mode: str = "float",
               tol: float = TOL_SIGMA) -> TruncOperator:
     """Inverse of (averaging matrix minus lambda), at a non-pole lambda.
 
-    Rational mode takes Fraction or ComplexRational lambda and produces exact
-    entries.  Float mode takes any complex lambda at distance tol from the
-    pole set {0} union {1/m : m <= N}.  Any other mode is rejected; the
-    log-scale tail lives in resolvent_tail_logs.
+    Rational mode takes int or Fraction lambda and produces exact entries;
+    complex points are decided in float and log scale.  Float mode takes
+    any complex lambda at distance tol from the pole set {0} union
+    {1/m : m <= N}.  Any other mode is rejected; the log-scale tail lives
+    in resolvent_tail_logs.
     """
     if mode == "rational":
-        if isinstance(lam, (int, Fraction)):
-            lam = Fraction(lam)
-        elif not isinstance(lam, ComplexRational):
-            raise ValueError("rational mode needs Fraction or ComplexRational lambda")
-        if isinstance(lam, ComplexRational) and lam.is_real():
-            lam = lam.re
-        _check_not_pole(
-            lam if isinstance(lam, ComplexRational) else ComplexRational(lam),
-            N, tol,
-        )
+        if not isinstance(lam, (int, Fraction)):
+            raise ValueError("rational mode needs an int or Fraction lambda")
+        lam = Fraction(lam)
+        _check_not_pole(lam, N, tol)
         d, P = _resolvent_scalars(lam, N)
         inv_l2 = 1 / (lam * lam)
         rows = []
@@ -851,20 +709,6 @@ def b_matrix(N: int) -> TruncOperator:
     return TruncOperator("b_matrix", N, _Numerators(re, L), "rational", "lower")
 
 
-def dump_csv(op: TruncOperator, stream) -> None:
-    """Write the operator as CSV: a comment header, then one line per row.
-
-    Header format: ``# op=<name> N=<N> mode=<mode>``.
-    Entries use the deterministic scalar forms (p/q, 17-digit floats, a+bi).
-    Logmag matrices are converted entrywise and refuse on overflow.
-    """
-    from .serialize import format_entry
-
-    stream.write(f"# op={op.name} N={op.N} mode={op.mode}\n")
-    for row in op.dense():
-        stream.write(",".join(format_entry(v) for v in row) + "\n")
-
-
 def max_entry_diff(a: TruncOperator, b: TruncOperator) -> float:
     """Max absolute entry difference, via float conversion."""
     if a.N != b.N:
@@ -875,19 +719,9 @@ def max_entry_diff(a: TruncOperator, b: TruncOperator) -> float:
 
 
 def ops_equal_exact(a: TruncOperator, b: TruncOperator) -> bool:
-    """Exact entrywise equality for rational-mode operators.
-
-    Entries are equal when their values are, by cross-multiplying the
-    numerators, and their types are: a Fraction never equals a
-    ComplexRational, as in Fraction arithmetic.
-    """
+    """Exact entrywise equality for rational-mode operators, by
+    cross-multiplying the numerators."""
     if a.mode != "rational" or b.mode != "rational" or a.N != b.N:
         raise ValueError("exact comparison needs two rational operators of equal size")
     na, nb = a._num, b._num
-    if (na.complex_mask is None) != (nb.complex_mask is None):
-        return False
-    if na.complex_mask is not None and not np.array_equal(
-            na.complex_mask, nb.complex_mask):
-        return False
-    return np.array_equal(na.re * nb.den, nb.re * na.den) and (
-        na.im is None or np.array_equal(na.im * nb.den, nb.im * na.den))
+    return np.array_equal(na.re * nb.den, nb.re * na.den)

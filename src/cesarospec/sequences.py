@@ -224,12 +224,13 @@ class AlphaSequence:
             if p["step"] < 0:
                 raise ValueError("table tail step must be nonnegative")
             try:
-                for v in (*vals, p["step"]):
-                    float(v)
+                floats = [float(v) for v in (*vals, p["step"])]
             except OverflowError:
+                floats = None
+            # the values are positive here, so a float of 0.0 has underflowed
+            if floats is None or 0.0 in floats[:-1]:
                 raise ValueError(
-                    "table values and step must lie within float range"
-                ) from None
+                    "table values and step must lie within float range")
             if p["step"] == 0:
                 notes.append("constant tail: alpha is bounded, space degenerates")
         a1 = float(self.values(1)[0])

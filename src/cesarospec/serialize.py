@@ -1,4 +1,4 @@
-"""Deterministic text forms for report and matrix output.
+"""Deterministic text forms for report output.
 
 Identical inputs must produce byte-identical output across runs and machines,
 so floats are printed with repr-faithful 17 significant digits, rationals as
@@ -21,8 +21,6 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
-
-from .exact import ComplexRational
 
 _CONTAINER = object()
 _SEQUENCES = (list, tuple, np.ndarray)
@@ -47,28 +45,10 @@ def format_complex(z: complex) -> str:
     return f"{format_float(z.real)}{sign}{format_float(abs(z.imag))}i"
 
 
-def format_entry(v) -> str:
-    """Single-token form of a scalar for CSV cells."""
-    if isinstance(v, ComplexRational):
-        return str(v)
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (np.complexfloating, complex)):
-        z = complex(v)
-        if z.imag == 0.0:
-            return format_float(z.real)
-        return format_complex(z)
-    if isinstance(v, (np.floating, float)):
-        return format_float(float(v))
-    if isinstance(v, (np.integer, int)):
-        return str(int(v))
-    raise TypeError(f"cannot format {type(v).__name__} as a matrix entry")
-
-
 def _scalar(v) -> Any:
     """The JSON value of a scalar, or _CONTAINER when v is not one.
 
-    Exact numbers become their string forms (p/q, a+bi) so nothing silently
+    Exact numbers become their string forms (p/q) so nothing silently
     loses precision; finite floats stay floats (printed repr-faithfully),
     and nan and the infinities become strings.
     """
@@ -84,7 +64,7 @@ def _scalar(v) -> Any:
         if f != f or f in (float("inf"), float("-inf")):
             return format_float(f)
         return f
-    if isinstance(v, (Fraction, ComplexRational)):
+    if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, np.integer):
         return int(v)

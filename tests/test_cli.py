@@ -477,6 +477,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("spec", [
         "table:[1e308,1e309]", "table:[1e400]", "table:[1]:step=1e400",
+        "table:[1e-400]", "table:[1e-400,1]",
     ])
     def test_table_beyond_float_range_exits_2(self, spec, capsys):
         assert main(["--alpha", spec, "--experiments", "profile"]) == 2

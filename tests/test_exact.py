@@ -1,4 +1,4 @@
-"""Exact complex rationals and interval-decided weighted comparisons."""
+"""Interval-decided exact signs and weighted comparisons."""
 
 import math
 import os
@@ -12,95 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from cesarospec import exact
 from cesarospec.exact import (
-    ComplexRational,
     _sign_minus_exp_interval,
     compare_seminorms,
     compare_weighted,
-    parse_complex_rational,
     sign_minus_exp,
     weighted_argmax,
 )
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40)
-
-
-class TestComplexRational:
-    def test_field_ops(self):
-        z = ComplexRational(Fraction(2, 5), Fraction(3, 10))
-        w = ComplexRational(Fraction(-1), Fraction(1, 2))
-        assert (z + w).re == Fraction(-3, 5)
-        assert (z * w) == ComplexRational(Fraction(-11, 20), Fraction(-1, 10))
-        assert (z - z).is_zero()
-
-    def test_division_is_exact_inverse(self):
-        z = ComplexRational(Fraction(2, 5), Fraction(3, 10))
-        assert (z / z) == ComplexRational(1)
-        assert z * (1 / z) == ComplexRational(1)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            ComplexRational(1) / ComplexRational(0)
-
-    def test_scalar_mixing(self):
-        z = ComplexRational(Fraction(1, 2), Fraction(1, 3))
-        assert 2 * z == ComplexRational(1, Fraction(2, 3))
-        assert z + Fraction(1, 2) == ComplexRational(1, Fraction(1, 3))
-        assert 1 - z == ComplexRational(Fraction(1, 2), Fraction(-1, 3))
-
-    def test_conjugate_and_abs2(self):
-        z = ComplexRational(Fraction(3), Fraction(-4))
-        assert z.conjugate() == ComplexRational(3, 4)
-        assert z.abs2() == 25
-        assert abs(z) == pytest.approx(5.0)
-
-    def test_is_real(self):
-        assert ComplexRational(Fraction(7, 3)).is_real()
-        assert not ComplexRational(0, 1).is_real()
-
-    def test_to_complex(self):
-        assert complex(ComplexRational(Fraction(2, 5), Fraction(3, 10))) \
-            == 0.4 + 0.3j
-
-    def test_str_form(self):
-        assert str(ComplexRational(Fraction(2, 5), Fraction(3, 10))) \
-            == "2/5+3/10i"
-        assert str(ComplexRational(Fraction(-1), Fraction(-1, 2))) == "-1-1/2i"
-
-    @given(a=rationals, b=rationals, c=rationals, d=rationals)
-    @settings(max_examples=100)
-    def test_matches_float_arithmetic(self, a, b, c, d):
-        z, w = ComplexRational(a, b), ComplexRational(c, d)
-        zf, wf = complex(z), complex(w)
-        assert complex(z * w) == pytest.approx(zf * wf, abs=1e-9)
-        assert complex(z + w) == pytest.approx(zf + wf, abs=1e-9)
-        if not w.is_zero():
-            assert complex(z / w) == pytest.approx(zf / wf, rel=1e-9, abs=1e-9)
-
-
-class TestParse:
-    @pytest.mark.parametrize("text,expected", [
-        ("2", ComplexRational(2)),
-        ("-1/3", ComplexRational(Fraction(-1, 3))),
-        ("0.4", ComplexRational(Fraction(2, 5))),
-        ("0.4+0.3i", ComplexRational(Fraction(2, 5), Fraction(3, 10))),
-        ("1/2-3/4i", ComplexRational(Fraction(1, 2), Fraction(-3, 4))),
-        ("2i", ComplexRational(0, 2)),
-        ("-i", ComplexRational(0, -1)),
-    ])
-    def test_accepts(self, text, expected):
-        assert parse_complex_rational(text) == expected
-
-    @pytest.mark.parametrize("bad", ["", "i+i", "abc", "1+2j+3i"])
-    def test_rejects(self, bad):
-        with pytest.raises(ValueError):
-            parse_complex_rational(bad)
-
-    @given(a=rationals, b=rationals)
-    @settings(max_examples=50)
-    def test_round_trip(self, a, b):
-        z = ComplexRational(a, b)
-        assert parse_complex_rational(str(z)) == z
 
 
 class TestSignMinusExp:
@@ -233,12 +153,9 @@ def weighted_vectors(draw):
     xs = draw(st.lists(rationals, min_size=n, max_size=n))
     for j in range(1, n):
         i = draw(st.integers(min_value=0, max_value=j - 1))
-        plant = draw(st.sampled_from(["none", "tie", "complex", "near"]))
+        plant = draw(st.sampled_from(["none", "tie", "near"]))
         if plant == "tie":
             alphas[j], xs[j] = alphas[i], -xs[i]
-        elif plant == "complex" and isinstance(xs[i], Fraction):
-            xs[j] = ComplexRational(xs[i] * Fraction(3, 5), xs[i] * Fraction(4, 5))
-            alphas[j] = alphas[i]
         elif plant == "near" and alphas[j] != alphas[i] and xs[i] != 0:
             bits = draw(st.sampled_from([30, 53, 80, 120]))
             ulps = draw(st.sampled_from([-1, 0, 1]))
@@ -259,11 +176,6 @@ class TestWeightedComparisons:
         assert compare_weighted(1, 0, 2, 0, 1) == 0
         assert compare_weighted(1, 0, 2, 1, 1) == -1
         assert compare_weighted(1, 1, 2, 0, 1) == 1
-
-    def test_complex_magnitudes(self):
-        z = ComplexRational(3, 4)  # |z| = 5
-        assert compare_weighted(1, z, 1, 5, 1) == 0
-        assert compare_weighted(1, z, 1, 6, 1) == -1
 
     def test_weighted_argmax_basis(self):
         alphas = [Fraction(n) for n in range(1, 6)]

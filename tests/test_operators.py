@@ -1,6 +1,5 @@
 """Truncated matrices: averaging, involution, resolvent, and friends."""
 
-import io
 import math
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cesarospec import (
-    ComplexRational,
     CoordinateVector,
     PreconditionError,
     RepresentationError,
@@ -32,7 +30,6 @@ import cesarospec.operators as operators_module
 from cesarospec.operators import (
     STRUCTURES,
     TruncOperator,
-    dump_csv,
     logbinom,
     max_entry_diff,
     ops_equal_exact,
@@ -45,6 +42,22 @@ rational_vectors = st.lists(
     st.fractions(min_value=F(-20), max_value=F(20), max_denominator=12),
     min_size=2, max_size=25,
 )
+
+
+@st.composite
+def exact_vectors(draw):
+    """(vector, its Fraction entries): mixed denominators, and a trustworthy
+    prefix that may be shorter than the vector."""
+    xs = draw(rational_vectors)
+    return CoordinateVector(xs, draw(st.integers(0, len(xs)))), xs
+
+
+def _assert_exact(vec, want, valid_len):
+    """vec holds exactly the values want, each read as a Fraction."""
+    assert list(vec.values) == want
+    assert all(type(v) is F for v in vec.values)
+    assert [vec[i] for i in range(len(vec))] == want
+    assert vec.valid_len == valid_len
 
 
 class TestCoordinateVector:
@@ -61,10 +74,6 @@ class TestCoordinateVector:
         v = CoordinateVector([1.0, 2.0, 3.0], valid_len=2)
         assert v.prefix(1).valid_len == 1
         assert len(v.prefix(2)) == 2
-
-    def test_as_float_complex_exact(self):
-        v = CoordinateVector([ComplexRational(1, 2), ComplexRational(0, -1)])
-        assert np.allclose(v.as_float(), [1 + 2j, -1j])
 
     def test_basis_vector(self):
         e2 = basis_vector(2, 4)
@@ -166,13 +175,18 @@ class TestAveraging:
         want = np.cumsum(xs) / np.arange(1, len(xs) + 1)
         assert np.allclose(got, want, atol=1e-12)
 
-    @given(xs=rational_vectors)
+    @given(case=exact_vectors())
     @settings(max_examples=60)
-    def test_inverse_undoes_mean_exactly(self, xs):
-        x = CoordinateVector(xs)
+    def test_inverse_undoes_mean_exactly(self, case):
+        x, xs = case
         back = cesaro_inverse_apply(cesaro_apply(x))
         assert all(back.values[i] == x.values[i]
                    for i in range(back.valid_len))
+        _assert_exact(back, xs, x.valid_len)
+        # (C^{-1} x)(n) = n x_n - (n-1) x_{n-1}, in Fraction arithmetic
+        want = [n * v - (n - 1) * u
+                for n, v, u in zip(range(1, len(xs) + 1), xs, [F(0)] + xs)]
+        _assert_exact(cesaro_inverse_apply(x), want, x.valid_len)
 
     def test_inverse_formula_oracle(self):
         # (C^{-1} y)(n) = n y_n - (n-1) y_{n-1}
@@ -258,10 +272,16 @@ class TestEigenvectors:
 
 
 class TestDifferentiation:
-    def test_formula(self):
+    @given(case=exact_vectors())
+    @settings(max_examples=40)
+    def test_formula(self, case):
         y = differentiation_apply(CoordinateVector([F(3), F(5), F(9)]))
         assert list(y.values) == [5, 18]
         assert y.valid_len == 2
+        x, xs = case
+        _assert_exact(differentiation_apply(x),
+                      [n * v for n, v in enumerate(xs[1:], start=1)],
+                      max(0, x.valid_len - 1))
 
     def test_consumes_one_slot(self):
         y = differentiation_apply(CoordinateVector([1.0, 2.0, 3.0, 4.0]))
@@ -294,27 +314,6 @@ class TestResolvent:
         assert ops_equal_exact(shifted @ r, identity(n))
         assert ops_equal_exact(r @ shifted, identity(n))
 
-    def test_complex_rational_exact(self):
-        lam = ComplexRational(F(2, 5), F(3, 10))
-        n = 12
-        r = resolvent(lam, n, mode="rational")
-        c = cesaro(n)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                acc = None
-                for k in range(1, n + 1):
-                    ck = c.entry(i, k) - (lam if i == k else 0)
-                    rv = r.entry(k, j)
-                    if ck == 0 or (hasattr(rv, "is_zero") and rv.is_zero()) \
-                            or rv == 0:
-                        continue
-                    term = ck * rv
-                    acc = term if acc is None else acc + term
-                want = 1 if i == j else 0
-                got = acc if acc is not None else 0
-                assert got == want or (hasattr(got, "is_zero")
-                                       and (got - want).is_zero())
-
     def test_float_identity(self):
         n = 40
         lam = 0.4 + 0.3j
@@ -332,6 +331,8 @@ class TestResolvent:
             resolvent(1 / 7 + 1e-12, 10)
         with pytest.raises(ValueError, match="unknown mode"):
             resolvent(0.4, 5, mode="logmag")
+        with pytest.raises(ValueError, match="int or Fraction"):
+            resolvent(F(2, 5) + 0.3j, 12, mode="rational")
 
     def test_structure_diagonal_plus_tail(self):
         # diagonal entries are 1/(1/n - lambda); the strict lower tail is
@@ -456,7 +457,16 @@ class TestShiftedDifferencePair:
         assert all(y.values[i] == x.values[i] for i in range(y.valid_len))
 
     @pytest.mark.parametrize("n", [1, 2, 17, 511])
-    def test_b_apply_matches_dense(self, n):
+    @given(case=exact_vectors())
+    @settings(max_examples=10, deadline=None)
+    def test_b_apply_matches_dense(self, n, case):
+        # u_n = (n+1)/n z_n + sum_{m<n} z_m/m, in Fraction arithmetic
+        z, zs = case
+        want = [F(m + 1, m) * v + sum(u / j for j, u in enumerate(zs[:m - 1],
+                                                                start=1))
+                for m, v in enumerate(zs, start=1)]
+        _assert_exact(b_apply(z), want, z.valid_len)
+        _assert_exact(b_matrix(len(zs)).apply(z), want, z.valid_len)
         rng = np.random.default_rng(n)
         b = b_matrix(n)
         zs = [F(int(p), int(q)) for p, q in zip(rng.integers(-50, 50, n),
@@ -471,38 +481,16 @@ class TestShiftedDifferencePair:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-class TestSerialization:
-    def test_dump_csv_golden(self):
-        buf = io.StringIO()
-        dump_csv(cesaro(2), buf)
-        assert buf.getvalue() == (
-            "# op=cesaro N=2 mode=rational\n"
-            "1,0\n"
-            "1/2,1/2\n"
-        )
-
-    def test_dump_csv_float(self):
-        buf = io.StringIO()
-        dump_csv(cesaro(2, mode="float"), buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[1] == "1,0"
-        assert lines[2] == "0.5,0.5"
-
-
 # -- integer numerators against plain Fraction arithmetic ---------------------
 #
-# The reference below works on rows of Fraction / ComplexRational entries, one
-# gcd-reduced operation at a time.  Row n of an apply reads columns up to n
-# ("lower", "diagonal" only n); a compose reads row n of the left factor up to
-# column n when that factor is not "full", column m of the right one from row
-# m on when the product is not "full", and skips real zero factors.  So an
-# entry's type is ComplexRational exactly when some term it sums is.
+# The reference below works on rows of Fraction entries, one gcd-reduced
+# operation at a time.  Row n of an apply reads columns up to n ("lower",
+# "diagonal" only n); a compose reads row n of the left factor up to column n
+# when that factor is not "full", column m of the right one from row m on when
+# the product is not "full", and skips zero factors.
 
-CR = ComplexRational
 _small = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
-_real_entry = st.one_of(st.just(F(0)), _small)
-_any_entry = st.one_of(st.just(F(0)), st.just(CR(0)), _small,
-                       st.builds(CR, _small, _small))
+_entry = st.one_of(st.just(F(0)), _small)
 
 
 def _ref_apply(rows, structure, xs):
@@ -537,8 +525,6 @@ def _ref_compose(a, a_structure, b, structure):
 
 
 def _ref_floats(values):
-    if any(isinstance(v, CR) for v in values):
-        return np.array([complex(v) for v in values])
     return np.array([float(v) for v in values])
 
 
@@ -556,9 +542,8 @@ def _matrices(draw, N=None, structure=None):
     shaped, arbitrary otherwise (the products must not read them)."""
     N = N or draw(st.integers(1, 12))
     structure = structure or draw(st.sampled_from(STRUCTURES))
-    entry = _any_entry if draw(st.booleans()) else _real_entry
     shaped = draw(st.booleans())
-    rows = draw(st.lists(st.lists(entry, min_size=N, max_size=N),
+    rows = draw(st.lists(st.lists(_entry, min_size=N, max_size=N),
                          min_size=N, max_size=N))
     if shaped:
         for n, row in enumerate(rows):
@@ -573,18 +558,11 @@ def _matrices(draw, N=None, structure=None):
 def _vectors(draw, N):
     """A vector of length N..N+2: a Fraction list, or in shared form."""
     size = N + draw(st.integers(0, 2))
-    complex_ = draw(st.booleans())
     if draw(st.booleans()):
-        entry = _any_entry if complex_ else _real_entry
-        vals = draw(st.lists(entry, min_size=size, max_size=size))
+        vals = draw(st.lists(_entry, min_size=size, max_size=size))
         return CoordinateVector(vals), vals
-    ints = st.lists(st.integers(-50, 50), min_size=size, max_size=size)
-    re, den = draw(ints), draw(st.integers(1, 60))
-    im = draw(ints) if complex_ else None
-    mask = draw(st.lists(st.booleans(), min_size=size, max_size=size))
-    if im is not None:
-        im = [q if c else 0 for q, c in zip(im, mask)]
-    vec = CoordinateVector.over_denominator(re, den, None, im, mask)
+    re = draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))
+    vec = CoordinateVector.over_denominator(re, draw(st.integers(1, 60)))
     return vec, list(vec.values)
 
 
@@ -603,7 +581,7 @@ def _assert_same_operator(op, rows):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     with np.errstate(divide="ignore"):
         want_log = np.log(np.abs(np.array(
-            [[abs(complex(v)) for v in r] for r in rows])))
+            [[abs(float(v)) for v in r] for r in rows])))
     assert op.log_abs().tobytes() == want_log.tobytes()
 
 
@@ -644,10 +622,7 @@ class TestIntegerNumerators:
         N, structure, a = data.draw(_matrices())
         b = [list(r) for r in a]
         n, m = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
-        b[n][m] = data.draw(st.one_of(
-            _any_entry,
-            st.just(CR(b[n][m]) if isinstance(b[n][m], F) else b[n][m].re),
-            st.just(b[n][m])))
+        b[n][m] = data.draw(st.one_of(_entry, st.just(b[n][m])))
         if data.draw(st.booleans()):
             # the same values over a different denominator
             b = [[v * 7 / 7 for v in r] for r in b]
@@ -675,9 +650,3 @@ class TestIntegerNumerators:
             _assert_same_operator(op, rows)
             assert ops_equal_exact(
                 op, TruncOperator(name, N, rows, "rational", op.structure))
-
-    def test_complex_resolvent_keeps_real_zeros_above_the_diagonal(self):
-        r = resolvent(CR(F(1, 2), F(1, 4)), 4, mode="rational")
-        assert type(r.entry(1, 2)) is F and r.entry(1, 2) == 0
-        assert type(r.entry(2, 1)) is CR
-        assert r.as_float_entries().dtype == np.complex128

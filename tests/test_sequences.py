@@ -244,6 +244,7 @@ class TestParseAlpha:
 
     @pytest.mark.parametrize("spec", [
         "table:[1e308,1e309]", "table:[1e400]", "table:[1]:step=1e400",
+        "table:[1e-400]", "table:[1e-400,1]",
     ])
     def test_table_beyond_float_range_rejected(self, spec):
         with pytest.raises(ValueError, match="float range"):

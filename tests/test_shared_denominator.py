@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cesarospec import (
-    ComplexRational,
     CoordinateVector,
     FAILS,
     HOLDS,
@@ -25,15 +24,9 @@ from cesarospec.dynamics import IterateTrace
 from cesarospec.exact import compare_seminorms, compare_weighted
 
 F = Fraction
-CR = ComplexRational
 
 _rationals = st.builds(F, st.integers(-99, 99), st.integers(1, 20))
-_entries = st.one_of(
-    st.just(F(0)),
-    _rationals,
-    st.builds(CR, _rationals, _rationals),
-)
-_real_entries = st.one_of(st.just(F(0)), _rationals)
+_entries = st.one_of(st.just(F(0)), _rationals)
 _specs = st.sampled_from(["linear", "power:beta=2"])
 
 
@@ -50,8 +43,6 @@ def _fraction_chain(values, steps):
 
 
 def _floats(values):
-    if any(isinstance(v, CR) for v in values):
-        return np.array([complex(v) for v in values])
     return np.array([float(v) for v in values])
 
 
@@ -117,7 +108,7 @@ class TestSharedIterates:
         for m in (1, 2, 5, 17, 40):
             _assert_same_vector(trace.vectors[m], chain[m])
 
-    @given(xs=st.lists(_real_entries, min_size=1, max_size=64),
+    @given(xs=st.lists(_entries, min_size=1, max_size=64),
            steps=st.integers(1, 40))
     @settings(max_examples=15, deadline=None)
     def test_random_rationals_match_the_fraction_chain(self, xs, steps):
@@ -126,41 +117,26 @@ class TestSharedIterates:
         for m in range(1, steps + 1):
             _assert_same_vector(trace.vectors[m], chain[m])
 
-    @given(xs=st.lists(_entries, min_size=1, max_size=12),
-           steps=st.integers(1, 6))
-    @settings(max_examples=30, deadline=None)
-    def test_complex_entries_match_the_fraction_chain(self, xs, steps):
-        # the first complex entry makes every later mean complex
-        chain = _fraction_chain(xs, steps)
-        trace = power_iterate(CoordinateVector(xs), steps)
-        for m in range(1, steps + 1):
-            _assert_same_vector(trace.vectors[m], chain[m])
-
     def test_single_entries_and_prefixes_read_the_numerators(self):
-        x = CoordinateVector([F(1, 3), F(0), CR(F(1, 2), F(-1, 5)), F(2)])
+        x = CoordinateVector([F(1, 3), F(0), F(-1, 5), F(2)])
         y = cesaro_apply(cesaro_apply(x))
         want = _fraction_chain(x.values, 2)[2]
         assert [y[i] for i in range(4)] == want
         assert y[-1] == want[-1]
-        assert y.complex_mask.tolist() == [False, False, True, True]
-        head = y.prefix(2)
-        assert head.complex_mask is None
-        _assert_same_vector(head, want[:2])
+        _assert_same_vector(y.prefix(2), want[:2])
         _assert_same_vector(y.prefix(3), want[:3])
         _assert_same_vector(y, want)
 
     def test_shared_form_of_a_fraction_vector(self):
         x = CoordinateVector([F(1, 6), F(-3, 4), F(0)])
-        re, im, den = x.shared()
-        assert (re, im, den) == ([2, -9, 0], None, 12)
-        assert list(x.parts()) == [(1, 0, 6), (-3, 0, 4), (0, 0, 1)]
+        assert x.shared() == ([2, -9, 0], 12)
 
 
 class TestSharedMeans:
     @pytest.mark.parametrize("x", [
         basis_vector(1, 24),
-        CoordinateVector([F(3, 7), F(-1), CR(F(1), F(2, 3)), F(0), F(5, 2)]),
-    ], ids=["e1", "complex"])
+        CoordinateVector([F(3, 7), F(-1), F(2, 3), F(0), F(5, 2)]),
+    ], ids=["e1", "mixed"])
     def test_means_and_distances_match_fractions(self, linear, x):
         nmax = 12
         chain = _fraction_chain(x.values, nmax)
