@@ -315,11 +315,11 @@ def power_bound_check(
 
     x is a start vector or an IterateTrace of at least M passes.  Float mode
     allows a relative slack of tol_float; rational mode compares exactly
-    and requires a generator with exact rational values.  There each
-    iterate's log-magnitudes are taken once and each level k costs one float
-    pass; the start vector's sups are bracketed once per k.  Only the pairs
-    whose brackets overlap (such as exact ties at coordinate 1, which every
-    pass fixes) go to exact.compare_weighted (exact.compare_sups).
+    and requires a generator with exact rational values.  There one float
+    pass per vector (the start vector and each iterate) brackets its sups at
+    every level k <= K.  Only the pairs whose brackets overlap (such as
+    exact ties at coordinate 1, which every pass fixes) go to
+    exact.compare_weighted, as integer numerators (exact.compare_sups).
     """
     if K < 1 or M < 1:
         raise PreconditionError("need K >= 1 and M >= 1")
@@ -342,9 +342,9 @@ def power_bound_check(
             )
         if not x.exact:
             raise PreconditionError("rational mode needs an exact vector")
-        xw = WeightedSups(alphas, x, x.shared())
+        xw = WeightedSups(alphas, x.shared(), range(1, K + 1))
         for m, y in iterates:
-            yw = xw.like(y, y.shared())
+            yw = xw.like(y.shared())
             for k in range(1, K + 1):
                 if compare_sups(yw, xw, k) > 0:
                     return Verdict(FAILS, "expansion", tuple(evidence),

@@ -23,6 +23,7 @@ differentiation_apply, which consumes a trailing coordinate, shrinks it.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -105,9 +106,9 @@ class CoordinateVector:
             self._values = np.array(values)
         else:
             vals = list(values)
-            if any(isinstance(v, (int, Fraction)) for v in vals) and not any(
-                isinstance(v, (float, complex)) for v in vals
-            ):
+            types = set(map(type, vals))
+            if any(issubclass(t, (int, Fraction)) for t in types) and all(
+                    issubclass(t, numbers.Rational) for t in types):
                 self._shared = common_denominator(vals)
             else:
                 arr = np.asarray(vals)

@@ -7,13 +7,17 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cesarospec import exact
 from cesarospec.exact import (
+    WeightedSups,
     _sign_minus_exp_interval,
+    common_denominator,
     compare_seminorms,
+    compare_sups,
     compare_weighted,
     sign_minus_exp,
     weighted_argmax,
@@ -219,3 +223,141 @@ class TestWeightedComparisons:
         assert compare_seminorms(alphas, 1, e1, e2) == 1
         assert compare_seminorms(alphas, 1, e2, e1) == -1
         assert compare_seminorms(alphas, 1, e1, e1) == 0
+
+
+class TestCommonDenominator:
+    def test_rational_entries(self):
+        assert common_denominator([1, np.int64(-2), Fraction(1, 6)]) == \
+            ([6, -12, 1], 6)
+
+    @pytest.mark.parametrize("entry", [0.5, np.float32(0.5), 1j],
+                             ids=["float", "float32", "complex"])
+    def test_other_entries_are_rejected_by_type(self, entry):
+        with pytest.raises(ValueError, match=type(entry).__name__):
+            common_denominator([Fraction(1, 3), entry])
+
+
+def level_bracket(alphas, re, den, k):
+    """The bracket of one level from its own float pass (reference)."""
+    try:
+        alphas_f = np.array([float(a) for a in alphas])
+    except OverflowError:
+        return -math.inf, math.inf, list(range(len(re)))
+    ld = math.log(den)
+    logs = [math.log(abs(p)) if p else -math.inf for p in re]
+    log_mags = np.array([ln - ld for ln in logs])
+    scales = np.array([1.0 + abs(ln) + abs(ld) if p else 0.0
+                       for p, ln in zip(re, logs)])
+    e = alphas_f / k
+    w = log_mags - e
+    band = exact._FILTER_BAND * (scales + np.abs(e))
+    high = w + band
+    lo = float((w - band).max())
+    return lo, float(high.max()), (high >= lo).nonzero()[0].tolist()
+
+
+numerators = st.one_of(st.just(0), st.integers(-10**6, 10**6),
+                       st.integers(-10**40, 10**40))
+
+
+@st.composite
+def shared_vectors(draw, n):
+    """(re, den): n integer numerators, zeros and big ones among them."""
+    return (draw(st.lists(numerators, min_size=n, max_size=n)),
+            draw(st.integers(1, 10**9)))
+
+
+class TestBatchedBrackets:
+    """One float pass over all levels against one pass per level."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_level_matches_its_own_pass_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 12))
+        alphas = data.draw(st.lists(
+            st.fractions(min_value=0, max_value=10**6, max_denominator=50),
+            min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            alphas[data.draw(st.integers(0, n - 1))] = Fraction(10**400)
+        levels = data.draw(st.lists(st.integers(1, 20), min_size=1,
+                                    max_size=6, unique=True))
+        x, y = data.draw(shared_vectors(n)), data.draw(shared_vectors(n))
+        xw = WeightedSups(alphas, x, levels)
+        for sups, (re, den) in ((xw, x), (xw.like(y), y)):
+            for k in levels:
+                lo, hi, cands = sups.bracket(k)
+                want_lo, want_hi, want = level_bracket(alphas, re, den, k)
+                assert (lo.hex(), hi.hex(), list(cands)) == \
+                    (want_lo.hex(), want_hi.hex(), want)
+
+    def test_alpha_beyond_float_range_brackets_every_level_whole(self):
+        alphas = [Fraction(1), Fraction(10**400), Fraction(2)]
+        xw = WeightedSups(alphas, ([1, 5, -3], 7), range(1, 6))
+        for sups in (xw, xw.like(([0, 0, 2], 3))):
+            for k in range(1, 6):
+                lo, hi, cands = sups.bracket(k)
+                assert (lo, hi, list(cands)) == (-math.inf, math.inf,
+                                                 [0, 1, 2])
+
+
+def fraction_compare_weighted(a1, x1, a2, x2, k):
+    """compare_weighted as one Fraction quotient (reference)."""
+    m1, m2 = abs(Fraction(x1)), abs(Fraction(x2))
+    if m1 == 0 or m2 == 0:
+        return (m1 > 0) - (m2 > 0)
+    return sign_minus_exp(m1 / m2, (Fraction(a1) - Fraction(a2)) / k)
+
+
+alpha_values = st.fractions(min_value=0, max_value=40, max_denominator=9)
+
+
+class TestNumeratorComparisons:
+    """Exact comparisons on integer numerators against Fraction entries."""
+
+    @given(a1=alpha_values, a2=st.one_of(st.none(), alpha_values),
+           x1=rationals, x2=rationals, k=st.integers(1, 5),
+           scale=st.integers(1, 10**6))
+    @settings(max_examples=150)
+    def test_compare_weighted_on_numerators(self, a1, a2, x1, x2, k, scale):
+        a2 = a1 if a2 is None else a2
+        d = x1.denominator * x2.denominator * scale
+        n1, n2 = int(x1 * d), int(x2 * d)
+        want = fraction_compare_weighted(a1, x1, a2, x2, k)
+        assert compare_weighted(a1, x1, a2, x2, k) == want
+        assert compare_weighted(a1, n1, a2, n2, k) == want
+
+    @given(case=weighted_vectors())
+    @settings(max_examples=150)
+    def test_argmax_on_numerators_matches_the_fraction_scan(self, case):
+        alphas, xs, _ = case
+        sups = WeightedSups(alphas, common_denominator(xs), range(1, 6))
+        for k in range(1, 6):
+            assert sups.argmax(k) == sequential_argmax(alphas, xs, k)
+
+    @given(case=weighted_vectors(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_compare_sups_matches_fraction_entries(self, case, data):
+        alphas, xs, k = case
+        n = len(xs)
+        i = sequential_argmax(alphas, xs, k)
+        kind = data.draw(st.sampled_from(["tie", "scaled", "free", "zero"]))
+        if kind == "tie":
+            # p_k(y) = p_k(x) exactly, y over another denominator: the
+            # other entries shrink by 1/101, so i stays the earliest argmax
+            ys = [-v if q == i else -v / 101 for q, v in enumerate(xs)]
+        elif kind == "scaled":
+            factor = data.draw(st.sampled_from(
+                [Fraction(999, 1000), Fraction(1001, 1000), Fraction(3, 7)]))
+            ys = [v * factor for v in xs]
+        elif kind == "free":
+            ys = data.draw(st.lists(rationals, min_size=n, max_size=n))
+        else:
+            ys = [Fraction(0)] * n
+        j = sequential_argmax(alphas, ys, k)
+        want = compare_weighted(alphas[i], xs[i], alphas[j], ys[j], k)
+        xw = WeightedSups(alphas, common_denominator(xs), (k,))
+        yw = xw.like(common_denominator(ys))
+        assert compare_sups(xw, yw, k) == want
+        assert compare_sups(yw, xw, k) == -want
+        if kind == "tie":
+            assert want == 0

@@ -70,6 +70,12 @@ class TestCoordinateVector:
         v = CoordinateVector([1.0, 0.5])
         assert not v.exact
 
+    def test_non_rational_entry_takes_the_float_route(self):
+        v = CoordinateVector([1, np.float32(0.5)])
+        assert not v.exact
+        assert v.values.dtype == np.float64
+        assert list(v.values) == [1.0, 0.5]
+
     def test_prefix_tracks_validity(self):
         v = CoordinateVector([1.0, 2.0, 3.0], valid_len=2)
         assert v.prefix(1).valid_len == 1
@@ -631,6 +637,11 @@ class TestIntegerNumerators:
         opb = TruncOperator("b", N, b, "rational", structure)
         assert ops_equal_exact(opa, opb) is want
         assert ops_equal_exact(opb, opa) is want
+
+    def test_float_entries_are_rejected(self):
+        # 0.1 is 3602879701896397 / 2**55 in binary, not 1/10
+        with pytest.raises(ValueError, match="float"):
+            TruncOperator("m", 1, [[0.1]], "rational")
 
     def test_closed_forms_match_their_entries(self):
         N = 9

@@ -20,6 +20,7 @@ from cesarospec import (
     power_iterate,
     seminorm,
 )
+from cesarospec import exact
 from cesarospec.dynamics import IterateTrace
 from cesarospec.exact import compare_seminorms, compare_weighted
 
@@ -211,3 +212,43 @@ class TestRationalRoute:
         trace = power_iterate(x, 2)
         assert _assert_matches_reference(parse_alpha("tower"), trace, 2,
                                          2).outcome == HOLDS
+
+    @pytest.mark.parametrize("spec", ["linear", "power:beta=2"])
+    @pytest.mark.parametrize("seed", [7, 4242])
+    def test_seeded_vectors_match_the_reference_loop(self, spec, seed):
+        # numerators in [-99, 99] over denominators in [1, 19]; one trace
+        # as power_iterate gives it and one with an iterate tripled, so
+        # that some checks fail and their witnesses are compared too
+        rng = np.random.default_rng(seed)
+        seq, outcomes = parse_alpha(spec), set()
+        for n in (8, 12, 16):
+            num, den = rng.integers(-99, 100, n), rng.integers(1, 20, n)
+            x = CoordinateVector([F(int(a), int(b)) for a, b in zip(num, den)])
+            vectors = power_iterate(x, 50).vectors
+            m = int(rng.integers(1, 51))
+            bumped = vectors[:m] + (CoordinateVector(
+                [3 * v for v in vectors[m].values]),) + vectors[m + 1:]
+            for trace in (IterateTrace(vectors=vectors, seminorms=()),
+                          IterateTrace(vectors=bumped, seminorms=())):
+                verdict = _assert_matches_reference(seq, trace, 5, 50)
+                outcomes.add(verdict.outcome)
+        assert outcomes == {HOLDS, FAILS}
+
+    def test_coordinate_one_tie_reaches_sign_minus_exp(self, monkeypatch,
+                                                        linear):
+        # the averaging operator fixes x_1, so p_1(C e_1) = p_1(e_1) = 1/e
+        # exactly: the brackets overlap and the tie is decided by
+        # exact.sign_minus_exp(1, 0), with p and u plain numbers
+        calls = []
+        sign_minus_exp = exact.sign_minus_exp
+
+        def spy(p, u, *rest):
+            calls.append((p, u))
+            return sign_minus_exp(p, u, *rest)
+
+        monkeypatch.setattr(exact, "sign_minus_exp", spy)
+        verdict = power_bound_check(linear, basis_vector(1, 8), K=1, M=1,
+                                    mode="rational")
+        assert verdict.outcome == HOLDS
+        assert calls == [(1, 0)]
+        assert all(type(v) in (int, F) for v in calls[0])
