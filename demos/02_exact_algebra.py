@@ -6,6 +6,7 @@ Truncations of the running-mean matrix and its relatives are computed in
 rational arithmetic, so the classical identities hold with zero tolerance.
 """
 
+import math
 from fractions import Fraction
 
 from cesarospec import (
@@ -21,6 +22,7 @@ from cesarospec import (
     ops_equal_exact,
     resolvent,
 )
+from cesarospec.operators import logbinom
 
 N = 24
 
@@ -64,7 +66,6 @@ print("R(2) entries, top corner:")
 for n in (1, 2, 3):
     print("  ", [r.entry(n, m) for m in range(1, 4)])
 
-# float and log-magnitude modes agree with the exact ones to roundoff;
-# log mode exists because binomials overflow floats near N = 1030
-big = delta(300, mode="logmag")
-print("C(299, 149) via log mode:", big.entry(300, 150))
+# binomials overflow floats near N = 1030, so large ones are read in log
+# scale; the signed entry (-1)^(m-1) C(n-1, m-1) is rebuilt from its log
+print("C(299, 149) via log scale:", (-1) ** 149 * math.exp(logbinom(299, 149)))

@@ -63,11 +63,9 @@ __all__ = [
     "delta_continuity_check",
     "echelon_weights",
     "gallery",
-    "geometric_weights",
     "inverse_continuity_check",
     "koethe_continuity_check",
     "noncompactness_witness",
-    "power_weights",
 ]
 
 
@@ -76,16 +74,6 @@ __all__ = [
 WeightFamily = Callable[[int, np.ndarray], np.ndarray]
 
 K_WINDOW = 4
-
-
-def power_weights(k: int, ns: np.ndarray) -> np.ndarray:
-    """log of a_k(n) = n^k, the matrix of the space of rapidly decreasing sequences."""
-    return k * np.log(np.asarray(ns, dtype=float))
-
-
-def geometric_weights(k: int, ns: np.ndarray) -> np.ndarray:
-    """log of a_k(n) = k^n."""
-    return np.asarray(ns, dtype=float) * math.log(k)
 
 
 def echelon_weights(seq: AlphaSequence) -> WeightFamily:

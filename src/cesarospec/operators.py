@@ -6,14 +6,16 @@ that diagonalizes it, its inverse recurrence, the resolvent at points off the
 reciprocal-integer set, the weight-scaled tail of the resolvent, and the
 exact inverse pair used by the ergodic decomposition.
 
-All matrices are N x N truncations.  Three arithmetic modes are supported:
+All matrices are N x N truncations.  Two arithmetic modes are supported:
 
 * "rational": exact real entries held as integer numerators over one
   shared denominator, so products need no gcd; Fraction values are built
   only when an entry is read,
-* "float": float64 / complex128,
-* "logmag": sign plus log-magnitude arrays for real-valued matrices whose
-  entries overflow float range (binomials, scaled resolvent tails).
+* "float": float64 / complex128.
+
+Entries beyond float range (large binomials, scaled resolvent tails) are
+read in log scale from plain arrays: logbinom, resolvent_tail_logs and
+_scaled_tail_parts.
 
 Truncation honesty is tracked rather than hidden: a CoordinateVector carries
 the length of its trustworthy prefix.  Matrix applications keep it, and
@@ -36,7 +38,7 @@ from .errors import PreconditionError, RepresentationError
 from .exact import common_denominator
 from .sequences import AlphaSequence, WeightSystem
 
-MODES = ("rational", "float", "logmag")
+MODES = ("rational", "float")
 STRUCTURES = ("diagonal", "lower", "full")
 
 # Points closer than this to a reciprocal integer (or to zero) are treated as
@@ -240,13 +242,7 @@ class TruncOperator:
         self.N = int(N)
         self.mode = mode
         self.structure = structure
-        if mode == "logmag":
-            sign, logs = entries
-            self._sign = np.asarray(sign, dtype=float)
-            self._log = np.asarray(logs, dtype=float)
-            if self._sign.shape != (N, N) or self._log.shape != (N, N):
-                raise ValueError("logmag entries must be two N x N arrays")
-        elif mode == "float":
+        if mode == "float":
             self._data = np.asarray(entries)
             if self._data.shape != (N, N):
                 raise ValueError("entries must be N x N")
@@ -263,11 +259,6 @@ class TruncOperator:
         """Entry at row n, column m, 1-based (matching coordinate numbering)."""
         if not (1 <= n <= self.N and 1 <= m <= self.N):
             raise IndexError("entry index out of range")
-        if self.mode == "logmag":
-            s, L = self._sign[n - 1, m - 1], self._log[n - 1, m - 1]
-            if L > 700.0:
-                raise RepresentationError("logmag entry exceeds float range")
-            return float(s * math.exp(L)) if s != 0 else 0.0
         if self.mode == "float":
             return self._data[n - 1, m - 1]
         re, den = self._num
@@ -277,21 +268,12 @@ class TruncOperator:
         """Materialize as a numpy array (object-dtype in rational mode)."""
         if self.mode == "float":
             return self._data.copy()
-        if self.mode == "rational":
-            re, den = self._num
-            return np.array([Fraction(p, den) for p in re.ravel().tolist()],
-                            dtype=object).reshape(self.N, self.N)
-        if np.any(self._log > 700.0):
-            raise RepresentationError(
-                "logmag matrix has entries beyond float range; keep it in log scale"
-            )
-        with np.errstate(over="ignore"):
-            return self._sign * np.exp(self._log)
+        re, den = self._num
+        return np.array([Fraction(p, den) for p in re.ravel().tolist()],
+                        dtype=object).reshape(self.N, self.N)
 
     def log_abs(self) -> np.ndarray:
         """log|entries| as a float array (exact entries via float conversion)."""
-        if self.mode == "logmag":
-            return self._log.copy()
         with np.errstate(divide="ignore"):
             return np.log(np.abs(self.as_float_entries()))
 
@@ -324,7 +306,7 @@ class TruncOperator:
     def as_float_entries(self) -> np.ndarray:
         """Entries as floats; each rational entry p/den is correctly rounded,
         as float(Fraction) is."""
-        if self.mode != "rational":
+        if self.mode == "float":
             return self.dense()
         re, den = self._num
         return (re / den).astype(float)
@@ -336,21 +318,13 @@ class TruncOperator:
         if self.mode != other.mode:
             raise ValueError("mode mismatch; convert explicitly first")
         N = self.N
-        if self.structure == "diagonal" and other.structure == "diagonal":
-            structure = "diagonal"
-        elif self.structure in ("lower", "diagonal") \
-                and other.structure in ("lower", "diagonal"):
-            structure = "lower"
-        else:
-            structure = "full"
+        # STRUCTURES runs from most to least structured, and a product is
+        # as structured as its less structured factor
+        structure = max(self.structure, other.structure, key=STRUCTURES.index)
         name = f"{self.name}*{other.name}"
         if self.mode == "float":
             return TruncOperator(name, N, self._data @ other._data, "float",
                                  structure)
-        if self.mode == "logmag":
-            raise RepresentationError(
-                "logmag composition not supported; compose in float or rational"
-            )
         a, b = self._num, other._num
         # row n of self is read up to column n, column m of other from row
         # m on, where their structures say the rest is zero
@@ -371,9 +345,8 @@ class TruncOperator:
                 f"structure={self.structure})")
 
 
-def identity(N: int, mode: str = "rational") -> TruncOperator:
-    if mode == "float":
-        return TruncOperator("identity", N, np.eye(N), "float", "diagonal")
+def identity(N: int) -> TruncOperator:
+    """The exact N x N identity."""
     return TruncOperator("identity", N, _Numerators(np.eye(N, dtype=object), 1),
                          "rational", "diagonal")
 
@@ -484,26 +457,19 @@ def delta(N: int, mode: str = "rational") -> TruncOperator:
     Composing it with itself gives the identity at every truncation size, and
     conjugating the running-mean matrix by it produces the diagonal of
     reciprocals 1/n.  Float mode is limited to small N where the binomials
-    are still exactly representable; logmag mode works at any size.
+    are still exactly representable; beyond it, read the entries in log
+    scale from logbinom.
     """
     if mode == "float":
         if N > _DELTA_FLOAT_LIMIT:
             raise RepresentationError(
                 f"float binomials are unreliable beyond N={_DELTA_FLOAT_LIMIT}; "
-                f"use rational or logmag mode"
+                f"use rational mode"
             )
-        data = np.zeros((N, N))
-        for n in range(1, N + 1):
-            for m in range(1, n + 1):
-                data[n - 1, m - 1] = (-1) ** (m - 1) * math.comb(n - 1, m - 1)
-        return TruncOperator("delta", N, data, "float", "lower")
-    if mode == "logmag":
-        ns = np.arange(N)[:, None]
-        ms = np.arange(N)[None, :]
-        logs = logbinom(ns, ms)
-        signs = np.where(ms <= ns, (-1.0) ** ms, 0.0)
-        signs = np.where(np.isfinite(logs), signs, 0.0)
-        return TruncOperator("delta", N, (signs, logs), "logmag", "lower")
+        return TruncOperator("delta", N, delta(N).as_float_entries(), "float",
+                             "lower")
+    if mode != "rational":
+        raise ValueError(f"unknown mode {mode!r}")
     re = np.zeros((N, N), dtype=object)
     for n in range(N):
         re[n, :n + 1] = [(-1) ** m * math.comb(n, m) for m in range(n + 1)]
@@ -523,11 +489,6 @@ def delta_eigenvector(m: int, N: int) -> CoordinateVector:
         [sign * math.comb(n - 1, m - 1) for n in range(1, N + 1)], 1)
 
 
-def _pole_distance(lam_f: complex, N: int) -> float:
-    ms = np.arange(1, N + 1, dtype=float)
-    return float(min(abs(lam_f), np.min(np.abs(lam_f - 1.0 / ms))))
-
-
 def _check_not_pole(lam, N: int, tol: float) -> None:
     if isinstance(lam, Fraction):
         if lam == 0:
@@ -538,7 +499,8 @@ def _check_not_pole(lam, N: int, tol: float) -> None:
             )
         return
     lam_f = complex(lam)
-    d = _pole_distance(lam_f, N)
+    ms = np.arange(1, N + 1, dtype=float)
+    d = float(min(abs(lam_f), np.min(np.abs(lam_f - 1.0 / ms))))
     if d < tol:
         raise PreconditionError(
             f"lambda={lam_f} is within {tol} of the reciprocal-integer set"
@@ -561,13 +523,12 @@ def _resolvent_scalars(lam, N: int):
     return d, P
 
 
-def resolvent(lam, N: int, mode: str = "float",
-              tol: float = TOL_SIGMA) -> TruncOperator:
+def resolvent(lam, N: int, mode: str = "float") -> TruncOperator:
     """Inverse of (averaging matrix minus lambda), at a non-pole lambda.
 
     Rational mode takes int or Fraction lambda and produces exact entries;
     complex points are decided in float and log scale.  Float mode takes
-    any complex lambda at distance tol from the pole set {0} union
+    any complex lambda at distance TOL_SIGMA from the pole set {0} union
     {1/m : m <= N}.  Any other mode is rejected; the log-scale tail lives
     in resolvent_tail_logs.
     """
@@ -575,38 +536,40 @@ def resolvent(lam, N: int, mode: str = "float",
         if not isinstance(lam, (int, Fraction)):
             raise ValueError("rational mode needs an int or Fraction lambda")
         lam = Fraction(lam)
-        _check_not_pole(lam, N, tol)
+        _check_not_pole(lam, N, TOL_SIGMA)
         d, P = _resolvent_scalars(lam, N)
-        inv_l2 = 1 / (lam * lam)
         rows = []
         for n in range(1, N + 1):
-            row = []
-            for m in range(1, N + 1):
-                if m == n:
-                    row.append(d[n - 1])
-                elif m < n:
-                    e_nm = P[m - 1] / (n * P[n])
-                    row.append(-inv_l2 * e_nm)
-                else:
-                    row.append(Fraction(0))
-            rows.append(row)
+            # -P_{m-1} / (lambda^2 n P_n) below the diagonal, d_n on it
+            scale = -1 / (lam * lam * n * P[n])
+            rows.append([P[m] * scale for m in range(n - 1)]
+                        + [d[n - 1]] + [0] * (N - n))
         return TruncOperator(f"resolvent(lambda={lam})", N, rows, "rational", "lower")
 
     lam_f = complex(lam)
-    _check_not_pole(lam_f, N, tol)
+    _check_not_pole(lam_f, N, TOL_SIGMA)
     if mode == "float":
         ns = np.arange(1, N + 1, dtype=float)
         d = 1.0 / (1.0 / ns - lam_f)
-        factors = 1.0 - 1.0 / (lam_f * ns)
-        P = np.concatenate([[1.0 + 0j], np.cumprod(factors)])
-        e = P[None, :N] / (ns[:, None] * P[1:][:, None])  # e[n-1, m-1]
-        data = -(1.0 / lam_f**2) * e
+        data = -(1.0 / lam_f**2) * _tail_entries(lam_f, N)
         data[~np.tri(N, k=-1, dtype=bool)] = 0.0
         np.fill_diagonal(data, d)
         if lam_f.imag == 0:
             data = data.real
         return TruncOperator(f"resolvent(lambda={lam_f})", N, data, "float", "lower")
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _tail_entries(lam_f: complex, N: int) -> np.ndarray:
+    """e_nm = P_{m-1} / (n P_n) at array index [n-1, m-1], in complex floats.
+
+    Only the strict lower triangle is a resolvent entry; callers overwrite
+    or mask the rest.
+    """
+    ns = np.arange(1, N + 1, dtype=float)
+    factors = 1.0 - 1.0 / (lam_f * ns)
+    P = np.concatenate([[1.0 + 0j], np.cumprod(factors)])
+    return P[None, :N] / (ns[:, None] * P[1:][:, None])
 
 
 def resolvent_tail_logs(lam, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -641,12 +604,13 @@ def _scaled_tail_parts(seq: AlphaSequence, lam, k: int, N: int):
     return row_part, col_part
 
 
-def scaled_e_matrix(lam, k: int, w, N: int, mode: str = "logmag") -> TruncOperator:
+def scaled_e_matrix(lam, k: int, w, N: int) -> TruncOperator:
     """The weight-scaled resolvent tail: entry (n, m) is w_k(n)/w_{k+1}(m) e_nm.
 
     This is the part of the resolvent whose continuity on the space is at
-    stake; its entries routinely overflow float range, so logmag is the
-    default mode.  w may be a WeightSystem or an AlphaSequence.
+    stake.  Its entries routinely overflow float range, and then this float
+    operator is refused; _scaled_tail_parts holds the same matrix in log
+    scale at any size.  w may be a WeightSystem or an AlphaSequence.
     """
     seq = w.alpha if isinstance(w, WeightSystem) else w
     if k < 1:
@@ -654,38 +618,19 @@ def scaled_e_matrix(lam, k: int, w, N: int, mode: str = "logmag") -> TruncOperat
     lam_f = complex(lam)
     row_part, col_part = _scaled_tail_parts(seq, lam_f, k, N)
     mask = np.tri(N, k=-1, dtype=bool)
-    # log of scaled magnitude; sign bookkeeping only matters for real lambda
-    logs = np.where(mask, row_part[:, None] + col_part[None, :], -np.inf)
-    if mode == "logmag":
-        if lam_f.imag == 0:
-            ns = np.arange(1, N + 1, dtype=float)
-            signs_f = np.sign(1.0 - 1.0 / (lam_f.real * ns))
-            Ss = np.concatenate([[1.0], np.cumprod(signs_f)])
-            signs = np.where(mask, Ss[None, :N] * Ss[1:][:, None], 0.0)
-        else:
-            signs = np.where(mask, 1.0, 0.0)
-        return TruncOperator(
-            f"scaled_e(lambda={lam},k={k})", N, (signs, logs), "logmag", "lower",
+    if np.any((row_part[:, None] + col_part[None, :])[mask] > 700.0):
+        raise RepresentationError(
+            "scaled tail overflows float range; read it in log scale"
         )
-    if mode == "float":
-        if np.any(logs[mask] > 700.0):
-            raise RepresentationError(
-                "scaled tail overflows float range; use logmag mode"
-            )
-        # recompute with phases for complex lambda
-        alpha = seq.values_saturated(N)
-        ns = np.arange(1, N + 1, dtype=float)
-        factors = 1.0 - 1.0 / (lam_f * ns)
-        P = np.concatenate([[1.0 + 0j], np.cumprod(factors)])
-        e = P[None, :N] / (ns[:, None] * P[1:][:, None])
-        data = np.exp(-alpha / k)[:, None] * np.exp(alpha / (k + 1))[None, :] * e
-        data = np.where(mask, data, 0.0)
-        if lam_f.imag == 0:
-            data = data.real
-        return TruncOperator(
-            f"scaled_e(lambda={lam},k={k})", N, data, "float", "lower",
-        )
-    raise ValueError("scaled tail supports float and logmag modes")
+    alpha = seq.values_saturated(N)
+    data = (np.exp(-alpha / k)[:, None] * np.exp(alpha / (k + 1))[None, :]
+            * _tail_entries(lam_f, N))
+    data = np.where(mask, data, 0.0)
+    if lam_f.imag == 0:
+        data = data.real
+    return TruncOperator(
+        f"scaled_e(lambda={lam},k={k})", N, data, "float", "lower",
+    )
 
 
 def a_matrix(N: int) -> TruncOperator:
@@ -708,15 +653,6 @@ def b_matrix(N: int) -> TruncOperator:
         re[n - 1, :n - 1] = mult[:n - 1]
         re[n - 1, n - 1] = (n + 1) * mult[n - 1]
     return TruncOperator("b_matrix", N, _Numerators(re, L), "rational", "lower")
-
-
-def max_entry_diff(a: TruncOperator, b: TruncOperator) -> float:
-    """Max absolute entry difference, via float conversion."""
-    if a.N != b.N:
-        raise ValueError("size mismatch")
-    da = a.as_float_entries() if a.mode == "rational" else a.dense()
-    db = b.as_float_entries() if b.mode == "rational" else b.dense()
-    return float(np.max(np.abs(da - db)))
 
 
 def ops_equal_exact(a: TruncOperator, b: TruncOperator) -> bool:

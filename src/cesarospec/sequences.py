@@ -278,7 +278,8 @@ class AlphaSequence:
         kind, p = self.kind, self.params
         if kind == "power":
             # unclipped, so that values() refuses entries beyond float range
-            return ns ** p["beta"]
+            with np.errstate(over="ignore"):
+                return ns ** p["beta"]
         if kind == "psum":
             return np.cumsum(ns ** (-p["beta"]))
         if kind == "tower":
@@ -447,6 +448,16 @@ class AlphaSequence:
 _ALPHA_RE = re.compile(r"^(\w+)(:.*)?$")
 
 
+def _fraction(item: str, text: str) -> Fraction:
+    """One number of the generator description text, read exactly."""
+    if not item.strip():
+        raise ValueError(f"empty table item in {text!r}")
+    try:
+        return Fraction(item)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {item!r} of {text!r}") from None
+
+
 def parse_alpha(text: str) -> AlphaSequence:
     """Parse a generator description.
 
@@ -462,8 +473,9 @@ def parse_alpha(text: str) -> AlphaSequence:
         lm = re.match(r"^\[([^\]]*)\](?::step=([^:]+))?$", rest)
         if not lm:
             raise ValueError(f"bad table syntax {text!r}")
-        vals = [Fraction(v.strip()) for v in lm.group(1).split(",") if v.strip()]
-        step = Fraction(lm.group(2)) if lm.group(2) else None
+        items = lm.group(1).split(",") if lm.group(1).strip() else []
+        vals = [_fraction(v, text) for v in items]
+        step = _fraction(lm.group(2), text) if lm.group(2) else None
         return AlphaSequence.table(vals, step=step)
     if not m:
         raise ValueError(f"bad alpha description {text!r}")
@@ -476,7 +488,11 @@ def parse_alpha(text: str) -> AlphaSequence:
                 raise ValueError(f"bad parameter {piece!r} in {text!r}")
             if key in kwargs:
                 raise ValueError(f"repeated parameter {key!r} in {text!r}")
-            kwargs[key] = float(Fraction(val))
+            try:
+                kwargs[key] = float(_fraction(val, text))
+            except OverflowError:
+                raise ValueError(
+                    f"{key}={val} in {text!r} exceeds float range") from None
     return AlphaSequence(kind, **kwargs)
 
 

@@ -486,6 +486,18 @@ class TestMainExitCodes:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("spec", [
+        "power:beta=1e400", "log:beta=1e400", "psum:beta=1e400",
+        "power:beta=-1e400", "power:beta=1/0", "table:[1/0]",
+        "table:[1]:step=1/0", "table:[1,,2]",
+    ])
+    def test_bad_alpha_numbers_exit_2(self, spec, capsys):
+        assert main(["--alpha", spec, "--experiments", "profile",
+                     "spectrum"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad --alpha {spec!r}: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("spec", [
         "table:[1e308]:step=1e308", "table:[1e308,1.7e308]"])
     def test_table_tail_past_float_range_runs_quietly(self, spec):
         import cesarospec

@@ -1,5 +1,6 @@
 """Continuity, compactness, and classification criteria over the gallery."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -35,8 +36,6 @@ from cesarospec.criteria import (
     _window_scan,
     default_lmax,
     gallery,
-    geometric_weights,
-    power_weights,
 )
 from cesarospec.operators import logbinom
 from cesarospec.sequences import ALPHA_SATURATION
@@ -44,6 +43,16 @@ from cesarospec.trend import Verdict
 
 ALL_PROFILES = {spec: classify_space(parse_alpha(spec))
                 for spec in GALLERY_SPECS}
+
+
+def power_weights(k: int, ns: np.ndarray) -> np.ndarray:
+    """log of a_k(n) = n^k, the matrix of the space of rapidly decreasing sequences."""
+    return k * np.log(np.asarray(ns, dtype=float))
+
+
+def geometric_weights(k: int, ns: np.ndarray) -> np.ndarray:
+    """log of a_k(n) = k^n."""
+    return np.asarray(ns, dtype=float) * math.log(k)
 
 
 def koethe_outcomes(fam, k):

@@ -30,8 +30,8 @@ import cesarospec.operators as operators_module
 from cesarospec.operators import (
     STRUCTURES,
     TruncOperator,
+    _scaled_tail_parts,
     logbinom,
-    max_entry_diff,
     ops_equal_exact,
 )
 from cesarospec.sequences import WeightSystem, parse_alpha
@@ -203,7 +203,7 @@ class TestAveraging:
     def test_float_and_rational_agree(self):
         cf = cesaro(12, mode="float")
         cr = cesaro(12)
-        assert max_entry_diff(cf, cr) == 0.0
+        assert np.array_equal(cf.dense(), cr.as_float_entries())
 
 
 class TestInvolution:
@@ -228,23 +228,13 @@ class TestInvolution:
         with pytest.raises(RepresentationError):
             delta(200, mode="float")
 
-    def test_logmag_matches_rational(self):
-        d_log = delta(30, mode="logmag")
-        d_rat = delta(30)
-        scale = float(max(abs(v) for row in d_rat.dense() for v in row))
-        assert max_entry_diff(d_log, d_rat) / scale <= 1e-12
-
-    def test_logmag_apply_goes_through_float_entries(self):
-        # signs that cancel the alternation: row n sums C(n-1, m-1) to 2^(n-1)
-        x = [(-1.0) ** m for m in range(30)]
-        got = delta(30, mode="logmag").apply(x).as_float()
-        assert got == pytest.approx(2.0 ** np.arange(30), rel=1e-12)
-        with pytest.raises(RepresentationError):
-            delta(1100, mode="logmag").apply(np.ones(1100))
-
-    def test_logmag_compose_refuses(self):
-        with pytest.raises(RepresentationError):
-            delta(8, mode="logmag") @ delta(8, mode="logmag")
+    def test_log_magnitude_mode_is_gone(self):
+        # large binomials are read in log scale from logbinom instead
+        with pytest.raises(ValueError, match="unknown mode"):
+            delta(8, mode="logmag")
+        with pytest.raises(ValueError, match="unknown mode"):
+            TruncOperator("m", 2, (np.ones((2, 2)), np.zeros((2, 2))),
+                          "logmag")
 
     def test_mode_mixing_refuses(self):
         with pytest.raises(ValueError):
@@ -340,6 +330,27 @@ class TestResolvent:
         with pytest.raises(ValueError, match="int or Fraction"):
             resolvent(F(2, 5) + 0.3j, 12, mode="rational")
 
+    @pytest.mark.parametrize("lam", [F(2), F(-1), F(3, 2), F(-5, 7)])
+    @pytest.mark.parametrize("n", [1, 2, 17, 40])
+    def test_closed_form_rows_match_the_cell_construction(self, lam, n):
+        # reference: one three-way branch per cell, (n, m) read off the
+        # same scalars d_n and P_n
+        d, P = operators_module._resolvent_scalars(lam, n)
+        inv_l2 = 1 / (lam * lam)
+        rows = []
+        for i in range(1, n + 1):
+            row = []
+            for j in range(1, n + 1):
+                if j == i:
+                    row.append(d[i - 1])
+                elif j < i:
+                    row.append(-inv_l2 * (P[j - 1] / (i * P[i])))
+                else:
+                    row.append(F(0))
+            rows.append(row)
+        want = TruncOperator("cells", n, rows, "rational", "lower")
+        assert ops_equal_exact(resolvent(lam, n, mode="rational"), want)
+
     def test_structure_diagonal_plus_tail(self):
         # diagonal entries are 1/(1/n - lambda); the strict lower tail is
         # P_{m-1} / (n P_n) scaled by -1/lambda^2 folded into the closed form
@@ -403,15 +414,16 @@ class TestTailLogs:
 
 class TestScaledTail:
     def test_logmag_cell_oracle(self):
+        # the log-magnitude of a cell, read from the log-scale parts
         seq = parse_alpha("linear")
-        w = WeightSystem(seq)
         lam = 2.0
         n = 10
-        op = scaled_e_matrix(lam, 1, w, n)
+        row_part, col_part = _scaled_tail_parts(seq, lam, 1, n)
         L, logn = resolvent_tail_logs(lam, n)
         # cell (5, 2): -alpha_5/1 + alpha_2/2 + log|e_52|
         want = -5.0 + 1.0 + (L[1] - logn[4] - L[5])
-        assert op.log_abs()[4, 1] == pytest.approx(want, rel=1e-12)
+        assert row_part[4] + col_part[1] == pytest.approx(want, rel=1e-12)
+        op = scaled_e_matrix(lam, 1, WeightSystem(seq), n)
         assert abs(op.entry(5, 2)) == pytest.approx(math.exp(want), rel=1e-12)
 
     def test_upper_triangle_is_void(self):
@@ -420,24 +432,38 @@ class TestScaledTail:
         assert op.log_abs()[1, 4] == -np.inf
 
     def test_float_mode_matches_logmag(self):
+        # the phase route of the float entries against the log route
         seq = parse_alpha("linear")
-        opl = scaled_e_matrix(2.0, 1, seq, 12)
-        opf = scaled_e_matrix(2.0, 1, seq, 12, mode="float")
-        assert max_entry_diff(opl, opf) <= 1e-10
+        lower = np.tri(12, k=-1, dtype=bool)
+        for lam in (2.0, 0.4, 0.4 + 0.3j):
+            row_part, col_part = _scaled_tail_parts(seq, lam, 1, 12)
+            got = scaled_e_matrix(lam, 1, seq, 12).log_abs()[lower]
+            want = (row_part[:, None] + col_part[None, :])[lower]
+            assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
     def test_signs_alternate_below_pole_scale(self):
         # for lambda = 0.4 the factors 1 - 1/(lambda n) are negative at n = 1
         # and 2 only, so the running product is negative after the first
         # factor alone; that sign lands on column 2 and nowhere else
         seq = parse_alpha("linear")
-        data = scaled_e_matrix(0.4, 1, seq, 8, mode="float").dense()
+        data = scaled_e_matrix(0.4, 1, seq, 8).dense()
         lower = np.tri(8, k=-1, dtype=bool)
         want = np.where(lower, 1.0, 0.0)
         want[2:, 1] = -1.0
         assert np.isfinite(data[lower]).all()
         assert np.array_equal(np.sign(data), want)
-        logmag = scaled_e_matrix(0.4, 1, seq, 8).dense()
-        assert np.array_equal(np.sign(logmag), np.sign(data))
+
+    def test_overflow_refuses(self):
+        # at lambda = 1/400.5 every factor 1 - 1/(lambda n) with n > 200 has
+        # magnitude below 1, so P_n shrinks by about e^-830 over (200, 801]
+        # and the tail entries P_{m-1} / (n P_n) exceed float range
+        seq = parse_alpha("sqrt")
+        lam, n = 2 / 801, 801
+        row_part, col_part = _scaled_tail_parts(seq, lam, 1, n)
+        lower = np.tri(n, k=-1, dtype=bool)
+        assert (row_part[:, None] + col_part[None, :])[lower].max() > 700.0
+        with pytest.raises(RepresentationError, match="float range"):
+            scaled_e_matrix(lam, 1, seq, n)
 
 
 class TestShiftedDifferencePair:

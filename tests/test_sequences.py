@@ -250,6 +250,32 @@ class TestParseAlpha:
         with pytest.raises(ValueError, match="float range"):
             parse_alpha(spec)
 
+    @pytest.mark.parametrize("spec, named", [
+        ("power:beta=1e400", "beta=1e400"),
+        ("log:beta=1e400", "beta=1e400"),
+        ("psum:beta=1e400", "beta=1e400"),
+        ("power:beta=-1e400", "beta=-1e400"),
+        ("power:beta=1/0", "'1/0'"),
+        ("table:[1/0]", "'1/0'"),
+        ("table:[1]:step=1/0", "'1/0'"),
+        ("table:[1,,2]", "empty table item"),
+        ("table:[1,2,]", "empty table item"),
+    ])
+    def test_bad_numbers_raise_value_error(self, spec, named):
+        with pytest.raises(ValueError) as info:
+            parse_alpha(spec)
+        assert named in str(info.value)
+
+    def test_power_overflow_is_quiet(self):
+        # entries beyond float range saturate or are refused, without a
+        # numpy RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq = parse_alpha("power:beta=100")
+            assert seq.values_saturated(2000)[-1] == ALPHA_SATURATION
+            with pytest.raises(RepresentationError):
+                seq.values(2000)
+
 
 class TestWeights:
     def test_weight_values(self, linear):
