@@ -257,6 +257,20 @@ def load_config_file(path: str) -> dict:
     return _flatten_config(tree)
 
 
+def _read(key: str, val, want: type):
+    """val as an int, float or str field value.  Bools are not numbers, and
+    an int field refuses non-integral numbers, so that no value is silently
+    rounded or reinterpreted."""
+    if not (isinstance(val, bool)
+            or want is int and isinstance(val, float) and not val.is_integer()
+            or want is str and not isinstance(val, str)):
+        try:
+            return want(val)
+        except (TypeError, ValueError):
+            pass
+    raise UsageError(f"config field {key!r}: cannot read {val!r}")
+
+
 def _coerce_field(key: str, val):
     want = _CONFIG_FIELDS[key]
     if key == "experiments":
@@ -265,18 +279,17 @@ def _coerce_field(key: str, val):
         if not isinstance(val, list):
             raise UsageError("config field 'experiments': expected a list")
         return tuple(str(t) for t in val)
+    items = val if isinstance(val, list) else [val]
     if key == "lambda":
-        if isinstance(val, (int, float, str)):
-            val = [val]
-        return tuple(parse_complex_literal(str(v)) for v in val)
-    if key == "m":
-        if isinstance(val, int):
-            val = [val]
-        return tuple(int(v) for v in val)
-    try:
-        return want(val)
-    except (TypeError, ValueError):
-        raise UsageError(f"config field {key!r}: cannot read {val!r}") from None
+        if items and all(isinstance(v, (int, float, str))
+                         and not isinstance(v, bool) for v in items):
+            return tuple(parse_complex_literal(str(v)) for v in items)
+    elif key == "m":
+        if isinstance(val, (list, int)):
+            return tuple(_read(key, v, int) for v in items)
+    else:
+        return _read(key, val, want)
+    raise UsageError(f"config field {key!r}: cannot read {val!r}")
 
 
 def assemble_config(ns: argparse.Namespace) -> tuple:

@@ -39,11 +39,9 @@ from .sequences import (
 )
 from .trend import (
     BOUNDED,
-    DEFAULT_PARAMS,
     FAILS,
     HOLDS,
     INCONCLUSIVE,
-    TrendParams,
     UNBOUNDED,
     Verdict,
     first_deciding,
@@ -109,7 +107,6 @@ def koethe_continuity_check(
     k: int,
     l: int,
     N: int = 1_000,
-    trend_params: TrendParams = DEFAULT_PARAMS,
 ) -> Verdict:
     """Boundedness of sup_n (a_k(n)/n) * sum_{m<=n} 1/a_l(m) at resolution N.
 
@@ -125,23 +122,18 @@ def koethe_continuity_check(
     lse = np.logaddexp.accumulate(-log_al)
     q = log_ak - np.log(ns.astype(float)) + lse
     return sup_verdict_bounded(
-        ns, q, "(a_k(n)/n) * sum_{m<=n} 1/a_l(m)", trend_params,
+        ns, q, "(a_k(n)/n) * sum_{m<=n} 1/a_l(m)",
         extra={"k": k, "l": l, "N": N},
     )
 
 
-def _l_range(k: int, lmax: int | None, kp: int) -> tuple[int, int]:
-    """First and last l a window scan from k probes at k': lmax at k' = k
-    when given, default_lmax(k') otherwise."""
-    lm = lmax if (lmax is not None and kp == k) else default_lmax(kp)
-    if lm <= kp:
-        raise PreconditionError(f"need lmax > k, got k={kp}, lmax={lm}")
-    return kp + 1, lm
+def _l_range(kp: int) -> tuple[int, int]:
+    """First and last l a window scan probes at k'."""
+    return kp + 1, default_lmax(kp)
 
 
 def _window_scan(
     k: int,
-    lmax: int | None,
     per_pair: Callable[[int, int], Verdict],
     quantity: str,
 ) -> Verdict:
@@ -151,11 +143,13 @@ def _window_scan(
     every probed l, decisively; the scan stops there.  Anything else is
     inconclusive.
     """
+    if k < 1:
+        raise PreconditionError(f"level k must be >= 1, got {k}")
     chosen: dict[int, int] = {}
     held: list[Verdict] = []
 
     def some_l(kp: int) -> Verdict:
-        lo, hi = _l_range(k, lmax, kp)
+        lo, hi = _l_range(kp)
         j, v = first_deciding(
             (per_pair(kp, l) for l in range(lo, hi + 1)), stop=HOLDS)
         if v.outcome == HOLDS:
@@ -169,7 +163,7 @@ def _window_scan(
         # Every l decisively failed at this k': the for-every-k statement fails.
         return Verdict(
             FAILS, v.trend, v.evidence,
-            witness={"k": kp, "l_range": _l_range(k, lmax, kp)},
+            witness={"k": kp, "l_range": _l_range(kp)},
             params={**v.params, "quantity": quantity,
                     "chosen_l_by_k": dict(chosen)},
         )
@@ -192,9 +186,7 @@ def _window_scan(
 def inverse_continuity_check(
     seq: AlphaSequence,
     k: int = 1,
-    lmax: int | None = None,
     N: int | None = None,
-    trend_params: TrendParams = DEFAULT_PARAMS,
 ) -> Verdict:
     """Continuity of the inverse map y -> (n y_n - (n-1) y_{n-1}).
 
@@ -216,20 +208,19 @@ def inverse_continuity_check(
         c = 1.0 / kp - 1.0 / l
         q = logn - c * alpha
         v = sup_verdict_bounded(
-            ns, q, f"log n - (1/{kp} - 1/{l}) alpha_n", trend_params,
+            ns, q, f"log n - (1/{kp} - 1/{l}) alpha_n",
             extra={"alpha": seq.spec_string(), "k": kp, "l": l, "N": N},
         )
         return probe_escalation(v, labels, p_logn - c * p_alpha,
-                                "probe_values_log", trend_params)
+                                "probe_values_log")
 
-    return _window_scan(k, lmax, per_pair, "log n - (1/k - 1/l) alpha_n")
+    return _window_scan(k, per_pair, "log n - (1/k - 1/l) alpha_n")
 
 
 def noncompactness_witness(
     seq: AlphaSequence,
     k: int = 1,
     N: int | None = None,
-    trend_params: TrendParams = DEFAULT_PARAMS,
 ) -> Verdict:
     """Confirm unboundedness of A_k(n) = (w_{2k}(n)/n) sum_{m<=n} 1/w_k(m).
 
@@ -244,7 +235,7 @@ def noncompactness_witness(
     if k < 1:
         raise PreconditionError(f"level k must be >= 1, got {k}")
     N = N or default_resolution(seq)
-    nuc = nuclearity_check(seq, N, trend_params)
+    nuc = nuclearity_check(seq, N)
     if nuc.outcome != HOLDS:
         raise PreconditionError(
             "noncompactness witness requires a nuclear space; nuclearity "
@@ -257,11 +248,11 @@ def noncompactness_witness(
     direct = -alpha / (2 * k) - logn + lse
     lower = alpha / (2 * k) - logn
     v_direct = sup_verdict_bounded(
-        ns, direct, "A_k(n) = (w_2k(n)/n) sum_{m<=n} 1/w_k(m)", trend_params,
+        ns, direct, "A_k(n) = (w_2k(n)/n) sum_{m<=n} 1/w_k(m)",
         extra={"alpha": seq.spec_string(), "k": k, "N": N},
     )
     v_lower = sup_verdict_bounded(
-        ns, lower, "lower bound exp(alpha_n/2k)/n", trend_params,
+        ns, lower, "lower bound exp(alpha_n/2k)/n",
         extra={"alpha": seq.spec_string(), "k": k, "N": N},
     )
     params = {**v_direct.params,
@@ -284,7 +275,6 @@ def banach_step_compactness(
     seq: AlphaSequence,
     k: int = 1,
     N: int | None = None,
-    trend_params: TrendParams = DEFAULT_PARAMS,
 ) -> Verdict:
     """Compactness of the averaging operator on the single step c0(w_k).
 
@@ -303,7 +293,7 @@ def banach_step_compactness(
     q = -alpha / k - logn + lse
     lad = ladder(N)
     return limit_verdict_zero(
-        lad, q[lad - 1], "(w_k(n)/n) sum_{m<=n} 1/w_k(m)", trend_params,
+        lad, q[lad - 1], "(w_k(n)/n) sum_{m<=n} 1/w_k(m)",
         extra={"alpha": seq.spec_string(), "k": k, "N": N},
     )
 
@@ -311,9 +301,7 @@ def banach_step_compactness(
 def d_continuity_check(
     seq: AlphaSequence,
     k: int = 1,
-    lmax: int | None = None,
     N: int | None = None,
-    trend_params: TrendParams = DEFAULT_PARAMS,
 ) -> Verdict:
     """Continuity of x -> (n x_{n+1}): for every k some l bounds n w_k(n)/w_l(n+1).
 
@@ -331,11 +319,11 @@ def d_continuity_check(
     def per_pair(kp: int, l: int) -> Verdict:
         q = logn - alpha / kp + alpha_next / l
         return sup_verdict_bounded(
-            ns, q, f"n w_{kp}(n) / w_{l}(n+1)", trend_params,
+            ns, q, f"n w_{kp}(n) / w_{l}(n+1)",
             extra={"alpha": seq.spec_string(), "k": kp, "l": l, "N": N},
         )
 
-    return _window_scan(k, lmax, per_pair, "n w_k(n) / w_l(n+1)")
+    return _window_scan(k, per_pair, "n w_k(n) / w_l(n+1)")
 
 
 _ROWSUM_N_CAP = 1024
@@ -513,9 +501,7 @@ def _max_shift_rows(logc: np.ndarray, A: np.ndarray, s: int, e: int
 def delta_continuity_check(
     seq: AlphaSequence,
     k: int = 1,
-    lmax: int | None = None,
     N: int | None = None,
-    trend_params: TrendParams = DEFAULT_PARAMS,
 ) -> Verdict:
     """Continuity of the involutive alternating-binomial transform.
 
@@ -551,20 +537,20 @@ def delta_continuity_check(
 
     def per_pair(kp: int, l: int) -> Verdict:
         if l not in rowsums:
-            lo, hi = _l_range(k, lmax, kp)
+            lo, hi = _l_range(kp)
             ls = [m for m in range(lo, hi + 1) if m not in rowsums]
             sums = _log_rowsums(logc, alpha[:, None] / np.array(ls))
             rowsums.update(zip(ls, sums.T))
         q = rowsums[l] - alpha / kp
         return sup_verdict_bounded(
-            ns, q, f"sum_m (w_{kp}(n)/w_{l}(m)) binom(n-1,m-1)", trend_params,
+            ns, q, f"sum_m (w_{kp}(n)/w_{l}(m)) binom(n-1,m-1)",
             extra={"alpha": seq.spec_string(), "k": kp, "l": l, "N": N1},
         )
 
-    track_rows = _window_scan(k, lmax, per_pair,
+    track_rows = _window_scan(k, per_pair,
                               "sum_m (w_k(n)/w_l(m)) binom(n-1,m-1)")
-    track_scalar = n_over_alpha_check(seq, N_full, trend_params)
-    nuc = nuclearity_check(seq, N_full, trend_params)
+    track_scalar = n_over_alpha_check(seq, N_full)
+    nuc = nuclearity_check(seq, N_full)
 
     params = {
         "alpha": seq.spec_string(),

@@ -49,6 +49,9 @@ __all__ = [
     "power_iterate",
 ]
 
+# Relative float slack of the contraction and ergodic-residual checks.
+_FLOAT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class IterateTrace:
@@ -309,17 +312,16 @@ def power_bound_check(
     K: int = 5,
     M: int = 50,
     mode: str = "float",
-    tol_float: float = 1e-12,
 ) -> Verdict:
     """Seminorm contraction p_k(iterate) <= p_k(x) for k <= K, m <= M.
 
     x is a start vector or an IterateTrace of at least M passes.  Float mode
-    allows a relative slack of tol_float; rational mode compares exactly
-    and requires a generator with exact rational values.  There one float
-    pass per vector (the start vector and each iterate) brackets its sups at
-    every level k <= K.  Only the pairs whose brackets overlap (such as
-    exact ties at coordinate 1, which every pass fixes) go to
-    exact.compare_weighted, as integer numerators (exact.compare_sups).
+    allows a fixed relative slack of 1e-12, reported as "tol"; rational mode
+    compares exactly and requires a generator with exact rational values.
+    There one float pass per vector (the start vector and each iterate)
+    brackets its sups at every level k <= K.  Only the pairs whose brackets
+    overlap (such as exact ties at coordinate 1, which every pass fixes) go
+    to exact.compare_weighted, as integer numerators (exact.compare_sups).
     """
     if K < 1 or M < 1:
         raise PreconditionError("need K >= 1 and M >= 1")
@@ -352,13 +354,13 @@ def power_bound_check(
             evidence.append((m, 0.0))
         return Verdict(HOLDS, "contraction", tuple(evidence), params=params)
 
-    params["tol"] = tol_float
+    params["tol"] = _FLOAT_TOL
     table = SeminormTable(w, range(1, K + 1), len(x))
     base = table(x.as_float())
     worst = 0.0
     for m, y in iterates:
         for k, pk, bound in zip(table.ks, table(y.as_float()), base):
-            slack = pk - bound * (1.0 + tol_float)
+            slack = pk - bound * (1.0 + _FLOAT_TOL)
             worst = max(worst, slack)
             if slack > 0.0:
                 return Verdict(
@@ -406,27 +408,20 @@ def iterate_limit_check(
                            "max_steps": int(np.max(first_entry))})
 
 
-def ergodic_decomposition_check(
-    seq: AlphaSequence,
-    x,
-    N: int | None = None,
-    tol_float: float = 1e-12,
-) -> Verdict:
+def ergodic_decomposition_check(seq: AlphaSequence, x) -> Verdict:
     """Split x into x_1 * ones + z and reconstruct z from the range of (I - C).
 
     z has first coordinate zero; shifting it and applying the exact inverse
     of the shifted difference matrix produces v with (I - C) v = z on every
-    truncation coordinate.  Exact input is verified with zero tolerance,
-    float input against tol_float; a mismatch in exact mode is an internal
-    error because the construction is an identity, not an approximation.
+    truncation coordinate, N = len(x).  Exact input is verified with zero
+    tolerance, float input against a relative 1e-12 (reported as "tol"); a
+    mismatch in exact mode is an internal error because the construction is
+    an identity, not an approximation.
     """
     x = as_vector(x)
-    N = N or len(x)
+    N = len(x)
     if N < 2:
         raise PreconditionError("need N >= 2")
-    if len(x) < N:
-        raise PreconditionError(f"vector of length {len(x)} too short for N={N}")
-    x = x.prefix(N)
 
     if x.exact:
         # z = x - x_1 over x's denominator, then v = (0, B z_2..z_N) and the
@@ -455,16 +450,16 @@ def ergodic_decomposition_check(
     resid = v - (np.cumsum(v) / np.arange(1, N + 1)) - z
     worst = float(np.max(np.abs(resid)))
     scale = max(1.0, float(np.max(np.abs(z))))
-    if worst > tol_float * scale:
+    if worst > _FLOAT_TOL * scale:
         bad = int(np.argmax(np.abs(resid))) + 1
         return Verdict(
             FAILS, "residual", ((N, worst),),
             witness={"n": bad, "residual": worst},
             params={"alpha": seq.spec_string(), "N": N, "mode": "float",
-                    "tol": tol_float},
+                    "tol": _FLOAT_TOL},
         )
     return Verdict(
         HOLDS, "residual_below_tol", ((N, worst),),
         params={"alpha": seq.spec_string(), "N": N, "mode": "float",
-                "tol": tol_float},
+                "tol": _FLOAT_TOL},
     )

@@ -359,6 +359,8 @@ def cesaro(N: int, mode: str = "rational") -> TruncOperator:
     if mode == "float":
         data = np.tril(np.ones((N, N)) / np.arange(1, N + 1)[:, None])
         return TruncOperator("cesaro", N, data, "float", "lower")
+    if mode != "rational":
+        raise ValueError(f"unknown mode {mode!r}")
     L, mult = _mean_multipliers(N)
     re = np.zeros((N, N), dtype=object)
     for n in range(N):
@@ -489,7 +491,7 @@ def delta_eigenvector(m: int, N: int) -> CoordinateVector:
         [sign * math.comb(n - 1, m - 1) for n in range(1, N + 1)], 1)
 
 
-def _check_not_pole(lam, N: int, tol: float) -> None:
+def _check_not_pole(lam, N: int) -> None:
     if isinstance(lam, Fraction):
         if lam == 0:
             raise PreconditionError("resolvent undefined at 0")
@@ -501,10 +503,9 @@ def _check_not_pole(lam, N: int, tol: float) -> None:
     lam_f = complex(lam)
     ms = np.arange(1, N + 1, dtype=float)
     d = float(min(abs(lam_f), np.min(np.abs(lam_f - 1.0 / ms))))
-    if d < tol:
-        raise PreconditionError(
-            f"lambda={lam_f} is within {tol} of the reciprocal-integer set"
-        )
+    if d < TOL_SIGMA:
+        raise PreconditionError(f"lambda={lam_f} is within {TOL_SIGMA} of "
+                                "the reciprocal-integer set")
 
 
 def _resolvent_scalars(lam, N: int):
@@ -536,7 +537,7 @@ def resolvent(lam, N: int, mode: str = "float") -> TruncOperator:
         if not isinstance(lam, (int, Fraction)):
             raise ValueError("rational mode needs an int or Fraction lambda")
         lam = Fraction(lam)
-        _check_not_pole(lam, N, TOL_SIGMA)
+        _check_not_pole(lam, N)
         d, P = _resolvent_scalars(lam, N)
         rows = []
         for n in range(1, N + 1):
@@ -547,7 +548,7 @@ def resolvent(lam, N: int, mode: str = "float") -> TruncOperator:
         return TruncOperator(f"resolvent(lambda={lam})", N, rows, "rational", "lower")
 
     lam_f = complex(lam)
-    _check_not_pole(lam_f, N, TOL_SIGMA)
+    _check_not_pole(lam_f, N)
     if mode == "float":
         ns = np.arange(1, N + 1, dtype=float)
         d = 1.0 / (1.0 / ns - lam_f)
@@ -581,7 +582,7 @@ def resolvent_tail_logs(lam, N: int) -> tuple[np.ndarray, np.ndarray]:
     columns.
     """
     lam_f = complex(lam)
-    _check_not_pole(lam_f, N, TOL_SIGMA)
+    _check_not_pole(lam_f, N)
     ns = np.arange(1, N + 1, dtype=float)
     with np.errstate(divide="ignore"):
         logs_f = np.log(np.abs(1.0 - 1.0 / (lam_f * ns)))

@@ -37,13 +37,14 @@ import numpy as np
 from .errors import InternalConsistencyError, RepresentationError, SkEmptyError
 from .trend import (
     FAILS,
+    FLAT_BAND,
     HOLDS,
     INCONCLUSIVE,
     LOG_OVERFLOW,
+    RISE_TOTAL,
     RISING,
     UNDECIDED,
-    DEFAULT_PARAMS,
-    TrendParams,
+    WINDOW,
     Verdict,
     ladder,
     limit_verdict_positive,
@@ -66,6 +67,8 @@ _KNOWN_KINDS = (
 
 # Largest n with n^n representable in float64.
 _TOWER_FLOAT_LIMIT = 143
+# Doubling probes N * 2^t past the resolution, t = 1 .. this.
+_PROBE_COUNT = 24
 
 
 @dataclass(frozen=True)
@@ -410,19 +413,18 @@ class AlphaSequence:
             out[small] = dense[ns[small].astype(int) - 1]
         return out
 
-    def tail_probes(self, N: int, count: int = 24) -> tuple[TailProbe, ...]:
+    def tail_probes(self, N: int) -> tuple[TailProbe, ...]:
         """Samples of alpha past index N for divergence-at-infinity checks.
 
         Default: doubling indices N*2^t.  The sparse-block generator instead
         probes the start of every block beyond N, because its interesting
-        behaviour is concentrated there.  Computed once per (N, count).
+        behaviour is concentrated there.  Computed once per N.
         """
-        key = (N, count)
-        if key not in self._probes:
-            self._probes[key] = tuple(self._tail_probes(N, count))
-        return self._probes[key]
+        if N not in self._probes:
+            self._probes[N] = tuple(self._tail_probes(N))
+        return self._probes[N]
 
-    def _tail_probes(self, N: int, count: int) -> list[TailProbe]:
+    def _tail_probes(self, N: int) -> list[TailProbe]:
         if self.kind == "s1_empty":
             _, ylogs = _sparse_block_table(math.inf)
             probes = []
@@ -436,7 +438,7 @@ class AlphaSequence:
                 probes.append(TailProbe(f"block k={k}", y, alpha, prev))
             return probes
         probes = []
-        for t in range(1, count + 1):
+        for t in range(1, _PROBE_COUNT + 1):
             n = float(N) * 2.0 ** t
             if n > 4e12:
                 break
@@ -576,10 +578,10 @@ def _unsaturated(ns: np.ndarray, alphas: np.ndarray, extra: dict) -> np.ndarray:
     return keep
 
 
-def _saturation_starved(ns, logs, quantity: str, trend_params: TrendParams,
+def _saturation_starved(ns, logs, quantity: str,
                         extra: dict) -> Optional[Verdict]:
     """Inconclusive verdict when dropping saturated samples left too few."""
-    if "saturated_from" not in extra or len(ns) >= trend_params.window:
+    if "saturated_from" not in extra or len(ns) >= WINDOW:
         return None
     return Verdict(
         INCONCLUSIVE, UNDECIDED,
@@ -590,7 +592,7 @@ def _saturation_starved(ns, logs, quantity: str, trend_params: TrendParams,
 
 
 def _ratio_to_zero_verdict(seq: AlphaSequence, N: int, quantity: str,
-                           log_numerator, trend_params: TrendParams) -> Verdict:
+                           log_numerator) -> Verdict:
     """Verdict on f(n)/alpha_n -> 0 along the unsaturated part of the ladder."""
     lad = ladder(N)
     alphas = seq.values_saturated(N)[lad - 1]
@@ -599,17 +601,13 @@ def _ratio_to_zero_verdict(seq: AlphaSequence, N: int, quantity: str,
     lad, alphas = lad[keep], alphas[keep]
     with np.errstate(divide="ignore"):
         logs = log_numerator(lad) - np.log(alphas)
-    starved = _saturation_starved(lad, logs, quantity, trend_params, extra)
+    starved = _saturation_starved(lad, logs, quantity, extra)
     if starved is not None:
         return starved
-    return limit_verdict_zero(lad, logs, quantity, trend_params, extra=extra)
+    return limit_verdict_zero(lad, logs, quantity, extra=extra)
 
 
-def nuclearity_check(
-    seq: AlphaSequence,
-    N: int | None = None,
-    trend_params: TrendParams = DEFAULT_PARAMS,
-) -> Verdict:
+def nuclearity_check(seq: AlphaSequence, N: int | None = None) -> Verdict:
     """Verdict on log(n)/alpha_n -> 0, the growth condition for nuclearity.
 
     The space built on alpha is nuclear exactly when this limit is zero, so
@@ -617,14 +615,10 @@ def nuclearity_check(
     """
     N = N or default_resolution(seq)
     return _ratio_to_zero_verdict(seq, N, "log(n)/alpha_n",
-                                  lambda n: np.log(np.log(n)), trend_params)
+                                  lambda n: np.log(np.log(n)))
 
 
-def v_alpha(
-    seq: AlphaSequence,
-    N: int | None = None,
-    trend_params: TrendParams = DEFAULT_PARAMS,
-) -> tuple[float, Verdict]:
+def v_alpha(seq: AlphaSequence, N: int | None = None) -> tuple[float, Verdict]:
     """Observed inf of the gaps alpha_{n+1} - alpha_n, with a positivity verdict.
 
     A positive gap infimum forces log(n)/alpha_n -> 0 (gaps bounded below make
@@ -646,20 +640,16 @@ def v_alpha(
     with np.errstate(divide="ignore"):
         logs = np.log(np.maximum(sampled, 0.0))
     quantity = "running min of alpha gaps"
-    starved = _saturation_starved(lad, logs, quantity, trend_params, extra)
+    starved = _saturation_starved(lad, logs, quantity, extra)
     observed = float(running_min[-1]) if len(gaps) else math.nan
     if starved is not None:
         return observed, starved
     extra["observed_inf"] = observed
-    v = limit_verdict_positive(lad, logs, quantity, trend_params, extra=extra)
+    v = limit_verdict_positive(lad, logs, quantity, extra=extra)
     return observed, v
 
 
-def shift_stability_check(
-    seq: AlphaSequence,
-    N: int | None = None,
-    trend_params: TrendParams = DEFAULT_PARAMS,
-) -> Verdict:
+def shift_stability_check(seq: AlphaSequence, N: int | None = None) -> Verdict:
     """Verdict on limsup alpha_{n+1}/alpha_n < infinity.
 
     Dense ratios up to N are combined with beyond-N probes: generators whose
@@ -674,30 +664,30 @@ def shift_stability_check(
     keep = _unsaturated(ns, a[1:], extra)
     ns, ratios = ns[keep], ratios[keep]
     logs = np.log(ratios)
-    starved = _saturation_starved(ns, logs, "alpha_{n+1}/alpha_n",
-                                  trend_params, extra)
+    starved = _saturation_starved(ns, logs, "alpha_{n+1}/alpha_n", extra)
     if starved is not None:
         return starved
     extra["sup_ratio_observed"] = float(np.max(ratios))
     verdict = sup_verdict_bounded(
-        ns, logs, "alpha_{n+1}/alpha_n", trend_params, extra=extra)
+        ns, logs, "alpha_{n+1}/alpha_n", extra=extra)
     probes = seq.tail_probes(N)
     plogs = np.array([
         math.log(p.alpha / p.alpha_prev) if p.alpha_prev > 0 else np.inf
         for p in probes
     ])
     return probe_escalation(verdict, [p.label for p in probes], plogs,
-                            "probe_ratios_log", trend_params)
+                            "probe_ratios_log")
 
 
-def n_over_alpha_check(
-    seq: AlphaSequence,
-    N: int | None = None,
-    trend_params: TrendParams = DEFAULT_PARAMS,
-) -> Verdict:
+def n_over_alpha_check(seq: AlphaSequence, N: int | None = None) -> Verdict:
     """Verdict on n/alpha_n -> 0 (the growth side of basis-shift continuity)."""
     N = N or default_resolution(seq)
-    return _ratio_to_zero_verdict(seq, N, "n/alpha_n", np.log, trend_params)
+    return _ratio_to_zero_verdict(seq, N, "n/alpha_n", np.log)
+
+
+# Margin around the harmonic exponent 1 inside which a decay exponent, or
+# its spread over the tail, is too close to call.
+_SLOPE_MARGIN = 0.02
 
 
 def sk_convergence(
@@ -705,8 +695,6 @@ def sk_convergence(
     k: int,
     s: float,
     N: int = 10_000,
-    trend_params: TrendParams = DEFAULT_PARAMS,
-    slope_margin: float = 0.02,
 ) -> Verdict:
     """Verdict on convergence of sum_n exp(alpha_n/k) / n^s.
 
@@ -718,12 +706,10 @@ def sk_convergence(
     the check separates n*t(n) -> c > 0 (divergent) from slower corrections
     (inconclusive).
     """
-    return _series_verdicts(seq, k, N, trend_params, slope_margin)(s)
+    return _series_verdicts(seq, k, N)(s)
 
 
-def _series_verdicts(seq: AlphaSequence, k: int, N: int,
-                     trend_params: TrendParams = DEFAULT_PARAMS,
-                     slope_margin: float = 0.02):
+def _series_verdicts(seq: AlphaSequence, k: int, N: int):
     """sk_convergence at level k as a function of s alone; what does not
     depend on s is computed once, for a whole bisection."""
     if k < 1:
@@ -736,7 +722,6 @@ def _series_verdicts(seq: AlphaSequence, k: int, N: int,
     lad_list = lad.tolist()
     starts = np.concatenate([[0], lad[:-1]])
     dlog = np.diff(np.log(lad))
-    w = trend_params.window
     probes = seq.tail_probes(N)
     probe_alpha = np.array([min(p.alpha / k, ALPHA_SATURATION) for p in probes])
     probe_log_n = np.array([p.log_n for p in probes])
@@ -756,9 +741,9 @@ def _series_verdicts(seq: AlphaSequence, k: int, N: int,
             return Verdict(FAILS, RISING, ev, witness=witness,
                            params={**info, "mode": "term_overflow"})
 
-        tail = lt_l[-w:].tolist()
+        tail = lt_l[-WINDOW:].tolist()
         if all(b - a > 0 for a, b in zip(tail, tail[1:])) \
-                and tail[-1] - tail[0] >= trend_params.rise_total:
+                and tail[-1] - tail[0] >= RISE_TOTAL:
             return Verdict(FAILS, RISING, ev, witness=lad_list[-1],
                            params={**info, "mode": "rising_terms"})
 
@@ -788,23 +773,22 @@ def _series_verdicts(seq: AlphaSequence, k: int, N: int,
                 )
 
         # N >= 100 puts 13 or more samples on the ladder, so ttail is not empty
-        ttail = (-np.diff(lt_l[-w:]) / dlog[-(w - 1):]).tolist()
+        ttail = (-np.diff(lt_l[-WINDOW:]) / dlog[-(WINDOW - 1):]).tolist()
         spread = max(ttail) - min(ttail)
         theta_star = float(np.mean(ttail))
         info["decay_exponent"] = theta_star
-        if spread <= slope_margin:
-            if theta_star >= 1.0 + slope_margin:
+        if spread <= _SLOPE_MARGIN:
+            if theta_star >= 1.0 + _SLOPE_MARGIN:
                 return Verdict(HOLDS, "power_decay", ev, params=info)
-            if theta_star <= 1.0 - slope_margin:
+            if theta_star <= 1.0 - _SLOPE_MARGIN:
                 return Verdict(FAILS, "slow_decay", ev, witness=lad_list[-1],
                                params={**info, "mode": "decay_exponent_below_1"})
             # n * term stabilizing at a positive level pins divergence; a
             # tail that is flat in spread but steadily drifting could still
             # be a slowly-varying correction on either side of the edge.
-            u = (lt_l[-w:] + np.log(lad[-w:])).tolist()
+            u = (lt_l[-WINDOW:] + np.log(lad[-WINDOW:])).tolist()
             drift = abs(u[-1] - u[0])
-            if max(u) - min(u) <= trend_params.flat_band \
-                    and drift <= 0.3 * trend_params.flat_band:
+            if max(u) - min(u) <= FLAT_BAND and drift <= 0.3 * FLAT_BAND:
                 info["harmonic_level"] = float(math.exp(np.mean(u)))
                 return Verdict(FAILS, "harmonic", ev, witness=lad_list[-1],
                                params={**info, "mode": "n_times_term_stabilizes"})
@@ -813,9 +797,9 @@ def _series_verdicts(seq: AlphaSequence, k: int, N: int,
                 reason="decay exponent within margin of the harmonic edge",
                 params=info,
             )
-        if min(ttail) >= 1.0 + slope_margin:
+        if min(ttail) >= 1.0 + _SLOPE_MARGIN:
             return Verdict(HOLDS, "power_decay", ev, params=info)
-        if max(ttail) <= 1.0 - slope_margin:
+        if max(ttail) <= 1.0 - _SLOPE_MARGIN:
             return Verdict(FAILS, "slow_decay", ev, witness=lad_list[-1],
                            params={**info, "mode": "decay_exponent_below_1"})
         return Verdict(INCONCLUSIVE, "undecided", ev,
@@ -851,16 +835,15 @@ def s0_estimate(
     k: int,
     N: int = 10_000,
     tol: float = 0.05,
-    s_cap: float = 50.0,
 ) -> SZeroEstimate:
     """Bracket the critical exponent s0(k) = inf { s : the k-series converges }.
 
     Scans a coarse grid for the first convergent exponent, then bisects the
-    bracket down to width tol.  Raises SkEmptyError when nothing up to s_cap
-    converges (for most gallery members that is the true state of affairs:
-    only logarithmic alpha admits any convergent exponent).  Inconclusive
-    verdicts during bisection stop the refinement at the last decisive
-    bracket rather than guessing.
+    bracket down to width tol.  Raises SkEmptyError, with cap 50, when no
+    exponent on the grid (which ends at s = 50) converges: for most gallery
+    members that is the true state of affairs, since only logarithmic alpha
+    admits any convergent exponent.  Inconclusive verdicts during bisection
+    stop the refinement at the last decisive bracket rather than guessing.
 
     s = 1 always diverges, by comparison: every generator has alpha_n >= 0
     (nondecreasing from a positive alpha_1), so every term exp(alpha_n/k)/n
@@ -877,8 +860,6 @@ def s0_estimate(
     lo, lo_v = None, None
     hi, hi_v = None, None
     for s in _S_GRID:
-        if s > s_cap:
-            break
         v = verdict_at(s)
         probed.append((s, v.outcome))
         if v.outcome == HOLDS:
@@ -887,7 +868,7 @@ def s0_estimate(
         if v.outcome == FAILS:
             lo, lo_v = s, v
     if hi is None:
-        raise SkEmptyError(k, s_cap, tuple(probed))
+        raise SkEmptyError(k, _S_GRID[-1], tuple(probed))
     if lo is None and hi <= 1.0:
         raise InternalConsistencyError(
             f"series at k={k} converges at s={hi}; s=1 must always diverge"

@@ -23,17 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .operators import TOL_SIGMA, _check_not_pole, _scaled_tail_parts, \
-    logbinom, resolvent_tail_logs
+from .operators import _check_not_pole, _scaled_tail_parts, logbinom, \
+    resolvent_tail_logs
 from .sequences import AlphaSequence, default_resolution, s0_estimate
 from .criteria import S1_SCAN, SpaceProfile
 from .trend import (
     BOUNDED,
-    DEFAULT_PARAMS,
     FAILS,
     HOLDS,
     INCONCLUSIVE,
-    TrendParams,
     Verdict,
     first_deciding,
     ladder,
@@ -226,7 +224,6 @@ def eigenvector_membership(
     m: int,
     K: int,
     N: int | None = None,
-    trend_params: TrendParams = DEFAULT_PARAMS,
 ) -> Verdict:
     """Does the m-th eigenvector (alternating binomial column) live in the space?
 
@@ -245,7 +242,6 @@ def eigenvector_membership(
     i, v = first_deciding(
         limit_verdict_zero(
             lad, -alpha / k + logx, f"w_{k}(n) binom(n-1, {m - 1})",
-            trend_params,
             extra={"alpha": seq.spec_string(), "m": m, "k": k, "N": N})
         for k in range(1, K + 1))
     if v.outcome == FAILS:
@@ -261,8 +257,6 @@ def verify_resolvent_point(
     lam,
     k: int = 1,
     N: int | None = None,
-    trend_params: TrendParams = DEFAULT_PARAMS,
-    tol: float = TOL_SIGMA,
 ) -> Verdict:
     """Numeric evidence that lam is a resolvent point at weight step k.
 
@@ -270,14 +264,16 @@ def verify_resolvent_point(
     columns decay along n, and absolute row sums stay bounded.  Together they
     witness that the resolvent maps step k+1 into step k continuously; a
     growing row sum witnesses the opposite.  This never decides spectrum
-    membership, it corroborates the theorem-driven prediction.
+    membership, it corroborates the theorem-driven prediction.  A lam within
+    operators.TOL_SIGMA of 0 or of some 1/m with m <= N is a pole of the
+    truncated resolvent and raises PreconditionError.
     """
     if k < 1:
         raise PreconditionError(f"weight step k must be >= 1, got {k}")
     N = N or default_resolution(seq)
     if N < 16:
         raise PreconditionError("resolvent verification needs N >= 16")
-    _check_not_pole(lam, N, tol)
+    _check_not_pole(lam, N)
     row_part, col_part = _scaled_tail_parts(seq, lam, k, N)
 
     # (a) column decay for the sampled columns m = 1, 2, 4, ... <= N/4
@@ -288,7 +284,7 @@ def verify_resolvent_point(
         lad = lad[lad > cm]
         logs = row_part[lad - 1] + col_part[cm - 1]
         columns.append(limit_verdict_zero(
-            lad, logs, f"scaled tail column m={cm}", trend_params,
+            lad, logs, f"scaled tail column m={cm}",
             extra={"alpha": seq.spec_string(), "lambda": complex(lam),
                    "k": k, "m": cm, "N": N},
         ))
@@ -298,7 +294,7 @@ def verify_resolvent_point(
     ns = np.arange(2, N + 1, dtype=np.int64)
     q = row_part[ns - 1] + G[ns - 2]
     rows = sup_verdict_bounded(
-        ns, q, "absolute row sums of the scaled tail matrix", trend_params,
+        ns, q, "absolute row sums of the scaled tail matrix",
         extra={"alpha": seq.spec_string(), "lambda": complex(lam),
                "k": k, "N": N},
     )
@@ -323,7 +319,6 @@ def resolvent_point_profile(
     lam,
     kmax: int = 3,
     N: int | None = None,
-    trend_params: TrendParams = DEFAULT_PARAMS,
 ) -> Verdict:
     """Scan verify_resolvent_point over weight steps k = 1..kmax.
 
@@ -333,7 +328,7 @@ def resolvent_point_profile(
     """
     if kmax < 1:
         raise PreconditionError(f"need kmax >= 1, got {kmax}")
-    steps = [verify_resolvent_point(seq, lam, k, N, trend_params)
+    steps = [verify_resolvent_point(seq, lam, k, N)
              for k in range(1, kmax + 1)]
     params = {"alpha": seq.spec_string(), "lambda": complex(lam),
               "kmax": kmax,
@@ -348,12 +343,7 @@ def resolvent_point_profile(
     return Verdict(HOLDS, v.trend, v.evidence, params=params)
 
 
-def boun_bounds_fit(
-    lam,
-    N: int = 1_000,
-    trend_params: TrendParams = DEFAULT_PARAMS,
-    tol: float = TOL_SIGMA,
-) -> tuple[float, float, Verdict]:
+def boun_bounds_fit(lam, N: int = 1_000) -> tuple[float, float, Verdict]:
     """Fit two-sided constants for the tail-entry envelope n^(1-a) m^a |e_nm|.
 
     a is the real part of 1/lam.  The envelope separates into a row term and
@@ -364,7 +354,7 @@ def boun_bounds_fit(
     """
     if N < 32:
         raise PreconditionError("envelope fit needs N >= 32")
-    _check_not_pole(lam, N, tol)
+    _check_not_pole(lam, N)
     a = (1.0 / complex(lam)).real
     L, logn = resolvent_tail_logs(lam, N)
     row_term = -a * logn - L[1:]         # n index, 0-based
@@ -375,11 +365,11 @@ def boun_bounds_fit(
     v_hi = row_term[ns - 1] + pref_max[ns - 2]
     v_lo = row_term[ns - 1] + pref_min[ns - 2]
     upper = sup_verdict_bounded(
-        ns, v_hi, "envelope upper extreme", trend_params,
+        ns, v_hi, "envelope upper extreme",
         extra={"lambda": complex(lam), "a": a, "N": N},
     )
     lower = sup_verdict_bounded(
-        ns, -v_lo, "negated envelope lower extreme", trend_params,
+        ns, -v_lo, "negated envelope lower extreme",
         extra={"lambda": complex(lam), "a": a, "N": N},
     )
     log_C = float(np.max(v_hi))

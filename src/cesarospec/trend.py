@@ -9,6 +9,10 @@ deliberately conservative: a verdict of ``holds`` or ``fails`` means the
 sampled evidence is unambiguous at the chosen resolution, and anything
 borderline comes back ``inconclusive`` with a reason string.
 
+The rules read five fixed thresholds, the same for every verdict: ``WINDOW``
+(tail length), ``ZERO_REL_TOL`` (reached zero), ``FLAT_BAND`` (stabilized),
+``DECAY_STEP`` (clean decay) and ``RISE_TOTAL`` (clean growth).
+
 All classification happens on the natural log of the quantity under test, so
 overflow/underflow of the raw values never corrupts a verdict (-inf is a
 legitimate log value meaning "exactly zero" or "underflowed").
@@ -45,38 +49,18 @@ UNDECIDED = "undecided"
 LOG_OVERFLOW = 690.0
 
 
-@dataclass(frozen=True)
-class TrendParams:
-    """Tuning knobs for the ladder classifiers.
-
-    window: number of trailing ladder samples examined by tail rules.
-    zero_rel_tol: relative drop (vs the sample peak) accepted as "reached zero".
-    flat_band: max log-spread of a tail considered stabilized.
-    decay_step: min mean per-sample log-drop for a clean decay verdict.
-    rise_total: min total log-rise over the tail for a clean growth verdict.
-    """
-
-    window: int = 5
-    zero_rel_tol: float = 1e-3
-    flat_band: float = 0.01
-    decay_step: float = 0.02
-    rise_total: float = 0.1
-
-    def __post_init__(self) -> None:
-        # a one-sample tail has spread 0, and a[-0:] is all of a
-        if not isinstance(self.window, int) or self.window < 2:
-            raise ValueError(f"window must be an int >= 2, got {self.window!r}")
-        if not 0 < self.zero_rel_tol < 1:
-            raise ValueError(
-                f"zero_rel_tol must lie in (0, 1), got {self.zero_rel_tol!r}")
-        for name in ("flat_band", "decay_step", "rise_total"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value!r}")
-
-
-DEFAULT_PARAMS = TrendParams()
+# Fixed thresholds of the ladder classifiers.
+# Number of trailing ladder samples examined by tail rules; at least 2, since
+# a one-sample tail has spread 0 and a[-0:] is all of a.
+WINDOW = 5
+# Relative drop (vs the sample peak) accepted as "reached zero".
+ZERO_REL_TOL = 1e-3
+# Max log-spread of a tail considered stabilized.
+FLAT_BAND = 0.01
+# Min mean per-sample log-drop for a clean decay verdict.
+DECAY_STEP = 0.02
+# Min total log-rise over the tail for a clean growth verdict.
+RISE_TOTAL = 0.1
 
 
 @dataclass(frozen=True)
@@ -158,11 +142,7 @@ def ladder(N: int, start: int = 2) -> np.ndarray:
     return lad
 
 
-def classify_limit(
-    ns: np.ndarray,
-    logs: np.ndarray,
-    params: TrendParams = DEFAULT_PARAMS,
-) -> tuple[str, Any]:
+def classify_limit(ns: np.ndarray, logs: np.ndarray) -> tuple[str, Any]:
     """Classify the limiting behaviour of a nonnegative quantity from log samples.
 
     Returns (trend, detail) where trend is one of TO_ZERO, POSITIVE_LIMIT,
@@ -184,10 +164,10 @@ def classify_limit(
     if peak == -math.inf:
         return TO_ZERO, None
 
-    tail = t[-params.window:]
+    tail = t[-WINDOW:]
 
     # Reached-zero rule: the whole tail is far below the peak and not climbing.
-    if max(tail) <= peak + math.log(params.zero_rel_tol) and tail[-1] <= tail[0]:
+    if max(tail) <= peak + math.log(ZERO_REL_TOL) and tail[-1] <= tail[0]:
         return TO_ZERO, None
 
     if -math.inf in tail:
@@ -196,26 +176,26 @@ def classify_limit(
 
     # Stabilized at a level comparable to the peak.
     spread = max(tail) - min(tail)
-    if spread <= params.flat_band:
+    if spread <= FLAT_BAND:
         try:
             return POSITIVE_LIMIT, math.exp(np.mean(tail))
         except OverflowError:
             return POSITIVE_LIMIT, math.inf
 
     steps = [b - a for a, b in zip(tail, tail[1:])]
-    if all(d < 0 for d in steps) and -float(np.mean(steps)) >= params.decay_step:
+    if all(d < 0 for d in steps) and -float(np.mean(steps)) >= DECAY_STEP:
         return TO_ZERO, None
-    if all(d >= 0 for d in steps) and tail[-1] - tail[0] >= params.rise_total:
+    if all(d >= 0 for d in steps) and tail[-1] - tail[0] >= RISE_TOTAL:
         return RISING, int(ns[-1])
-    if spread >= params.rise_total:
+    if spread >= RISE_TOTAL:
         return OSCILLATING, int(ns[tail.index(max(tail)) - len(tail)])
     return UNDECIDED, None
 
 
-def _limit_verdict(claim, reason, ns, logs, quantity, params, extra) -> Verdict:
+def _limit_verdict(claim, reason, ns, logs, quantity, extra) -> Verdict:
     """Verdict for the claim "the limit trend is ``claim``" (TO_ZERO or
     POSITIVE_LIMIT); an undecided tail is inconclusive with ``reason``."""
-    trend, detail = classify_limit(ns, logs, params)
+    trend, detail = classify_limit(ns, logs)
     idx = np.asarray(ns).astype(np.int64, copy=False).tolist()
     ev = tuple(zip(idx, np.asarray(logs, dtype=float).tolist()))
     info = {"quantity": quantity, "scale": "log"}
@@ -236,30 +216,28 @@ def limit_verdict_zero(
     ns: np.ndarray,
     logs: np.ndarray,
     quantity: str,
-    params: TrendParams = DEFAULT_PARAMS,
     extra: dict | None = None,
 ) -> Verdict:
     """Verdict for the claim "quantity tends to zero"."""
     return _limit_verdict(
         TO_ZERO,
         "tail neither vanishes, stabilizes, nor grows cleanly at this resolution",
-        ns, logs, quantity, params, extra)
+        ns, logs, quantity, extra)
 
 
 def limit_verdict_positive(
     ns: np.ndarray,
     logs: np.ndarray,
     quantity: str,
-    params: TrendParams = DEFAULT_PARAMS,
     extra: dict | None = None,
 ) -> Verdict:
     """Verdict for the claim "quantity tends to a finite positive limit"."""
     return _limit_verdict(
         POSITIVE_LIMIT, "tail does not stabilize at this resolution",
-        ns, logs, quantity, params, extra)
+        ns, logs, quantity, extra)
 
 
-def _sup_scan(ns, logs, params: TrendParams) -> tuple:
+def _sup_scan(ns, logs) -> tuple:
     """(trend, detail, ladder checkpoints, running sup there) for
     classify_sup and sup_verdict_bounded.  The running sup carries NaN
     forward and ends at the max, so both input checks read its last entry."""
@@ -281,23 +259,22 @@ def _sup_scan(ns, logs, params: TrendParams) -> tuple:
     if top >= LOG_OVERFLOW:
         return (UNBOUNDED, int(ns[int(np.argmax(logs >= LOG_OVERFLOW))])) + scan
 
-    w = params.window
-    tail = checkpoints[-w:]
+    tail = checkpoints[-WINDOW:]
     if len(tail) >= 2 and all(b - a > 0 for a, b in zip(tail, tail[1:])) \
-            and tail[-1] - tail[0] >= params.rise_total:
+            and tail[-1] - tail[0] >= RISE_TOTAL:
         return (UNBOUNDED, int(ns[int(np.argmax(logs))])) + scan
 
     # Bounded requires the running sup to be flat over a long trailing stretch,
     # not just the last few checkpoints.
-    tail_b = checkpoints[-max(w, len(checkpoints) // 4):]
-    if max(tail_b) - min(tail_b) <= params.flat_band:
+    tail_b = checkpoints[-max(WINDOW, len(checkpoints) // 4):]
+    if max(tail_b) - min(tail_b) <= FLAT_BAND:
         # Guard: a pointwise tail still climbing toward the sup means the
         # flatness may be an artifact of an early transient peak.
-        pw_tail = logs[pos[-w:]].tolist()
+        pw_tail = logs[pos[-WINDOW:]].tolist()
         climbing = (
             len(pw_tail) >= 2
             and all(b - a >= 0 for a, b in zip(pw_tail, pw_tail[1:]))
-            and pw_tail[-1] - pw_tail[0] >= params.rise_total
+            and pw_tail[-1] - pw_tail[0] >= RISE_TOTAL
         )
         if climbing:
             return (UNDECIDED, None) + scan
@@ -305,11 +282,7 @@ def _sup_scan(ns, logs, params: TrendParams) -> tuple:
     return (UNDECIDED, None) + scan
 
 
-def classify_sup(
-    ns: np.ndarray,
-    logs: np.ndarray,
-    params: TrendParams = DEFAULT_PARAMS,
-) -> tuple[str, Any]:
+def classify_sup(ns: np.ndarray, logs: np.ndarray) -> tuple[str, Any]:
     """Classify whether sup of a nonnegative quantity is finite.
 
     ns/logs are pointwise samples over a dense increasing index grid (log
@@ -317,21 +290,20 @@ def classify_sup(
     checkpoints.  Returns (trend, detail): UNBOUNDED with a witness index,
     BOUNDED with the log of the observed sup, or UNDECIDED.
     """
-    return _sup_scan(ns, logs, params)[:2]
+    return _sup_scan(ns, logs)[:2]
 
 
 def sup_verdict_bounded(
     ns: np.ndarray,
     logs: np.ndarray,
     quantity: str,
-    params: TrendParams = DEFAULT_PARAMS,
     extra: dict | None = None,
 ) -> Verdict:
     """Verdict for the claim "sup over all indices is finite".
 
     Evidence records the running sup at ladder checkpoints (log scale).
     """
-    trend, detail, lad, sups = _sup_scan(ns, logs, params)
+    trend, detail, lad, sups = _sup_scan(ns, logs)
     ev = tuple(zip(lad, sups))
     info = {"quantity": quantity, "scale": "log", "evidence_kind": "running_sup"}
     if extra:
@@ -353,7 +325,6 @@ def probe_escalation(
     probe_labels: list[str],
     probe_logs: np.ndarray,
     field: str,
-    trend_params: TrendParams = DEFAULT_PARAMS,
 ) -> Verdict:
     """Re-examine a non-failing sup verdict against beyond-N probe values.
 
@@ -370,7 +341,7 @@ def probe_escalation(
     if verdict.outcome == FAILS or len(probe_logs) == 0:
         return verdict
     dense_sup = max((v for _, v in verdict.evidence), default=-math.inf)
-    beyond = probe_logs > dense_sup + trend_params.rise_total
+    beyond = probe_logs > dense_sup + RISE_TOTAL
     if not np.any(beyond):
         return verdict
     idx = np.flatnonzero(beyond)

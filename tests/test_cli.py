@@ -406,6 +406,32 @@ class TestMainExitCodes:
         assert "not finite" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("field,literal", [
+        ("m", '"1,2"'), ("m", "2.5"), ("m", "null"), ("lambda", "null"),
+        ("m", '"12"'), ("N", "100.9"), ("K", "4.7"), ("kmax", "2.5"),
+        ("seed", "1.5"), ("m", "[2.9]"), ("tol", "true"), ("N", "Infinity"),
+        ("m", "[true]"), ("lambda", "[[1]]"), ("lambda", "[]"),
+        ("out", "null"),
+    ])
+    def test_wrong_typed_config_value_exits_2(self, tmp_path, field, literal,
+                                              capsys):
+        path = tmp_path / "job.json"
+        path.write_text(f'{{"{field}": {literal}}}')
+        assert main(["--config", str(path), "--experiments", "eigenpairs"]) \
+            == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{field}': cannot read ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_config_values_of_the_right_type(self, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text('{"N": 100.0, "K": "5", "m": 3, "tol": 1,'
+                        ' "lambda": [2, "0.4+0.3i", 0.5]}')
+        config, _ = _config_from(["--config", str(path)])
+        assert (config.N, config.K, config.ms, config.tol) == (100, 5, (3,), 1.0)
+        assert type(config.N) is int and type(config.tol) is float
+        assert config.lambdas == (2, 0.4 + 0.3j, 0.5)
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity", '"nan"', '"1e400"'])
     def test_non_finite_config_lambda_exits_2(self, tmp_path, value, capsys):
         path = tmp_path / "job.json"

@@ -121,9 +121,9 @@ def _spy_pairs(monkeypatch):
     pairs = []
     real = criteria_module.sup_verdict_bounded
 
-    def spy(ns, q, quantity, trend_params, extra=None):
+    def spy(ns, q, quantity, extra=None):
         pairs.append((extra["k"], extra["l"]))
-        return real(ns, q, quantity, trend_params, extra=extra)
+        return real(ns, q, quantity, extra=extra)
 
     monkeypatch.setattr(criteria_module, "sup_verdict_bounded", spy)
     return pairs
@@ -140,7 +140,7 @@ class TestWindowScan:
                 return Verdict(HOLDS, "bounded")
             return Verdict(FAILS, "unbounded", witness=l)
 
-        v = _window_scan(1, None, per_pair, "q")
+        v = _window_scan(1, per_pair, "q")
         assert v.outcome == FAILS
         assert v.witness == {"k": 3, "l_range": (4, default_lmax(3))}
         assert v.params["chosen_l_by_k"] == {1: 3, 2: 4}
@@ -156,12 +156,20 @@ class TestWindowScan:
                 return Verdict(INCONCLUSIVE, "undecided", reason="flat")
             return Verdict(HOLDS, "bounded")
 
-        v = _window_scan(1, 3, per_pair, "q")
+        v = _window_scan(1, per_pair, "q")
         assert v.outcome == INCONCLUSIVE
         assert v.reason.startswith("growth at k'=2 ")
         assert v.params["chosen_l_by_k"] == {1: 2, 3: 4, 4: 5}
         assert calls == [(1, 2)] + [(2, l) for l in range(3, 17)] \
             + [(3, 4), (4, 5)]
+
+    @pytest.mark.parametrize("check", [inverse_continuity_check,
+                                       d_continuity_check,
+                                       delta_continuity_check])
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_levels_below_one_are_refused(self, linear, check, k):
+        with pytest.raises(PreconditionError, match="level k must be >= 1"):
+            check(linear, k, N=50)
 
     def test_log_inverse_scan_pairs(self, log2, monkeypatch):
         pairs = _spy_pairs(monkeypatch)
@@ -413,9 +421,9 @@ class TestRowSumRoutes:
             sums.extend(a.tobytes() for a in A.T)
             return inner_sums(logc, A)
 
-        def sup(ns, q, label, params, extra):
+        def sup(ns, q, label, extra):
             ls.append(extra["l"])
-            return inner_sup(ns, q, label, params, extra=extra)
+            return inner_sup(ns, q, label, extra=extra)
 
         monkeypatch.setattr(criteria_module, "_log_rowsums", rowsums)
         monkeypatch.setattr(criteria_module, "sup_verdict_bounded", sup)
@@ -433,8 +441,8 @@ class TestRowSumRoutes:
         inner = criteria_module.sup_verdict_bounded
         monkeypatch.setattr(
             criteria_module, "sup_verdict_bounded",
-            lambda ns, q, label, params, extra: seen.append(extra["l"])
-            or inner(ns, q, label, params, extra=extra))
+            lambda ns, q, label, extra: seen.append(extra["l"])
+            or inner(ns, q, label, extra=extra))
         delta_continuity_check(parse_alpha("rsw_b"))
         assert len(seen) > len(set(seen))
 
@@ -562,10 +570,8 @@ class TestBatchedRowSums:
             unbanded = sum(rows * e for rows, _, e in reads)
             assert 5 * banded < unbanded, l
 
-    @pytest.mark.parametrize("spec,lmax", [
-        *((spec, None) for spec in GALLERY_SPECS), ("log:beta=1", None),
-        ("rsw_b", 5)])
-    def test_summed_l_are_the_k_ranges_reached(self, monkeypatch, spec, lmax):
+    @pytest.mark.parametrize("spec", [*GALLERY_SPECS, "log:beta=1"])
+    def test_summed_l_are_the_k_ranges_reached(self, monkeypatch, spec):
         # the first miss at k' sums the rest of k''s l range, so a k' whose
         # probes were all summed earlier adds nothing
         seq = parse_alpha(spec)
@@ -577,13 +583,13 @@ class TestBatchedRowSums:
             columns.extend(a.tobytes() for a in A.T)
             return inner_sums(logc, A)
 
-        def sup(ns, q, label, params, extra):
+        def sup(ns, q, label, extra):
             pairs.append((extra["k"], extra["l"]))
-            return inner_sup(ns, q, label, params, extra=extra)
+            return inner_sup(ns, q, label, extra=extra)
 
         monkeypatch.setattr(criteria_module, "_log_rowsums", rowsums)
         monkeypatch.setattr(criteria_module, "sup_verdict_bounded", sup)
-        delta_continuity_check(seq, lmax=lmax)
+        delta_continuity_check(seq)
         alpha = seq.values_saturated(len(np.frombuffer(columns[0])))
         l_of = {(alpha / l).tobytes(): l for l in range(2, 200)}
         summed = [l_of[c] for c in columns]
@@ -591,8 +597,7 @@ class TestBatchedRowSums:
         reached = set()
         for kp, l in pairs:
             if l not in reached:
-                hi = lmax if (kp == 1 and lmax) else default_lmax(kp)
-                reached.update(range(kp + 1, hi + 1))
+                reached.update(range(kp + 1, default_lmax(kp) + 1))
         assert set(summed) == reached
 
     @pytest.mark.parametrize("N", [200, _ROWSUM_N_CAP])

@@ -236,6 +236,11 @@ class TestInvolution:
             TruncOperator("m", 2, (np.ones((2, 2)), np.zeros((2, 2))),
                           "logmag")
 
+    @pytest.mark.parametrize("mode", ["logmag", "Float", "exact"])
+    def test_cesaro_refuses_unknown_modes(self, mode):
+        with pytest.raises(ValueError, match="unknown mode"):
+            cesaro(3, mode)
+
     def test_mode_mixing_refuses(self):
         with pytest.raises(ValueError):
             delta(8) @ delta(8, mode="float")

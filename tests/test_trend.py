@@ -8,18 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from cesarospec.trend import (
     BOUNDED,
-    DEFAULT_PARAMS,
+    DECAY_STEP,
     FAILS,
+    FLAT_BAND,
     HOLDS,
     INCONCLUSIVE,
     LOG_OVERFLOW,
     OSCILLATING,
     POSITIVE_LIMIT,
+    RISE_TOTAL,
     RISING,
     TO_ZERO,
     UNBOUNDED,
     UNDECIDED,
-    TrendParams,
+    WINDOW,
+    ZERO_REL_TOL,
     Verdict,
     classify_limit,
     classify_sup,
@@ -212,43 +215,6 @@ class TestSupVerdicts:
         assert v.outcome == HOLDS
 
 
-class TestTrendParamsValidation:
-    """Values that would make a tail rule read the wrong samples, or none."""
-
-    @pytest.mark.parametrize("window", [1, 0, -1, -5, 2.0, 5.5, "5", None])
-    def test_window(self, window):
-        with pytest.raises(ValueError, match="window"):
-            TrendParams(window=window)
-
-    @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-3, 2.0, math.nan, math.inf])
-    def test_zero_rel_tol(self, tol):
-        with pytest.raises(ValueError, match="zero_rel_tol"):
-            TrendParams(zero_rel_tol=tol)
-
-    @pytest.mark.parametrize("value", [0.0, -0.01, math.nan, math.inf, -math.inf])
-    def test_flat_band(self, value):
-        with pytest.raises(ValueError, match="flat_band"):
-            TrendParams(flat_band=value)
-
-    @pytest.mark.parametrize("value", [0.0, -0.02, math.nan, math.inf])
-    def test_decay_step(self, value):
-        with pytest.raises(ValueError, match="decay_step"):
-            TrendParams(decay_step=value)
-
-    @pytest.mark.parametrize("value", [0.0, -0.1, math.nan, math.inf])
-    def test_rise_total(self, value):
-        with pytest.raises(ValueError, match="rise_total"):
-            TrendParams(rise_total=value)
-
-    def test_smallest_valid_values(self):
-        p = TrendParams(window=2, zero_rel_tol=1e-300, flat_band=1e-300,
-                        decay_step=5e-324, rise_total=1e-300)
-        assert p.window == 2
-        # the window=1 reading of 1/n as a positive limit cannot be built
-        lad, logs = _on_ladder(1000, lambda n: -np.log(n))
-        assert classify_limit(lad, logs, TrendParams(window=2))[0] == TO_ZERO
-
-
 # -- the rules as they stood before they moved to Python floats -------------------
 # A standalone copy of the array-based classifiers: the rewrite must return
 # equal results, equal verdicts and the same evidence element types.
@@ -262,7 +228,7 @@ def _ref_spread(a):
     return float(np.max(a) - np.min(a))
 
 
-def ref_classify_limit(ns, logs, params=DEFAULT_PARAMS):
+def ref_classify_limit(ns, logs):
     ns = np.asarray(ns)
     logs = np.asarray(logs, dtype=float)
     if len(ns) != len(logs) or len(ns) == 0:
@@ -273,31 +239,30 @@ def ref_classify_limit(ns, logs, params=DEFAULT_PARAMS):
     if len(finite) == 0:
         return TO_ZERO, None
     peak = float(np.max(finite))
-    w = params.window
-    tail = _ref_tail(logs, w)
-    tail_ns = _ref_tail(ns, w)
-    if np.max(tail) <= peak + math.log(params.zero_rel_tol) \
+    tail = _ref_tail(logs, WINDOW)
+    tail_ns = _ref_tail(ns, WINDOW)
+    if np.max(tail) <= peak + math.log(ZERO_REL_TOL) \
             and tail[-1] <= tail[0]:
         return TO_ZERO, None
     if not np.all(np.isfinite(tail)):
         return UNDECIDED, None
-    if _ref_spread(tail) <= params.flat_band:
+    if _ref_spread(tail) <= FLAT_BAND:
         try:
             return POSITIVE_LIMIT, math.exp(np.mean(tail))
         except OverflowError:
             return POSITIVE_LIMIT, math.inf
     steps = np.diff(tail)
-    if np.all(steps < 0) and -float(np.mean(steps)) >= params.decay_step:
+    if np.all(steps < 0) and -float(np.mean(steps)) >= DECAY_STEP:
         return TO_ZERO, None
-    if np.all(steps >= 0) and float(tail[-1] - tail[0]) >= params.rise_total:
+    if np.all(steps >= 0) and float(tail[-1] - tail[0]) >= RISE_TOTAL:
         return RISING, int(tail_ns[-1])
-    if _ref_spread(tail) >= params.rise_total:
+    if _ref_spread(tail) >= RISE_TOTAL:
         return OSCILLATING, int(tail_ns[int(np.argmax(tail))])
     return UNDECIDED, None
 
 
-def ref_limit_verdict(claim, reason, ns, logs, quantity, params, extra):
-    trend, detail = ref_classify_limit(ns, logs, params)
+def ref_limit_verdict(claim, reason, ns, logs, quantity, extra):
+    trend, detail = ref_classify_limit(ns, logs)
     ev = tuple((int(n), float(v)) for n, v in zip(ns, logs))
     info = {"quantity": quantity, "scale": "log"}
     if extra:
@@ -313,7 +278,7 @@ def ref_limit_verdict(claim, reason, ns, logs, quantity, params, extra):
     return Verdict(INCONCLUSIVE, UNDECIDED, ev, reason=reason, params=info)
 
 
-def ref_classify_sup(ns, logs, params=DEFAULT_PARAMS):
+def ref_classify_sup(ns, logs):
     ns = np.asarray(ns)
     logs = np.asarray(logs, dtype=float)
     if len(ns) != len(logs) or len(ns) == 0:
@@ -327,21 +292,20 @@ def ref_classify_sup(ns, logs, params=DEFAULT_PARAMS):
     running = np.maximum.accumulate(logs)
     pos = np.searchsorted(ns, lad, side="right") - 1
     checkpoints = running[pos]
-    w = params.window
-    tail = _ref_tail(checkpoints, w)
+    tail = _ref_tail(checkpoints, WINDOW)
     if len(tail) >= 2:
         steps = np.diff(tail)
-        if np.all(steps > 0) and float(tail[-1] - tail[0]) >= params.rise_total:
+        if np.all(steps > 0) and float(tail[-1] - tail[0]) >= RISE_TOTAL:
             return UNBOUNDED, int(ns[int(np.argmax(logs))])
-    wb = max(w, len(checkpoints) // 4)
+    wb = max(WINDOW, len(checkpoints) // 4)
     tail_b = _ref_tail(checkpoints, wb)
-    if _ref_spread(tail_b) <= params.flat_band:
-        pw_tail = _ref_tail(logs[pos], w)
+    if _ref_spread(tail_b) <= FLAT_BAND:
+        pw_tail = _ref_tail(logs[pos], WINDOW)
         pw_steps = np.diff(pw_tail)
         climbing = (
             len(pw_tail) >= 2
             and np.all(pw_steps >= 0)
-            and float(pw_tail[-1] - pw_tail[0]) >= params.rise_total
+            and float(pw_tail[-1] - pw_tail[0]) >= RISE_TOTAL
         )
         if climbing:
             return UNDECIDED, None
@@ -349,9 +313,8 @@ def ref_classify_sup(ns, logs, params=DEFAULT_PARAMS):
     return UNDECIDED, None
 
 
-def ref_sup_verdict_bounded(ns, logs, quantity, params=DEFAULT_PARAMS,
-                            extra=None):
-    trend, detail = ref_classify_sup(ns, logs, params)
+def ref_sup_verdict_bounded(ns, logs, quantity, extra=None):
+    trend, detail = ref_classify_sup(ns, logs)
     lad = ladder(int(ns[-1]), start=int(ns[0]))
     running = np.maximum.accumulate(np.asarray(logs, dtype=float))
     pos = np.searchsorted(ns, lad, side="right") - 1
@@ -378,31 +341,16 @@ _ZERO_REASON = ("tail neither vanishes, stabilizes, nor grows cleanly at this "
 _POSITIVE_REASON = "tail does not stabilize at this resolution"
 
 
-def ref_limit_verdict_zero(ns, logs, quantity, params=DEFAULT_PARAMS,
-                           extra=None):
-    return ref_limit_verdict(TO_ZERO, _ZERO_REASON, ns, logs, quantity,
-                             params, extra)
+def ref_limit_verdict_zero(ns, logs, quantity, extra=None):
+    return ref_limit_verdict(TO_ZERO, _ZERO_REASON, ns, logs, quantity, extra)
 
 
-def ref_limit_verdict_positive(ns, logs, quantity, params=DEFAULT_PARAMS,
-                               extra=None):
+def ref_limit_verdict_positive(ns, logs, quantity, extra=None):
     return ref_limit_verdict(POSITIVE_LIMIT, _POSITIVE_REASON, ns, logs,
-                             quantity, params, extra)
+                             quantity, extra)
 
 
 # -- sample generators --------------------------------------------------------------
-
-_PARAMS = st.one_of(
-    st.just(DEFAULT_PARAMS),
-    st.builds(
-        TrendParams,
-        window=st.integers(2, 12),
-        zero_rel_tol=st.sampled_from([1e-3, 0.1, 0.5]),
-        flat_band=st.sampled_from([0.01, 0.05, 0.5]),
-        decay_step=st.sampled_from([0.02, 0.001, 0.3]),
-        rise_total=st.sampled_from([0.1, 0.01, 1.0]),
-    ),
-)
 
 # step sizes that hit equal neighbours and the edges of the default bands
 _STEPS = (0.0, 0.0, 0.005, -0.005, 0.01, -0.01, 0.02, -0.02, 0.1, -0.1, 0.5,
@@ -486,34 +434,32 @@ def _outcome(fn, *args):
 
 class TestRewriteMatchesReference:
     @settings(max_examples=400, deadline=None)
-    @given(ladder_samples(), _PARAMS)
-    def test_classify_limit(self, samples, params):
+    @given(ladder_samples())
+    def test_classify_limit(self, samples):
         ns, logs = samples
-        _same(classify_limit(ns, logs, params),
-              ref_classify_limit(ns, logs, params))
+        _same(classify_limit(ns, logs), ref_classify_limit(ns, logs))
 
     @settings(max_examples=300, deadline=None)
-    @given(ladder_samples(), _PARAMS, st.booleans())
-    def test_limit_verdicts(self, samples, params, zero):
+    @given(ladder_samples(), st.booleans())
+    def test_limit_verdicts(self, samples, zero):
         ns, logs = samples
         new, ref = ((limit_verdict_zero, ref_limit_verdict_zero) if zero else
                     (limit_verdict_positive, ref_limit_verdict_positive))
         extra = {"N": 7} if zero else None
-        _same(new(ns, logs, "q", params, extra),
-              ref(ns, logs, "q", params, extra))
+        _same(new(ns, logs, "q", extra), ref(ns, logs, "q", extra))
 
     @settings(max_examples=400, deadline=None)
-    @given(st.one_of(dense_samples(), ladder_samples()), _PARAMS)
-    def test_classify_sup(self, samples, params):
+    @given(st.one_of(dense_samples(), ladder_samples()))
+    def test_classify_sup(self, samples):
         ns, logs = samples
-        _same(classify_sup(ns, logs, params), ref_classify_sup(ns, logs, params))
+        _same(classify_sup(ns, logs), ref_classify_sup(ns, logs))
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(dense_samples(), ladder_samples()), _PARAMS)
-    def test_sup_verdict(self, samples, params):
+    @given(st.one_of(dense_samples(), ladder_samples()))
+    def test_sup_verdict(self, samples):
         ns, logs = samples
-        _same(sup_verdict_bounded(ns, logs, "q", params, {"k": 1}),
-              ref_sup_verdict_bounded(ns, logs, "q", params, {"k": 1}))
+        _same(sup_verdict_bounded(ns, logs, "q", {"k": 1}),
+              ref_sup_verdict_bounded(ns, logs, "q", {"k": 1}))
 
     def test_equal_minus_inf_neighbours_do_not_climb(self):
         # the running sup is flat at 10 while the pointwise tail climbs out
@@ -550,19 +496,20 @@ class TestRewriteMatchesReference:
         _same(sup_verdict_bounded(ns, logs, "q"),
               ref_sup_verdict_bounded(ns, logs, "q"))
 
-    @pytest.mark.parametrize("window", [2, 5, 8, 9, 12, 40])
-    def test_tail_means(self, window):
-        # np.mean sums eight or more values pairwise; the estimate must keep
-        # every bit of it, in both the positive-limit and the decay rules
-        params = TrendParams(window=window, flat_band=0.05)
+    def test_tail_means(self):
+        # the estimate must keep every bit of np.mean, in both the
+        # positive-limit and the decay rules: a plateau that wobbles inside
+        # FLAT_BAND, and a decay whose every step drops by more than
+        # DECAY_STEP
         lad = ladder(10**6)
-        level = np.log(3.0) + 0.01 * np.sin(np.arange(len(lad)) * 1.7)
+        level = np.log(3.0) + 0.002 * np.sin(np.arange(len(lad)) * 1.7)
         decay = -0.1 * np.log(lad.astype(float)) + 1e-3 * np.cos(lad)
+        assert classify_limit(lad, level)[0] == POSITIVE_LIMIT
+        assert classify_limit(lad, decay)[0] == TO_ZERO
         for logs in (level, decay):
-            _same(classify_limit(lad, logs, params),
-                  ref_classify_limit(lad, logs, params))
-            _same(limit_verdict_positive(lad, logs, "q", params),
-                  ref_limit_verdict_positive(lad, logs, "q", params))
+            _same(classify_limit(lad, logs), ref_classify_limit(lad, logs))
+            _same(limit_verdict_positive(lad, logs, "q"),
+                  ref_limit_verdict_positive(lad, logs, "q"))
 
     def test_float_indices_and_lists(self):
         ns = [2.0, 3.0, 4.0, 6.0, 8.0, 10.0]
