@@ -496,14 +496,15 @@ class TestRewriteMatchesReference:
         _same(sup_verdict_bounded(ns, logs, "q"),
               ref_sup_verdict_bounded(ns, logs, "q"))
 
-    def test_tail_means(self):
+    @pytest.mark.parametrize("phase", [2, 5, 8, 9, 12, 40])
+    def test_tail_means(self, phase):
         # the estimate must keep every bit of np.mean, in both the
         # positive-limit and the decay rules: a plateau that wobbles inside
         # FLAT_BAND, and a decay whose every step drops by more than
-        # DECAY_STEP
+        # DECAY_STEP; each phase puts other values in the tail being averaged
         lad = ladder(10**6)
-        level = np.log(3.0) + 0.002 * np.sin(np.arange(len(lad)) * 1.7)
-        decay = -0.1 * np.log(lad.astype(float)) + 1e-3 * np.cos(lad)
+        level = np.log(3.0) + 0.002 * np.sin((np.arange(len(lad)) + phase) * 1.7)
+        decay = -0.1 * np.log(lad.astype(float)) + 1e-3 * np.cos(lad + phase)
         assert classify_limit(lad, level)[0] == POSITIVE_LIMIT
         assert classify_limit(lad, decay)[0] == TO_ZERO
         for logs in (level, decay):
