@@ -344,91 +344,95 @@ _BAND_MARGIN = 746.0
 _MAX_SHIFT_ENTRIES = 2 ** 14
 
 
-class _PascalTables(NamedTuple):
-    logc: np.ndarray    # log binom(n-1, m-1), -inf above the diagonal
-    scaled: np.ndarray  # exp(logc - rowmax), 0 above the diagonal
-    rowmax: np.ndarray  # the largest entry of each row of logc
+class _PascalTable(NamedTuple):
+    lf: np.ndarray        # log i!, one entry per row
+    toeplitz: np.ndarray  # [n, m] = lf[n - m], +inf above the diagonal
+    rowmax: np.ndarray    # the largest log binom(n-1, m-1) of each row
+    blocks: tuple         # exp(logc - rowmax) per 64-row block, see below
+
+    def logc(self, s: int, e: int, m: int) -> np.ndarray:
+        """Rows s..e-1, columns m..e-1 of log binom(n-1, m-1), 1-based.
+
+        Entry (n, m) is lf[n] - lf[m] - lf[n-m], the operations and order of
+        `operators.logbinom`, so the bytes match it; the toeplitz view of lf
+        padded with +inf makes the upper triangle -inf with no mask."""
+        band = self.lf[s:e, None] - self.lf[None, m:e]
+        band -= self.toeplitz[s:e, m:e]
+        return band
 
 
-# One entry, grown to the largest N asked for so far; smaller N get a view.
-_logc_cache: dict[int, _PascalTables] = {}
+# One entry, grown a block at a time to the largest N asked for so far.
+_logc_cache: dict[int, _PascalTable] = {}
 
 
-def _pascal_tables(N: int) -> _PascalTables:
-    """The cached tables, built for N rows unless a larger entry exists."""
+def _log_pascal(N: int) -> _PascalTable:
+    """The cached log-Pascal table, covering at least N rows.
+
+    It stores no N x N array: `_PascalTable.logc` computes the bands the
+    max-shift route reads, and the mat-vec route reads only the lower
+    triangle, as one C-contiguous exp(logc - rowmax) per 64-row block over
+    the columns up to its last row (4.25 MiB at the cap, against 16 MiB for
+    the square).  A block depends only on its rows, so growing appends.
+    """
     if N > _ROWSUM_N_CAP:
         raise ValueError(f"log-Pascal table size {N} above {_ROWSUM_N_CAP}")
     entry = next(iter(_logc_cache.values()), None)
-    if entry is None or len(entry.logc) < N:
+    if entry is None or len(entry.lf) < N:
         from .operators import _log_factorials
 
-        lf = _log_factorials(N)[:N]
-        # toeplitz[n, m] = lf[n - m] below the diagonal, +inf above it.
-        padded = np.concatenate((np.full(N - 1, np.inf), lf))
-        toeplitz = sliding_window_view(padded, N)[:, ::-1]
-        logc = lf[:, None] - lf[None, :]
-        logc -= toeplitz
-        rowmax = logc.max(axis=1)
-        scaled = logc - rowmax[:, None]
-        np.exp(scaled, out=scaled)
-        entry = _PascalTables(logc, scaled, rowmax)
-        for table in entry:
-            table.setflags(write=False)
+        rows = -(-N // _ROWSUM_BLOCK) * _ROWSUM_BLOCK
+        lf = _log_factorials(rows - 1)[:rows]
+        padded = np.concatenate((np.full(rows - 1, np.inf), lf))
+        toeplitz = sliding_window_view(padded, rows)[:, ::-1]
+        blocks, rowmax = (entry.blocks, [entry.rowmax]) if entry else ((), [])
+        table = _PascalTable(lf, toeplitz, None, ())
+        for s in range(len(blocks) * _ROWSUM_BLOCK, rows, _ROWSUM_BLOCK):
+            block = table.logc(s, s + _ROWSUM_BLOCK, 0)
+            rowmax.append(block.max(axis=1))
+            block -= rowmax[-1][:, None]
+            np.exp(block, out=block)
+            block.setflags(write=False)
+            blocks += (block,)
+        rowmax = np.concatenate(rowmax)
+        rowmax.setflags(write=False)
+        entry = table._replace(rowmax=rowmax, blocks=blocks)
         _logc_cache.clear()
-        _logc_cache[N] = entry
+        _logc_cache[rows] = entry
     return entry
 
 
-def _log_pascal(N: int) -> np.ndarray:
-    """Lower-triangular table of log binom(n-1, m-1), 1-based in both indices.
-
-    Entry (n, m) is lf[n] - lf[m] - lf[n-m] over the log-factorial table, the
-    operations and order of `operators.logbinom`, so the bytes match it.  The
-    last term is a window view of lf padded with +inf, which makes the upper
-    triangle -inf with no mask.
-    """
-    return _pascal_tables(N).logc[:N, :N]
-
-
-def _cached_tables(logc: np.ndarray) -> _PascalTables | None:
-    """The cache entry that logc is a view of, if any."""
-    entry = next(iter(_logc_cache.values()), None)
-    return entry if entry is not None and logc.base is entry.logc else None
-
-
-def _log_rowsums(logc: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """log sum_{m<=n} exp(logc[n, m] + A[m, j]) for every row n and column j.
+def _log_rowsums(A: np.ndarray) -> np.ndarray:
+    """log sum_{m<=n} binom(n-1, m-1) exp(A[m, j]) for every row n, column j.
 
     A is N x L (in the row-sum scan, column j is alpha/l_j); a 1-D A is the
     one-column case and gives a 1-D result.  Rows go in 64-row blocks, and a
-    block reads only the columns of logc up to its last row; the entries
-    beyond add nothing.  Every column goes through a block before the next
-    block starts, so each block comes from memory once per call and from
-    cache for the other columns.  When logc is a view of the cached table, a
-    block after the first takes one mat-vec per column over the cached
-    scaled = exp(logc - rowmax): column j's sums are
-    sum_m scaled[n, m] exp(A[m, j] - max A[:e, j]), one exp per column entry
-    instead of one per table entry.  At N <= _ROWSUM_N_CAP every
+    block reads only the columns up to its last row; the entries beyond add
+    nothing.  Every column goes through a block before the next block starts,
+    so each block comes from memory once per call and from cache for the other
+    columns.  A block after the first takes one mat-vec per column over its
+    cached block of `_log_pascal`, scaled = exp(logc - rowmax): column j's sums
+    are sum_m scaled[n, m] exp(A[m, j] - max A[:e, j]), one exp per column
+    entry instead of one per table entry.  At N <= _ROWSUM_N_CAP every
     lower-triangle entry of scaled is a normal float
-    (log binom(1023, 511) < 705 < 708), so only the A side can underflow.
-    The route is chosen per column: a column whose first row is bound to have
-    a sum under _MATVEC_FLOOR (_MATVEC_GAP) skips the mat-vec, and a mat-vec
-    with a sum under _MATVEC_FLOOR is dropped.  Those columns, and every
-    column of the first block, take the max-shift route: each row's largest
-    term is subtracted before the exp, which is exact to rounding however
-    fast A grows.  In the first block that makes row 1 exactly A[0, j].
-    The diagonal log binom(n-1, n-1) = 0 keeps every row maximum finite.
+    (log binom(1023, 511) < 705 < 708), so only the A side can underflow.  A
+    column whose first row is bound to have a sum under _MATVEC_FLOOR
+    (_MATVEC_GAP) skips the mat-vec, and one with a sum under it is dropped.
+    Those columns, and every column of the first block, take the max-shift
+    route over a band of logc computed on demand: each row's largest term is
+    subtracted before the exp, exact to rounding however fast A grows (in the
+    first block row 1 is exactly A[0, j]).  Every row maximum is finite: the
+    diagonal is log binom(n-1, n-1) = 0.
     """
     A2 = A if A.ndim == 2 else A[:, None]
     N, L = A2.shape
-    entry = _cached_tables(logc)
+    table = _log_pascal(N)
     out = np.empty((N, L))
 
     def max_shift(s: int, e: int, cols: np.ndarray) -> None:
         step = max(1, _MAX_SHIFT_ENTRIES // ((e - s) * e))
         for i in range(0, len(cols), step):
             group = cols[i:i + step]
-            out[s:e, group] = _max_shift_rows(logc, A2[:e, group], s, e)
+            out[s:e, group] = _max_shift_rows(table, A2[:e, group], s, e)
 
     e = min(_ROWSUM_BLOCK, N)
     max_shift(0, e, np.arange(L))
@@ -437,29 +441,27 @@ def _log_rowsums(logc: np.ndarray, A: np.ndarray) -> np.ndarray:
         e = min(s + _ROWSUM_BLOCK, N)
         head = np.maximum(shift, A2[s])           # max A2[:s + 1]
         shift = np.maximum(shift, A2[s:e].max(axis=0))  # max A2[:e]
+        cols = np.flatnonzero(shift - head < _MATVEC_GAP)
+        x = np.ascontiguousarray(A2[:e, cols].T)
+        x -= shift[cols, None]
+        np.exp(x, out=x)
+        block = table.blocks[s // _ROWSUM_BLOCK][:e - s, :e]
+        # one mat-vec per column while the block stays in cache; a BLAS-3
+        # product would save the rereads, but the first level-3 call of
+        # OpenBLAS makes 256 KiB of its buffer resident
+        sums = np.array([block @ v for v in x]).reshape(len(cols), e - s)
+        ok = sums.min(axis=1) >= _MATVEC_FLOOR
+        cols = cols[ok]
+        out[s:e, cols] = (np.log(sums[ok]) + table.rowmax[s:e]
+                          + shift[cols, None]).T
         slow = np.ones(L, dtype=bool)
-        if entry is not None:
-            cols = np.flatnonzero(shift - head < _MATVEC_GAP)
-            x = np.ascontiguousarray(A2[:e, cols].T)
-            x -= shift[cols, None]
-            np.exp(x, out=x)
-            block = entry.scaled[s:e, :e]
-            # one mat-vec per column while the block stays in cache; a BLAS-3
-            # product would save the rereads, but the first level-3 call of
-            # OpenBLAS makes 256 KiB of its buffer resident
-            sums = np.array([block @ v for v in x]).reshape(len(cols), e - s)
-            ok = sums.min(axis=1) >= _MATVEC_FLOOR
-            cols = cols[ok]
-            out[s:e, cols] = (np.log(sums[ok]) + entry.rowmax[s:e]
-                              + shift[cols, None]).T
-            slow[cols] = False
+        slow[cols] = False
         max_shift(s, e, np.flatnonzero(slow))
     return out.reshape(A.shape)
 
 
-def _band_start(logc: np.ndarray, A: np.ndarray, s: int, e: int) -> int:
-    """First column of logc that rows s..e-1 of the max-shift route must
-    read for the columns of A.
+def _band_start(table: _PascalTable, A: np.ndarray, s: int, e: int) -> int:
+    """First column of logc the max-shift route needs for rows s..e-1 of A.
 
     Row n's largest term top_n is at least its diagonal term a_n, since
     logc[n, n] = 0, and logc[n, m] <= rowmax_n.  So a column m with
@@ -472,22 +474,19 @@ def _band_start(logc: np.ndarray, A: np.ndarray, s: int, e: int) -> int:
     some column of A, so every column before it is below every cut, whether
     or not A is monotone.
     """
-    entry = _cached_tables(logc)
-    rowmax = (entry.rowmax[s:e] if entry is not None
-              else logc[s:e, :e].max(axis=1))
-    cut = (A[s:e] - rowmax[:, None]).min(axis=0) - _BAND_MARGIN
+    cut = (A[s:e] - table.rowmax[s:e, None]).min(axis=0) - _BAND_MARGIN
     return int((A[:e] >= cut).argmax(axis=0).min())
 
 
-def _max_shift_rows(logc: np.ndarray, A: np.ndarray, s: int, e: int
+def _max_shift_rows(table: _PascalTable, A: np.ndarray, s: int, e: int
                     ) -> np.ndarray:
     """Rows s..e-1 of `_log_rowsums` for the columns of A (at least e rows),
     each row's largest term taken out before the exp; the columns of logc
-    before `_band_start` add 0.0 and are not read."""
+    before `_band_start` add 0.0 and are not computed."""
     # the first block is too narrow for the band to pay
-    m = _band_start(logc, A, s, e) if s else 0
+    m = _band_start(table, A, s, e) if s else 0
     # one C-ordered (column, row, m) block, so each sum runs as in 1-D
-    block = logc[s:e, m:e] + np.ascontiguousarray(A[m:e].T)[:, None, :]
+    block = table.logc(s, e, m) + np.ascontiguousarray(A[m:e].T)[:, None, :]
     top = block.max(axis=2)
     block -= top[:, :, None]
     # Each sum is at least 1, its top term, so terms under e**-700 (even
@@ -515,10 +514,11 @@ def delta_continuity_check(
         time the scan reaches an l it has not summed, every l of that k'
         range not summed yet goes through one `_log_rowsums` call, which
         reads the table once for all of them, 64 rows at a time: per block,
-        one mat-vec of the cached exp(log binom - row max) table against
-        exp(alpha/l - max) for each l, or the per-entry max-shift route for
-        the first block and for any l with a sum under 2**-960, where
-        underflow could cost more than 2**-100 of it;
+        one mat-vec of its cached lower triangle of exp(log binom - row max)
+        against exp(alpha/l - max) for each l, or the per-entry max-shift
+        route over a log binom band computed on demand, for the first block
+        and for any l with a sum under 2**-960, where underflow could cost
+        more than 2**-100 of it;
     (2) the scalar limit n/alpha_n -> 0.
 
     Decisive tracks must agree; disagreement is reported as inconclusive
@@ -530,7 +530,6 @@ def delta_continuity_check(
     N1 = min(N_full, _ROWSUM_N_CAP)
     alpha = seq.values_saturated(N1)
     ns = np.arange(1, N1 + 1, dtype=np.int64)
-    logc = _log_pascal(N1)
     # The row sums depend on l alone, and several k' of the window can
     # probe the same l.
     rowsums: dict[int, np.ndarray] = {}
@@ -539,7 +538,7 @@ def delta_continuity_check(
         if l not in rowsums:
             lo, hi = _l_range(kp)
             ls = [m for m in range(lo, hi + 1) if m not in rowsums]
-            sums = _log_rowsums(logc, alpha[:, None] / np.array(ls))
+            sums = _log_rowsums(alpha[:, None] / np.array(ls))
             rowsums.update(zip(ls, sums.T))
         q = rowsums[l] - alpha / kp
         return sup_verdict_bounded(

@@ -1,5 +1,6 @@
 """Continuity, compactness, and classification criteria over the gallery."""
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -29,10 +30,10 @@ from cesarospec import (
 )
 from cesarospec.criteria import (
     GALLERY_SPECS,
+    _ROWSUM_BLOCK,
     _ROWSUM_N_CAP,
     _log_pascal,
     _log_rowsums,
-    _pascal_tables,
     _window_scan,
     default_lmax,
     gallery,
@@ -295,15 +296,27 @@ class TestDeltaContinuity:
 
 
 
-def _reference_rowsums(logc, a):
+@functools.cache
+def _dense_logc_at_cap():
+    idx = np.arange(_ROWSUM_N_CAP, dtype=float)
+    return logbinom(idx[:, None], idx[None, :])
+
+
+def _dense_logc(N):
+    # entry (n, m) of the N x N table is log binom(n, m), -inf above the
+    # diagonal; each entry is the same at every N
+    return _dense_logc_at_cap()[:N, :N]
+
+
+def _reference_rowsums(a):
     # the full-table route the blocked kernel replaces
     with np.errstate(invalid="ignore"):
-        return logsumexp(logc + a[None, :], axis=1)
+        return logsumexp(_dense_logc(len(a)) + a[None, :], axis=1)
 
 
-def _reference_columns(logc, A):
+def _reference_columns(A):
     # the reference route, one column of A at a time
-    return np.column_stack([_reference_rowsums(logc, a) for a in A.T])
+    return np.column_stack([_reference_rowsums(a) for a in A.T])
 
 
 class TestRowSumKernel:
@@ -311,21 +324,19 @@ class TestRowSumKernel:
     @pytest.mark.parametrize("spec", GALLERY_SPECS)
     def test_matches_full_table_logsumexp(self, spec, N):
         alpha = parse_alpha(spec).values_saturated(N)
-        logc = _log_pascal(N)
         for l in (2, 5, 20):
             a = alpha / l
-            ref = _reference_rowsums(logc, a)
-            got = _log_rowsums(logc, a)
+            ref = _reference_rowsums(a)
+            got = _log_rowsums(a)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("N", [1, 2, 127, 128, 129, 1024])
     @pytest.mark.parametrize("l", [2, 5, 20])
     def test_saturated_alpha(self, N, l):
         a = np.full(N, ALPHA_SATURATION / l)
-        logc = _log_pascal(N)
-        got = _log_rowsums(logc, a)
+        got = _log_rowsums(a)
         assert np.all(np.isfinite(got))
-        np.testing.assert_allclose(got, _reference_rowsums(logc, a),
+        np.testing.assert_allclose(got, _reference_rowsums(a),
                                    rtol=1e-12, atol=0)
 
     def test_delta_verdicts_match_reference_kernel(self, monkeypatch):
@@ -348,48 +359,41 @@ class TestRowSumRoutes:
         # of exp(logc - rowmax) to be a normal float; this fails if the cap
         # is raised past log binom(N-1, (N-1)/2) ~ 708
         monkeypatch.setattr(criteria_module, "_logc_cache", {})
-        scaled = _pascal_tables(_ROWSUM_N_CAP).scaled
-        lower = scaled[np.tril_indices(_ROWSUM_N_CAP)]
-        assert np.all(lower >= np.finfo(float).tiny)
-        assert np.all(lower <= 1.0)
-        assert not np.any(np.triu(scaled, 1))
+        blocks = _log_pascal(_ROWSUM_N_CAP).blocks
+        assert len(blocks) * _ROWSUM_BLOCK == _ROWSUM_N_CAP
+        for i, block in enumerate(blocks):
+            s = i * _ROWSUM_BLOCK
+            lower = block[np.tril_indices(_ROWSUM_BLOCK, s, s + _ROWSUM_BLOCK)]
+            assert np.all(lower >= np.finfo(float).tiny)
+            assert np.all(lower <= 1.0)
+            assert not np.any(np.triu(block, s + 1))
 
     @staticmethod
-    def _fallback_blocks(monkeypatch, logc, a):
+    def _fallback_blocks(monkeypatch, a):
         """Start rows of the blocks that took the max-shift route."""
         starts = []
         inner = criteria_module._max_shift_rows
 
-        def spy(logc, a, s, e):
+        def spy(table, a, s, e):
             starts.append(s)
-            return inner(logc, a, s, e)
+            return inner(table, a, s, e)
 
         monkeypatch.setattr(criteria_module, "_max_shift_rows", spy)
-        np.testing.assert_allclose(_log_rowsums(logc, a),
-                                   _reference_rowsums(logc, a),
+        np.testing.assert_allclose(_log_rowsums(a), _reference_rowsums(a),
                                    rtol=1e-12, atol=0)
         return starts
 
     @pytest.mark.parametrize("l", [2, 5, 20])
     def test_fast_growth_falls_back_past_the_first_block(self, monkeypatch, l):
         a = parse_alpha("power:beta=2").values_saturated(_ROWSUM_N_CAP) / l
-        starts = self._fallback_blocks(monkeypatch, _log_pascal(_ROWSUM_N_CAP),
-                                       a)
+        starts = self._fallback_blocks(monkeypatch, a)
         assert starts[0] == 0 and len(starts) > 1
 
     @pytest.mark.parametrize("l", [2, 5, 20])
     def test_linear_takes_the_matvec_after_the_first_block(self, monkeypatch,
                                                            l):
         a = parse_alpha("linear").values_saturated(_ROWSUM_N_CAP) / l
-        assert self._fallback_blocks(
-            monkeypatch, _log_pascal(_ROWSUM_N_CAP), a) == [0]
-
-    def test_other_tables_take_the_max_shift_route(self, monkeypatch):
-        # the mat-vec reads the cached table, so only a view of it may use it
-        a = parse_alpha("linear").values_saturated(300) / 3
-        starts = self._fallback_blocks(monkeypatch,
-                                       np.array(_log_pascal(300)), a)
-        assert starts == list(range(0, 300, criteria_module._ROWSUM_BLOCK))
+        assert self._fallback_blocks(monkeypatch, a) == [0]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -406,9 +410,7 @@ class TestRowSumRoutes:
         if saturate_at is not None:
             alpha[saturate_at:] = ALPHA_SATURATION
         a = alpha / l
-        logc = _log_pascal(len(a))
-        np.testing.assert_allclose(_log_rowsums(logc, a),
-                                   _reference_rowsums(logc, a),
+        np.testing.assert_allclose(_log_rowsums(a), _reference_rowsums(a),
                                    rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("spec", GALLERY_SPECS)
@@ -417,9 +419,9 @@ class TestRowSumRoutes:
         inner_sums = criteria_module._log_rowsums
         inner_sup = criteria_module.sup_verdict_bounded
 
-        def rowsums(logc, A):
+        def rowsums(A):
             sums.extend(a.tobytes() for a in A.T)
-            return inner_sums(logc, A)
+            return inner_sums(A)
 
         def sup(ns, q, label, extra):
             ls.append(extra["l"])
@@ -496,14 +498,13 @@ class TestBatchedRowSums:
     def test_each_column_matches_full_table_and_one_column_call(self, N,
                                                                 columns):
         A = np.column_stack([_growth_column(N, *c) for c in columns])
-        logc = _log_pascal(N)
-        got = _log_rowsums(logc, A)
+        got = _log_rowsums(A)
         assert got.shape == A.shape
         for j, a in enumerate(A.T):
-            np.testing.assert_allclose(got[:, j], _reference_rowsums(logc, a),
+            np.testing.assert_allclose(got[:, j], _reference_rowsums(a),
                                        rtol=1e-12, atol=0)
             # a row sum can sit near 0
-            np.testing.assert_allclose(got[:, j], _log_rowsums(logc, a.copy()),
+            np.testing.assert_allclose(got[:, j], _log_rowsums(a.copy()),
                                        rtol=1e-14, atol=1e-14)
 
     def test_matvecs_take_the_columns_that_pass_gap_and_floor(self,
@@ -518,28 +519,27 @@ class TestBatchedRowSums:
                 matvecs[self.shape[1]] += 1
                 return np.asarray(self) @ other
 
-        entry = _pascal_tables(_ROWSUM_N_CAP)
+        entry = _log_pascal(_ROWSUM_N_CAP)
         monkeypatch.setattr(criteria_module, "_logc_cache", {
-            _ROWSUM_N_CAP: entry._replace(scaled=entry.scaled.view(Spy))})
+            _ROWSUM_N_CAP: entry._replace(
+                blocks=tuple(b.view(Spy) for b in entry.blocks))})
         ns = np.arange(1, _ROWSUM_N_CAP + 1, dtype=float)
         A = np.column_stack((ns / 3, ns ** 2 / 2, ns ** 2 / 190))
-        logc = _log_pascal(_ROWSUM_N_CAP)
-        got = _log_rowsums(logc, A)
+        got = _log_rowsums(A)
         for j, a in enumerate(A.T):
-            np.testing.assert_allclose(got[:, j], _reference_rowsums(logc, a),
+            np.testing.assert_allclose(got[:, j], _reference_rowsums(a),
                                        rtol=1e-12, atol=0)
         # one entry per block after the first, keyed by its last column
         assert matvecs == {e: 2 for e in range(128, _ROWSUM_N_CAP + 1, 64)}
 
-    def test_band_keeps_every_term_that_counts(self):
-        # on a table that is not the cached one every block takes the
+    def test_band_keeps_every_term_that_counts(self, monkeypatch):
+        # with no mat-vec sum passing the floor every block takes the
         # max-shift route, and at slopes 1 to 3 the columns just below a cut
         # without its 746 margin still carry terms above the last bit
-        logc = np.array(_log_pascal(_ROWSUM_N_CAP))
+        monkeypatch.setattr(criteria_module, "_MATVEC_FLOOR", math.inf)
         ns = np.arange(1, _ROWSUM_N_CAP + 1, dtype=float)
         for a in (ns, 2 * ns, 3 * ns, ns ** 2 / 24):
-            np.testing.assert_allclose(_log_rowsums(logc, a),
-                                       _reference_rowsums(logc, a),
+            np.testing.assert_allclose(_log_rowsums(a), _reference_rowsums(a),
                                        rtol=1e-12, atol=0)
 
     def test_band_reads_few_columns_of_fast_growth(self, monkeypatch):
@@ -548,20 +548,18 @@ class TestBatchedRowSums:
         reads = []
         inner = criteria_module._band_start
 
-        def spy(logc, a, s, e):
-            m = inner(logc, a, s, e)
+        def spy(table, a, s, e):
+            m = inner(table, a, s, e)
             if s:
                 reads.append((e - s, e - m, e))
             return m
 
         monkeypatch.setattr(criteria_module, "_band_start", spy)
         alpha = parse_alpha("power:beta=2").values_saturated(_ROWSUM_N_CAP)
-        logc = _log_pascal(_ROWSUM_N_CAP)
         for l in range(2, 25):
             reads.clear()
             a = alpha / l
-            np.testing.assert_allclose(_log_rowsums(logc, a),
-                                       _reference_rowsums(logc, a),
+            np.testing.assert_allclose(_log_rowsums(a), _reference_rowsums(a),
                                        rtol=1e-12, atol=0)
             assert reads, l
             if l in (2, 5, 12):
@@ -579,9 +577,9 @@ class TestBatchedRowSums:
         inner_sums = criteria_module._log_rowsums
         inner_sup = criteria_module.sup_verdict_bounded
 
-        def rowsums(logc, A):
+        def rowsums(A):
             columns.extend(a.tobytes() for a in A.T)
-            return inner_sums(logc, A)
+            return inner_sums(A)
 
         def sup(ns, q, label, extra):
             pairs.append((extra["k"], extra["l"]))
@@ -615,25 +613,66 @@ class TestBatchedRowSums:
 
 class TestLogPascalCache:
     def test_one_table_sliced_bit_identically(self, monkeypatch):
+        # the bands, row maxima and blocks hold the bytes of logbinom
         cache = {}
         monkeypatch.setattr(criteria_module, "_logc_cache", cache)
         for N in (5, 300, 17, 1, _ROWSUM_N_CAP, 64, 300):
-            got = _log_pascal(N)
-            assert len(cache) <= 1
-            idx = np.arange(N, dtype=float)
-            fresh = logbinom(idx[:, None], idx[None, :])
-            assert got.shape == (N, N)
-            assert np.ascontiguousarray(got).tobytes() == fresh.tobytes()
+            table = _log_pascal(N)
+            assert len(cache) == 1
+            rows = len(table.lf)
+            assert rows >= N and rows % _ROWSUM_BLOCK == 0
+            dense = _dense_logc(rows)
+            assert table.logc(0, N, 0).tobytes() == dense[:N, :N].tobytes()
+            band = dense[N // 2:N, N // 3:N]
+            assert table.logc(N // 2, N, N // 3).tobytes() == band.tobytes()
+            assert table.rowmax.tobytes() == dense.max(axis=1).tobytes()
+            assert len(table.blocks) * _ROWSUM_BLOCK == rows
+            for i, block in enumerate(table.blocks):
+                s, e = i * _ROWSUM_BLOCK, (i + 1) * _ROWSUM_BLOCK
+                assert block.flags.c_contiguous and block.shape == (e - s, e)
+                scaled = np.exp(dense[s:e, :e] - table.rowmax[s:e, None])
+                assert block.tobytes() == scaled.tobytes()
 
     def test_smaller_sizes_reuse_the_table(self, monkeypatch):
         cache = {}
         monkeypatch.setattr(criteria_module, "_logc_cache", cache)
         big = _log_pascal(200)
-        small = _log_pascal(50)
-        assert np.shares_memory(big, small)
-        assert list(cache) == [200]
-        _log_pascal(201)
-        assert list(cache) == [201]
+        assert _log_pascal(50) is big and _log_pascal(256) is big
+        assert list(cache) == [256]
+        _log_pascal(257)
+        assert list(cache) == [320]
+
+    def test_growth_appends_blocks(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(criteria_module, "_logc_cache", cache)
+        tables = [_log_pascal(N) for N in (40, 116, _ROWSUM_N_CAP)]
+        for small, large in zip(tables, tables[1:]):
+            assert len(small.blocks) < len(large.blocks)
+            assert all(a is b for a, b in zip(small.blocks, large.blocks))
+        monkeypatch.setattr(criteria_module, "_logc_cache", {})
+        fresh = _log_pascal(_ROWSUM_N_CAP)
+        assert len(fresh.blocks) == len(tables[-1].blocks)
+        for grown, built in zip(tables[-1].blocks, fresh.blocks):
+            assert grown.tobytes() == built.tobytes()
+        assert tables[-1].rowmax.tobytes() == fresh.rowmax.tobytes()
+
+    def test_memory_at_the_cap(self, monkeypatch):
+        # the blocks hold the lower triangle in 64-row steps; everything
+        # else is O(N), and no cached array spans N x N entries
+        monkeypatch.setattr(criteria_module, "_logc_cache", {})
+        N = _ROWSUM_N_CAP
+        table = _log_pascal(N)
+        assert sum(b.nbytes for b in table.blocks) == 8 * 64 * 64 * 136
+
+        def span(a):
+            # bytes from an array's first entry to its last, views included
+            return a.itemsize + sum((n - 1) * abs(step)
+                                    for n, step in zip(a.shape, a.strides))
+
+        assert max(map(span, table.blocks)) < 8 * N * N // 4
+        # lf and rowmax hold N entries, the window under toeplitz 2N - 1
+        assert span(table.lf) == span(table.rowmax) == 8 * N
+        assert span(table.toeplitz) == 8 * (2 * N - 1)
 
     def test_size_above_cap_rejected(self, monkeypatch):
         monkeypatch.setattr(criteria_module, "_logc_cache", {})

@@ -225,7 +225,9 @@ def _ref_tail(a, window):
 
 
 def _ref_spread(a):
-    return float(np.max(a) - np.min(a))
+    # an all -inf tail has spread NaN, which passes no threshold
+    with np.errstate(invalid="ignore"):
+        return float(np.max(a) - np.min(a))
 
 
 def ref_classify_limit(ns, logs):
@@ -294,14 +296,17 @@ def ref_classify_sup(ns, logs):
     checkpoints = running[pos]
     tail = _ref_tail(checkpoints, WINDOW)
     if len(tail) >= 2:
-        steps = np.diff(tail)
+        # the step between two -inf is NaN, which is no step either way
+        with np.errstate(invalid="ignore"):
+            steps = np.diff(tail)
         if np.all(steps > 0) and float(tail[-1] - tail[0]) >= RISE_TOTAL:
             return UNBOUNDED, int(ns[int(np.argmax(logs))])
     wb = max(WINDOW, len(checkpoints) // 4)
     tail_b = _ref_tail(checkpoints, wb)
     if _ref_spread(tail_b) <= FLAT_BAND:
         pw_tail = _ref_tail(logs[pos], WINDOW)
-        pw_steps = np.diff(pw_tail)
+        with np.errstate(invalid="ignore"):
+            pw_steps = np.diff(pw_tail)
         climbing = (
             len(pw_tail) >= 2
             and np.all(pw_steps >= 0)
