@@ -30,12 +30,14 @@ for spec in ("linear", "tower", "rsw_b", "sqrt"):
           f"trend {p.v_alpha.trend}]")
 
 # for the log generator the convergence-exponent set S_1 is a half line
-# (1 + beta, infinity); the bisection bracket lands on its left endpoint
+# (1 + beta, infinity).  Its left end s0(1) is bracketed from alpha alone,
+# between 1 + limsup alpha_ceil(n/2) / log n and 1 + limsup alpha_n / log n,
+# so a large scale costs no more than a small one
 from cesarospec import s0_estimate
 
-for beta in (1, 2):
+for beta in (1, 2, 1000):
     est = s0_estimate(parse_alpha(f"log:beta={beta}"), k=1)
-    print(f"log:beta={beta}: s0(1) in [{est.lo:.4f}, {est.hi:.4f}], "
+    print(f"log:beta={beta}: s0(1) in [{est.lo:.6f}, {est.hi:.6f}], "
           f"expected {1 + beta}")
 
 # a verdict is deliberately not a boolean; asking for its truth value raises

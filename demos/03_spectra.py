@@ -37,10 +37,10 @@ report = predict_spectra(classify_space(log2))
 print("\nlog:beta=2:")
 print("  sigma kind :", report.sigma.kind)
 print("  outer disc : center", report.sigma.center, "radius", report.sigma.radius)
+# s0(k) = 1 + 2/k, bracketed from alpha at each level
 for entry in disc_report(log2, kmax=3).entries:
-    print("  level", entry.k, ": s0 in",
-          (round(entry.s0_lo, 3), round(entry.s0_hi, 3)),
-          "disc radius ~", round(entry.radius, 4))
+    print(f"  level {entry.k}: s0 in [{entry.s0_lo:.6f}, {entry.s0_hi:.6f}],"
+          f" disc radius ~ {entry.radius:.4f}")
 
 # resolvent evidence: scaled tail row sums stabilize at resolvent points
 # and grow inside the predicted spectrum (witnessed at some weight level)

@@ -46,7 +46,7 @@ from .spectral import IN, OUT, boun_bounds_fit, disc_report, \
     verify_resolvent_point
 from .trend import FAILS, HOLDS
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 OUT_DIR_ENV = "CESAROSPEC_OUT_DIR"
 
 EXPERIMENT_NAMES = ("profile", "spectrum", "resolvent", "eigenpairs",
@@ -366,9 +366,7 @@ def _run_spectrum(ctx: _RunContext) -> tuple:
     rep = ctx.spectrum()
     payload = {"profile": prof, "spectrum": rep}
     if prof.s1_nonempty.outcome == HOLDS:
-        payload["discs"] = disc_report(
-            ctx.seq, kmax=ctx.config.K, tol=ctx.config.tol or 0.05,
-            s1=prof.s1_nonempty)
+        payload["discs"] = disc_report(ctx.seq, kmax=ctx.config.K)
     mism = [f"spectrum[{prof.alpha}]: {w}" for w in prof.warnings]
     return payload, mism
 
@@ -721,7 +719,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="resolvent points as complex literals a+bi")
     parser.add_argument("--m", dest="ms", metavar="M1,M2,...",
                         help="eigenpair indices / iteration counts")
-    parser.add_argument("--tol", type=float, help="tolerance override")
+    parser.add_argument("--tol", type=float,
+                        help="tolerance of the dynamics iterate-limit check "
+                        "(default 1e-6)")
     parser.add_argument("--seed", type=int, help="seed for sampled vectors")
     parser.add_argument("--x", help="dynamics starting vector: e<j>, ones, "
                         "random")

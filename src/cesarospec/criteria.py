@@ -626,34 +626,25 @@ class SpaceProfile:
     notes: tuple = ()
 
 
-# (N, tol) of the S_1 scan, which brackets s0(1); disc_report reuses it
-S1_SCAN = (10_000, 0.05)
-
-
 def _s1_verdict(seq: AlphaSequence) -> Verdict:
-    """Wrap s0_estimate into a Verdict on "S_1 is nonempty".
+    """Verdict on "S_1 is nonempty", read off the s0(1) bracket.
 
-    The series scan keeps its own resolution, S1_SCAN: profile N values
-    tuned for dense matrix work (tiny for fast-overflow generators) are
-    either too small for a series verdict or needlessly large.
+    Fails with the lower end's verdict when that end is unbounded, holds
+    with the upper end's evidence when that end is bounded.
     """
     try:
-        est = s0_estimate(seq, 1, N=S1_SCAN[0], tol=S1_SCAN[1])
+        est = s0_estimate(seq, 1)
     except SkEmptyError as err:
-        return Verdict(
-            FAILS, UNBOUNDED, (),
-            witness={"s_cap": err.cap, "probed": err.probed},
-            params={"alpha": seq.spec_string(), "k": 1,
-                    "quantity": "existence of a convergent exponent"},
-        )
-    params = {
-        "alpha": seq.spec_string(), "k": 1,
-        "quantity": "existence of a convergent exponent",
-        "s0_interval": (est.lo, est.hi),
-        "s0_estimate": est.estimate,
-        "status": est.status,
-    }
-    return Verdict(HOLDS, BOUNDED, tuple(est.probed), params=params)
+        return err.verdict
+    upper = est.hi_verdict
+    if upper.outcome == HOLDS:
+        return Verdict(HOLDS, BOUNDED, upper.evidence, params={
+            **upper.params, "s0_interval": (est.lo, est.hi),
+            "s0_estimate": est.estimate})
+    return Verdict(
+        INCONCLUSIVE, upper.trend, upper.evidence, params=upper.params,
+        reason=upper.reason or "the upper end of the s0(1) bracket is "
+                               "unbounded, the lower end not decisively")
 
 
 def classify_space(seq: AlphaSequence, N: int | None = None) -> SpaceProfile:
@@ -711,10 +702,7 @@ def classify_space(seq: AlphaSequence, N: int | None = None) -> SpaceProfile:
     if "scope_note" in delta_cont.params:
         notes.append(str(delta_cont.params["scope_note"]))
     if s1.outcome == HOLDS:
-        notes.append(
-            f"s0(1) bracketed in {s1.params['s0_interval']} "
-            f"({s1.params['status']})"
-        )
+        notes.append(f"s0(1) bracketed in {s1.params['s0_interval']}")
 
     return SpaceProfile(
         alpha=seq.spec_string(),

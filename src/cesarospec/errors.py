@@ -24,17 +24,17 @@ class InternalConsistencyError(CesaroError):
 
 
 class SkEmptyError(CesaroError):
-    """No convergent exponent was found up to the search cap.
+    """The level-k exponent set S_k is empty: the lower end of the s0(k)
+    bracket is decisively unbounded.
 
-    Carries the per-exponent verdicts gathered during the search so callers
-    can report the evidence.
+    Carries that end's failing verdict as the evidence.
     """
 
-    def __init__(self, k: int, cap: float, probed: tuple = ()):
+    def __init__(self, k: int, verdict):
         self.k = k
-        self.cap = cap
-        self.probed = probed
+        self.verdict = verdict
         super().__init__(
-            f"series diverges for every probed exponent s <= {cap} at k={k}"
+            f"no exponent converges at k={k}: "
+            f"{verdict.params['quantity']} is unbounded "
+            f"(witness {verdict.witness})"
         )
-

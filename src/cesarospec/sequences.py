@@ -8,15 +8,19 @@ of all scalar sequences x such that w_k(n) x_n -> 0 for every k >= 1, where
 
 Growth features of alpha alone decide the operator theory on the space: the
 behaviour of log(n)/alpha_n (nuclearity of the space), the infimum of the
-gaps alpha_{n+1} - alpha_n, the ratios alpha_{n+1}/alpha_n, and convergence of
-the exponential series sum_n exp(alpha_n/k) / n^s.  This module provides a
-gallery of alpha generators, the weight family, and finite-resolution
-verdicts for those scalar diagnostics.
+gaps alpha_{n+1} - alpha_n, the ratios alpha_{n+1}/alpha_n, and the abscissa
+s0(k) of the exponential series sum_n exp(alpha_n/k) / n^s.  This module
+provides a gallery of alpha generators, the weight family, and
+finite-resolution verdicts for those scalar diagnostics.
+
+s0(k) is bracketed from alpha alone, with no series and no s, between
+1 + limsup alpha_ceil(n/2) / (k log n) and 1 + limsup alpha_n / (k log n);
+s0_estimate derives the bracket.
 
 Every generator can report values beyond the working resolution through
-closed or asymptotic forms (``alpha_at`` and ``tail_probes``); the series and
-ratio diagnostics use those probes to catch divergence that only shows up far
-past any affordable dense range.
+closed or asymptotic forms (``alpha_at``, ``alpha_at_log`` and
+``tail_probes``); the ratio diagnostics and the s0 bracket use those probes
+to catch divergence that only shows up far past any affordable dense range.
 """
 
 from __future__ import annotations
@@ -34,15 +38,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InternalConsistencyError, RepresentationError, SkEmptyError
+from .errors import RepresentationError, SkEmptyError
 from .trend import (
+    BOUNDED,
     FAILS,
-    FLAT_BAND,
     HOLDS,
     INCONCLUSIVE,
-    LOG_OVERFLOW,
-    RISE_TOTAL,
-    RISING,
+    UNBOUNDED,
     UNDECIDED,
     WINDOW,
     Verdict,
@@ -400,6 +402,41 @@ class AlphaSequence:
             return np.minimum(self._table_at(ns), ALPHA_SATURATION)
         raise AssertionError(kind)
 
+    def alpha_at_log(self, Ls) -> np.ndarray:
+        """alpha at the indices n = e^L, saturated at 1e300, for any L >= 0.
+
+        While e^L is a float this is alpha_at; for log that is the closed
+        form beta log(e^L + 1) = beta (L + log1p(e^-L)).  Past float range
+        _alpha_far reads the leading term.
+        """
+        L = np.atleast_1d(np.asarray(Ls, dtype=float))
+        with np.errstate(over="ignore"):
+            out = self.alpha_at(np.exp(np.minimum(L, 700.0)))
+            far = L > 700.0
+            if far.any():
+                out[far] = self._alpha_far(L[far])
+        return np.minimum(out, ALPHA_SATURATION)
+
+    def _alpha_far(self, L: np.ndarray) -> np.ndarray:
+        """alpha at n = e^L for L > 700, unclipped.  log reads beta L, since
+        log1p(e^-L) is below float resolution there; every other kind grows
+        at least like a power of n, and its leading term, capped at e^700,
+        saturates."""
+        kind, p = self.kind, self.params
+        if kind == "log":
+            return p["beta"] * L
+        if kind == "psum":
+            b = p["beta"]
+            return np.expm1(np.minimum((1.0 - b) * L, 700.0)) / (1.0 - b) \
+                + (_zeta(b) + 1.0 / (1.0 - b))
+        if kind == "table":
+            last, step = float(p["values"][-1]), float(p["step"])
+            if step == 0:
+                return np.full_like(L, last)
+            return last + np.exp(np.minimum(L + math.log(step), 700.0))
+        c = {"power": p.get("beta"), "sqrt": 0.5}.get(kind, 1.0)
+        return np.exp(np.minimum(c * L, 700.0))
+
     def _table_at(self, ns: np.ndarray) -> np.ndarray:
         """The table and its linear tail at float indices, unclipped: a tail
         past float range is inf."""
@@ -685,136 +722,89 @@ def n_over_alpha_check(seq: AlphaSequence, N: int | None = None) -> Verdict:
     return _ratio_to_zero_verdict(seq, N, "n/alpha_n", np.log)
 
 
-# Margin around the harmonic exponent 1 inside which a decay exponent, or
-# its spread over the tail, is too close to call.
-_SLOPE_MARGIN = 0.02
+# Resolution of the dense ladder that reads the s0(k) bracket, and the last
+# log-index probe past it.
+_BRACKET_N = 10_000
+_LOG_PROBE_LIMIT = 1e15
 
 
-def sk_convergence(
-    seq: AlphaSequence,
-    k: int,
-    s: float,
-    N: int = 10_000,
-) -> Verdict:
-    """Verdict on convergence of sum_n exp(alpha_n/k) / n^s.
+def _bracket_probes(seq: AlphaSequence) -> tuple:
+    """(labels, log-indices, alpha) past _BRACKET_N, up to and including
+    the first saturated alpha: a saturated value bounds alpha only from
+    below, and the samples after it would flatten or fall.
 
-    Works on the log-terms t(n) = alpha_n/k - s log n.  Divergence is called
-    on rising or overflowing terms, on a late surge of window mass along the
-    sample ladder, on beyond-N probe terms that dwarf everything seen so far,
-    or on a decay exponent that stabilizes clearly below 1.  Convergence is
-    called only on a decay exponent clearly above 1.  Near the harmonic edge
-    the check separates n*t(n) -> c > 0 (divergent) from slower corrections
-    (inconclusive).
+    s1_empty reads the starts of its blocks, every other kind the
+    log-indices log(N) 2^t, both up to log n = _LOG_PROBE_LIMIT.
     """
-    return _series_verdicts(seq, k, N)(s)
+    if seq.kind == "s1_empty":
+        probes = [p for p in seq.tail_probes(_BRACKET_N)
+                  if p.log_n <= _LOG_PROBE_LIMIT]
+        labels = [p.label for p in probes]
+        logs_n = np.array([p.log_n for p in probes])
+        alphas = np.array([p.alpha for p in probes])
+    else:
+        logs_n = np.array([L for L in (math.log(_BRACKET_N) * 2.0 ** t
+                                       for t in range(1, 64))
+                           if L <= _LOG_PROBE_LIMIT])
+        alphas = seq.alpha_at_log(logs_n)
+        labels = [f"log n={L:.6g}" for L in logs_n.tolist()]
+    saturated = np.flatnonzero(alphas >= ALPHA_SATURATION)
+    end = int(saturated[0]) + 1 if len(saturated) else len(alphas)
+    return labels[:end], logs_n[:end], alphas[:end]
 
 
-def _series_verdicts(seq: AlphaSequence, k: int, N: int):
-    """sk_convergence at level k as a function of s alone; what does not
-    depend on s is computed once, for a whole bisection."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if N < 100:
-        raise ValueError("series verdicts need N >= 100")
-    alpha_k = seq.values_saturated(N) / k
-    log_n = np.log(np.arange(1, N + 1, dtype=float))
-    lad = ladder(N)
-    lad_list = lad.tolist()
-    starts = np.concatenate([[0], lad[:-1]])
-    dlog = np.diff(np.log(lad))
-    probes = seq.tail_probes(N)
-    probe_alpha = np.array([min(p.alpha / k, ALPHA_SATURATION) for p in probes])
-    probe_log_n = np.array([p.log_n for p in probes])
-    base = {
-        "quantity": "log term of sum exp(alpha_n/k)/n^s",
-        "scale": "log", "alpha": seq.spec_string(), "k": k,
-    }
+def _bracket_end(seq: AlphaSequence, k: int, half: bool) -> tuple:
+    """(verdict, value) for one end of the s0(k) bracket: the lower end
+    reads limsup alpha_ceil(n/2) / (k log n) when half, the upper end
+    limsup alpha_n / (k log n).
 
-    def verdict(s: float) -> Verdict:
-        lt = alpha_k - s * log_n
-        lt_l = lt[lad - 1]
-        ev = tuple(zip(lad_list, lt_l.tolist()))
-        info = {**base, "s": s, "N": N}
-
-        if np.max(lt) > LOG_OVERFLOW:
-            witness = int(np.argmax(lt > LOG_OVERFLOW)) + 1
-            return Verdict(FAILS, RISING, ev, witness=witness,
-                           params={**info, "mode": "term_overflow"})
-
-        tail = lt_l[-WINDOW:].tolist()
-        if all(b - a > 0 for a, b in zip(tail, tail[1:])) \
-                and tail[-1] - tail[0] >= RISE_TOTAL:
-            return Verdict(FAILS, RISING, ev, witness=lad_list[-1],
-                           params={**info, "mode": "rising_terms"})
-
-        # Window mass along the ladder; a late window dominating everything
-        # before it means the tail carries unbounded mass even though each
-        # term is small.
-        mass = np.add.reduceat(np.exp(lt), starts)
-        prior = np.maximum.accumulate(mass).tolist()
-        mass = mass.tolist()
-        for j in range(max(1, len(mass) // 3), len(mass)):
-            if mass[j] > 5.0 * prior[j - 1] and mass[j] > 1e-12 * max(mass):
-                return Verdict(
-                    FAILS, "late_mass", ev, witness=int(starts[j] + 1),
-                    params={**info, "mode": "late_window_mass",
-                            "window_mass": tuple(mass)},
-                )
-
-        if probes:
-            pe = probe_alpha - s * probe_log_n
-            threshold = max(0.0, float(np.max(lt))) + 10.0
-            if np.max(pe) > threshold:
-                j = int(np.argmax(pe > threshold))
-                return Verdict(
-                    FAILS, RISING, ev, witness=probes[j].label,
-                    params={**info, "mode": "probe_terms",
-                            "probe_log_terms": tuple(pe.tolist())},
-                )
-
-        # N >= 100 puts 13 or more samples on the ladder, so ttail is not empty
-        ttail = (-np.diff(lt_l[-WINDOW:]) / dlog[-(WINDOW - 1):]).tolist()
-        spread = max(ttail) - min(ttail)
-        theta_star = float(np.mean(ttail))
-        info["decay_exponent"] = theta_star
-        if spread <= _SLOPE_MARGIN:
-            if theta_star >= 1.0 + _SLOPE_MARGIN:
-                return Verdict(HOLDS, "power_decay", ev, params=info)
-            if theta_star <= 1.0 - _SLOPE_MARGIN:
-                return Verdict(FAILS, "slow_decay", ev, witness=lad_list[-1],
-                               params={**info, "mode": "decay_exponent_below_1"})
-            # n * term stabilizing at a positive level pins divergence; a
-            # tail that is flat in spread but steadily drifting could still
-            # be a slowly-varying correction on either side of the edge.
-            u = (lt_l[-WINDOW:] + np.log(lad[-WINDOW:])).tolist()
-            drift = abs(u[-1] - u[0])
-            if max(u) - min(u) <= FLAT_BAND and drift <= 0.3 * FLAT_BAND:
-                info["harmonic_level"] = float(math.exp(np.mean(u)))
-                return Verdict(FAILS, "harmonic", ev, witness=lad_list[-1],
-                               params={**info, "mode": "n_times_term_stabilizes"})
-            return Verdict(
-                INCONCLUSIVE, "undecided", ev,
-                reason="decay exponent within margin of the harmonic edge",
-                params=info,
-            )
-        if min(ttail) >= 1.0 + _SLOPE_MARGIN:
-            return Verdict(HOLDS, "power_decay", ev, params=info)
-        if max(ttail) <= 1.0 - _SLOPE_MARGIN:
-            return Verdict(FAILS, "slow_decay", ev, witness=lad_list[-1],
-                           params={**info, "mode": "decay_exponent_below_1"})
-        return Verdict(INCONCLUSIVE, "undecided", ev,
-                       reason="decay exponent has not stabilized", params=info)
-
-    return verdict
+    The verdict is the sup verdict of the quantity along the ladder up to
+    _BRACKET_N; unless that fails, the beyond-N probes escalate it.  It
+    never holds when a sample saturated.  When it holds, the upper end is
+    1 + the sup of the quantity past N, which bounds the limsup from above,
+    and the lower end is 1 + the least of the last WINDOW samples.
+    Otherwise the ends fall back to inf and to 1: every term is at least
+    1/n^s, so s0(k) >= 1.
+    """
+    quantity = "alpha_ceil(n/2) / (k log n)" if half else "alpha_n / (k log n)"
+    lad = ladder(_BRACKET_N)
+    idx = [(n + 1) // 2 - 1 for n in lad.tolist()] if half else lad - 1
+    alphas = seq.values_saturated(_BRACKET_N)[idx]
+    extra = {"alpha": seq.spec_string(), "k": k, "N": _BRACKET_N}
+    keep = _unsaturated(lad, alphas, extra)
+    ns = lad[keep]
+    logs = np.log(alphas[keep]) - np.log(k * np.log(ns))
+    verdict = _saturation_starved(ns, logs, quantity, extra)
+    if verdict is None:
+        verdict = sup_verdict_bounded(ns, logs, quantity, extra=extra)
+    if verdict.outcome == FAILS:  # no probe can overturn it
+        return verdict, 1.0 if half else math.inf
+    # at a probe the index is n = e^L, or n = 2 e^L for alpha at ceil(n/2)
+    labels, logs_n, probe_alphas = _bracket_probes(seq)
+    plogs = np.log(probe_alphas) - np.log(
+        k * (logs_n + (math.log(2.0) if half else 0.0)))
+    verdict = probe_escalation(verdict, labels, plogs, "probe_logs")
+    if verdict.outcome == HOLDS and ("saturated_from" in extra or (
+            len(probe_alphas) and probe_alphas[-1] >= ALPHA_SATURATION)):
+        verdict = Verdict(
+            INCONCLUSIVE, verdict.trend, verdict.evidence,
+            reason="alpha saturates, so its samples bound it only from below",
+            params=verdict.params)
+    if verdict.outcome != HOLDS:
+        return verdict, 1.0 if half else math.inf
+    if half:
+        top = np.min(np.concatenate([logs, plogs])[-WINDOW:])
+    else:
+        top = np.max(plogs if len(plogs) else logs)
+    return verdict, 1.0 + math.exp(float(top))
 
 
 @dataclass(frozen=True)
 class SZeroEstimate:
-    """Bracketed infimum of the convergent exponents at level k.
+    """The bracket lo <= s0(k) <= hi and its two end verdicts.
 
-    status is "bracketed_to_tol" when bisection reached the requested width
-    and "stopped_on_inconclusive" when a borderline exponent halted it early
-    (the bracket is still valid, just wider).
+    hi is inf when the upper end is not bounded at this resolution;
+    estimate is the midpoint of the bracket.
     """
 
     k: int
@@ -823,75 +813,57 @@ class SZeroEstimate:
     estimate: float
     lo_verdict: Verdict
     hi_verdict: Verdict
-    probed: tuple = ()
-    status: str = "bracketed_to_tol"
 
 
-_S_GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.5, 7.0, 10.0, 15.0, 22.0, 32.0, 50.0)
+def s0_estimate(seq: AlphaSequence, k: int) -> SZeroEstimate:
+    """Bracket the abscissa s0(k) of sum_n exp(alpha_n/k) / n^s from alpha.
 
+    With a_n = exp(alpha_n/k) >= 1 the series diverges at s = 0, so its
+    abscissa of convergence is limsup log A_n / log n, where A_n = a_1 + ...
+    + a_n (Hardy and Riesz, The General Theory of Dirichlet's Series, 1915,
+    ch. II).  alpha is nondecreasing, so the n - ceil(n/2) + 1 >= n/2 terms
+    from ceil(n/2) on are each at least a_ceil(n/2), and no term exceeds
+    a_n:
 
-def s0_estimate(
-    seq: AlphaSequence,
-    k: int,
-    N: int = 10_000,
-    tol: float = 0.05,
-) -> SZeroEstimate:
-    """Bracket the critical exponent s0(k) = inf { s : the k-series converges }.
+        (n/2) exp(alpha_ceil(n/2) / k) <= A_n <= n exp(alpha_n / k).
 
-    Scans a coarse grid for the first convergent exponent, then bisects the
-    bracket down to width tol.  Raises SkEmptyError, with cap 50, when no
-    exponent on the grid (which ends at s = 50) converges: for most gallery
-    members that is the true state of affairs, since only logarithmic alpha
-    admits any convergent exponent.  Inconclusive verdicts during bisection
-    stop the refinement at the last decisive bracket rather than guessing.
+    Dividing the logs by log n, the log 2 / log n term vanishes, so
 
-    s = 1 always diverges, by comparison: every generator has alpha_n >= 0
-    (nondecreasing from a positive alpha_1), so every term exp(alpha_n/k)/n
-    is at least 1/n, and the harmonic series diverges.  When the grid finds
-    no divergent exponent below the first convergent one (near the harmonic
-    edge sk_convergence may read s = 1 as inconclusive), the bracket's lower
-    end is therefore s = 1 with a "comparison" verdict.  Only a grid that
-    reads s = 1 itself as convergent contradicts this, and raises.
+        1 + limsup alpha_ceil(n/2) / (k log n) <= s0(k)
+          <= 1 + limsup alpha_n / (k log n).
+
+    Both ends read alpha alone (_bracket_end).  A decisively unbounded
+    lower end means no exponent converges, and raises SkEmptyError with
+    that end's verdict.  An upper end that is not bounded at this
+    resolution leaves hi = inf.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    verdict_at = _series_verdicts(seq, k, N)
-    probed: list[tuple[float, str]] = []
-    lo, lo_v = None, None
-    hi, hi_v = None, None
-    for s in _S_GRID:
-        v = verdict_at(s)
-        probed.append((s, v.outcome))
-        if v.outcome == HOLDS:
-            hi, hi_v = s, v
-            break
-        if v.outcome == FAILS:
-            lo, lo_v = s, v
-    if hi is None:
-        raise SkEmptyError(k, _S_GRID[-1], tuple(probed))
-    if lo is None and hi <= 1.0:
-        raise InternalConsistencyError(
-            f"series at k={k} converges at s={hi}; s=1 must always diverge"
-        )
-    if lo is None:
-        lo, lo_v = 1.0, Verdict(
-            FAILS, "comparison", (), witness={"s": 1.0},
-            params={"quantity": "terms against the harmonic series 1/n",
-                    "alpha": seq.spec_string(), "k": k, "s": 1.0},
-        )
-    status = "bracketed_to_tol"
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        v = verdict_at(mid)
-        probed.append((mid, v.outcome))
-        if v.outcome == HOLDS:
-            hi, hi_v = mid, v
-        elif v.outcome == FAILS:
-            lo, lo_v = mid, v
-        else:
-            status = "stopped_on_inconclusive"
-            break
-    return SZeroEstimate(
-        k=k, lo=lo, hi=hi, estimate=0.5 * (lo + hi),
-        lo_verdict=lo_v, hi_verdict=hi_v, probed=tuple(probed), status=status,
-    )
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    lower, lo = _bracket_end(seq, k, half=True)
+    if lower.outcome == FAILS:
+        raise SkEmptyError(k, lower)
+    upper, hi = _bracket_end(seq, k, half=False)
+    return SZeroEstimate(k=k, lo=lo, hi=hi, estimate=0.5 * (lo + hi),
+                         lo_verdict=lower, hi_verdict=upper)
+
+
+def sk_convergence(seq: AlphaSequence, k: int, s: float) -> Verdict:
+    """Verdict on convergence of sum_n exp(alpha_n/k) / n^s.
+
+    Compares s with the s0(k) bracket: holds above it, fails below it (and
+    for every s when S_k is empty), inconclusive inside it.
+    """
+    params = {"quantity": "s against the bracket of s0(k)",
+              "alpha": seq.spec_string(), "k": k, "s": s}
+    try:
+        est = s0_estimate(seq, k)
+    except SkEmptyError as err:
+        return Verdict(FAILS, UNBOUNDED, err.verdict.evidence,
+                       witness=err.verdict.witness, params=params)
+    params["s0_interval"] = (est.lo, est.hi)
+    if s > est.hi:
+        return Verdict(HOLDS, BOUNDED, params=params)
+    if s < est.lo:
+        return Verdict(FAILS, UNBOUNDED, witness={"s": s}, params=params)
+    return Verdict(INCONCLUSIVE, UNDECIDED, params=params,
+                   reason="s lies inside the bracket of s0(k)")

@@ -26,7 +26,7 @@ from .errors import PreconditionError
 from .operators import _check_not_pole, _scaled_tail_parts, logbinom, \
     resolvent_tail_logs
 from .sequences import AlphaSequence, default_resolution, s0_estimate
-from .criteria import S1_SCAN, SpaceProfile
+from .criteria import SpaceProfile
 from .trend import (
     BOUNDED,
     FAILS,
@@ -405,7 +405,6 @@ class DiscEntry:
     s0_estimate: float
     center: float
     radius: float
-    status: str
 
 
 @dataclass(frozen=True)
@@ -417,50 +416,28 @@ class DiscReport:
     nonincreasing: bool
     union_center: float
     union_radius: float
-    notes: tuple = ()
 
 
-def disc_report(
-    seq: AlphaSequence,
-    kmax: int = 4,
-    N: int = 10_000,
-    tol: float = 0.05,
-    s1: Verdict | None = None,
-) -> DiscReport:
+def disc_report(seq: AlphaSequence, kmax: int = 4) -> DiscReport:
     """Estimate the disc ladder D(s0(k)) for k = 1..kmax.
 
     Each disc has center and radius 1/(2 s0(k)); the union grows toward the
     unit-diameter disc as the critical exponents fall toward 1.  Raises the
     level's empty-exponent error untouched when nothing converges, which is
-    the correct report for generators outside this regime.
-
-    ``s1``, classify_space's S_1 verdict for ``seq``, stands in for the
-    k = 1 bisection when it holds and (N, tol) is the S_1 scan's pair.
+    the correct report for generators outside this regime.  The ladder is
+    nonincreasing when no level's bracket lies above the one before it.
     """
     if kmax < 1:
         raise PreconditionError(f"need kmax >= 1, got {kmax}")
     entries: list[DiscEntry] = []
-    notes: list[str] = []
     for k in range(1, kmax + 1):
-        if k == 1 and s1 is not None and s1.outcome == HOLDS \
-                and (N, tol) == S1_SCAN:
-            lo, hi = s1.params["s0_interval"]
-            estimate, status = s1.params["s0_estimate"], s1.params["status"]
-        else:
-            est = s0_estimate(seq, k, N=N, tol=tol)
-            lo, hi, estimate, status = est.lo, est.hi, est.estimate, est.status
+        est = s0_estimate(seq, k)
+        r = 1.0 / (2.0 * est.estimate)
         entries.append(DiscEntry(
-            k=k, s0_lo=lo, s0_hi=hi, s0_estimate=estimate,
-            center=1.0 / (2.0 * estimate),
-            radius=1.0 / (2.0 * estimate),
-            status=status,
+            k=k, s0_lo=est.lo, s0_hi=est.hi, s0_estimate=est.estimate,
+            center=r, radius=r,
         ))
-        if status != "bracketed_to_tol":
-            notes.append(f"k={k}: bisection stopped early ({status})")
-    ok = all(
-        entries[i + 1].s0_estimate <= entries[i].s0_estimate + tol
-        for i in range(len(entries) - 1)
-    )
+    ok = all(b.s0_lo <= a.s0_hi for a, b in zip(entries, entries[1:]))
     biggest = max(entries, key=lambda e: e.radius)
     return DiscReport(
         alpha=seq.spec_string(),
@@ -468,5 +445,4 @@ def disc_report(
         nonincreasing=ok,
         union_center=biggest.center,
         union_radius=biggest.radius,
-        notes=tuple(notes),
     )

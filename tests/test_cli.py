@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -206,7 +207,7 @@ class TestRunAndEmit:
         assert lines[0] == "path,value"
         cells = dict(line.split(",", 1) for line in lines[1:])
         assert cells["config.K"] == "4"
-        assert cells["schema_version"] == "2"
+        assert cells["schema_version"] == "3"
 
     @pytest.mark.parametrize("config", [
         AnalysisConfig(N=1, experiments=("profile",)),
@@ -475,19 +476,50 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("argv", [
         ["--alpha", "log:beta=1/10", "--K", "5"],
         ["--alpha", "log:beta=1", "--K", "50"],
-        # log:beta=2 first needs the s = 1 seed at K = 100, past the cap;
-        # sequences' TestHarmonicEdge runs s0_estimate there directly
         ["--alpha", "log:beta=2", "--K", str(K_CAP)],
     ])
     def test_spectrum_at_the_harmonic_edge_exits_0(self, argv, capsys):
-        # s0(k) = 1 + beta/k comes close enough to 1 that the series scan
-        # reads s = 1 as inconclusive; the bracket then starts at s = 1
+        # s0(k) = 1 + beta/k comes close to 1 at high levels; every level's
+        # bracket still holds the closed form
         assert main(argv + ["--experiments", "spectrum"]) == 0
         tree = json.loads(capsys.readouterr().out)
         assert tree["mismatches"] == []
         discs = tree["results"][0]["data"]["discs"]["entries"]
         assert len(discs) == int(argv[-1])
-        assert all(d["s0_lo"] >= 1.0 for d in discs)
+        beta = float(Fraction(argv[1].split("=")[1]))
+        assert all(1.0 <= d["s0_lo"] <= 1 + beta / d["k"] <= d["s0_hi"]
+                   for d in discs)
+
+    def test_large_log_scale_has_a_nonempty_s1(self, capsys):
+        # S_1 is nonempty with s0(1) = 1 + beta = 1001; the run still exits 1
+        # on the window-scan mismatches that a scaled log exponent exposes
+        argv = ["--alpha", "log:beta=1000", "--N", "200",
+                "--experiments", "profile", "spectrum"]
+        assert main(argv) == 1
+        tree = json.loads(capsys.readouterr().out)
+        data = tree["results"][1]["data"]
+        s1 = data["profile"]["s1_nonempty"]
+        assert s1["outcome"] == HOLDS
+        assert abs(s1["params"]["s0_estimate"] - 1001.0) <= 0.05
+        assert data["discs"]["entries"][0]["s0_lo"] <= 1001.0
+        kinds = ("inverse continuity holds but nuclearity fails",
+                 "the basis-shift operator's continuity verdict",
+                 "alternating-transform evidence tracks disagree")
+        assert tree["mismatches"]
+        for line in tree["mismatches"]:
+            assert any(kind in line for kind in kinds), line
+            assert "S_1" not in line and "disc" not in line, line
+
+    @pytest.mark.parametrize("spec", ["log:beta=1e300", "log:beta=1e-300"])
+    def test_extreme_log_scale_never_empties_s1(self, spec, capsys):
+        # S_1 is nonempty for every log scale; at 1e300 alpha saturates, so
+        # the bracket stays open instead of reading empty
+        argv = ["--alpha", spec, "--N", "200",
+                "--experiments", "profile", "spectrum"]
+        assert main(argv) == 0
+        tree = json.loads(capsys.readouterr().out)
+        s1 = tree["results"][0]["data"]["profile"]["s1_nonempty"]
+        assert s1["outcome"] in (HOLDS, "inconclusive")
 
     @pytest.mark.parametrize("spec", ["log:beta=1e-310", "log:beta=1e-320"])
     def test_tiny_log_scale_profile_exits_0(self, spec, capsys):

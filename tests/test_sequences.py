@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cesarospec import (
+    GALLERY_SPECS,
     AlphaSequence,
     FAILS,
     HOLDS,
@@ -27,12 +28,9 @@ from cesarospec import (
     sk_convergence,
     v_alpha,
 )
-from cesarospec.errors import InternalConsistencyError, RepresentationError
+from cesarospec.errors import RepresentationError
 import cesarospec.sequences as sequences_module
 from cesarospec.sequences import ALPHA_SATURATION, SeminormTable
-from cesarospec.trend import (
-    FLAT_BAND, LOG_OVERFLOW, RISE_TOTAL, WINDOW, Verdict, ladder,
-)
 
 
 class TestGeneratorValues:
@@ -441,6 +439,9 @@ class TestShiftStability:
 
 
 class TestSeriesExponents:
+    """s0(k) is bracketed from alpha alone, between 1 + limsup
+    alpha_ceil(n/2) / (k log n) and 1 + limsup alpha_n / (k log n)."""
+
     def test_log_series_splits_at_three(self, log2):
         # sum exp(2 log(n+1)) / n^s = sum (n+1)^2 / n^s converges iff s > 3
         assert sk_convergence(log2, 1, 4.0).outcome == HOLDS
@@ -460,179 +461,108 @@ class TestSeriesExponents:
         with pytest.raises(SkEmptyError):
             s0_estimate(linear, 1)
 
-    def test_empty_error_reports_probes(self, linear):
-        try:
-            s0_estimate(linear, 1)
-        except SkEmptyError as err:
-            assert err.probed
-            assert err.cap >= 50.0
+    def test_empty_error_reports_probes(self):
+        # the dense ladder of s1_empty looks bounded; the lower end is
+        # decisively unbounded at the block starts past N
+        with pytest.raises(SkEmptyError) as info:
+            s0_estimate(parse_alpha("s1_empty"), 1)
+        v = info.value.verdict
+        assert info.value.k == 1
+        assert (v.outcome, v.trend) == (FAILS, "rising")
+        assert v.witness == "block k=4"
+        assert v.params["quantity"] == "alpha_ceil(n/2) / (k log n)"
+        assert len(v.params["probe_logs"]) > 1
+        assert not hasattr(info.value, "cap")
 
     def test_divergence_for_every_generator_but_log(self):
         for spec in ("linear", "sqrt", "power:beta=2", "psum:beta=1/2"):
             v = sk_convergence(parse_alpha(spec), 1, 10.0)
             assert v.outcome == FAILS, spec
 
-
-def reference_sk_convergence(seq, k, s, N=10_000, slope_margin=0.02):
-    """sk_convergence as it stood before its s-independent terms were
-    hoisted and its tail rules moved to Python floats."""
-    alphas = seq.values_saturated(N)
-    ns = np.arange(1, N + 1, dtype=float)
-    lt = alphas / k - s * np.log(ns)
-    lad = ladder(N)
-    lt_l = lt[lad - 1]
-    ev = tuple((int(n), float(v)) for n, v in zip(lad, lt_l))
-    info = {
-        "quantity": "log term of sum exp(alpha_n/k)/n^s",
-        "scale": "log", "alpha": seq.spec_string(), "k": k, "s": s, "N": N,
-    }
-    w = WINDOW
-    if np.max(lt) > LOG_OVERFLOW:
-        witness = int(np.argmax(lt > LOG_OVERFLOW)) + 1
-        return Verdict(FAILS, "rising", ev, witness=witness,
-                       params={**info, "mode": "term_overflow"})
-    tail = lt_l[-w:]
-    if len(tail) >= 2 and np.all(np.diff(tail) > 0) \
-            and tail[-1] - tail[0] >= RISE_TOTAL:
-        return Verdict(FAILS, "rising", ev, witness=int(lad[-1]),
-                       params={**info, "mode": "rising_terms"})
-    t = np.exp(lt)
-    starts = np.concatenate([[0], lad[:-1]])
-    mass = np.add.reduceat(t, starts)
-    w0 = max(1, len(mass) // 3)
-    prior = np.maximum.accumulate(mass)
-    for j in range(w0, len(mass)):
-        if mass[j] > 5.0 * prior[j - 1] \
-                and mass[j] > 1e-12 * float(np.max(mass)):
-            return Verdict(
-                FAILS, "late_mass", ev, witness=int(starts[j] + 1),
-                params={**info, "mode": "late_window_mass",
-                        "window_mass": tuple(float(v) for v in mass)},
-            )
-    probes = seq.tail_probes(N)
-    if probes:
-        pe = np.array([min(p.alpha / k, ALPHA_SATURATION) - s * p.log_n
-                       for p in probes])
-        threshold = max(0.0, float(np.max(lt))) + 10.0
-        if np.max(pe) > threshold:
-            j = int(np.argmax(pe > threshold))
-            return Verdict(
-                FAILS, "rising", ev, witness=probes[j].label,
-                params={**info, "mode": "probe_terms",
-                        "probe_log_terms": tuple(float(v) for v in pe)},
-            )
-    dlog = np.diff(np.log(lad))
-    theta = -np.diff(lt_l) / dlog
-    ttail = theta[-(w - 1):] if len(theta) >= w - 1 else theta
-    spread = float(np.max(ttail) - np.min(ttail))
-    info["decay_exponent"] = float(np.mean(ttail))
-    if spread <= slope_margin:
-        theta_star = float(np.mean(ttail))
-        if theta_star >= 1.0 + slope_margin:
-            return Verdict(HOLDS, "power_decay", ev, params=info)
-        if theta_star <= 1.0 - slope_margin:
-            return Verdict(FAILS, "slow_decay", ev, witness=int(lad[-1]),
-                           params={**info, "mode": "decay_exponent_below_1"})
-        u = lt_l[-w:] + np.log(lad[-w:])
-        drift = abs(float(u[-1] - u[0]))
-        if float(np.max(u) - np.min(u)) <= FLAT_BAND \
-                and drift <= 0.3 * FLAT_BAND:
-            info["harmonic_level"] = float(math.exp(np.mean(u)))
-            return Verdict(FAILS, "harmonic", ev, witness=int(lad[-1]),
-                           params={**info, "mode": "n_times_term_stabilizes"})
-        return Verdict(INCONCLUSIVE, "undecided", ev,
-                       reason="decay exponent within margin of the harmonic "
-                              "edge", params=info)
-    if float(np.min(ttail)) >= 1.0 + slope_margin:
-        return Verdict(HOLDS, "power_decay", ev, params=info)
-    if float(np.max(ttail)) <= 1.0 - slope_margin:
-        return Verdict(FAILS, "slow_decay", ev, witness=int(lad[-1]),
-                       params={**info, "mode": "decay_exponent_below_1"})
-    return Verdict(INCONCLUSIVE, "undecided", ev,
-                   reason="decay exponent has not stabilized", params=info)
-
-
-class TestSeriesVerdictsMatchReference:
-    """Hoisting the s-independent terms keeps every verdict, bit for bit."""
-
-    SPECS = ("log:beta=2", "log:beta=1/10", "log:beta=1", "linear", "sqrt",
-             "tower", "psum:beta=1/2", "s1_empty", "table:[1e-300]")
-
-    def test_grid(self):
-        modes = set()
-        for seq in map(parse_alpha, self.SPECS):
-            for k in (1, 2, 5, 50):
-                for s in (1.0, 1.02, 1.1, 1.25, 2.0, 2.96875, 3.0, 3.05, 4.5,
-                          10.0):
-                    for N in (100, 10_000):
-                        got = sk_convergence(seq, k, s, N=N)
-                        want = reference_sk_convergence(seq, k, s, N)
-                        assert got == want, (seq.spec_string(), k, s, N)
-                        assert [tuple(map(type, p)) for p in got.evidence] \
-                            == [tuple(map(type, p)) for p in want.evidence]
-                        modes.add(got.params.get("mode", got.outcome))
-        # every rule of the series verdict is reached on this grid
-        assert modes == {"term_overflow", "rising_terms", "late_window_mass",
-                         "probe_terms", "decay_exponent_below_1",
-                         "n_times_term_stabilizes", "holds", "inconclusive"}
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["log:beta=2", "log:beta=1/10", "sqrt"]),
-           st.integers(1, 40), st.floats(0.5, 12.0))
-    def test_random_exponents(self, spec, k, s):
-        seq = parse_alpha(spec)
-        assert sk_convergence(seq, k, s, N=1000) \
-            == reference_sk_convergence(seq, k, s, 1000)
-
-    def test_bisection_builds_one_series(self, log2, monkeypatch):
-        built = []
-        real = sequences_module._series_verdicts
-
-        def spy(seq, k, N, *args):
-            built.append((k, N))
-            return real(seq, k, N, *args)
-
-        monkeypatch.setattr(sequences_module, "_series_verdicts", spy)
-        est = s0_estimate(log2, 1)
-        assert built == [(1, 10_000)]
-        assert len(est.probed) > 5
-        want = [(s, reference_sk_convergence(log2, 1, s).outcome)
-                for s, _ in est.probed]
-        assert list(est.probed) == want
-
-
-class TestHarmonicEdge:
-    """s = 1 diverges by comparison with 1/n, so it seeds the lower end of
-    the s0 bracket when the grid reads it as inconclusive."""
-
-    @pytest.mark.parametrize("spec,k", [
-        ("log:beta=1/10", 5), ("log:beta=1", 50), ("log:beta=2", 100),
-    ])
-    def test_bracket_seeds_at_one(self, spec, k):
-        est = s0_estimate(parse_alpha(spec), k)
-        assert est.probed[0] == (1.0, INCONCLUSIVE)
-        assert est.lo == 1.0 and est.lo_verdict.outcome == FAILS
-        assert est.lo_verdict.trend == "comparison"
-        assert est.lo_verdict.witness == {"s": 1.0}
+    @pytest.mark.parametrize("beta", ["1/10", "1", "2", "10", "1000"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_log_bracket_holds_the_closed_form(self, beta, k):
         # log:beta=b has s0(k) = 1 + b/k
-        beta = float(parse_alpha(spec).params["beta"])
-        assert est.lo <= 1.0 + beta / k <= est.hi
+        truth = 1.0 + float(Fraction(beta)) / k
+        est = s0_estimate(parse_alpha(f"log:beta={beta}"), k)
+        assert est.lo <= truth <= est.hi
+        assert abs(est.estimate - truth) <= 0.05
+        assert est.lo_verdict.outcome == est.hi_verdict.outcome == HOLDS
 
-    def test_grid_divergence_keeps_its_own_verdict(self, log2):
-        est = s0_estimate(log2, 1)
-        assert est.lo_verdict.trend != "comparison"
-        assert est.lo > 1.0
+    @settings(max_examples=40, deadline=None)
+    @given(st.fractions(Fraction(1, 64), Fraction(100), max_denominator=64),
+           st.integers(1, 64))
+    def test_log_bracket_random_scales(self, beta, k):
+        truth = 1.0 + float(beta) / k
+        est = s0_estimate(parse_alpha(f"log:beta={beta}"), k)
+        assert est.lo <= truth <= est.hi
+        assert abs(est.estimate - truth) <= 0.05
 
-    def test_convergence_at_one_still_raises(self, log2, monkeypatch):
-        import cesarospec.sequences as sequences
+    @pytest.mark.parametrize("spec", GALLERY_SPECS)
+    def test_gallery_s1_outcomes(self, spec):
+        seq = parse_alpha(spec)
+        if spec == "log:beta=2":
+            assert s0_estimate(seq, 1).hi_verdict.outcome == HOLDS
+            return
+        with pytest.raises(SkEmptyError) as info:
+            s0_estimate(seq, 1)
+        assert info.value.verdict.trend in ("unbounded", "rising")
 
-        def converges(seq, k, N=10_000):
-            return lambda s: sequences.Verdict(HOLDS, "bounded", ())
+    def test_sk_convergence_compares_s_with_the_bracket(self, log2):
+        est = s0_estimate(log2, 3)
+        above = sk_convergence(log2, 3, est.hi + 0.01)
+        below = sk_convergence(log2, 3, est.lo - 0.01)
+        inside = sk_convergence(log2, 3, 0.5 * (est.lo + est.hi))
+        assert (above.outcome, below.outcome, inside.outcome) \
+            == (HOLDS, FAILS, INCONCLUSIVE)
+        assert above.params["s0_interval"] == (est.lo, est.hi)
+        assert below.witness == {"s": est.lo - 0.01}
 
-        # s0_estimate reads every exponent through one per-level series
-        monkeypatch.setattr(sequences, "_series_verdicts", converges)
-        with pytest.raises(InternalConsistencyError, match="s=1.0"):
-            s0_estimate(log2, 1)
+    @pytest.mark.parametrize("spec", ["log:beta=1e297", "log:beta=1e300"])
+    def test_saturated_alpha_gives_no_finite_end(self, spec):
+        # S_1 is nonempty with s0(1) = 1 + beta, but alpha saturates before
+        # the probes end: the bracket stays open, and never reads empty
+        est = s0_estimate(parse_alpha(spec), 1)
+        assert est.hi == math.inf and est.lo == 1.0
+        assert est.hi_verdict.outcome == INCONCLUSIVE
+
+    def test_saturated_probe_witnesses_unbounded(self):
+        # n^(1/1000) / log n falls over the dense range; past it, the probes
+        # rise until alpha saturates, and the saturated one still counts
+        with pytest.raises(SkEmptyError) as info:
+            s0_estimate(parse_alpha("power:beta=1/1000"), 1)
+        assert info.value.verdict.witness.startswith("log n=")
+
+
+class TestAlphaAtLog:
+    def test_log_closed_form(self):
+        # log(e^L + 1) = L + log1p(e^-L), also past float range
+        seq = parse_alpha("log:beta=1000")
+        L = np.array([1.0, 5.0, 20.0, 300.0, 800.0, 1e6, 1e15])
+        want = 1000.0 * (L + np.log1p(np.exp(-L)))
+        np.testing.assert_allclose(seq.alpha_at_log(L), want, rtol=1e-15)
+
+    @pytest.mark.parametrize("spec,L,want", [
+        ("sqrt", 1000.0, math.exp(500.0)),
+        ("power:beta=1/1000", 1e5, math.exp(100.0)),
+        ("table:[1]:step=1e-300", 1000.0,
+         1.0 + math.exp(1000.0 - 300 * math.log(10))),
+        ("psum:beta=0.999", 1000.0, None),
+    ])
+    def test_leading_term_past_float_range(self, spec, L, want):
+        if want is None:
+            # sum_{j <= n} j^-beta = zeta(beta) - zeta(beta, n + 1)
+            with mpmath.workdps(30):
+                n = mpmath.e ** L
+                want = float(mpmath.zeta(0.999) - mpmath.zeta(0.999, n + 1))
+        got = float(parse_alpha(spec).alpha_at_log(L)[0])
+        assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("spec", ["linear", "rsw_b", "tower",
+                                      "power:beta=2", "table:[1]:step=1"])
+    def test_fast_kinds_saturate(self, spec):
+        got = parse_alpha(spec).alpha_at_log(np.array([710.0, 1e15]))
+        assert np.all(got == ALPHA_SATURATION)
 
 
 class TestScalarChecks:

@@ -252,45 +252,18 @@ class TestDiscReport:
         with pytest.raises(SkEmptyError):
             disc_report(linear, kmax=2)
 
-    def test_level_one_comes_from_the_s1_verdict(self, log2, monkeypatch):
-        import cesarospec.spectral as spectral
-
-        s1 = classify_space(log2).s1_nonempty
-        want = disc_report(log2, kmax=3)
-        levels = []
-        real = spectral.s0_estimate
-
-        def spy(seq, k, **kwargs):
-            levels.append(k)
-            return real(seq, k, **kwargs)
-
-        monkeypatch.setattr(spectral, "s0_estimate", spy)
-        assert disc_report(log2, kmax=3, s1=s1) == want
-        assert levels == [2, 3]
-        # another bracket width or resolution bisects level 1 again
-        levels.clear()
-        disc_report(log2, kmax=1, tol=0.1, s1=s1)
-        disc_report(log2, kmax=1, N=5000, s1=s1)
-        assert levels == [1, 1]
-
     def test_failed_s1_verdict_still_raises(self, linear):
+        # the profile's failing S_1 verdict and disc_report read the same
+        # lower end, which is unbounded
         s1 = classify_space(linear, N=200).s1_nonempty
         assert s1.outcome == FAILS
-        with pytest.raises(SkEmptyError):
-            disc_report(linear, kmax=2, s1=s1)
+        with pytest.raises(SkEmptyError) as info:
+            disc_report(linear, kmax=2)
+        assert info.value.verdict == s1
 
-    def test_spectrum_run_bisects_level_one_once(self, monkeypatch):
-        import cesarospec.sequences as sequences
-        from cesarospec import cli
-
-        levels = []
-        real = sequences._series_verdicts
-
-        def spy(seq, k, N, *args):
-            levels.append(k)
-            return real(seq, k, N, *args)
-
-        monkeypatch.setattr(sequences, "_series_verdicts", spy)
-        cli.run(cli.AnalysisConfig(alpha="log:beta=2", N=200,
-                                   experiments=("profile", "spectrum")))
-        assert levels == [1, 2, 3, 4]
+    def test_levels_compare_brackets(self, log2):
+        rep = disc_report(log2, kmax=4)
+        for e in rep.entries:
+            assert e.s0_lo <= 1 + 2 / e.k <= e.s0_hi
+        assert all(b.s0_lo <= a.s0_hi
+                   for a, b in zip(rep.entries, rep.entries[1:]))
