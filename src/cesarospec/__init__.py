@@ -9,6 +9,8 @@ simulates iterate and ergodic dynamics.  Every numerical judgement is a
 three-state Verdict carrying its evidence, never a bare boolean.
 """
 
+import types
+
 from .criteria import (
     GALLERY_SPECS,
     SpaceProfile,
@@ -89,73 +91,7 @@ from .trend import FAILS, HOLDS, INCONCLUSIVE, Verdict
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaSequence",
-    "CesaroError",
-    "CesaroMeansTrace",
-    "CoordinateVector",
-    "DiscReport",
-    "FAILS",
-    "GALLERY_SPECS",
-    "HOLDS",
-    "INCONCLUSIVE",
-    "InternalConsistencyError",
-    "IterateTrace",
-    "PreconditionError",
-    "RepresentationError",
-    "SZeroEstimate",
-    "SetDescriptor",
-    "SkEmptyError",
-    "SpaceProfile",
-    "SpectrumReport",
-    "TruncOperator",
-    "Verdict",
-    "WeightSystem",
-    "a_matrix",
-    "b_apply",
-    "b_matrix",
-    "banach_step_compactness",
-    "basis_vector",
-    "boun_bounds_fit",
-    "cesaro",
-    "cesaro_apply",
-    "cesaro_inverse_apply",
-    "cesaro_means",
-    "classify_space",
-    "compare_seminorms",
-    "d_continuity_check",
-    "delta",
-    "delta_continuity_check",
-    "delta_eigenvector",
-    "differentiation_apply",
-    "disc_report",
-    "echelon_weights",
-    "eigenvector_membership",
-    "ergodic_decomposition_check",
-    "gallery",
-    "gm_sup",
-    "identity",
-    "inverse_continuity_check",
-    "iterate_limit_check",
-    "iterate_via_kernel",
-    "kernel_matrix",
-    "koethe_continuity_check",
-    "n_over_alpha_check",
-    "noncompactness_witness",
-    "nuclearity_check",
-    "ops_equal_exact",
-    "parse_alpha",
-    "power_bound_check",
-    "power_iterate",
-    "predict_spectra",
-    "resolvent",
-    "resolvent_point_profile",
-    "resolvent_tail_logs",
-    "s0_estimate",
-    "scaled_e_matrix",
-    "seminorm",
-    "sk_convergence",
-    "shift_stability_check",
-    "v_alpha",
-    "verify_resolvent_point",
-]
+# Every public name imported above, so that the list cannot drift from them.
+__all__ = sorted(name for name, value in vars().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, types.ModuleType))

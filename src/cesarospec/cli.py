@@ -7,9 +7,9 @@ timings are measured but excluded from the emitted bytes unless explicitly
 requested, for the same reason.
 
 Exit codes: 0 when every decisive verdict matches its theoretical prediction,
-1 when some decisive verdict contradicts one, 2 on a usage or input error.
-Inconclusive verdicts are reported as such and never abort a run or flip the
-exit code.
+1 when a row of the claims ledger fires (claims.py: each experiment gathers
+facts and adds its prefix to the rows' messages), 2 on a usage or input
+error.  Inconclusive verdicts never abort a run or flip the exit code.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, claims
 from .criteria import GALLERY_SPECS, banach_step_compactness, classify_space, \
     noncompactness_witness
 from .dynamics import cesaro_means, ergodic_decomposition_check, gm_sup, \
@@ -41,10 +41,10 @@ from .operators import CoordinateVector, a_matrix, b_matrix, basis_vector, \
     identity, ops_equal_exact, resolvent
 from .sequences import WeightSystem, parse_alpha
 from .serialize import dumps_json, format_float, jsonable
-from .spectral import IN, OUT, boun_bounds_fit, disc_report, \
+from .spectral import boun_bounds_fit, disc_report, \
     eigenvector_membership, predict_spectra, resolvent_point_profile, \
     verify_resolvent_point
-from .trend import FAILS, HOLDS
+from .trend import HOLDS
 
 SCHEMA_VERSION = "3"
 OUT_DIR_ENV = "CESAROSPEC_OUT_DIR"
@@ -141,7 +141,9 @@ def _validate_x_spec(spec: str) -> str:
     s = spec.strip()
     if s in ("ones", "random"):
         return s
-    if s.startswith("e") and s[1:].isdigit() and int(s[1:]) >= 1:
+    # str.isdigit alone also takes digits such as "²" that int() refuses
+    if s.startswith("e") and s[1:].isascii() and s[1:].isdigit() \
+            and int(s[1:]) >= 1:
         return s
     raise UsageError(f"bad starting-vector spec {spec!r}; "
                      "expected e<j>, ones, or random")
@@ -335,8 +337,6 @@ class _RunContext:
         self.config = config
         self.seq = parse_alpha(config.alpha)
         self.weights = WeightSystem(self.seq)
-        self._profile = None
-        self._spectrum = None
 
     @cached_property
     def rng(self):
@@ -344,26 +344,24 @@ class _RunContext:
         # import numpy.random.
         return np.random.default_rng(self.config.seed)
 
+    @cached_property
     def profile(self):
-        if self._profile is None:
-            self._profile = classify_space(self.seq, N=self.config.N)
-        return self._profile
+        return classify_space(self.seq, N=self.config.N)
 
+    @cached_property
     def spectrum(self):
-        if self._spectrum is None:
-            self._spectrum = predict_spectra(self.profile())
-        return self._spectrum
+        return predict_spectra(self.profile)
 
 
 def _run_profile(ctx: _RunContext) -> tuple:
-    prof = ctx.profile()
+    prof = ctx.profile
     mism = [f"profile[{prof.alpha}]: {w}" for w in prof.warnings]
     return {"profile": prof}, mism
 
 
 def _run_spectrum(ctx: _RunContext) -> tuple:
-    prof = ctx.profile()
-    rep = ctx.spectrum()
+    prof = ctx.profile
+    rep = ctx.spectrum
     payload = {"profile": prof, "spectrum": rep}
     if prof.s1_nonempty.outcome == HOLDS:
         payload["discs"] = disc_report(ctx.seq, kmax=ctx.config.K)
@@ -372,7 +370,7 @@ def _run_spectrum(ctx: _RunContext) -> tuple:
 
 
 def _run_resolvent(ctx: _RunContext, lambdas) -> tuple:
-    sigma = ctx.spectrum().sigma
+    sigma = ctx.spectrum.sigma
     entries = []
     mism = []
     for lam in lambdas:
@@ -387,16 +385,11 @@ def _run_resolvent(ctx: _RunContext, lambdas) -> tuple:
         predicted = sigma.contains(lam)
         entry["resolvent_point"] = point
         entry["predicted_membership"] = predicted
-        if point.outcome == HOLDS and predicted == IN:
-            mism.append(f"resolvent[{lam}]: tail criterion holds but the "
-                        "point is predicted inside the spectrum")
-        if point.outcome == FAILS and predicted == OUT:
-            mism.append(f"resolvent[{lam}]: tail criterion fails but the "
-                        "point is predicted outside the spectrum")
         low, high, env = boun_bounds_fit(lam)
         entry["envelope"] = {"lower": low, "upper": high, "verdict": env}
-        if env.outcome == FAILS:
-            mism.append(f"resolvent[{lam}]: two-sided envelope bound violated")
+        mism += claims.check(claims.RESOLVENT, {
+            "lam": lam, "tail": point.outcome, "predicted": predicted,
+            "envelope": env.outcome}, "resolvent[{lam}]: ")
         entries.append(entry)
     return {"points": entries}, mism
 
@@ -412,7 +405,7 @@ def _is_eigenpair(image: CoordinateVector, vec: CoordinateVector,
 
 
 def _run_eigenpairs(ctx: _RunContext, ms) -> tuple:
-    nuclear = ctx.profile().nuclear
+    nuclear = ctx.profile.nuclear.outcome
     entries = []
     mism = []
     for m in ms:
@@ -423,16 +416,10 @@ def _run_eigenpairs(ctx: _RunContext, ms) -> tuple:
             ctx.seq, m, K=ctx.config.K, N=ctx.config.N)
         entries.append({"m": m, "N": n_eig, "residual_zero": exact_zero,
                         "membership": membership})
-        if not exact_zero:
-            mism.append(f"eigenpairs[m={m}]: exact eigenvalue relation "
-                        f"violated at N={n_eig}")
-        if nuclear.outcome == HOLDS and membership.outcome == FAILS:
-            mism.append(f"eigenpairs[m={m}]: eigenvector escapes a space "
-                        "whose point spectrum should contain 1/m")
-        if nuclear.outcome == FAILS and m >= 2 \
-                and membership.outcome == HOLDS:
-            mism.append(f"eigenpairs[m={m}]: eigenvector lies in a space "
-                        "whose point spectrum should be {1}")
+        mism += claims.check(claims.EIGENPAIR, {
+            "m": m, "N": n_eig, "residual_zero": exact_zero,
+            "nuclear": nuclear, "eigenvalue_one": m == 1,
+            "membership": membership.outcome}, "eigenpairs[m={m}]: ")
     return {"pairs": entries}, mism
 
 
@@ -465,9 +452,9 @@ def _run_dynamics(ctx: _RunContext, x_spec: str, ms) -> tuple:
                 iterate_via_kernel(x, m).as_float().astype(complex)
                 - final.as_float().astype(complex))))
             entry["kernel_max_diff"] = diff
-            if diff > 1e-8:
-                mism.append(f"dynamics[m={m}]: kernel and iterated-mean "
-                            f"routes disagree by {diff:.3e}")
+            mism += claims.check(claims.KERNEL, {
+                "m": m, "diff": diff, "kernel_agrees": not diff > 1e-8},
+                "dynamics[m={m}]: ")
         entries.append(entry)
 
     sups = [{"m": m, "sup": gm_sup(m)} for m in sorted(set(ms))]
@@ -475,15 +462,11 @@ def _run_dynamics(ctx: _RunContext, x_spec: str, ms) -> tuple:
     exact_ok = x.exact and ctx.seq.exact_values(1) is not None
     bound = power_bound_check(ctx.weights, trace, K=len(ks), M=M,
                               mode="rational" if exact_ok else "float")
-    if bound.outcome == FAILS:
-        mism.append("dynamics: seminorm contraction under averaging violated")
     limit = iterate_limit_check(x, tol=config.tol or 1e-6)
-    if limit.outcome == FAILS:
-        mism.append("dynamics: iterates failed to settle at the first "
-                    "coordinate")
     ergodic = ergodic_decomposition_check(ctx.seq, x)
-    if ergodic.outcome == FAILS:
-        mism.append("dynamics: mean-ergodic splitting failed to reconstruct")
+    mism += claims.check(claims.DYNAMICS, {
+        "contraction": bound.outcome, "pointwise_limit": limit.outcome,
+        "ergodic": ergodic.outcome}, "dynamics: ")
 
     means = cesaro_means(trace, nmax=min(n_dyn, 32), w=ctx.weights, ks=ks)
     last_gap = None
@@ -507,50 +490,33 @@ def _run_suite(ctx: _RunContext) -> tuple:
         prof = classify_space(seq)
         rep = predict_spectra(prof)
         rows.append({
-            "alpha": spec_str,
-            "nuclear": prof.nuclear.outcome,
-            "v_alpha": prof.v_alpha.outcome,
-            "v_alpha_value": prof.v_alpha_value,
-            "shift_stable": prof.shift_stable.outcome,
-            "s1_nonempty": prof.s1_nonempty.outcome,
-            "inverse_continuous": prof.inverse_continuous.outcome,
-            "d_continuous": prof.d_continuous.outcome,
-            "delta_continuous": prof.delta_continuous.outcome,
-            "sigma_pt": rep.sigma_pt.kind,
-            "sigma": rep.sigma.kind,
-            "sigma_star": rep.sigma_star.kind,
+            "alpha": spec_str, "v_alpha_value": prof.v_alpha_value,
             "warnings": prof.warnings,
+            **{name: getattr(prof, name).outcome for name in (
+                "nuclear", "v_alpha", "shift_stable", "s1_nonempty",
+                "inverse_continuous", "d_continuous", "delta_continuous")},
+            **{name: getattr(rep, name).kind
+               for name in ("sigma_pt", "sigma", "sigma_star")},
         })
         mism.extend(f"suite[{spec_str}]: {w}" for w in prof.warnings)
 
-    algebra = {}
-
-    def check(name: str, ok: bool, detail: str):
-        algebra[name] = bool(ok)
-        if not ok:
-            mism.append(f"suite algebra[{name}]: {detail}")
-
     n_alg = 20
-    check("difference_involution",
-          ops_equal_exact(delta(n_alg) @ delta(n_alg), identity(n_alg)),
-          "double forward difference is not the identity")
-    check("ab_inverse_pair",
-          ops_equal_exact(a_matrix(n_alg) @ b_matrix(n_alg), identity(n_alg)),
-          "shifted-difference pair is not mutually inverse")
+    facts = {
+        "difference_involution": ops_equal_exact(
+            delta(n_alg) @ delta(n_alg), identity(n_alg)),
+        "ab_inverse_pair": ops_equal_exact(
+            a_matrix(n_alg) @ b_matrix(n_alg), identity(n_alg))}
     x3 = basis_vector(3, 30)
     back = cesaro_inverse_apply(cesaro_apply(x3))
-    check("mean_roundtrip",
-          all(back.values[i] == x3.values[i] for i in range(back.valid_len)),
-          "inverse mean does not undo the mean")
+    facts["mean_roundtrip"] = all(back.values[i] == x3.values[i]
+                                  for i in range(back.valid_len))
     vec = delta_eigenvector(3, 40)
-    check("eigenpair_m3", _is_eigenpair(cesaro(40).apply(vec), vec, 3),
-          "m=3 eigenvector relation broken")
+    facts["eigenpair_m3"] = _is_eigenpair(cesaro(40).apply(vec), vec, 3)
     res = resolvent(2.0, 30, mode="float").dense()
     shifted = cesaro(30, mode="float").dense() - 2.0 * np.eye(30)
     worst = max(float(np.max(np.abs(res @ shifted - np.eye(30)))),
                 float(np.max(np.abs(shifted @ res - np.eye(30)))))
-    check("resolvent_identity", worst <= 1e-12,
-          f"two-sided inverse defect {worst:.3e} at lambda=2")
+    facts.update(resolvent_identity=worst <= 1e-12, resolvent_defect=worst)
 
     linear = parse_alpha("linear")
     log2 = parse_alpha("log:beta=2")
@@ -561,36 +527,29 @@ def _run_suite(ctx: _RunContext) -> tuple:
         "resolvent_scan_log2_04": resolvent_point_profile(log2, 0.4),
         "envelope_lambda_2": boun_bounds_fit(2.0)[2],
     }
-    expected = {
-        "noncompact_linear": HOLDS,
-        "banach_step_psum": HOLDS,
-        "resolvent_point_linear_2": HOLDS,
-        "resolvent_scan_log2_04": FAILS,
-        "envelope_lambda_2": HOLDS,
-    }
-    for name, verdict in spots.items():
-        if verdict.outcome not in (expected[name], "inconclusive"):
-            mism.append(f"suite spot[{name}]: expected {expected[name]}, "
-                        f"got {verdict.outcome}")
+    facts.update((name, v.outcome) for name, v in spots.items())
 
     e1 = basis_vector(1, 20)
     diff = float(np.max(np.abs(
         iterate_via_kernel(e1, 2).as_float()
         - power_iterate(e1, 2).final().as_float())))
-    check("kernel_route_m2", diff <= 1e-8,
-          f"kernel and mean routes differ by {diff:.3e}")
     sups = [gm_sup(m) for m in range(1, 11)]
-    check("density_sups_decreasing",
-          all(a > b for a, b in zip(sups, sups[1:])),
-          "density sup sequence is not strictly decreasing")
     bound = power_bound_check(linear, basis_vector(1, 24), K=3, M=20,
                               mode="rational")
-    if bound.outcome == FAILS:
-        mism.append("suite: exact seminorm contraction violated")
     ergodic = ergodic_decomposition_check(
         linear, CoordinateVector(ctx.rng.uniform(-1.0, 1.0, size=24)))
-    if ergodic.outcome == FAILS:
-        mism.append("suite: mean-ergodic splitting failed on float input")
+    facts.update(
+        kernel_route_m2=diff <= 1e-8, kernel_m2_diff=diff,
+        density_sups_decreasing=all(a > b for a, b in zip(sups, sups[1:])),
+        exact_contraction=bound.outcome, float_ergodic=ergodic.outcome)
+    on_algebra = "suite algebra[{id}]: "
+    for group, prefix in ((claims.SUITE_ALGEBRA, on_algebra),
+                          (claims.SUITE_SPOTS, "suite spot[{id}]: "),
+                          (claims.SUITE_ITERATE_ALGEBRA, on_algebra),
+                          (claims.SUITE_DYNAMICS, "suite: ")):
+        mism += claims.check(group, facts, prefix)
+    algebra = {row.id: bool(facts[row.id]) for row in
+               claims.SUITE_ALGEBRA + claims.SUITE_ITERATE_ALGEBRA}
 
     payload = {"gallery": rows, "algebra": algebra,
                "spots": {k: v for k, v in spots.items()},
@@ -605,7 +564,7 @@ def run(config: AnalysisConfig) -> Report:
     ctx = _RunContext(config)
     results = []
     wall_times = []
-    mismatches: list = []
+    mismatches: dict = {}   # the lines in first-seen order, each once
     for token in config.experiments:
         name, inline = parse_experiment_token(token)
         started = time.perf_counter()
@@ -624,9 +583,7 @@ def run(config: AnalysisConfig) -> Report:
             payload, mism = _run_suite(ctx)
         wall_times.append((token, time.perf_counter() - started))
         results.append((token, payload))
-        for item in mism:
-            if item not in mismatches:
-                mismatches.append(item)
+        mismatches.update(dict.fromkeys(mism))
 
     echo = {_field_key(f.name): getattr(config, f.name)
             for f in fields(config)}

@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import claims
 from .errors import PreconditionError, SkEmptyError
 from .sequences import (
     AlphaSequence,
@@ -50,21 +51,6 @@ from .trend import (
     probe_escalation,
     sup_verdict_bounded,
 )
-
-__all__ = [
-    "GALLERY_SPECS",
-    "SpaceProfile",
-    "WeightFamily",
-    "banach_step_compactness",
-    "classify_space",
-    "d_continuity_check",
-    "delta_continuity_check",
-    "echelon_weights",
-    "gallery",
-    "inverse_continuity_check",
-    "koethe_continuity_check",
-    "noncompactness_witness",
-]
 
 
 # A weight family maps (level k, indices n) to log a_k(n).  Levels increase:
@@ -650,8 +636,8 @@ def _s1_verdict(seq: AlphaSequence) -> Verdict:
 def classify_space(seq: AlphaSequence, N: int | None = None) -> SpaceProfile:
     """Run every scalar diagnostic and criterion and cross-check the results.
 
-    Component verdicts may individually be inconclusive; warnings fire only
-    when two decisive verdicts contradict an implication the theory proves.
+    Component verdicts may individually be inconclusive; the warnings are
+    the rows of claims.SPACE that the decisive verdicts contradict.
     """
     N = N or default_resolution(seq)
     nuclear = nuclearity_check(seq, N)
@@ -663,42 +649,17 @@ def classify_space(seq: AlphaSequence, N: int | None = None) -> SpaceProfile:
     d_cont = d_continuity_check(seq, 1, N=N)
     delta_cont = delta_continuity_check(seq, 1, N=N)
 
-    warnings: list[str] = []
-    notes: list[str] = []
-
-    if v_verdict.outcome == HOLDS and nuclear.outcome == FAILS:
-        warnings.append(
-            "v(alpha) > 0 forces log(n)/alpha_n -> 0, but the nuclearity "
-            "verdict failed"
-        )
-    if nuclear.outcome == HOLDS and s1.outcome == HOLDS:
-        warnings.append(
-            "nuclearity and a nonempty S_1 are mutually exclusive, yet both "
-            "verdicts hold"
-        )
-    if inverse.outcome == HOLDS and nuclear.outcome == FAILS:
-        warnings.append(
-            "inverse continuity holds but nuclearity fails; the two are "
-            "provably equivalent"
-        )
-    if inverse.outcome == FAILS and nuclear.outcome == HOLDS:
-        warnings.append(
-            "inverse continuity fails but nuclearity holds; the two are "
-            "provably equivalent"
-        )
+    # nuclear and shift-stable, decisive only when both verdicts are
     both = (nuclear.outcome, shift.outcome)
-    if INCONCLUSIVE not in both and d_cont.outcome != INCONCLUSIVE:
-        rhs = HOLDS if both == (HOLDS, HOLDS) else FAILS
-        if d_cont.outcome != rhs:
-            warnings.append(
-                "the basis-shift operator's continuity verdict "
-                f"({d_cont.outcome}) disagrees with nuclear+shift-stable "
-                f"({rhs})"
-            )
-    if delta_cont.outcome == INCONCLUSIVE and delta_cont.reason.startswith(
-            "evidence tracks disagree"):
-        warnings.append("alternating-transform evidence tracks disagree: "
-                        + delta_cont.reason)
+    warnings = claims.check(claims.SPACE, {
+        "v_alpha": v_verdict.outcome, "nuclear": nuclear.outcome,
+        "s1_nonempty": s1.outcome, "inverse_continuous": inverse.outcome,
+        "d_continuous": d_cont.outcome,
+        "nuclear_and_shift": INCONCLUSIVE if INCONCLUSIVE in both
+        else HOLDS if both == (HOLDS, HOLDS) else FAILS,
+        "delta_rowsum": delta_cont.params["rowsum_outcome"],
+        "delta_scalar": delta_cont.params["scalar_outcome"]})
+    notes: list[str] = []
     if "scope_note" in delta_cont.params:
         notes.append(str(delta_cont.params["scope_note"]))
     if s1.outcome == HOLDS:

@@ -36,21 +36,10 @@ from .operators import CoordinateVector, as_vector, b_apply, cesaro_apply
 from .sequences import AlphaSequence, SeminormTable, WeightSystem
 from .trend import FAILS, HOLDS, Verdict
 
-__all__ = [
-    "CesaroMeansTrace",
-    "IterateTrace",
-    "cesaro_means",
-    "ergodic_decomposition_check",
-    "gm_sup",
-    "iterate_limit_check",
-    "iterate_via_kernel",
-    "kernel_matrix",
-    "power_bound_check",
-    "power_iterate",
-]
-
 # Relative float slack of the contraction and ergodic-residual checks.
 _FLOAT_TOL = 1e-12
+# Steps iterate_limit_check takes before a coordinate outside the band fails.
+_LIMIT_STEP_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -372,17 +361,15 @@ def power_bound_check(
     return Verdict(HOLDS, "contraction", tuple(evidence), params=params)
 
 
-def iterate_limit_check(
-    x,
-    tol: float = 1e-6,
-    m_cap: int = 256,
-) -> Verdict:
+def iterate_limit_check(x, tol: float = 1e-6) -> Verdict:
     """Every coordinate of the iterates eventually sits within tol of x_1.
 
     Records the first step at which each coordinate enters the tol-band and
     stays there is not required (no rate or monotonicity is claimed); fails
-    only if some coordinate has not entered the band by m_cap.
+    only if some coordinate has not entered the band by _LIMIT_STEP_CAP
+    steps, reported as "m_cap".
     """
+    m_cap = _LIMIT_STEP_CAP
     x = as_vector(x)
     xf = x.as_float().astype(complex)
     limit = xf[0]

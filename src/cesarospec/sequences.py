@@ -71,6 +71,9 @@ _KNOWN_KINDS = (
 _TOWER_FLOAT_LIMIT = 143
 # Doubling probes N * 2^t past the resolution, t = 1 .. this.
 _PROBE_COUNT = 24
+# The last log-index of a probe past N: of the s0(k) bracket's probes and of
+# the sparse-block generator's block starts.
+_LOG_PROBE_LIMIT = 1e15
 
 
 @dataclass(frozen=True)
@@ -145,18 +148,17 @@ def _psum_asymptotic(ns: np.ndarray, beta: float) -> np.ndarray:
     )
 
 
-def _sparse_block_table(
-    limit_log: float, max_blocks: int = 400
-) -> tuple[list[int], list[float]]:
+def _sparse_block_table(limit_log: float) -> tuple[list[int], list[float]]:
     """Block start indices j(k) and their logs for the sparse-block generator.
 
     j(1) = 1 and j(k+1) = 2 (k+1) j(k)^k.  Exact ints are kept while they fit
     comfortably; the log recursion continues (saturated) afterwards so block
-    positions remain usable far beyond float range.
+    positions remain usable far beyond float range.  The table ends at the
+    first log j(k) above limit_log, which must lie below _LOG_SATURATION.
     """
     js: list[int] = [1]
     logs: list[float] = [0.0]
-    while logs[-1] <= limit_log and len(js) < max_blocks:
+    while logs[-1] <= limit_log:
         k = len(js)
         y = math.log(2 * (k + 1)) + k * logs[-1]
         y = min(y, _LOG_SATURATION)
@@ -454,8 +456,9 @@ class AlphaSequence:
         """Samples of alpha past index N for divergence-at-infinity checks.
 
         Default: doubling indices N*2^t.  The sparse-block generator instead
-        probes the start of every block beyond N, because its interesting
-        behaviour is concentrated there.  Computed once per N.
+        probes the start of every block beyond N up to log n =
+        _LOG_PROBE_LIMIT, because its interesting behaviour is concentrated
+        there.  Computed once per N.
         """
         if N not in self._probes:
             self._probes[N] = tuple(self._tail_probes(N))
@@ -463,7 +466,7 @@ class AlphaSequence:
 
     def _tail_probes(self, N: int) -> list[TailProbe]:
         if self.kind == "s1_empty":
-            _, ylogs = _sparse_block_table(math.inf)
+            _, ylogs = _sparse_block_table(_LOG_PROBE_LIMIT)
             probes = []
             logN = math.log(N)
             for k in range(2, len(ylogs)):
@@ -722,10 +725,8 @@ def n_over_alpha_check(seq: AlphaSequence, N: int | None = None) -> Verdict:
     return _ratio_to_zero_verdict(seq, N, "n/alpha_n", np.log)
 
 
-# Resolution of the dense ladder that reads the s0(k) bracket, and the last
-# log-index probe past it.
+# Resolution of the dense ladder that reads the s0(k) bracket.
 _BRACKET_N = 10_000
-_LOG_PROBE_LIMIT = 1e15
 
 
 def _bracket_probes(seq: AlphaSequence) -> tuple:
@@ -737,8 +738,7 @@ def _bracket_probes(seq: AlphaSequence) -> tuple:
     log-indices log(N) 2^t, both up to log n = _LOG_PROBE_LIMIT.
     """
     if seq.kind == "s1_empty":
-        probes = [p for p in seq.tail_probes(_BRACKET_N)
-                  if p.log_n <= _LOG_PROBE_LIMIT]
+        probes = seq.tail_probes(_BRACKET_N)
         labels = [p.label for p in probes]
         logs_n = np.array([p.log_n for p in probes])
         alphas = np.array([p.alpha for p in probes])

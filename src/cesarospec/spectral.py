@@ -39,19 +39,6 @@ from .trend import (
     sup_verdict_bounded,
 )
 
-__all__ = [
-    "DiscEntry",
-    "DiscReport",
-    "SetDescriptor",
-    "SpectrumReport",
-    "boun_bounds_fit",
-    "disc_report",
-    "eigenvector_membership",
-    "predict_spectra",
-    "resolvent_point_profile",
-    "verify_resolvent_point",
-]
-
 
 IN = "in"
 OUT = "out"
@@ -66,6 +53,8 @@ CLOSED_DISC = "closed_disc"              # closure of D(r)
 SANDWICH = "sandwich"                    # open disc + {1}  <=  set  <=  closed disc
 SIGMA_GAP = "sigma_gap"                  # reciprocals  <=  set  <=  closed disc
 UNDETERMINED = "undetermined"
+# How near a boundary or a reciprocal SetDescriptor.contains counts as on it.
+_BAND_TOL = 1e-6
 
 
 def _near_reciprocal(z: complex, tol: float) -> bool:
@@ -88,8 +77,8 @@ class SetDescriptor:
 
     contains() answers "in" / "out" / "boundary" / "undetermined".  The open
     disc vs closed disc distinction is below numeric resolution, so points
-    within tol of a disc boundary come back "boundary"; points a sandwich or
-    a one-sided bound cannot decide come back "undetermined".
+    within _BAND_TOL of a disc boundary come back "boundary"; points a
+    sandwich or a one-sided bound cannot decide come back "undetermined".
     """
 
     kind: str
@@ -97,8 +86,8 @@ class SetDescriptor:
     radius: float = 0.5
     note: str = ""
 
-    def contains(self, z: complex, tol: float = 1e-6) -> str:
-        z = complex(z)
+    def contains(self, z: complex) -> str:
+        z, tol = complex(z), _BAND_TOL
         d = abs(z - self.center)
         if self.kind == RECIPROCALS:
             if _near_reciprocal(z, tol):
@@ -424,14 +413,20 @@ def disc_report(seq: AlphaSequence, kmax: int = 4) -> DiscReport:
     Each disc has center and radius 1/(2 s0(k)); the union grows toward the
     unit-diameter disc as the critical exponents fall toward 1.  Raises the
     level's empty-exponent error untouched when nothing converges, which is
-    the correct report for generators outside this regime.  The ladder is
-    nonincreasing when no level's bracket lies above the one before it.
+    the correct report for generators outside this regime, and raises
+    PreconditionError for a level whose bracket has no upper end, which
+    bounds no disc.  The ladder is nonincreasing when no level's bracket
+    lies above the one before it.
     """
     if kmax < 1:
         raise PreconditionError(f"need kmax >= 1, got {kmax}")
     entries: list[DiscEntry] = []
     for k in range(1, kmax + 1):
         est = s0_estimate(seq, k)
+        if math.isinf(est.hi):
+            raise PreconditionError(
+                f"the s0({k}) bracket of alpha={seq.spec_string()} has no "
+                "upper end, so it bounds no disc")
         r = 1.0 / (2.0 * est.estimate)
         entries.append(DiscEntry(
             k=k, s0_lo=est.lo, s0_hi=est.hi, s0_estimate=est.estimate,

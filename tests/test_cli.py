@@ -277,6 +277,24 @@ class TestMainExitCodes:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,config", [
+        (["--x", "e\u00b2", "--experiments", "dynamics"], None),
+        (["--experiments", "dynamics:e\u00b2,2"], None),
+        (["--x", "e\u0661", "--experiments", "dynamics"], None),
+        (["--experiments", "dynamics"], '{"x": "e\u00b2"}'),
+    ])
+    def test_starting_vector_takes_ascii_digits_only(self, argv, config,
+                                                      tmp_path, capsys):
+        # "²" passes str.isdigit but not int(), and "١" (Arabic-Indic one)
+        # passes both
+        if config:
+            (tmp_path / "job.json").write_text(config, encoding="utf-8")
+            argv = argv + ["--config", str(tmp_path / "job.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad starting-vector spec 'e")
+        assert len(err.strip().splitlines()) == 1
+
     def test_dynamics_past_golden_bracket_exits_0(self, capsys):
         # a_28 peaks at t = e^-27, below the old numeric bracket
         assert main(["--experiments", "dynamics:e1,28"]) == 0

@@ -32,6 +32,7 @@ from cesarospec import (
     seminorm,
 )
 from cesarospec.cli import DYNAMICS_STEP_CAP
+import cesarospec.dynamics as dynamics_module
 from cesarospec.dynamics import IterateTrace
 
 F = Fraction
@@ -355,8 +356,9 @@ class TestIterateLimit:
         x = CoordinateVector(rng.uniform(-1, 1, size=25))
         assert iterate_limit_check(x, tol=1e-6).outcome == HOLDS
 
-    def test_cap_too_small_fails_honestly(self):
-        v = iterate_limit_check(basis_vector(1, 30), tol=1e-12, m_cap=2)
+    def test_cap_too_small_fails_honestly(self, monkeypatch):
+        monkeypatch.setattr(dynamics_module, "_LIMIT_STEP_CAP", 2)
+        v = iterate_limit_check(basis_vector(1, 30), tol=1e-12)
         assert v.outcome == FAILS
         assert v.witness["m_cap"] == 2
 

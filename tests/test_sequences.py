@@ -437,6 +437,17 @@ class TestShiftStability:
         assert v.witness == "block k=5"
         assert "probe_ratios_log" in v.params
 
+    @pytest.mark.parametrize("N", [200, 2000, 10000])
+    def test_sparse_block_probes_stop_at_the_log_limit(self, N):
+        # block starts k = 4..18: log j(19) is past log n = 1e15
+        probes = parse_alpha("s1_empty").tail_probes(N)
+        assert [p.label for p in probes] == [
+            f"block k={k}" for k in range(4, 19)]
+        assert all(math.log(N) < p.log_n <= sequences_module._LOG_PROBE_LIMIT
+                   for p in probes)
+        v = shift_stability_check(parse_alpha("s1_empty"), N)
+        assert len(v.params["probe_ratios_log"]) == 15
+
 
 class TestSeriesExponents:
     """s0(k) is bracketed from alpha alone, between 1 + limsup

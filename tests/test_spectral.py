@@ -19,6 +19,7 @@ from cesarospec import (
     predict_spectra,
     resolvent_point_profile,
     resolvent_tail_logs,
+    s0_estimate,
     verify_resolvent_point,
 )
 from cesarospec.spectral import (
@@ -260,6 +261,14 @@ class TestDiscReport:
         with pytest.raises(SkEmptyError) as info:
             disc_report(linear, kmax=2)
         assert info.value.verdict == s1
+
+    def test_open_bracket_raises_naming_its_level(self):
+        # alpha saturates at n = 2, so the upper end of s0(1) stays open
+        seq = parse_alpha("log:beta=1e300")
+        assert math.isinf(s0_estimate(seq, 1).hi)
+        with pytest.raises(PreconditionError, match=r"the s0\(1\) bracket "
+                           r"of alpha=log:beta=1e\+300 has no upper end"):
+            disc_report(seq, kmax=2)
 
     def test_levels_compare_brackets(self, log2):
         rep = disc_report(log2, kmax=4)
