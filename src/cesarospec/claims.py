@@ -37,9 +37,8 @@ _DELTA = "criteria.delta_continuity_check: the two tracks are equivalent"
 _SHIFT_MESSAGE = ("the basis-shift operator's continuity verdict "
                   "({d_continuous}) disagrees with nuclear+shift-stable "
                   "({nuclear_and_shift})")
-_DELTA_MESSAGE = ("alternating-transform evidence tracks disagree: evidence "
-                  "tracks disagree: row sums say {delta_rowsum}, the scalar "
-                  "limit says {delta_scalar}")
+_DELTA_MESSAGE = ("alternating-transform evidence tracks disagree: row sums "
+                  "say {delta_rowsum}, the scalar limit says {delta_scalar}")
 _SPOT = "expected holds, got fails"
 
 # One space profile (criteria.classify_space).

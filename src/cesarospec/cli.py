@@ -15,7 +15,6 @@ error.  Inconclusive verdicts never abort a run or flip the exit code.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import json
@@ -115,8 +114,8 @@ def parse_complex_literal(text: str) -> complex:
         z = complex(t)
     except ValueError:
         raise UsageError(f"bad complex literal {text!r}; expected a+bi") from None
-    if not cmath.isfinite(z):
-        raise UsageError(f"complex literal {text!r} is not finite")
+    if not math.isfinite(math.hypot(z.real, z.imag)):
+        raise UsageError(f"complex literal {text!r} is not finite or too large")
     return z
 
 
@@ -180,8 +179,10 @@ def _check_config(config: AnalysisConfig) -> None:
             raise UsageError(f"{key} must be >= {low}")
         if value is not None and cap is not None and value > cap:
             raise UsageError(f"{key} {value} exceeds the cap of {cap}")
-    if not all(cmath.isfinite(z) for z in config.lambdas):
-        raise UsageError(f"lambda values must be finite, got {config.lambdas}")
+    if not all(math.isfinite(math.hypot(z.real, z.imag))
+               for z in config.lambdas):
+        raise UsageError("lambda values must have a finite modulus, got "
+                         f"{config.lambdas}")
     tol = config.tol
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise UsageError(f"tol must be a finite positive number, got {tol}")
@@ -360,12 +361,11 @@ def _run_profile(ctx: _RunContext) -> tuple:
 
 
 def _run_spectrum(ctx: _RunContext) -> tuple:
-    prof = ctx.profile
-    rep = ctx.spectrum
-    payload = {"profile": prof, "spectrum": rep}
-    if prof.s1_nonempty.outcome == HOLDS:
+    # the profile run's lines, so that a run with both states each once
+    payload, mism = _run_profile(ctx)
+    payload["spectrum"] = ctx.spectrum
+    if ctx.profile.s1_nonempty.outcome == HOLDS:
         payload["discs"] = disc_report(ctx.seq, kmax=ctx.config.K)
-    mism = [f"spectrum[{prof.alpha}]: {w}" for w in prof.warnings]
     return payload, mism
 
 

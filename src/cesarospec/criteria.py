@@ -9,12 +9,12 @@ only overflow that can occur is the criterion's own quantity genuinely
 exceeding the float range, which is reported as a failure witness rather
 than an arithmetic accident.
 
-Witness searches over the secondary index l run over (k, 4k+8] by default.
-Searches additionally probe a small window of base indices k' in
-{k, ..., k+3}: several gallery generators satisfy a criterion at k=1 for
-shallow reasons and only reveal the true failure at k=2 or 3, so quantifying
-over a window keeps single-call verdicts aligned with the for-every-k
-statements they stand in for.
+The for-every-k criteria are read from level k = 1: each scan probes the
+window of base indices k' in {1, ..., 4} and, for each k', searches the
+secondary index l over (k', 4k'+8].  Several gallery generators satisfy a
+criterion at k=1 for shallow reasons and only reveal the true failure at
+k=2 or 3, so quantifying over a window keeps single-call verdicts aligned
+with the for-every-k statements they stand in for.
 """
 
 from __future__ import annotations
@@ -118,19 +118,14 @@ def _l_range(kp: int) -> tuple[int, int]:
     return kp + 1, default_lmax(kp)
 
 
-def _window_scan(
-    k: int,
-    per_pair: Callable[[int, int], Verdict],
-    quantity: str,
-) -> Verdict:
-    """Aggregate per-(k', l) sup verdicts over the k-window into one Verdict.
+def _window_scan(per_pair: Callable[[int, int], Verdict],
+                 quantity: str) -> Verdict:
+    """One Verdict from the per-(k', l) sup verdicts over k' = 1..K_WINDOW.
 
     holds: every k' in the window found some l.  fails: some k' failed for
     every probed l, decisively; the scan stops there.  Anything else is
     inconclusive.
     """
-    if k < 1:
-        raise PreconditionError(f"level k must be >= 1, got {k}")
     chosen: dict[int, int] = {}
     held: list[Verdict] = []
 
@@ -143,8 +138,8 @@ def _window_scan(
             held.append(v)
         return v
 
-    i, v = first_deciding(map(some_l, range(k, k + K_WINDOW)))
-    kp = k + i
+    i, v = first_deciding(map(some_l, range(1, K_WINDOW + 1)))
+    kp = 1 + i
     if v.outcome == FAILS:
         # Every l decisively failed at this k': the for-every-k statement fails.
         return Verdict(
@@ -158,22 +153,19 @@ def _window_scan(
             INCONCLUSIVE, UNBOUNDED if not chosen else BOUNDED, (),
             reason=f"growth at k'={kp} is sub-resolution for at "
                    "least one probed l",
-            params={"quantity": quantity, "k": k,
+            params={"quantity": quantity, "k": 1,
                     "chosen_l_by_k": dict(chosen)},
         )
     base = held[0]
     return Verdict(
         HOLDS, base.trend, base.evidence,
         params={**base.params, "quantity": quantity,
-                "chosen_l": chosen[k], "chosen_l_by_k": dict(chosen)},
+                "chosen_l": chosen[1], "chosen_l_by_k": dict(chosen)},
     )
 
 
-def inverse_continuity_check(
-    seq: AlphaSequence,
-    k: int = 1,
-    N: int | None = None,
-) -> Verdict:
+def inverse_continuity_check(seq: AlphaSequence,
+                             N: int | None = None) -> Verdict:
     """Continuity of the inverse map y -> (n y_n - (n-1) y_{n-1}).
 
     The criterion is: for every k there is l > k with
@@ -200,26 +192,21 @@ def inverse_continuity_check(
         return probe_escalation(v, labels, p_logn - c * p_alpha,
                                 "probe_values_log")
 
-    return _window_scan(k, per_pair, "log n - (1/k - 1/l) alpha_n")
+    return _window_scan(per_pair, "log n - (1/k - 1/l) alpha_n")
 
 
-def noncompactness_witness(
-    seq: AlphaSequence,
-    k: int = 1,
-    N: int | None = None,
-) -> Verdict:
-    """Confirm unboundedness of A_k(n) = (w_{2k}(n)/n) sum_{m<=n} 1/w_k(m).
+def noncompactness_witness(seq: AlphaSequence,
+                           N: int | None = None) -> Verdict:
+    """Confirm unboundedness of A_1(n) = (w_2(n)/n) sum_{m<=n} 1/w_1(m).
 
     `holds` means unboundedness is confirmed, which is what rules out
     compactness of the averaging operator on the full space.  The direct sum
     is cross-checked against the elementary lower bound
-    exp(alpha_n/(2k) - log n) obtained by keeping only the m=n term; either
+    exp(alpha_n/2 - log n) obtained by keeping only the m=n term; either
     route growing decides.  The contradiction argument this quantity comes
     from assumes a nuclear space, so non-nuclear input is a precondition
     error rather than a verdict.
     """
-    if k < 1:
-        raise PreconditionError(f"level k must be >= 1, got {k}")
     N = N or default_resolution(seq)
     nuc = nuclearity_check(seq, N)
     if nuc.outcome != HOLDS:
@@ -230,16 +217,16 @@ def noncompactness_witness(
     alpha = seq.values_saturated(N)
     ns = np.arange(1, N + 1, dtype=np.int64)
     logn = np.log(ns.astype(float))
-    lse = np.logaddexp.accumulate(alpha / k)
-    direct = -alpha / (2 * k) - logn + lse
-    lower = alpha / (2 * k) - logn
+    lse = np.logaddexp.accumulate(alpha)
+    direct = -alpha / 2 - logn + lse
+    lower = alpha / 2 - logn
     v_direct = sup_verdict_bounded(
         ns, direct, "A_k(n) = (w_2k(n)/n) sum_{m<=n} 1/w_k(m)",
-        extra={"alpha": seq.spec_string(), "k": k, "N": N},
+        extra={"alpha": seq.spec_string(), "k": 1, "N": N},
     )
     v_lower = sup_verdict_bounded(
         ns, lower, "lower bound exp(alpha_n/2k)/n",
-        extra={"alpha": seq.spec_string(), "k": k, "N": N},
+        extra={"alpha": seq.spec_string(), "k": 1, "N": N},
     )
     params = {**v_direct.params,
               "lower_bound_trend": v_lower.trend,
@@ -257,38 +244,29 @@ def noncompactness_witness(
     )
 
 
-def banach_step_compactness(
-    seq: AlphaSequence,
-    k: int = 1,
-    N: int | None = None,
-) -> Verdict:
-    """Compactness of the averaging operator on the single step c0(w_k).
+def banach_step_compactness(seq: AlphaSequence,
+                            N: int | None = None) -> Verdict:
+    """Compactness of the averaging operator on the single step c0(w_1).
 
-    Criterion: (w_k(n)/n) * sum_{m<=n} 1/w_k(m) -> 0.  Note the contrast with
-    noncompactness_witness: there the weight indices are mismatched (2k vs k)
+    Criterion: (w_1(n)/n) * sum_{m<=n} 1/w_1(m) -> 0.  Note the contrast with
+    noncompactness_witness: there the weight indices are mismatched (2 vs 1)
     because the full-space operator must move between steps; here one step is
     compared with itself.
     """
-    if k < 1:
-        raise PreconditionError(f"level k must be >= 1, got {k}")
     N = N or default_resolution(seq)
     alpha = seq.values_saturated(N)
     ns = np.arange(1, N + 1, dtype=np.int64)
     logn = np.log(ns.astype(float))
-    lse = np.logaddexp.accumulate(alpha / k)
-    q = -alpha / k - logn + lse
+    lse = np.logaddexp.accumulate(alpha)
+    q = -alpha - logn + lse
     lad = ladder(N)
     return limit_verdict_zero(
         lad, q[lad - 1], "(w_k(n)/n) sum_{m<=n} 1/w_k(m)",
-        extra={"alpha": seq.spec_string(), "k": k, "N": N},
+        extra={"alpha": seq.spec_string(), "k": 1, "N": N},
     )
 
 
-def d_continuity_check(
-    seq: AlphaSequence,
-    k: int = 1,
-    N: int | None = None,
-) -> Verdict:
+def d_continuity_check(seq: AlphaSequence, N: int | None = None) -> Verdict:
     """Continuity of x -> (n x_{n+1}): for every k some l bounds n w_k(n)/w_l(n+1).
 
     Works on log n - alpha_n/k + alpha_{n+1}/l.  No beyond-N escalation here:
@@ -309,7 +287,7 @@ def d_continuity_check(
             extra={"alpha": seq.spec_string(), "k": kp, "l": l, "N": N},
         )
 
-    return _window_scan(k, per_pair, "n w_k(n) / w_l(n+1)")
+    return _window_scan(per_pair, "n w_k(n) / w_l(n+1)")
 
 
 _ROWSUM_N_CAP = 1024
@@ -483,11 +461,8 @@ def _max_shift_rows(table: _PascalTable, A: np.ndarray, s: int, e: int
     return (np.log(block.sum(axis=2)) + top).T
 
 
-def delta_continuity_check(
-    seq: AlphaSequence,
-    k: int = 1,
-    N: int | None = None,
-) -> Verdict:
+def delta_continuity_check(seq: AlphaSequence,
+                           N: int | None = None) -> Verdict:
     """Continuity of the involutive alternating-binomial transform.
 
     Two evidence tracks that the theory makes equivalent on nuclear spaces:
@@ -532,14 +507,13 @@ def delta_continuity_check(
             extra={"alpha": seq.spec_string(), "k": kp, "l": l, "N": N1},
         )
 
-    track_rows = _window_scan(k, per_pair,
-                              "sum_m (w_k(n)/w_l(m)) binom(n-1,m-1)")
+    track_rows = _window_scan(per_pair, "sum_m (w_k(n)/w_l(m)) binom(n-1,m-1)")
     track_scalar = n_over_alpha_check(seq, N_full)
     nuc = nuclearity_check(seq, N_full)
 
     params = {
         "alpha": seq.spec_string(),
-        "k": k,
+        "k": 1,
         "N_rowsum": N1,
         "N": N_full,
         "rowsum_outcome": track_rows.outcome,
@@ -645,9 +619,9 @@ def classify_space(seq: AlphaSequence, N: int | None = None) -> SpaceProfile:
     shift = shift_stability_check(seq, N)
     noa = n_over_alpha_check(seq, N)
     s1 = _s1_verdict(seq)
-    inverse = inverse_continuity_check(seq, 1, N=N)
-    d_cont = d_continuity_check(seq, 1, N=N)
-    delta_cont = delta_continuity_check(seq, 1, N=N)
+    inverse = inverse_continuity_check(seq, N=N)
+    d_cont = d_continuity_check(seq, N=N)
+    delta_cont = delta_continuity_check(seq, N=N)
 
     # nuclear and shift-stable, decisive only when both verdicts are
     both = (nuclear.outcome, shift.outcome)

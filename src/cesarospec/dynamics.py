@@ -159,13 +159,13 @@ def iterate_via_kernel(x, m: int) -> CoordinateVector:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 200) -> float:
-    """Golden-section maximum of a unimodal f on [lo, hi]."""
+def _golden_max(f, lo: float, hi: float) -> float:
+    """Golden-section maximum of a unimodal f on [lo, hi], in 200 steps."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(200):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -44,6 +44,7 @@ from .errors import InternalConsistencyError
 # log_magnitudes and sign_minus_exp), so the band is over 5 * 10**5 times the
 # error.
 _FILTER_BAND = 1e-9
+_INTERVAL_BITS = 1 << 20   # the interval route's precision cap
 
 
 def _exact(v) -> Fraction:
@@ -83,7 +84,7 @@ def log_magnitudes(re, den: int) -> list:
     return out
 
 
-def sign_minus_exp(p: Fraction, u: Fraction, max_bits: int = 1 << 20) -> int:
+def sign_minus_exp(p: Fraction, u: Fraction) -> int:
     """Exact sign of p - exp(u) for rational p and u.
 
     Float filter first: sign(p - exp(u)) = sign(log p - u), and log p - u is
@@ -103,7 +104,7 @@ def sign_minus_exp(p: Fraction, u: Fraction, max_bits: int = 1 << 20) -> int:
     try:
         uf = float(u)
     except OverflowError:
-        return _sign_minus_exp_interval(p, u, max_bits)
+        return _sign_minus_exp_interval(p, u)
     ((lp, scale),) = log_magnitudes([num], den)
     d = lp - uf
     band = _FILTER_BAND * (scale + abs(uf))
@@ -111,10 +112,10 @@ def sign_minus_exp(p: Fraction, u: Fraction, max_bits: int = 1 << 20) -> int:
         return 1
     if d < -band:
         return -1
-    return _sign_minus_exp_interval(p, u, max_bits)
+    return _sign_minus_exp_interval(p, u)
 
 
-def _sign_minus_exp_interval(p: Fraction, u: Fraction, max_bits: int) -> int:
+def _sign_minus_exp_interval(p: Fraction, u: Fraction) -> int:
     """sign_minus_exp for p > 0 and u != 0 by interval arithmetic.
 
     Doubling precision; terminates because exp of a nonzero rational is
@@ -124,7 +125,7 @@ def _sign_minus_exp_interval(p: Fraction, u: Fraction, max_bits: int) -> int:
     import mpmath
 
     prec = 64
-    while prec <= max_bits:
+    while prec <= _INTERVAL_BITS:
         old = mpmath.iv.prec
         mpmath.iv.prec = prec
         try:
@@ -139,7 +140,7 @@ def _sign_minus_exp_interval(p: Fraction, u: Fraction, max_bits: int) -> int:
             mpmath.iv.prec = old
         prec *= 2
     raise InternalConsistencyError(
-        f"could not separate {p} from exp({u}) below {max_bits} bits"
+        f"could not separate {p} from exp({u}) below {_INTERVAL_BITS} bits"
     )
 
 

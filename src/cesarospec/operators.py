@@ -39,15 +39,10 @@ from .exact import common_denominator
 from .sequences import AlphaSequence, WeightSystem
 
 MODES = ("rational", "float")
-STRUCTURES = ("diagonal", "lower", "full")
 
 # Points closer than this to a reciprocal integer (or to zero) are treated as
 # sitting on the pole set when building resolvents in float mode.
 TOL_SIGMA = 1e-9
-
-# Alternating binomial entries stay exactly representable in float64 only for
-# small sizes; beyond this the float mode refuses rather than silently round.
-_DELTA_FLOAT_LIMIT = 60
 
 # log(i!) for 0 <= i < len, grown to the largest n asked for so far.
 _log_factorial_cache: dict[int, np.ndarray] = {}
@@ -185,16 +180,12 @@ def as_vector(x) -> CoordinateVector:
     return x if isinstance(x, CoordinateVector) else CoordinateVector(x)
 
 
-def basis_vector(j: int, N: int, exact: bool = True) -> CoordinateVector:
-    """The j-th unit coordinate vector (1-based) of length N."""
+def basis_vector(j: int, N: int) -> CoordinateVector:
+    """The exact j-th unit coordinate vector (1-based) of length N."""
     if not 1 <= j <= N:
         raise ValueError("basis index out of range")
-    if exact:
-        vals = [Fraction(0)] * N
-        vals[j - 1] = Fraction(1)
-    else:
-        vals = [0.0] * N
-        vals[j - 1] = 1.0
+    vals = [Fraction(0)] * N
+    vals[j - 1] = Fraction(1)
     return CoordinateVector(vals)
 
 
@@ -218,13 +209,8 @@ def _numerators_of(rows, N: int) -> _Numerators:
     return _Numerators(np.array(re, dtype=object).reshape(N, N), den)
 
 
-def _within(a, keep):
-    """a with the entries outside the boolean pattern keep set to 0."""
-    return a if keep is None else np.where(keep, a, 0)
-
-
 class TruncOperator:
-    """An N x N matrix truncation with mode and structure.
+    """An N x N matrix truncation in one of the MODES.
 
     Rational entries are held as integer numerators over one positive
     denominator (_Numerators): products are integer dot products with no
@@ -232,16 +218,12 @@ class TruncOperator:
     rows of int and Fraction entries, converted once, or _Numerators.
     """
 
-    def __init__(self, name: str, N: int, entries, mode: str,
-                 structure: str = "full"):
+    def __init__(self, name: str, N: int, entries, mode: str):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if structure not in STRUCTURES:
-            raise ValueError(f"unknown structure {structure!r}")
         self.name = name
         self.N = int(N)
         self.mode = mode
-        self.structure = structure
         if mode == "float":
             self._data = np.asarray(entries)
             if self._data.shape != (N, N):
@@ -279,14 +261,6 @@ class TruncOperator:
 
     # -- algebra ----------------------------------------------------------
 
-    def _read_pattern(self) -> np.ndarray | None:
-        """The entries a row-times-vector product reads (None: all)."""
-        if self.structure == "diagonal":
-            return np.eye(self.N, dtype=bool)
-        if self.structure == "lower":
-            return np.tri(self.N, dtype=bool)
-        return None
-
     def apply(self, x) -> CoordinateVector:
         """Matrix-vector product, tracking the trustworthy prefix."""
         x = as_vector(x)
@@ -296,7 +270,7 @@ class TruncOperator:
         if self.mode == "rational" and x.exact:
             re, den = self._num
             xre, xden = x.prefix(self.N).shared()
-            out = _within(re, self._read_pattern()) @ np.array(xre, dtype=object)
+            out = re @ np.array(xre, dtype=object)
             return CoordinateVector.over_denominator(out.tolist(), den * xden,
                                                      out_valid)
         xf = x.prefix(self.N).as_float()
@@ -317,23 +291,13 @@ class TruncOperator:
             raise ValueError("size mismatch")
         if self.mode != other.mode:
             raise ValueError("mode mismatch; convert explicitly first")
-        N = self.N
-        # STRUCTURES runs from most to least structured, and a product is
-        # as structured as its less structured factor
-        structure = max(self.structure, other.structure, key=STRUCTURES.index)
         name = f"{self.name}*{other.name}"
         if self.mode == "float":
-            return TruncOperator(name, N, self._data @ other._data, "float",
-                                 structure)
+            return TruncOperator(name, self.N, self._data @ other._data,
+                                 "float")
         a, b = self._num, other._num
-        # row n of self is read up to column n, column m of other from row
-        # m on, where their structures say the rest is zero
-        lower = np.tri(N, dtype=bool)
-        keep_a = lower if self.structure != "full" else None
-        keep_b = lower if structure != "full" else None
-        re = _within(a.re, keep_a) @ _within(b.re, keep_b)
-        return TruncOperator(name, N, _Numerators(re, a.den * b.den),
-                             "rational", structure)
+        product = _Numerators(a.re @ b.re, a.den * b.den)
+        return TruncOperator(name, self.N, product, "rational")
 
     def __matmul__(self, other):
         if isinstance(other, TruncOperator):
@@ -341,14 +305,13 @@ class TruncOperator:
         return self.apply(other)
 
     def __repr__(self) -> str:
-        return (f"TruncOperator({self.name!r}, N={self.N}, mode={self.mode}, "
-                f"structure={self.structure})")
+        return f"TruncOperator({self.name!r}, N={self.N}, mode={self.mode})"
 
 
 def identity(N: int) -> TruncOperator:
     """The exact N x N identity."""
     return TruncOperator("identity", N, _Numerators(np.eye(N, dtype=object), 1),
-                         "rational", "diagonal")
+                         "rational")
 
 
 def cesaro(N: int, mode: str = "rational") -> TruncOperator:
@@ -358,14 +321,14 @@ def cesaro(N: int, mode: str = "rational") -> TruncOperator:
     """
     if mode == "float":
         data = np.tril(np.ones((N, N)) / np.arange(1, N + 1)[:, None])
-        return TruncOperator("cesaro", N, data, "float", "lower")
+        return TruncOperator("cesaro", N, data, "float")
     if mode != "rational":
         raise ValueError(f"unknown mode {mode!r}")
     L, mult = _mean_multipliers(N)
     re = np.zeros((N, N), dtype=object)
     for n in range(N):
         re[n, :n + 1] = mult[n]
-    return TruncOperator("cesaro", N, _Numerators(re, L), "rational", "lower")
+    return TruncOperator("cesaro", N, _Numerators(re, L), "rational")
 
 
 @lru_cache(maxsize=8)
@@ -453,29 +416,19 @@ def differentiation_apply(x) -> CoordinateVector:
     return CoordinateVector(np.arange(1, len(vals)) * vals[1:], valid)
 
 
-def delta(N: int, mode: str = "rational") -> TruncOperator:
-    """The alternating-binomial involution: entry (n, m) is (-1)^(m-1) C(n-1, m-1).
+def delta(N: int) -> TruncOperator:
+    """The exact alternating-binomial involution: entry (n, m) is
+    (-1)^(m-1) C(n-1, m-1).
 
     Composing it with itself gives the identity at every truncation size, and
     conjugating the running-mean matrix by it produces the diagonal of
-    reciprocals 1/n.  Float mode is limited to small N where the binomials
-    are still exactly representable; beyond it, read the entries in log
+    reciprocals 1/n.  Its entries outgrow float range; read them in log
     scale from logbinom.
     """
-    if mode == "float":
-        if N > _DELTA_FLOAT_LIMIT:
-            raise RepresentationError(
-                f"float binomials are unreliable beyond N={_DELTA_FLOAT_LIMIT}; "
-                f"use rational mode"
-            )
-        return TruncOperator("delta", N, delta(N).as_float_entries(), "float",
-                             "lower")
-    if mode != "rational":
-        raise ValueError(f"unknown mode {mode!r}")
     re = np.zeros((N, N), dtype=object)
     for n in range(N):
         re[n, :n + 1] = [(-1) ** m * math.comb(n, m) for m in range(n + 1)]
-    return TruncOperator("delta", N, _Numerators(re, 1), "rational", "lower")
+    return TruncOperator("delta", N, _Numerators(re, 1), "rational")
 
 
 def delta_eigenvector(m: int, N: int) -> CoordinateVector:
@@ -545,7 +498,7 @@ def resolvent(lam, N: int, mode: str = "float") -> TruncOperator:
             scale = -1 / (lam * lam * n * P[n])
             rows.append([P[m] * scale for m in range(n - 1)]
                         + [d[n - 1]] + [0] * (N - n))
-        return TruncOperator(f"resolvent(lambda={lam})", N, rows, "rational", "lower")
+        return TruncOperator(f"resolvent(lambda={lam})", N, rows, "rational")
 
     lam_f = complex(lam)
     _check_not_pole(lam_f, N)
@@ -557,8 +510,19 @@ def resolvent(lam, N: int, mode: str = "float") -> TruncOperator:
         np.fill_diagonal(data, d)
         if lam_f.imag == 0:
             data = data.real
-        return TruncOperator(f"resolvent(lambda={lam_f})", N, data, "float", "lower")
+        return TruncOperator(f"resolvent(lambda={lam_f})", N, data, "float")
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _reciprocal_steps(lam_f: complex, ns: np.ndarray) -> np.ndarray:
+    """1 / (lambda n) for ns = 1..N.  The product lambda n is formed first,
+    as the reports read it (the other order rounds apart at most entries of
+    a complex lambda), unless it could overflow to inf+inf*j, whose
+    reciprocal is nan; past |lambda| N = 1e300 every quotient is below
+    N * 1e-300 in modulus, so 1 minus it has modulus 1 to rounding."""
+    if abs(lam_f) * len(ns) < 1e300:
+        return 1.0 / (lam_f * ns)
+    return (1.0 / lam_f) / ns
 
 
 def _tail_entries(lam_f: complex, N: int) -> np.ndarray:
@@ -568,7 +532,7 @@ def _tail_entries(lam_f: complex, N: int) -> np.ndarray:
     or mask the rest.
     """
     ns = np.arange(1, N + 1, dtype=float)
-    factors = 1.0 - 1.0 / (lam_f * ns)
+    factors = 1.0 - _reciprocal_steps(lam_f, ns)
     P = np.concatenate([[1.0 + 0j], np.cumprod(factors)])
     return P[None, :N] / (ns[:, None] * P[1:][:, None])
 
@@ -585,7 +549,7 @@ def resolvent_tail_logs(lam, N: int) -> tuple[np.ndarray, np.ndarray]:
     _check_not_pole(lam_f, N)
     ns = np.arange(1, N + 1, dtype=float)
     with np.errstate(divide="ignore"):
-        logs_f = np.log(np.abs(1.0 - 1.0 / (lam_f * ns)))
+        logs_f = np.log(np.abs(1.0 - _reciprocal_steps(lam_f, ns)))
     L = np.concatenate([[0.0], np.cumsum(logs_f)])
     return L, np.log(ns)
 
@@ -629,9 +593,7 @@ def scaled_e_matrix(lam, k: int, w, N: int) -> TruncOperator:
     data = np.where(mask, data, 0.0)
     if lam_f.imag == 0:
         data = data.real
-    return TruncOperator(
-        f"scaled_e(lambda={lam},k={k})", N, data, "float", "lower",
-    )
+    return TruncOperator(f"scaled_e(lambda={lam},k={k})", N, data, "float")
 
 
 def a_matrix(N: int) -> TruncOperator:
@@ -642,7 +604,7 @@ def a_matrix(N: int) -> TruncOperator:
     for n in range(1, N + 1):
         re[n - 1, :n - 1] = -mult[n]
         re[n - 1, n - 1] = n * mult[n]
-    return TruncOperator("a_matrix", N, _Numerators(re, L), "rational", "lower")
+    return TruncOperator("a_matrix", N, _Numerators(re, L), "rational")
 
 
 def b_matrix(N: int) -> TruncOperator:
@@ -653,7 +615,7 @@ def b_matrix(N: int) -> TruncOperator:
     for n in range(1, N + 1):
         re[n - 1, :n - 1] = mult[:n - 1]
         re[n - 1, n - 1] = (n + 1) * mult[n - 1]
-    return TruncOperator("b_matrix", N, _Numerators(re, L), "rational", "lower")
+    return TruncOperator("b_matrix", N, _Numerators(re, L), "rational")
 
 
 def ops_equal_exact(a: TruncOperator, b: TruncOperator) -> bool:

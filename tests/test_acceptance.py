@@ -76,7 +76,7 @@ def test_criterion_1_exact_algebra():
         problems.append("signed-binomial involution squared is not I at N=40")
     rows = [[F(1, i) if i == j else F(0) for j in range(1, 41)]
             for i in range(1, 41)]
-    diag = TruncOperator("recip_diag", 40, rows, "rational", "diagonal")
+    diag = TruncOperator("recip_diag", 40, rows, "rational")
     if not ops_equal_exact(d @ diag @ d, cesaro(40)):
         problems.append("conjugated reciprocal diagonal is not C at N=40")
 

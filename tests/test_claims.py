@@ -28,8 +28,8 @@ RUNS = (
 
 _SHIFT = ("the basis-shift operator's continuity verdict ({}) disagrees with "
           "nuclear+shift-stable ({})")
-_DELTA = ("alternating-transform evidence tracks disagree: evidence tracks "
-          "disagree: row sums say {}, the scalar limit says {}")
+_DELTA = ("alternating-transform evidence tracks disagree: row sums say {}, "
+          "the scalar limit says {}")
 
 # Per row id: the facts its message reads beyond its forbidden combination,
 # and the message those facts give.

@@ -417,7 +417,8 @@ class TestMainExitCodes:
         got = {key: prof[key]["outcome"] for key in self.TOWER_PROFILE}
         assert got == self.TOWER_PROFILE
 
-    @pytest.mark.parametrize("value", ["nan", "1e400"])
+    # the last one is finite but its modulus is not
+    @pytest.mark.parametrize("value", ["nan", "1e400", "1.7e308+1.7e308j"])
     def test_non_finite_lambda_exits_2(self, value, capsys):
         argv = ["--lambda", value, "--experiments", "resolvent"]
         assert main(argv) == 2
@@ -527,6 +528,38 @@ class TestMainExitCodes:
         for line in tree["mismatches"]:
             assert any(kind in line for kind in kinds), line
             assert "S_1" not in line and "disc" not in line, line
+
+    @pytest.mark.parametrize("experiments", [["profile", "spectrum"],
+                                             ["spectrum"]])
+    def test_profile_mismatches_are_stated_once(self, experiments, capsys):
+        # profile and spectrum report the same profile's warnings under one
+        # prefix, so the run's de-duplication keeps each line once
+        argv = ["--alpha", "log:beta=1000", "--N", "200",
+                "--experiments", *experiments]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = json.loads(captured.out)["mismatches"]
+        assert len(lines) == 3
+        assert all(line.startswith("profile[log:beta=1000]: ")
+                   for line in lines)
+        assert captured.err.splitlines() == [f"mismatch: {line}"
+                                             for line in lines]
+
+    @pytest.mark.parametrize("argv", [
+        ["--lambda", "1e305+1e305j"], ["--lambda", "1e307+1e307j"],
+        ["--lambda", "1e308+1e308j"], ["--lambda", "1e308"],
+        ["--lambda", "1e-300j"], ["--lambda", "5e-324"],
+        ["--lambda", "1e304+1e304j", "--N", "100000"]])
+    def test_extreme_lambda_runs_quietly(self, argv):
+        import cesarospec
+
+        src = os.path.dirname(os.path.dirname(cesarospec.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cesarospec.cli",
+             "--experiments", "resolvent", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     @pytest.mark.parametrize("spec", ["log:beta=1e300", "log:beta=1e-300"])
     def test_extreme_log_scale_never_empties_s1(self, spec, capsys):

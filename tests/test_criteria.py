@@ -141,7 +141,7 @@ class TestWindowScan:
                 return Verdict(HOLDS, "bounded")
             return Verdict(FAILS, "unbounded", witness=l)
 
-        v = _window_scan(1, per_pair, "q")
+        v = _window_scan(per_pair, "q")
         assert v.outcome == FAILS
         assert v.witness == {"k": 3, "l_range": (4, default_lmax(3))}
         assert v.params["chosen_l_by_k"] == {1: 3, 2: 4}
@@ -157,20 +157,12 @@ class TestWindowScan:
                 return Verdict(INCONCLUSIVE, "undecided", reason="flat")
             return Verdict(HOLDS, "bounded")
 
-        v = _window_scan(1, per_pair, "q")
+        v = _window_scan(per_pair, "q")
         assert v.outcome == INCONCLUSIVE
         assert v.reason.startswith("growth at k'=2 ")
         assert v.params["chosen_l_by_k"] == {1: 2, 3: 4, 4: 5}
         assert calls == [(1, 2)] + [(2, l) for l in range(3, 17)] \
             + [(3, 4), (4, 5)]
-
-    @pytest.mark.parametrize("check", [inverse_continuity_check,
-                                       d_continuity_check,
-                                       delta_continuity_check])
-    @pytest.mark.parametrize("k", [0, -3])
-    def test_levels_below_one_are_refused(self, linear, check, k):
-        with pytest.raises(PreconditionError, match="level k must be >= 1"):
-            check(linear, k, N=50)
 
     def test_log_inverse_scan_pairs(self, log2, monkeypatch):
         pairs = _spy_pairs(monkeypatch)

@@ -68,9 +68,9 @@ def interval_calls(monkeypatch):
     """The (p, u) of every call that reaches the interval route."""
     calls = []
 
-    def spy(p, u, max_bits):
+    def spy(p, u):
         calls.append((p, u))
-        return _sign_minus_exp_interval(p, u, max_bits)
+        return _sign_minus_exp_interval(p, u)
 
     monkeypatch.setattr(exact, "_sign_minus_exp_interval", spy)
     return calls
@@ -84,14 +84,14 @@ class TestFilteredSign:
            u=nonzero_u)
     @settings(max_examples=150)
     def test_agrees_with_interval(self, p, u):
-        assert sign_minus_exp(p, u) == _sign_minus_exp_interval(p, u, 1 << 20)
+        assert sign_minus_exp(p, u) == _sign_minus_exp_interval(p, u)
 
     @given(u=nonzero_u, bits=st.sampled_from([30, 53, 80, 120]),
            ulps=st.sampled_from([-1, 0, 1]))
     @settings(max_examples=150)
     def test_agrees_with_interval_at_near_ties(self, u, bits, ulps):
         p = exp_rounded(u, bits, ulps)
-        assert sign_minus_exp(p, u) == _sign_minus_exp_interval(p, u, 1 << 20)
+        assert sign_minus_exp(p, u) == _sign_minus_exp_interval(p, u)
 
     def test_near_tie_escalates(self, interval_calls):
         u = Fraction(7, 3)

@@ -1,6 +1,7 @@
 """Truncated matrices: averaging, involution, resolvent, and friends."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,6 @@ from cesarospec import (
 )
 import cesarospec.operators as operators_module
 from cesarospec.operators import (
-    STRUCTURES,
     TruncOperator,
     _scaled_tail_parts,
     logbinom,
@@ -220,17 +220,13 @@ class TestInvolution:
         d = delta(n)
         rows = [[F(1, i) if i == j else F(0) for j in range(1, n + 1)]
                 for i in range(1, n + 1)]
-        diag = TruncOperator("recip_diag", n, rows, "rational", "diagonal")
+        diag = TruncOperator("recip_diag", n, rows, "rational")
         assert ops_equal_exact(d @ diag @ d, cesaro(n))
         assert ops_equal_exact(d @ cesaro(n) @ d, diag)
 
-    def test_float_mode_cap(self):
-        with pytest.raises(RepresentationError):
-            delta(200, mode="float")
-
     def test_log_magnitude_mode_is_gone(self):
         # large binomials are read in log scale from logbinom instead
-        with pytest.raises(ValueError, match="unknown mode"):
+        with pytest.raises(TypeError):
             delta(8, mode="logmag")
         with pytest.raises(ValueError, match="unknown mode"):
             TruncOperator("m", 2, (np.ones((2, 2)), np.zeros((2, 2))),
@@ -243,7 +239,7 @@ class TestInvolution:
 
     def test_mode_mixing_refuses(self):
         with pytest.raises(ValueError):
-            delta(8) @ delta(8, mode="float")
+            delta(8) @ cesaro(8, mode="float")
 
 
 class TestEigenvectors:
@@ -310,8 +306,7 @@ class TestResolvent:
         shifted_rows = [
             [c.entry(i, j) - (lam if i == j else 0) for j in range(1, n + 1)]
             for i in range(1, n + 1)]
-        shifted = TruncOperator("c_minus_lam", n, shifted_rows, "rational",
-                                "lower")
+        shifted = TruncOperator("c_minus_lam", n, shifted_rows, "rational")
         assert ops_equal_exact(shifted @ r, identity(n))
         assert ops_equal_exact(r @ shifted, identity(n))
 
@@ -353,7 +348,7 @@ class TestResolvent:
                 else:
                     row.append(F(0))
             rows.append(row)
-        want = TruncOperator("cells", n, rows, "rational", "lower")
+        want = TruncOperator("cells", n, rows, "rational")
         assert ops_equal_exact(resolvent(lam, n, mode="rational"), want)
 
     def test_structure_diagonal_plus_tail(self):
@@ -415,6 +410,30 @@ class TestTailLogs:
         direct = np.cumsum(
             [math.log(abs(1 - 1 / (lam * j))) for j in range(1, n + 1)])
         assert np.allclose(L[1:], direct, atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.4 + 0.3j, 1.7 + 0.9j, 0.3 + 0.45j, 2.0])
+    def test_product_form_is_kept(self, lam):
+        # 1/(lambda n) and (1/lambda)/n round apart at most entries of a
+        # complex lambda; the reports read the first
+        ns = np.arange(1, 10_001, dtype=float)
+        want = np.concatenate([[0.0], np.cumsum(
+            np.log(np.abs(1.0 - 1.0 / (complex(lam) * ns))))])
+        assert resolvent_tail_logs(lam, 10_000)[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lam,n", [
+        (1e305 + 1e305j, 1000), (1e307 + 1e307j, 1000),
+        (1e308 + 1e308j, 1000), (1e308, 1000), (-1e308j, 1000),
+        (1e304 + 1e304j, 100_000)])
+    def test_huge_lambda_has_a_flat_tail(self, lam, n):
+        # lambda * n overflows; every factor 1 - 1/(lambda n) has modulus 1
+        # to rounding, so the log tail is flat and e_nm is 1/n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L, _ = resolvent_tail_logs(lam, n)
+            entries = operators_module._tail_entries(complex(lam), 8)
+        assert not L.any()
+        assert np.allclose(entries, 1.0 / np.arange(1, 9)[:, None],
+                           rtol=0.0, atol=1e-300)
 
 
 class TestScaledTail:
@@ -521,37 +540,31 @@ class TestShiftedDifferencePair:
 # -- integer numerators against plain Fraction arithmetic ---------------------
 #
 # The reference below works on rows of Fraction entries, one gcd-reduced
-# operation at a time.  Row n of an apply reads columns up to n ("lower",
-# "diagonal" only n); a compose reads row n of the left factor up to column n
-# when that factor is not "full", column m of the right one from row m on when
-# the product is not "full", and skips zero factors.
+# operation at a time; a compose skips zero factors.  The matrices drawn are
+# diagonal, lower triangular or full, like those the constructors make.
 
 _small = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 _entry = st.one_of(st.just(F(0)), _small)
 
 
-def _ref_apply(rows, structure, xs):
+def _ref_apply(rows, xs):
     out = []
-    for n, row in enumerate(rows):
-        lo = n if structure == "diagonal" else 0
-        hi = n + 1 if structure in ("lower", "diagonal") else len(rows)
-        acc = None
-        for m in range(lo, hi):
-            term = row[m] * xs[m]
-            acc = term if acc is None else acc + term
+    for row in rows:
+        acc = row[0] * xs[0]
+        for m in range(1, len(rows)):
+            acc += row[m] * xs[m]
         out.append(acc)
     return out
 
 
-def _ref_compose(a, a_structure, b, structure):
+def _ref_compose(a, b):
     N = len(a)
     rows = []
     for n in range(N):
-        hi = n + 1 if a_structure in ("lower", "diagonal") else N
         row = []
         for m in range(N):
             acc = None
-            for k in range(m if structure != "full" else 0, hi):
+            for k in range(N):
                 if a[n][k] == 0 or b[k][m] == 0:
                     continue
                 term = a[n][k] * b[k][m]
@@ -565,30 +578,18 @@ def _ref_floats(values):
     return np.array([float(v) for v in values])
 
 
-def _product_structure(sa, sb):
-    if sa == sb == "diagonal":
-        return "diagonal"
-    if sa != "full" and sb != "full":
-        return "lower"
-    return "full"
-
-
 @st.composite
-def _matrices(draw, N=None, structure=None):
-    """(N, structure, rows): entries outside the structure are zero when
-    shaped, arbitrary otherwise (the products must not read them)."""
+def _matrices(draw, N=None):
+    """(N, rows): a diagonal, lower triangular or full N x N matrix."""
     N = N or draw(st.integers(1, 12))
-    structure = structure or draw(st.sampled_from(STRUCTURES))
-    shaped = draw(st.booleans())
+    shape = draw(st.sampled_from(("diagonal", "lower", "full")))
     rows = draw(st.lists(st.lists(_entry, min_size=N, max_size=N),
                          min_size=N, max_size=N))
-    if shaped:
-        for n, row in enumerate(rows):
-            for m in range(N):
-                if structure == "diagonal" and m != n or m > n \
-                        and structure != "full":
-                    row[m] = F(0)
-    return N, structure, rows
+    for n, row in enumerate(rows):
+        for m in range(N):
+            if shape == "diagonal" and m != n or m > n and shape == "lower":
+                row[m] = F(0)
+    return N, rows
 
 
 @st.composite
@@ -626,12 +627,12 @@ class TestIntegerNumerators:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_apply_matches_fraction_arithmetic(self, data):
-        N, structure, rows = data.draw(_matrices())
-        op = TruncOperator("m", N, rows, "rational", structure)
+        N, rows = data.draw(_matrices())
+        op = TruncOperator("m", N, rows, "rational")
         _assert_same_operator(op, rows)
         x, xs = data.draw(_vectors(N))
         got = op.apply(x)
-        want = _ref_apply(rows, structure, xs)
+        want = _ref_apply(rows, xs)
         _assert_same_entries(got.values, want)
         assert got.valid_len == N
         expected = _ref_floats(want)
@@ -641,22 +642,20 @@ class TestIntegerNumerators:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_compose_matches_fraction_arithmetic(self, data):
-        N, sa, a = data.draw(_matrices())
-        _, sb, b = data.draw(_matrices(N=N))
-        prod = TruncOperator("a", N, a, "rational", sa).compose(
-            TruncOperator("b", N, b, "rational", sb))
-        structure = _product_structure(sa, sb)
-        assert prod.structure == structure
-        want = _ref_compose(a, sa, b, structure)
+        N, a = data.draw(_matrices())
+        _, b = data.draw(_matrices(N=N))
+        prod = TruncOperator("a", N, a, "rational").compose(
+            TruncOperator("b", N, b, "rational"))
+        want = _ref_compose(a, b)
         _assert_same_operator(prod, want)
-        rebuilt = TruncOperator("w", N, want, "rational", structure)
+        rebuilt = TruncOperator("w", N, want, "rational")
         assert ops_equal_exact(prod, rebuilt)
         assert ops_equal_exact(rebuilt, prod)
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_exact_equality_matches_fraction_comparison(self, data):
-        N, structure, a = data.draw(_matrices())
+        N, a = data.draw(_matrices())
         b = [list(r) for r in a]
         n, m = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
         b[n][m] = data.draw(st.one_of(_entry, st.just(b[n][m])))
@@ -664,8 +663,8 @@ class TestIntegerNumerators:
             # the same values over a different denominator
             b = [[v * 7 / 7 for v in r] for r in b]
         want = all(va == vb for ra, rb in zip(a, b) for va, vb in zip(ra, rb))
-        opa = TruncOperator("a", N, a, "rational", structure)
-        opb = TruncOperator("b", N, b, "rational", structure)
+        opa = TruncOperator("a", N, a, "rational")
+        opb = TruncOperator("b", N, b, "rational")
         assert ops_equal_exact(opa, opb) is want
         assert ops_equal_exact(opb, opa) is want
 
@@ -691,4 +690,4 @@ class TestIntegerNumerators:
                     for n in range(1, N + 1)]
             _assert_same_operator(op, rows)
             assert ops_equal_exact(
-                op, TruncOperator(name, N, rows, "rational", op.structure))
+                op, TruncOperator(name, N, rows, "rational"))
