@@ -20,6 +20,7 @@ import io
 import json
 import math
 import os
+import random
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -338,12 +339,7 @@ class _RunContext:
         self.config = config
         self.seq = parse_alpha(config.alpha)
         self.weights = WeightSystem(self.seq)
-
-    @cached_property
-    def rng(self):
-        # Built on the first draw, so that runs which draw nothing do not
-        # import numpy.random.
-        return np.random.default_rng(self.config.seed)
+        self.rng = random.Random(config.seed)
 
     @cached_property
     def profile(self):
@@ -427,7 +423,8 @@ def _make_vector(spec: str, n: int, ctx: _RunContext) -> CoordinateVector:
     if spec == "ones":
         return CoordinateVector([Fraction(1)] * n)
     if spec == "random":
-        return CoordinateVector(ctx.rng.uniform(-1.0, 1.0, size=n))
+        return CoordinateVector([2.0 * ctx.rng.random() - 1.0
+                                 for _ in range(n)])
     j = int(spec[1:])
     if j > n:
         raise UsageError(f"basis index {j} exceeds vector length {n}")
@@ -537,7 +534,7 @@ def _run_suite(ctx: _RunContext) -> tuple:
     bound = power_bound_check(linear, basis_vector(1, 24), K=3, M=20,
                               mode="rational")
     ergodic = ergodic_decomposition_check(
-        linear, CoordinateVector(ctx.rng.uniform(-1.0, 1.0, size=24)))
+        linear, _make_vector("random", 24, ctx))
     facts.update(
         kernel_route_m2=diff <= 1e-8, kernel_m2_diff=diff,
         density_sups_decreasing=all(a > b for a, b in zip(sups, sups[1:])),

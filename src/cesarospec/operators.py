@@ -505,7 +505,10 @@ def resolvent(lam, N: int, mode: str = "float") -> TruncOperator:
     if mode == "float":
         ns = np.arange(1, N + 1, dtype=float)
         d = 1.0 / (1.0 / ns - lam_f)
-        data = -(1.0 / lam_f**2) * _tail_entries(lam_f, N)
+        # lambda^2 overflows past |lambda| = 1.34e154; (1/lambda)^2 rounds
+        # apart from 1/lambda^2, so it is formed only where it must be
+        inv_l2 = 1.0 / lam_f**2 if abs(lam_f) < 1e150 else (1.0 / lam_f)**2
+        data = -inv_l2 * _tail_entries(lam_f, N)
         data[~np.tri(N, k=-1, dtype=bool)] = 0.0
         np.fill_diagonal(data, d)
         if lam_f.imag == 0:

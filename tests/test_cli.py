@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -195,10 +196,31 @@ class TestRunAndEmit:
         assert report.versions["cesarospec"] == cesarospec.__version__
 
     def test_identical_runs_identical_bytes(self):
-        config = AnalysisConfig(experiments=("profile", "eigenpairs"))
-        first = emit(run(config), "json")
-        second = emit(run(config), "json")
-        assert first == second
+        for experiments in (("profile", "eigenpairs"),
+                            ("dynamics:random,2", "suite")):
+            config = AnalysisConfig(seed=7, experiments=experiments)
+            first = emit(run(config), "json")
+            second = emit(run(config), "json")
+            assert first == second
+
+    @pytest.mark.parametrize("seed", [0, 7, 1729])
+    def test_random_start_vector_is_the_seeded_uniform_draw(self, seed):
+        rng = random.Random(seed)
+        want = [2 * rng.random() - 1 for _ in range(40)]
+        ctx = cli_module._RunContext(AnalysisConfig(seed=seed))
+        got = cli_module._make_vector("random", 40, ctx)
+        assert got.values.tolist() == want
+
+    def test_random_tokens_in_one_run_draw_successive_vectors(self):
+        config = AnalysisConfig(N=12, seed=7, experiments=(
+            "dynamics:random,1", "dynamics:random,1"))
+        heads = [payload["iterates"][0]["head"]
+                 for _, payload in run(config).results]
+        rng = random.Random(7)
+        for head in heads:
+            x = CoordinateVector([2 * rng.random() - 1 for _ in range(12)])
+            assert head == list(cesaro_apply(x).prefix(8).values)
+        assert heads[0] != heads[1]
 
     def test_csv_shape_and_agreement_with_json(self):
         config = AnalysisConfig(experiments=())
@@ -627,26 +649,24 @@ class TestMainExitCodes:
                                   "--kmax", str(KMAX_CAP)])
         assert (config.N, config.K, config.kmax) == (N_CAP, K_CAP, KMAX_CAP)
 
-    def test_runs_that_draw_nothing_leave_numpy_random_unloaded(self):
-        # the generator is made on the first draw, and only dynamics:random
-        # and suite draw
+    def test_no_run_loads_numpy_random(self):
+        # start vectors are drawn from the standard library's random
         import cesarospec
 
         src = os.path.dirname(os.path.dirname(cesarospec.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = (
             "import contextlib, io, sys, cesarospec.cli as cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cli.main(['--N', '64', '--experiments', 'profile',\n"
-            "                     'spectrum', 'resolvent', 'eigenpairs:1,2'])\n"
-            "print(code, 'numpy.random' in sys.modules)\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cli.main(['--N', '64', '--experiments',\n"
-            "                     'dynamics:random,2'])\n"
-            "print(code, 'numpy.random' in sys.modules)\n")
+            "for argv in (['--N', '64', '--experiments', 'profile',\n"
+            "              'spectrum', 'resolvent', 'eigenpairs:1,2'],\n"
+            "             ['--N', '64', '--experiments', 'dynamics:random,2'],\n"
+            "             ['--experiments', 'suite']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    print(code, 'numpy.random' in sys.modules)\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["0", "False", "0", "True"]
+        assert out.stdout.split() == ["0", "False"] * 3
 
     def test_repeated_alpha_key_exits_2(self, tmp_path, capsys):
         spec = "power:beta=2:beta=3"

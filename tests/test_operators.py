@@ -368,6 +368,23 @@ class TestResolvent:
                 assert r.entry(i, j) == -e_ij / lam ** 2 * F(1) \
                     or r.entry(i, j) == e_ij * F(-1) / lam ** 2
 
+    @pytest.mark.parametrize("lam", [1e160, 1e200, -1e300, 1e200 + 1e200j])
+    def test_float_entries_are_finite_at_huge_lambda(self, lam):
+        assert np.all(np.isfinite(resolvent(lam, 10).dense()))
+
+    @pytest.mark.parametrize("lam", [2.0, -1.0, 0.4 + 0.3j])
+    def test_float_entries_keep_the_one_over_lambda_squared_bytes(self, lam):
+        # reference: the tail scaled by -(1 / lambda^2), formed directly
+        n = 30
+        lam_f = complex(lam)
+        want = -(1.0 / lam_f**2) * operators_module._tail_entries(lam_f, n)
+        want[~np.tri(n, k=-1, dtype=bool)] = 0.0
+        np.fill_diagonal(want, 1.0 / (1.0 / np.arange(1, n + 1) - lam_f))
+        if lam_f.imag == 0:
+            want = want.real
+        got = resolvent(lam, n).dense()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_resolvent_identity_pair(self):
         # R(a) - R(b) = (a - b) R(a) R(b) for commuting resolvents
         n = 25
