@@ -14,8 +14,8 @@ Exact iterates are kept in shared-denominator form: iterate m of x = p/D
 is q_m / (D L^m) with L = lcm(1..N) and integer numerators q_m, so one pass
 is an integer prefix sum and one multiplication by L/n per entry, with no
 gcd (operators.cesaro_apply).  The rational contraction check reads log|q|
-- log(D L^m) once per iterate, the Cesaro means sum the numerators, and
-Fractions are built only for the entries a caller reads.
+- log(D L^m) in one pass per chunk of iterates, the Cesaro means sum the
+numerators, and Fractions are built only for the entries a caller reads.
 
 Claims here are deliberately modest: iterates converge to x_1 on every
 coordinate and the seminorms never expand, but no convergence *rate* is
@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InternalConsistencyError, PreconditionError
-from .exact import WeightedSups, compare_sups
+from . import exact
 from .operators import CoordinateVector, as_vector, b_apply, cesaro_apply
 from .sequences import AlphaSequence, SeminormTable, WeightSystem
 from .trend import FAILS, HOLDS, Verdict
@@ -40,6 +40,9 @@ from .trend import FAILS, HOLDS, Verdict
 _FLOAT_TOL = 1e-12
 # Steps iterate_limit_check takes before a coordinate outside the band fails.
 _LIMIT_STEP_CAP = 256
+# Floats per temporary of one power_bound_check chunk (at least one
+# iterate); larger chunks gain little speed and grow the peak heap.
+_CHUNK_ENTRIES = 1 << 9
 
 
 @dataclass(frozen=True)
@@ -305,12 +308,14 @@ def power_bound_check(
     """Seminorm contraction p_k(iterate) <= p_k(x) for k <= K, m <= M.
 
     x is a start vector or an IterateTrace of at least M passes.  Float mode
-    allows a fixed relative slack of 1e-12, reported as "tol"; rational mode
-    compares exactly and requires a generator with exact rational values.
-    There one float pass per vector (the start vector and each iterate)
-    brackets its sups at every level k <= K.  Only the pairs whose brackets
-    overlap (such as exact ties at coordinate 1, which every pass fixes) go
-    to exact.compare_weighted, as integer numerators (exact.compare_sups).
+    allows a fixed relative slack of 1e-12, reported as "tol", and needs
+    finite vectors; rational mode compares exactly and requires a generator
+    with exact rational values.  Iterates of length N are read in chunks of
+    max(1, 2**9 // (K N)), each in one float pass over every level k <= K:
+    a SeminormTable call, or an exact.WeightedSups bracket pass.  There
+    only the pairs whose brackets overlap the start vector's (such as exact
+    ties at coordinate 1, which every pass fixes) go to
+    exact.compare_weighted, as integer numerators (exact.compare_sups).
     """
     if K < 1 or M < 1:
         raise PreconditionError("need K >= 1 and M >= 1")
@@ -321,10 +326,8 @@ def power_bound_check(
         raise PreconditionError("need a weight system or generator")
     trace = _trace_of(x, M)
     x = trace.x0
-    iterates = enumerate(trace.vectors[1:M + 1], start=1)
+    levels = range(1, K + 1)
     params = {"alpha": seq.spec_string(), "K": K, "M": M, "mode": mode}
-
-    evidence = []
     if mode == "rational":
         alphas = seq.exact_values(len(x))
         if alphas is None:
@@ -333,31 +336,46 @@ def power_bound_check(
             )
         if not x.exact:
             raise PreconditionError("rational mode needs an exact vector")
-        xw = WeightedSups(alphas, x.shared(), range(1, K + 1))
-        for m, y in iterates:
-            yw = xw.like(y.shared())
-            for k in range(1, K + 1):
-                if compare_sups(yw, xw, k) > 0:
-                    return Verdict(FAILS, "expansion", tuple(evidence),
-                                   witness={"k": k, "m": m}, params=params)
-            evidence.append((m, 0.0))
-        return Verdict(HOLDS, "contraction", tuple(evidence), params=params)
+        base = exact.WeightedSups(alphas, [x.shared()], levels)
+    else:
+        params["tol"] = _FLOAT_TOL
+        table = SeminormTable(w, levels, len(x))
+        xf = x.as_float()
+        if not np.isfinite(xf).all():
+            raise PreconditionError("float mode needs a finite start vector")
+        bounds = table(xf)
+        limits = np.array(bounds) * (1.0 + _FLOAT_TOL)
 
-    params["tol"] = _FLOAT_TOL
-    table = SeminormTable(w, range(1, K + 1), len(x))
-    base = table(x.as_float())
-    worst = 0.0
-    for m, y in iterates:
-        for k, pk, bound in zip(table.ks, table(y.as_float()), base):
-            slack = pk - bound * (1.0 + _FLOAT_TOL)
-            worst = max(worst, slack)
-            if slack > 0.0:
-                return Verdict(
-                    FAILS, "expansion", tuple(evidence),
-                    witness={"k": k, "m": m, "p_k": pk, "bound": bound},
-                    params=params,
-                )
-        evidence.append((m, worst))
+    step = max(1, _CHUNK_ENTRIES // (K * len(x)))
+    evidence = []
+    for start in range(1, M + 1, step):
+        chunk = trace.vectors[start:min(start + step, M + 1)]
+        if mode == "rational":
+            sups = exact.WeightedSups(alphas, [y.shared() for y in chunk],
+                                      levels)
+            # the first expanding pair of those not decisively below x
+            pairs = np.argwhere(sups.hi >= base.lo).tolist()
+            at = next(((i, r) for i, r in pairs
+                       if exact.compare_sups(sups, base, r + 1, i) > 0), None)
+        else:
+            ys = np.array([y.as_float() for y in chunk])
+            pks = table(ys)
+            pairs = np.argwhere((np.array(pks) > limits) | ~np.isfinite(ys).all(
+                axis=1, keepdims=True)).tolist()
+            at = pairs[0] if pairs else None
+            if at is not None and not np.isfinite(ys[at[0]]).all():
+                raise PreconditionError(f"iterate {start + at[0]} is not finite")
+        # the evidence is the running worst slack max(0, p_k - limit), which
+        # stays 0.0 up to the first expansion
+        stop = len(chunk) if at is None else at[0]
+        evidence.extend((m, 0.0) for m in range(start, start + stop))
+        if at is not None:
+            i, r = at
+            witness = {"k": r + 1, "m": start + i}
+            if mode == "float":
+                witness.update(p_k=pks[i][r], bound=bounds[r])
+            return Verdict(FAILS, "expansion", tuple(evidence),
+                           witness=witness, params=params)
     return Verdict(HOLDS, "contraction", tuple(evidence), params=params)
 
 

@@ -20,11 +20,13 @@ one level up.  Each entry's log-weight w_n = log|x_n| - alpha_n/k is computed
 in floats from its integer numerator and denominator (log_magnitudes), with
 an error below 2**-49 times its scale; its band b_n is _FILTER_BAND times
 that scale, so the true log-weight lies in [w_n - b_n, w_n + b_n].  The
-log-sup then lies between the largest w_n - b_n and the largest w_n + b_n;
-one float pass per vector gives these brackets at every level asked for.
-When two brackets are disjoint the float order is the exact order.  Only a
-comparison inside the bands, such as an exact tie, goes to compare_weighted,
-as integer numerators, and from there to sign_minus_exp.
+log-sup then lies between the largest w_n - b_n and the largest w_n + b_n.
+One float pass over a stack of vectors (WeightedSups) gives these brackets
+for every vector at every level asked for; a caller that brackets a long
+trace passes it in chunks.  When two brackets are disjoint the float order
+is the exact order.  Only a comparison inside the bands, such as an exact
+tie, goes to compare_weighted, as integer numerators, and from there to
+sign_minus_exp.
 """
 
 from __future__ import annotations
@@ -62,26 +64,24 @@ def common_denominator(entries) -> tuple:
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
-def log_magnitudes(re, den: int) -> list:
-    """(log |v|, scale) in floats for each v = p / den, p in re.
+def log_magnitudes(stack) -> tuple:
+    """(log |v|, scale) in floats for every entry v = p / den of a stack of
+    exact vectors (re, den) of one length, as two (len(stack), n) arrays.
 
-    re holds integers over one den > 0, whose log is taken once; a zero
-    entry gives (-inf, 0.0).  log |v| is taken as log|p| minus log(den) on the
-    integers, so it is finite however large they are.  math.log of a
-    positive integer is within 2 ulp of the true value (for big integers it
-    is log of the frexp mantissa plus exponent*log 2, each rounded once), an
-    absolute error of at most 2**-51 (1 + |log n|) for each of the two, and
-    the subtraction adds 2**-53 of the result.  So the error is below
-    2**-49 * scale with scale = 1 + |log|p|| + |log den|.
+    Each den > 0 has its log taken once; a zero entry gives (-inf, 0.0).
+    log |v| is taken as log|p| minus log(den) on the integers, so it is
+    finite however large they are.  math.log of a positive integer is within
+    2 ulp of the true value (for big integers it is log of the frexp
+    mantissa plus exponent*log 2, each rounded once), an absolute error of
+    at most 2**-51 (1 + |log n|) for each of the two, and the subtraction
+    adds 2**-53 of the result.  So the error is below 2**-49 * scale with
+    scale = 1 + |log|p|| + |log den|.
     """
-    out, ld = [], math.log(den)
-    for p in re:
-        if not p:
-            out.append((-math.inf, 0.0))
-            continue
-        ln = math.log(abs(p))
-        out.append((ln - ld, 1.0 + abs(ln) + abs(ld)))
-    return out
+    lds = np.array([[math.log(den)] for _, den in stack])
+    lns = np.array([[math.log(abs(p)) if p else -math.inf for p in re]
+                    for re, _ in stack])
+    scales = np.where(lns > -math.inf, 1.0 + np.abs(lns) + np.abs(lds), 0.0)
+    return lns - lds, scales
 
 
 def sign_minus_exp(p: Fraction, u: Fraction) -> int:
@@ -96,18 +96,18 @@ def sign_minus_exp(p: Fraction, u: Fraction) -> int:
     when u does not fit a float, the sign is decided by interval arithmetic.
     """
     p, u = [v if type(v) in (int, Fraction) else Fraction(v) for v in (p, u)]
-    if p <= 0:
+    num, den = p.numerator, p.denominator
+    if num <= 0:
         return -1
     if u == 0:
-        return (p > 1) - (p < 1)
-    num, den = p.numerator, p.denominator
+        return (num > den) - (num < den)
     try:
         uf = float(u)
     except OverflowError:
         return _sign_minus_exp_interval(p, u)
-    ((lp, scale),) = log_magnitudes([num], den)
-    d = lp - uf
-    band = _FILTER_BAND * (scale + abs(uf))
+    ln, ld = math.log(num), math.log(den)
+    d = ln - ld - uf
+    band = _FILTER_BAND * (1.0 + abs(ln) + abs(ld) + abs(uf))
     if d > band:
         return 1
     if d < -band:
@@ -153,107 +153,98 @@ def compare_weighted(a1, x1, a2, x2, k: int) -> int:
     if not n1 or not n2:
         return (n1 > 0) - (n2 > 0)
     p = Fraction(n1 * x2.denominator, n2 * x1.denominator)
-    u = 0 if a1 == a2 else (Fraction(a1) - Fraction(a2)) / k
+    u = 0 if a1 is a2 or a1 == a2 else (Fraction(a1) - Fraction(a2)) / k
     return sign_minus_exp(p, u)
 
 
 class WeightedSups:
-    """The weighted sups p_k(x) = max_n |x_n| e^{-alpha_n/k} of one exact
-    vector at the levels k a caller will ask about.
+    """The weighted sups p_k(x) = max_n |x_n| e^{-alpha_n/k} of a stack of
+    exact vectors (re, den) over one alpha table, at the levels a caller
+    will ask about.
 
-    shared gives x as (re, den), integer numerators over one denominator,
-    kept on the instance.  One float pass over all levels brackets each
-    log p_k(x) and keeps the indices that can attain it, so bracket(k) is a
-    lookup.  Only where a bracket cannot decide are exact comparisons made,
-    on integer numerators; maximizers are kept per level.
+    One float pass over the stack brackets every log p_k(x) in the arrays
+    lo and hi, of shape (len(stack), len(levels)).  The band of w_n =
+    log|x_n| - alpha_n/k is b_n = _FILTER_BAND (scale_n + |alpha_n/k|)
+    (float(alpha_n) / k is two correctly rounded steps); lo is the largest
+    w_n - b_n and hi the largest w_n + b_n, or (-inf, inf) when some alpha_n
+    does not fit a float.  Maximizers are decided exactly, on integer
+    numerators, only where asked for, and kept per (vector, level).
     """
 
-    def __init__(self, alphas, shared, levels):
-        if any(k < 1 for k in levels):
+    def __init__(self, alphas, stack, levels):
+        self.levels = tuple(levels)
+        if any(k < 1 for k in self.levels):
             raise ValueError("k must be >= 1")
+        self.alphas, self.stack = alphas, list(stack)
+        if not len(alphas) or not self.stack or any(
+                len(re) != len(alphas) for re, _ in self.stack):
+            raise ValueError("need matching nonempty alpha and x")
+        self._argmax: dict = {}
         try:
             e = np.array([float(a) for a in alphas]) / np.array(
-                levels, dtype=float)[:, None]
+                self.levels, dtype=float)[:, None]
         except OverflowError:
-            e = None
-        self._setup(alphas, e, shared, levels)
-
-    def like(self, shared) -> "WeightedSups":
-        """The sups of another vector over the same alphas and levels."""
-        other = WeightedSups.__new__(WeightedSups)
-        other._setup(self.alphas, self._e, shared, self.levels)
-        return other
-
-    def _setup(self, alphas, e, shared, levels) -> None:
-        """Bracket log p_k(x) for every k in levels in one float pass.
-
-        The band of w_n = log|x_n| - alpha_n/k is b_n = _FILTER_BAND
-        (scale_n + |alpha_n/k|) (float(alpha_n) / k is two correctly rounded
-        steps); lo is the largest w_n - b_n and hi the largest w_n + b_n.
-        The candidates, the n with w_n + b_n >= lo in index order, hold every
-        exact maximizer.  e is the levels x n table of float(alpha_n) / k;
-        it is None when some alpha_n does not fit a float, and then each
-        bracket is (-inf, inf) with every index a candidate.
-        """
-        self.re, self.den = shared
-        if len(alphas) != len(self.re) or not len(self.re):
-            raise ValueError("need matching nonempty alpha and x")
-        self.alphas, self._e, self.levels = alphas, e, levels
-        self._argmax: dict = {}
-        if e is None:
-            self._brackets = dict.fromkeys(
-                levels, (-math.inf, math.inf, range(len(self.re))))
+            self.hi = np.full((len(self.stack), len(self.levels)), math.inf)
+            self.lo, self._candidates = -self.hi, None
             return
-        log_mags, scales = np.array(log_magnitudes(self.re, self.den)).T
-        w = log_mags - e
-        band = _FILTER_BAND * (scales + np.abs(e))
+        log_mags, scales = log_magnitudes(self.stack)
+        w = log_mags[:, None, :] - e
+        band = _FILTER_BAND * (scales[:, None, :] + np.abs(e))
         high = w + band
-        lo = (w - band).max(axis=1)
-        self._brackets = {}
-        for k, l, h, row in zip(levels, lo.tolist(), high.max(axis=1).tolist(),
-                                high):
-            self._brackets[k] = (l, h, (row >= l).nonzero()[0].tolist())
+        self.lo = (w - band).max(axis=2)
+        self.hi = high.max(axis=2)
+        self._candidates = high >= self.lo[:, :, None]
 
-    def bracket(self, k: int) -> tuple:
-        """(lo, hi, candidates) with lo <= log p_k(x) <= hi (see _setup)."""
-        return self._brackets[k]
+    def bracket(self, k: int, i: int = 0) -> tuple:
+        """(lo, hi) with lo <= log p_k(x) <= hi for vector i of the stack."""
+        r = self.levels.index(k)
+        return self.lo.item(i, r), self.hi.item(i, r)
 
-    def argmax(self, k: int) -> int:
-        """Earliest index attaining p_k(x), decided exactly.
+    def candidates(self, k: int, i: int = 0) -> list:
+        """The n with w_n + b_n >= lo in index order, for vector i at level
+        k: they hold every exact maximizer."""
+        if self._candidates is None:
+            return list(range(len(self.alphas)))
+        return self._candidates[i, self.levels.index(k)].nonzero()[0].tolist()
+
+    def argmax(self, k: int, i: int = 0) -> int:
+        """Earliest index attaining p_k of vector i, decided exactly.
 
         Ties (only possible between exactly equal weighted magnitudes)
-        resolve to the earliest index: every exact maximizer is a candidate
-        of the bracket, and an exact scan over them in index order picks the
-        earliest.
+        resolve to the earliest index: every exact maximizer is a candidate,
+        and an exact scan over them in index order picks the earliest.
         """
-        best = self._argmax.get(k)
+        best = self._argmax.get((i, k))
         if best is None:
-            candidates = self.bracket(k)[2]
+            re = self.stack[i][0]
+            candidates = self.candidates(k, i)
             best = candidates[0]
-            for i in candidates[1:]:
-                if compare_weighted(self.alphas[i], self.re[i],
-                                    self.alphas[best], self.re[best], k) > 0:
-                    best = i
-            self._argmax[k] = best
+            for n in candidates[1:]:
+                if compare_weighted(self.alphas[n], re[n],
+                                    self.alphas[best], re[best], k) > 0:
+                    best = n
+            self._argmax[i, k] = best
         return best
 
 
-def compare_sups(a: WeightedSups, b: WeightedSups, k: int) -> int:
-    """Exact sign of p_k(a) - p_k(b).
+def compare_sups(a: WeightedSups, b: WeightedSups, k: int,
+                 i: int = 0, j: int = 0) -> int:
+    """Exact sign of p_k(a_i) - p_k(b_j), for vector i of a and j of b.
 
     Disjoint brackets decide it in floats: the gap between the two log-sups
     then exceeds the sum of their error bands.  Otherwise compare_weighted
     compares the two exact maximizers as numerators over den_a den_b.
     """
-    alo, ahi, _ = a.bracket(k)
-    blo, bhi, _ = b.bracket(k)
+    alo, ahi = a.bracket(k, i)
+    blo, bhi = b.bracket(k, j)
     if alo > bhi:
         return 1
     if ahi < blo:
         return -1
-    i, j = a.argmax(k), b.argmax(k)
-    return compare_weighted(a.alphas[i], a.re[i] * b.den,
-                            b.alphas[j], b.re[j] * a.den, k)
+    n, m = a.argmax(k, i), b.argmax(k, j)
+    (re_a, den_a), (re_b, den_b) = a.stack[i], b.stack[j]
+    return compare_weighted(a.alphas[n], re_a[n] * den_b,
+                            b.alphas[m], re_b[m] * den_a, k)
 
 
 def weighted_argmax(alphas, xs, k: int) -> int:
@@ -261,12 +252,15 @@ def weighted_argmax(alphas, xs, k: int) -> int:
 
     Ties resolve to the earliest index (WeightedSups.argmax).
     """
-    return WeightedSups(alphas, common_denominator(xs), (k,)).argmax(k)
+    return WeightedSups(alphas, [common_denominator(xs)], (k,)).argmax(k)
 
 
 def compare_seminorms(alphas, k: int, xs, ys) -> int:
     """Exact sign of p_k(x) - p_k(y) over the common truncation."""
-    xw = WeightedSups(alphas[:len(xs)], common_denominator(xs), (k,))
-    yw = xw.like(common_denominator(ys)) if len(ys) == len(xs) \
-        else WeightedSups(alphas[:len(ys)], common_denominator(ys), (k,))
+    if len(xs) == len(ys):
+        both = WeightedSups(alphas[:len(xs)], [common_denominator(xs),
+                                               common_denominator(ys)], (k,))
+        return compare_sups(both, both, k, 0, 1)
+    xw, yw = (WeightedSups(alphas[:len(v)], [common_denominator(v)], (k,))
+              for v in (xs, ys))
     return compare_sups(xw, yw, k)

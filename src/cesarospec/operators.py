@@ -454,6 +454,8 @@ def _check_not_pole(lam, N: int) -> None:
             )
         return
     lam_f = complex(lam)
+    if not math.isfinite(math.hypot(lam_f.real, lam_f.imag)):
+        raise PreconditionError(f"lambda={lam_f} has no finite modulus")
     ms = np.arange(1, N + 1, dtype=float)
     d = float(min(abs(lam_f), np.min(np.abs(lam_f - 1.0 / ms))))
     if d < TOL_SIGMA:
@@ -504,10 +506,12 @@ def resolvent(lam, N: int, mode: str = "float") -> TruncOperator:
     _check_not_pole(lam_f, N)
     if mode == "float":
         ns = np.arange(1, N + 1, dtype=float)
-        d = 1.0 / (1.0 / ns - lam_f)
-        # lambda^2 overflows past |lambda| = 1.34e154; (1/lambda)^2 rounds
-        # apart from 1/lambda^2, so it is formed only where it must be
-        inv_l2 = 1.0 / lam_f**2 if abs(lam_f) < 1e150 else (1.0 / lam_f)**2
+        # past |lambda| = 1e150 lambda^2 may overflow, and 1/n - lambda is
+        # -lambda to rounding; the guarded forms round apart from the direct
+        # ones, so they are formed only there
+        huge = abs(lam_f) >= 1e150
+        d = -1.0 / lam_f if huge else 1.0 / (1.0 / ns - lam_f)
+        inv_l2 = (1.0 / lam_f)**2 if huge else 1.0 / lam_f**2
         data = -inv_l2 * _tail_entries(lam_f, N)
         data[~np.tri(N, k=-1, dtype=bool)] = 0.0
         np.fill_diagonal(data, d)

@@ -577,9 +577,9 @@ def seminorm(w, k: int, x) -> float:
 class SeminormTable:
     """The truncated seminorms p_k, k in ks, of vectors of one length N.
 
-    log w_k(n) is stacked for every k once, so a vector costs one log pass
-    and one row maximum per level, not one weight build per (vector, level).
-    seminorm is the one-level case, so the two agree bit for bit.
+    log w_k(n) is stacked for every k once, so a call on one vector or on a
+    stack of them costs one log pass and one row maximum per (vector,
+    level).  seminorm is the one-level case, so the two agree bit for bit.
     """
 
     def __init__(self, w, ks, N: int):
@@ -590,16 +590,18 @@ class SeminormTable:
         self._log_w = np.array([w.log_w(k, N) for k in self.ks]).reshape(
             len(self.ks), N)
 
-    def __call__(self, x) -> tuple:
-        """(p_k(x) for k in ks) for a real or complex vector x of length N."""
+    def __call__(self, x):
+        """(p_k(x) for k in ks) for a real or complex vector x of length N;
+        for a (rows, N) stack of them, the list of those tuples."""
         mags = np.abs(x)
-        if mags.shape != (self.N,):
-            raise ValueError(f"need a 1-d array of length {self.N}, "
+        if mags.ndim not in (1, 2) or mags.shape[-1:] != (self.N,):
+            raise ValueError(f"need vectors of length {self.N}, "
                              f"got shape {mags.shape}")
         with np.errstate(divide="ignore"):
-            tops = np.max(self._log_w + np.log(mags), axis=1)
-        return tuple(math.exp(t) if t > -math.inf else 0.0
-                     for t in tops.tolist())
+            tops = np.max(self._log_w + np.log(mags)[..., None, :], axis=-1)
+        rows = [tuple(math.exp(t) if t > -math.inf else 0.0 for t in row)
+                for row in np.atleast_2d(tops).tolist()]
+        return rows if mags.ndim == 2 else rows[0]
 
 
 # -- scalar diagnostics ---------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cesarospec import (
     FAILS,
     HOLDS,
     PreconditionError,
+    Verdict,
     WeightSystem,
     basis_vector,
     cesaro,
@@ -33,7 +35,10 @@ from cesarospec import (
 )
 from cesarospec.cli import DYNAMICS_STEP_CAP
 import cesarospec.dynamics as dynamics_module
+from cesarospec import exact
 from cesarospec.dynamics import IterateTrace
+from cesarospec.exact import WeightedSups, compare_sups
+from cesarospec.sequences import SeminormTable
 
 F = Fraction
 
@@ -303,6 +308,146 @@ class TestFloatContractionTable:
         assert got.outcome == outcome == FAILS
         assert (witness["m"], witness["k"]) == (2, 2)
         assert got.witness == witness and got.evidence == evidence
+
+
+def reference_bound(seq, trace, K, M, mode):
+    """power_bound_check as one bracket pass (rational) or one seminorm
+    table call (float) per vector, and one comparison per (m, level)."""
+    x = trace.x0
+    iterates = enumerate(trace.vectors[1:M + 1], start=1)
+    params = {"alpha": seq.spec_string(), "K": K, "M": M, "mode": mode}
+    evidence = []
+    if mode == "rational":
+        alphas = seq.exact_values(len(x))
+        xw = WeightedSups(alphas, [x.shared()], range(1, K + 1))
+        for m, y in iterates:
+            yw = WeightedSups(alphas, [y.shared()], range(1, K + 1))
+            for k in range(1, K + 1):
+                if compare_sups(yw, xw, k) > 0:
+                    return Verdict(FAILS, "expansion", tuple(evidence),
+                                   witness={"k": k, "m": m}, params=params)
+            evidence.append((m, 0.0))
+        return Verdict(HOLDS, "contraction", tuple(evidence), params=params)
+    params["tol"] = 1e-12
+    table = SeminormTable(seq, range(1, K + 1), len(x))
+    base = table(x.as_float())
+    worst = 0.0
+    for m, y in iterates:
+        for k, pk, bound in zip(table.ks, table(y.as_float()), base):
+            slack = pk - bound * (1.0 + 1e-12)
+            worst = max(worst, slack)
+            if slack > 0.0:
+                return Verdict(
+                    FAILS, "expansion", tuple(evidence),
+                    witness={"k": k, "m": m, "p_k": pk, "bound": bound},
+                    params=params)
+        evidence.append((m, worst))
+    return Verdict(HOLDS, "contraction", tuple(evidence), params=params)
+
+
+def with_weighted_calls(check, *args, **kwargs):
+    """check's result and the argument tuples of its compare_weighted calls,
+    in order."""
+    calls, real = [], exact.compare_weighted
+
+    def spy(*a):
+        calls.append(a)
+        return real(*a)
+
+    with mock.patch.object(exact, "compare_weighted", spy):
+        return check(*args, **kwargs), calls
+
+
+# exact generators: distinct alphas, equal alphas at distinct indices, and
+# alphas that overflow floats, so that every index is a candidate
+_EXACT_SPECS = ("linear", "power:beta=2", "table:[1,1,2,2,2]:step=1/2",
+                "table:[1/2,1/2]:step=0", "table:[1e308]:step=1e308")
+_entries = st.one_of(st.just(F(0)), st.fractions(
+    min_value=-30, max_value=30, max_denominator=12))
+
+
+@st.composite
+def exact_traces(draw, n, M):
+    """An exact trace of M passes: the running-mean orbit of a start vector,
+    or hand-built iterates that may expand: free draws, x scaled, or x_1
+    kept over a small remainder, so that the brackets tie at coordinate 1."""
+    x = draw(st.lists(_entries, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        x[0] = draw(st.sampled_from([F(0), F(40), F(-40)]))
+    if draw(st.booleans()):
+        return power_iterate(CoordinateVector(x), M)
+    rows = [x]
+    for _ in range(M):
+        y = draw(st.lists(_entries, min_size=n, max_size=n))
+        kind = draw(st.sampled_from(["free", "scaled", "tie"]))
+        if kind == "scaled":
+            factor = draw(st.sampled_from([F(999, 1000), F(1001, 1000)]))
+            y = [-v * factor for v in x]
+        elif kind == "tie":
+            y = [x[0]] + [v / 97 for v in y[1:]]
+        rows.append(y)
+    return IterateTrace(
+        vectors=tuple(CoordinateVector(r) for r in rows), seminorms=())
+
+
+class TestStackedContraction:
+    """The chunked check gives the Verdict of the per-iterate loop in both
+    modes, and makes the same exact comparisons in the same order."""
+
+    @given(spec=st.sampled_from(_EXACT_SPECS), n=st.integers(1, 6),
+           K=st.integers(1, 5), chunk=st.integers(1, 4),
+           M=st.integers(1, 9), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_loop(self, spec, n, K, chunk, M, data):
+        seq = parse_alpha(spec)
+        trace = data.draw(exact_traces(n, M))
+        # chunks of `chunk` iterates, so M lies on both sides of their length
+        entries = chunk * K * n + data.draw(st.integers(0, K * n - 1))
+        with mock.patch.object(dynamics_module, "_CHUNK_ENTRIES", entries):
+            for mode in ("rational", "float"):
+                got, calls = with_weighted_calls(
+                    power_bound_check, seq, trace, K=K, M=M, mode=mode)
+                want, want_calls = with_weighted_calls(
+                    reference_bound, seq, trace, K, M, mode)
+                assert repr(got) == repr(want)
+                assert calls == want_calls
+
+    @pytest.mark.parametrize("spec", ["linear", "power:beta=2",
+                                      "table:[1e308]:step=1e308"])
+    def test_matches_reference_loop_at_the_chunk_rule(self, spec, rng):
+        # K N = 120: chunks of 4 iterates, so M = 40 reads ten of them
+        seq = parse_alpha(spec)
+        x = CoordinateVector([F(int(a), int(b)) for a, b in zip(
+            rng.integers(-99, 100, 24), rng.integers(1, 20, 24))])
+        for start in (x, basis_vector(1, 24)):
+            trace = power_iterate(start, 40)
+            for mode in ("rational", "float"):
+                got, calls = with_weighted_calls(
+                    power_bound_check, seq, trace, K=5, M=40, mode=mode)
+                want, want_calls = with_weighted_calls(
+                    reference_bound, seq, trace, 5, 40, mode)
+                assert repr(got) == repr(want)
+                assert calls == want_calls
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_vector_is_refused(self, linear, bad):
+        x = CoordinateVector(np.array([1.0, bad, 2.0]))
+        with pytest.raises(PreconditionError, match="finite"):
+            power_bound_check(linear, x, K=3, M=5, mode="float")
+
+    def test_non_finite_iterate_is_refused_where_it_is_read(self, linear):
+        # iterate 2 expands before iterate 3 overflows; where iterate 2 is
+        # not finite it is refused, nan (whose seminorm reads 0) included
+        rows = [[1.0, 0.0, 1.0], [1.0, 0.0, 0.5], [1.0, 0.0, 3.0],
+                [1.0, math.inf, 1.0]]
+        expands = IterateTrace(tuple(CoordinateVector(np.array(r))
+                                     for r in rows), ())
+        assert power_bound_check(linear, expands, K=3, M=3).witness["m"] == 2
+        for bad in (math.inf, math.nan):
+            y = CoordinateVector(np.array([1.0, 0.0, bad]))
+            trace = IterateTrace(expands.vectors[:2] + (y,), ())
+            with pytest.raises(PreconditionError, match="iterate 2"):
+                power_bound_check(linear, trace, K=3, M=2)
 
 
 class TestTraceInput:

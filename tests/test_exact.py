@@ -268,7 +268,8 @@ def shared_vectors(draw, n):
 
 
 class TestBatchedBrackets:
-    """One float pass over all levels against one pass per level."""
+    """One float pass over a stack of vectors and all levels against one
+    pass per (vector, level)."""
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -281,23 +282,24 @@ class TestBatchedBrackets:
             alphas[data.draw(st.integers(0, n - 1))] = Fraction(10**400)
         levels = data.draw(st.lists(st.integers(1, 20), min_size=1,
                                     max_size=6, unique=True))
-        x, y = data.draw(shared_vectors(n)), data.draw(shared_vectors(n))
-        xw = WeightedSups(alphas, x, levels)
-        for sups, (re, den) in ((xw, x), (xw.like(y), y)):
+        stack = data.draw(st.lists(shared_vectors(n), min_size=1, max_size=4))
+        sups = WeightedSups(alphas, stack, levels)
+        assert sups.lo.shape == sups.hi.shape == (len(stack), len(levels))
+        for i, (re, den) in enumerate(stack):
             for k in levels:
-                lo, hi, cands = sups.bracket(k)
+                lo, hi = sups.bracket(k, i)
                 want_lo, want_hi, want = level_bracket(alphas, re, den, k)
-                assert (lo.hex(), hi.hex(), list(cands)) == \
+                assert (lo.hex(), hi.hex(), sups.candidates(k, i)) == \
                     (want_lo.hex(), want_hi.hex(), want)
 
     def test_alpha_beyond_float_range_brackets_every_level_whole(self):
         alphas = [Fraction(1), Fraction(10**400), Fraction(2)]
-        xw = WeightedSups(alphas, ([1, 5, -3], 7), range(1, 6))
-        for sups in (xw, xw.like(([0, 0, 2], 3))):
+        sups = WeightedSups(alphas, [([1, 5, -3], 7), ([0, 0, 2], 3)],
+                            range(1, 6))
+        for i in (0, 1):
             for k in range(1, 6):
-                lo, hi, cands = sups.bracket(k)
-                assert (lo, hi, list(cands)) == (-math.inf, math.inf,
-                                                 [0, 1, 2])
+                assert sups.bracket(k, i) == (-math.inf, math.inf)
+                assert sups.candidates(k, i) == [0, 1, 2]
 
 
 def fraction_compare_weighted(a1, x1, a2, x2, k):
@@ -330,9 +332,10 @@ class TestNumeratorComparisons:
     @settings(max_examples=150)
     def test_argmax_on_numerators_matches_the_fraction_scan(self, case):
         alphas, xs, _ = case
-        sups = WeightedSups(alphas, common_denominator(xs), range(1, 6))
+        sups = WeightedSups(alphas, [([0] * len(xs), 1),
+                                     common_denominator(xs)], range(1, 6))
         for k in range(1, 6):
-            assert sups.argmax(k) == sequential_argmax(alphas, xs, k)
+            assert sups.argmax(k, 1) == sequential_argmax(alphas, xs, k)
 
     @given(case=weighted_vectors(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -355,9 +358,13 @@ class TestNumeratorComparisons:
             ys = [Fraction(0)] * n
         j = sequential_argmax(alphas, ys, k)
         want = compare_weighted(alphas[i], xs[i], alphas[j], ys[j], k)
-        xw = WeightedSups(alphas, common_denominator(xs), (k,))
-        yw = xw.like(common_denominator(ys))
-        assert compare_sups(xw, yw, k) == want
-        assert compare_sups(yw, xw, k) == -want
+        xw, yw = (WeightedSups(alphas, [common_denominator(v)], (k,))
+                  for v in (xs, ys))
+        both = WeightedSups(alphas, [common_denominator(xs),
+                                     common_denominator(ys)], (k,))
+        assert compare_sups(xw, yw, k) == compare_sups(both, both, k, 0, 1) \
+            == want
+        assert compare_sups(yw, xw, k) == compare_sups(both, both, k, 1, 0) \
+            == -want
         if kind == "tie":
             assert want == 0

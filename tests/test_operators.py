@@ -372,6 +372,22 @@ class TestResolvent:
     def test_float_entries_are_finite_at_huge_lambda(self, lam):
         assert np.all(np.isfinite(resolvent(lam, 10).dense()))
 
+    @pytest.mark.parametrize("lam", [1e308 + 1e308j, 1e308, -1e308j,
+                                     1e200 + 1e200j, 1e160])
+    def test_float_entries_are_finite_at_the_top_of_the_range(self, lam):
+        # the diagonal 1 / (1/n - lambda) is -1/lambda to rounding there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = resolvent(lam, 10).dense()
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(np.diag(got)) <= 1.000001 / abs(complex(lam)))
+
+    @pytest.mark.parametrize("lam", [1.7e308 + 1.7e308j, complex(math.inf),
+                                     complex(math.nan, 1.0)])
+    def test_lambda_without_a_finite_modulus_is_refused(self, lam):
+        with pytest.raises(PreconditionError, match="finite modulus"):
+            resolvent(lam, 10)
+
     @pytest.mark.parametrize("lam", [2.0, -1.0, 0.4 + 0.3j])
     def test_float_entries_keep_the_one_over_lambda_squared_bytes(self, lam):
         # reference: the tail scaled by -(1 / lambda^2), formed directly

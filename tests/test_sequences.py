@@ -367,6 +367,23 @@ class TestSeminormTable:
         if not np.any(row):
             assert got == (0.0,) * 5
 
+    @given(spec=st.sampled_from(_TABLE_SPECS), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_stack_gives_each_row_its_own_call(self, spec, data):
+        n = data.draw(st.integers(1, 12))
+        entries = st.floats(min_value=-1e300, max_value=1e300) | st.just(0.0)
+        rows = np.array(data.draw(st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=1,
+            max_size=5)))
+        if data.draw(st.booleans()):
+            rows = rows + 1j * rows[::-1]
+        table = SeminormTable(parse_alpha(spec), (1, 2, 3), n)
+        got = table(rows)
+        assert len(got) == len(rows)
+        for row, values in zip(rows, got):
+            assert [v.hex() for v in values] == \
+                [v.hex() for v in table(row)]
+
     def test_levels_keep_their_order(self, linear):
         row = np.array([1.0, 0.0, 3.0])
         w = WeightSystem(linear)
@@ -375,10 +392,9 @@ class TestSeminormTable:
 
     def test_rejects_a_row_of_another_length(self, linear):
         table = SeminormTable(linear, (1, 2), 4)
-        with pytest.raises(ValueError):
-            table(np.ones(1))
-        with pytest.raises(ValueError):
-            table(np.ones((2, 4)))
+        for shape in (1, (2, 3), (2, 2, 4)):
+            with pytest.raises(ValueError):
+                table(np.ones(shape))
 
     def test_rejects_bad_level(self, linear):
         with pytest.raises(ValueError):
