@@ -10,11 +10,13 @@ exceeding the float range, which is reported as a failure witness rather
 than an arithmetic accident.
 
 The for-every-k criteria are read from level k = 1: each scan probes the
-window of base indices k' in {1, ..., 4} and, for each k', searches the
-secondary index l over (k', 4k'+8].  Several gallery generators satisfy a
-criterion at k=1 for shallow reasons and only reveal the true failure at
-k=2 or 3, so quantifying over a window keeps single-call verdicts aligned
-with the for-every-k statements they stand in for.
+window of base indices k' in {1, ..., 4}.  Several gallery generators
+satisfy a criterion at k=1 for shallow reasons and only reveal the true
+failure at k=2 or 3, so quantifying over a window keeps single-call verdicts
+aligned with the for-every-k statements they stand in for.  The inverse and
+shift scans search the secondary index l over (k', 4k'+8] at each k'; the
+alternating transform's row sums need only l = 2k' (see
+delta_continuity_check).
 """
 
 from __future__ import annotations
@@ -119,18 +121,19 @@ def _l_range(kp: int) -> tuple[int, int]:
 
 
 def _window_scan(per_pair: Callable[[int, int], Verdict],
-                 quantity: str) -> Verdict:
+                 quantity: str,
+                 ls: Callable[[int], tuple[int, int]] = _l_range) -> Verdict:
     """One Verdict from the per-(k', l) sup verdicts over k' = 1..K_WINDOW.
 
-    holds: every k' in the window found some l.  fails: some k' failed for
-    every probed l, decisively; the scan stops there.  Anything else is
-    inconclusive.
+    ls(k') gives the first and last l probed at k'.  holds: every k' in the
+    window found some l.  fails: some k' failed for every probed l,
+    decisively; the scan stops there.  Anything else is inconclusive.
     """
     chosen: dict[int, int] = {}
     held: list[Verdict] = []
 
     def some_l(kp: int) -> Verdict:
-        lo, hi = _l_range(kp)
+        lo, hi = ls(kp)
         j, v = first_deciding(
             (per_pair(kp, l) for l in range(lo, hi + 1)), stop=HOLDS)
         if v.outcome == HOLDS:
@@ -144,7 +147,7 @@ def _window_scan(per_pair: Callable[[int, int], Verdict],
         # Every l decisively failed at this k': the for-every-k statement fails.
         return Verdict(
             FAILS, v.trend, v.evidence,
-            witness={"k": kp, "l_range": _l_range(kp)},
+            witness={"k": kp, "l_range": ls(kp)},
             params={**v.params, "quantity": quantity,
                     "chosen_l_by_k": dict(chosen)},
         )
@@ -292,20 +295,16 @@ def d_continuity_check(seq: AlphaSequence, N: int | None = None) -> Verdict:
 
 _ROWSUM_N_CAP = 1024
 _ROWSUM_BLOCK = 64
-# A column's mat-vec sums for a block are kept only if every one is at least
-# this.  Terms lost to underflow are below 2**-1074 each, so at most
-# N * 2**-1074 in all, which is under 2**-100 of any sum that passes.
+# A block's mat-vec sums are kept only if every one is at least this.  Terms
+# lost to underflow are below 2**-1074 each, so at most N * 2**-1074 in all,
+# which is under 2**-100 of any sum that passes.
 _MATVEC_FLOOR = 2.0 ** -960
 # Row s of a block has s + 1 < 2**10 terms, each at most exp(max a[:s+1] -
-# max a[:e]); past this gap their sum is under 2**-960, so the column would
+# max a[:e]); past this gap their sum is under 2**-960, so the block would
 # fail the floor and its mat-vec is skipped.
 _MATVEC_GAP = 970 * math.log(2)
 # exp(x) rounds to 0.0 for every x below -745.14; see _band_start.
 _BAND_MARGIN = 746.0
-# The max-shift route takes its columns in groups of at most this many block
-# entries (one column at a time past it), so that its scratch stays under
-# one column's block at the cap.
-_MAX_SHIFT_ENTRIES = 2 ** 14
 
 
 class _PascalTable(NamedTuple):
@@ -365,67 +364,46 @@ def _log_pascal(N: int) -> _PascalTable:
     return entry
 
 
-def _log_rowsums(A: np.ndarray) -> np.ndarray:
-    """log sum_{m<=n} binom(n-1, m-1) exp(A[m, j]) for every row n, column j.
+def _log_rowsums(a: np.ndarray) -> np.ndarray:
+    """log sum_{m<=n} binom(n-1, m-1) exp(a[m]) for every row n.
 
-    A is N x L (in the row-sum scan, column j is alpha/l_j); a 1-D A is the
-    one-column case and gives a 1-D result.  Rows go in 64-row blocks, and a
-    block reads only the columns up to its last row; the entries beyond add
-    nothing.  Every column goes through a block before the next block starts,
-    so each block comes from memory once per call and from cache for the other
-    columns.  A block after the first takes one mat-vec per column over its
-    cached block of `_log_pascal`, scaled = exp(logc - rowmax): column j's sums
-    are sum_m scaled[n, m] exp(A[m, j] - max A[:e, j]), one exp per column
-    entry instead of one per table entry.  At N <= _ROWSUM_N_CAP every
-    lower-triangle entry of scaled is a normal float
-    (log binom(1023, 511) < 705 < 708), so only the A side can underflow.  A
-    column whose first row is bound to have a sum under _MATVEC_FLOOR
-    (_MATVEC_GAP) skips the mat-vec, and one with a sum under it is dropped.
-    Those columns, and every column of the first block, take the max-shift
-    route over a band of logc computed on demand: each row's largest term is
-    subtracted before the exp, exact to rounding however fast A grows (in the
-    first block row 1 is exactly A[0, j]).  Every row maximum is finite: the
-    diagonal is log binom(n-1, n-1) = 0.
+    Rows go in 64-row blocks, and a block reads only the columns up to its
+    last row; the entries beyond add nothing.  A block after the first takes
+    one mat-vec over its cached block of `_log_pascal`, scaled =
+    exp(logc - rowmax): its sums are sum_m scaled[n, m] exp(a[m] - max a[:e]),
+    one exp per entry of a instead of one per table entry.  At
+    N <= _ROWSUM_N_CAP every lower-triangle entry of scaled is a normal float
+    (log binom(1023, 511) < 705 < 708), so only the a side can underflow.  A
+    block whose first row is bound to have a sum under _MATVEC_FLOOR
+    (_MATVEC_GAP) skips the mat-vec, and one with a sum under it drops it.
+    Those blocks, and the first block, take the max-shift route over a band
+    of logc computed on demand: each row's largest term is subtracted before
+    the exp, exact to rounding however fast a grows (in the first block row 1
+    is exactly a[0]).  Every row maximum is finite: the diagonal is
+    log binom(n-1, n-1) = 0.
     """
-    A2 = A if A.ndim == 2 else A[:, None]
-    N, L = A2.shape
+    N = len(a)
     table = _log_pascal(N)
-    out = np.empty((N, L))
-
-    def max_shift(s: int, e: int, cols: np.ndarray) -> None:
-        step = max(1, _MAX_SHIFT_ENTRIES // ((e - s) * e))
-        for i in range(0, len(cols), step):
-            group = cols[i:i + step]
-            out[s:e, group] = _max_shift_rows(table, A2[:e, group], s, e)
-
+    out = np.empty(N)
     e = min(_ROWSUM_BLOCK, N)
-    max_shift(0, e, np.arange(L))
-    shift = A2[:e].max(axis=0)
+    out[:e] = _max_shift_rows(table, a, 0, e)
+    shift = a[:e].max()
     for s in range(_ROWSUM_BLOCK, N, _ROWSUM_BLOCK):
         e = min(s + _ROWSUM_BLOCK, N)
-        head = np.maximum(shift, A2[s])           # max A2[:s + 1]
-        shift = np.maximum(shift, A2[s:e].max(axis=0))  # max A2[:e]
-        cols = np.flatnonzero(shift - head < _MATVEC_GAP)
-        x = np.ascontiguousarray(A2[:e, cols].T)
-        x -= shift[cols, None]
-        np.exp(x, out=x)
-        block = table.blocks[s // _ROWSUM_BLOCK][:e - s, :e]
-        # one mat-vec per column while the block stays in cache; a BLAS-3
-        # product would save the rereads, but the first level-3 call of
-        # OpenBLAS makes 256 KiB of its buffer resident
-        sums = np.array([block @ v for v in x]).reshape(len(cols), e - s)
-        ok = sums.min(axis=1) >= _MATVEC_FLOOR
-        cols = cols[ok]
-        out[s:e, cols] = (np.log(sums[ok]) + table.rowmax[s:e]
-                          + shift[cols, None]).T
-        slow = np.ones(L, dtype=bool)
-        slow[cols] = False
-        max_shift(s, e, np.flatnonzero(slow))
-    return out.reshape(A.shape)
+        head = max(shift, a[s])            # max a[:s + 1]
+        shift = max(shift, a[s:e].max())   # max a[:e]
+        if shift - head < _MATVEC_GAP:
+            block = table.blocks[s // _ROWSUM_BLOCK][:e - s, :e]
+            sums = block @ np.exp(a[:e] - shift)
+            if sums.min() >= _MATVEC_FLOOR:
+                out[s:e] = np.log(sums) + table.rowmax[s:e] + shift
+                continue
+        out[s:e] = _max_shift_rows(table, a, s, e)
+    return out
 
 
-def _band_start(table: _PascalTable, A: np.ndarray, s: int, e: int) -> int:
-    """First column of logc the max-shift route needs for rows s..e-1 of A.
+def _band_start(table: _PascalTable, a: np.ndarray, s: int, e: int) -> int:
+    """First column of logc the max-shift route needs for rows s..e-1 of a.
 
     Row n's largest term top_n is at least its diagonal term a_n, since
     logc[n, n] = 0, and logc[n, m] <= rowmax_n.  So a column m with
@@ -434,129 +412,111 @@ def _band_start(table: _PascalTable, A: np.ndarray, s: int, e: int) -> int:
     leaving the column out changes only the grouping of the sum.  (Once a
     passes 2**52 the rounding of the cut and of x can leave such a term
     nonzero, but still far below the last bit of its row sum, which is at
-    least 1.)  The band starts at the first column not below the cut of
-    some column of A, so every column before it is below every cut, whether
-    or not A is monotone.
+    least 1.)  The band starts at the first column not below the cut, so
+    every column before it is below it, whether or not a is monotone.
     """
-    cut = (A[s:e] - table.rowmax[s:e, None]).min(axis=0) - _BAND_MARGIN
-    return int((A[:e] >= cut).argmax(axis=0).min())
+    cut = (a[s:e] - table.rowmax[s:e]).min() - _BAND_MARGIN
+    return int((a[:e] >= cut).argmax())
 
 
-def _max_shift_rows(table: _PascalTable, A: np.ndarray, s: int, e: int
+def _max_shift_rows(table: _PascalTable, a: np.ndarray, s: int, e: int
                     ) -> np.ndarray:
-    """Rows s..e-1 of `_log_rowsums` for the columns of A (at least e rows),
-    each row's largest term taken out before the exp; the columns of logc
-    before `_band_start` add 0.0 and are not computed."""
+    """Rows s..e-1 of `_log_rowsums` for a (at least e entries), each row's
+    largest term taken out before the exp; the columns of logc before
+    `_band_start` add 0.0 and are not computed."""
     # the first block is too narrow for the band to pay
-    m = _band_start(table, A, s, e) if s else 0
-    # one C-ordered (column, row, m) block, so each sum runs as in 1-D
-    block = table.logc(s, e, m) + np.ascontiguousarray(A[m:e].T)[:, None, :]
-    top = block.max(axis=2)
-    block -= top[:, :, None]
+    m = _band_start(table, a, s, e) if s else 0
+    block = table.logc(s, e, m) + a[m:e]
+    top = block.max(axis=1)
+    block -= top[:, None]
     # Each sum is at least 1, its top term, so terms under e**-700 (even
     # 1024 of them) lie far below its last bit; raising them to e**-700
     # keeps exp off its slow path for -inf and for underflow.
     np.maximum(block, -700.0, out=block)
     np.exp(block, out=block)
-    return (np.log(block.sum(axis=2)) + top).T
+    return np.log(block.sum(axis=1)) + top
 
 
 def delta_continuity_check(seq: AlphaSequence,
                            N: int | None = None) -> Verdict:
     """Continuity of the involutive alternating-binomial transform.
 
-    Two evidence tracks that the theory makes equivalent on nuclear spaces:
+    Two evidence tracks, which the theory makes equivalent:
 
-    (1) row sums: for every k some l bounds
+    (1) row sums: for every k some l > k bounds
         sup_n sum_{m<=n} (w_k(n)/w_l(m)) binom(n-1, m-1),
-        evaluated by log-sum-exp on a truncation capped at 1024 rows (the
+        evaluated by `_log_rowsums` on a truncation capped at 1024 rows (the
         row-sum table is quadratic in N and the binomial mass saturates the
-        trend long before that).  Each l is summed once per call.  The first
-        time the scan reaches an l it has not summed, every l of that k'
-        range not summed yet goes through one `_log_rowsums` call, which
-        reads the table once for all of them, 64 rows at a time: per block,
-        one mat-vec of its cached lower triangle of exp(log binom - row max)
-        against exp(alpha/l - max) for each l, or the per-entry max-shift
-        route over a log binom band computed on demand, for the first block
-        and for any l with a sum under 2**-960, where underflow could cost
-        more than 2**-100 of it;
+        trend long before that);
     (2) the scalar limit n/alpha_n -> 0.
 
+    For every positive nondecreasing alpha the row sums obey
+
+        2**(n-1) <= sum_{m<=n} binom(n-1, m-1) exp(alpha_m/l)
+                 <= exp(alpha_n/l) 2**(n-1).
+
+    By the upper bound, l = 2k bounds the row sums at k once
+    (n-1) log 2 - alpha_n/(2k) is bounded above, as n/alpha_n -> 0 gives at
+    every k.  By the lower bound the quantity at k is at least the envelope
+    E_k(n) = (n-1) log 2 - alpha_n/k for every l, so once E_k is unbounded
+    (at every k > liminf (alpha_n/n) / log 2) every l fails.  So each level
+    k' = 1..K_WINDOW is probed at the one l = 2k': it holds when that row
+    sum is bounded, and fails only when E_k' is decisively unbounded on the
+    same grid.  A row sum at 2k' that grows while E_k' does not is
+    inconclusive.
+
     Decisive tracks must agree; disagreement is reported as inconclusive
-    with both traces attached, never silently resolved.  For non-nuclear
-    generators the equivalence is outside the stated scope of the theory,
-    which is annotated but still evaluated.
+    with both traces attached, never silently resolved.
     """
     N_full = N or default_resolution(seq)
     N1 = min(N_full, _ROWSUM_N_CAP)
     alpha = seq.values_saturated(N1)
     ns = np.arange(1, N1 + 1, dtype=np.int64)
-    # The row sums depend on l alone, and several k' of the window can
-    # probe the same l.
-    rowsums: dict[int, np.ndarray] = {}
+    extra = {"alpha": seq.spec_string(), "N": N1}
 
-    def per_pair(kp: int, l: int) -> Verdict:
-        if l not in rowsums:
-            lo, hi = _l_range(kp)
-            ls = [m for m in range(lo, hi + 1) if m not in rowsums]
-            sums = _log_rowsums(alpha[:, None] / np.array(ls))
-            rowsums.update(zip(ls, sums.T))
-        q = rowsums[l] - alpha / kp
-        return sup_verdict_bounded(
-            ns, q, f"sum_m (w_{kp}(n)/w_{l}(m)) binom(n-1,m-1)",
-            extra={"alpha": seq.spec_string(), "k": kp, "l": l, "N": N1},
-        )
+    def per_level(kp: int, l: int) -> Verdict:
+        v = sup_verdict_bounded(
+            ns, _log_rowsums(alpha / l) - alpha / kp,
+            f"sum_m (w_{kp}(n)/w_{l}(m)) binom(n-1,m-1)",
+            extra={**extra, "k": kp, "l": l})
+        envelope = f"(n-1) log 2 - alpha_n/{kp}"
+        if v.outcome != FAILS or sup_verdict_bounded(
+                ns, (ns - 1) * math.log(2) - alpha / kp, envelope,
+                extra={**extra, "k": kp}).outcome == FAILS:
+            return v
+        return Verdict(INCONCLUSIVE, v.trend, v.evidence, params=v.params,
+                       reason=f"the row sum at l={l} grows, but not its "
+                              f"lower envelope {envelope}")
 
-    track_rows = _window_scan(per_pair, "sum_m (w_k(n)/w_l(m)) binom(n-1,m-1)")
+    track_rows = _window_scan(per_level,
+                              "sum_m (w_k(n)/w_l(m)) binom(n-1,m-1)",
+                              ls=lambda kp: (2 * kp, 2 * kp))
     track_scalar = n_over_alpha_check(seq, N_full)
-    nuc = nuclearity_check(seq, N_full)
-
+    outcomes = (track_rows.outcome, track_scalar.outcome)
     params = {
-        "alpha": seq.spec_string(),
-        "k": 1,
-        "N_rowsum": N1,
-        "N": N_full,
-        "rowsum_outcome": track_rows.outcome,
+        "alpha": seq.spec_string(), "k": 1, "N_rowsum": N1, "N": N_full,
+        "rowsum_outcome": outcomes[0],
         "rowsum_params": {kk: vv for kk, vv in track_rows.params.items()
                           if kk in ("chosen_l", "chosen_l_by_k", "l_range")},
-        "scalar_outcome": track_scalar.outcome,
+        "scalar_outcome": outcomes[1],
     }
-    if nuc.outcome != HOLDS:
-        params["scope_note"] = (
-            "the row-sum/scalar equivalence is stated only for nuclear "
-            "spaces; both tracks are still evaluated"
-        )
-
-    decisive_r = track_rows.outcome != INCONCLUSIVE
-    decisive_s = track_scalar.outcome != INCONCLUSIVE
-    if decisive_r and decisive_s:
-        if track_rows.outcome != track_scalar.outcome:
-            return Verdict(
-                INCONCLUSIVE, track_rows.trend, track_rows.evidence,
-                reason=(
-                    "evidence tracks disagree: row sums say "
-                    f"{track_rows.outcome}, the scalar limit says "
-                    f"{track_scalar.outcome}"
-                ),
-                params={**params,
-                        "scalar_evidence": track_scalar.evidence},
-            )
-        return Verdict(track_rows.outcome, track_rows.trend,
-                       track_rows.evidence, witness=track_rows.witness,
-                       params=params)
-    if decisive_r:
-        return Verdict(track_rows.outcome, track_rows.trend,
-                       track_rows.evidence, witness=track_rows.witness,
-                       params={**params, "note": "scalar track inconclusive"})
-    if decisive_s:
-        return Verdict(track_scalar.outcome, track_scalar.trend,
-                       track_scalar.evidence, witness=track_scalar.witness,
-                       params={**params, "note": "row-sum track inconclusive"})
-    return Verdict(
-        INCONCLUSIVE, track_rows.trend, track_rows.evidence,
-        reason="both evidence tracks are inconclusive at this resolution",
-        params=params,
-    )
+    if INCONCLUSIVE not in outcomes and outcomes[0] != outcomes[1]:
+        return Verdict(
+            INCONCLUSIVE, track_rows.trend, track_rows.evidence,
+            reason=f"evidence tracks disagree: row sums say {outcomes[0]}, "
+                   f"the scalar limit says {outcomes[1]}",
+            params={**params, "scalar_evidence": track_scalar.evidence})
+    if outcomes == (INCONCLUSIVE, INCONCLUSIVE):
+        return Verdict(
+            INCONCLUSIVE, track_rows.trend, track_rows.evidence,
+            reason="both evidence tracks are inconclusive at this resolution",
+            params=params)
+    track = track_scalar if outcomes[0] == INCONCLUSIVE else track_rows
+    if INCONCLUSIVE in outcomes:
+        other = "scalar" if track is track_rows else "row-sum"
+        params["note"] = f"{other} track inconclusive"
+    return Verdict(track.outcome, track.trend, track.evidence,
+                   witness=track.witness, params=params)
 
 
 # -- space-level classification ------------------------------------------------
@@ -634,8 +594,6 @@ def classify_space(seq: AlphaSequence, N: int | None = None) -> SpaceProfile:
         "delta_rowsum": delta_cont.params["rowsum_outcome"],
         "delta_scalar": delta_cont.params["scalar_outcome"]})
     notes: list[str] = []
-    if "scope_note" in delta_cont.params:
-        notes.append(str(delta_cont.params["scope_note"]))
     if s1.outcome == HOLDS:
         notes.append(f"s0(1) bracketed in {s1.params['s0_interval']}")
 

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import InternalConsistencyError, PreconditionError
 from . import exact
-from .operators import CoordinateVector, as_vector, b_apply, cesaro_apply
+from .operators import CoordinateVector, _prefix_means, as_vector, \
+    b_apply, cesaro_apply
 from .sequences import AlphaSequence, SeminormTable, WeightSystem
 from .trend import FAILS, HOLDS, Verdict
 
@@ -399,7 +400,7 @@ def iterate_limit_check(x, tol: float = 1e-6) -> Verdict:
     m = 0
     while m < m_cap and np.any(first_entry < 0):
         m += 1
-        y = np.cumsum(y) / np.arange(1, n + 1)
+        y = _prefix_means(y)
         newly = (first_entry < 0) & (np.abs(y - limit) < tol)
         first_entry[newly] = m
     evidence = tuple((i + 1, int(first_entry[i])) for i in range(n))
@@ -452,7 +453,7 @@ def ergodic_decomposition_check(seq: AlphaSequence, x) -> Verdict:
     z = xf - xf[0]
     u = b_apply(z[1:])
     v = np.concatenate([[0.0], u.as_float()])
-    resid = v - (np.cumsum(v) / np.arange(1, N + 1)) - z
+    resid = v - _prefix_means(v) - z
     worst = float(np.max(np.abs(resid)))
     scale = max(1.0, float(np.max(np.abs(z))))
     if worst > _FLOAT_TOL * scale:

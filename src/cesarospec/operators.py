@@ -351,9 +351,22 @@ def cesaro_apply(x) -> CoordinateVector:
         L, mult = _mean_multipliers(len(x))
         return CoordinateVector.over_denominator(
             list(map(mul, accumulate(re), mult)), den * L, x.valid_len)
-    vals = np.asarray(x.values)
-    means = np.cumsum(vals) / np.arange(1, len(vals) + 1)
-    return CoordinateVector(means, x.valid_len)
+    return CoordinateVector(_prefix_means(np.asarray(x.values)), x.valid_len)
+
+
+def _prefix_means(v: np.ndarray) -> np.ndarray:
+    """(v_1 + ... + v_n) / n for every n, for real or complex floats.
+
+    Each mean lies within max|v|, but a prefix sum need not: where
+    max|v| * len(v) could pass 2**1000 the sums run on v scaled down by a
+    power of two, which is exact save for entries it takes below 2**-1022.
+    """
+    ns = np.arange(1, len(v) + 1)
+    peak = float(np.max(np.abs(v), initial=0.0))
+    if peak * len(v) < 2.0 ** 1000:
+        return np.cumsum(v) / ns
+    scale = 2.0 ** (math.frexp(peak)[1] + len(v).bit_length() - 1000)
+    return np.cumsum(v / scale) / ns * scale
 
 
 def cesaro_inverse_apply(y) -> CoordinateVector:
@@ -444,6 +457,18 @@ def delta_eigenvector(m: int, N: int) -> CoordinateVector:
         [sign * math.comb(n - 1, m - 1) for n in range(1, N + 1)], 1)
 
 
+def _reciprocal_distance(z: complex, N: float) -> float:
+    """Distance from z to the nearest 1/m with 1 <= m <= N.
+
+    |z - 1/m| grows with |Re z - 1/m|, and 1/m falls in m, so the nearest m
+    is the floor or the ceiling of 1/Re z clamped to [1, N], and N itself
+    when Re z <= 0.
+    """
+    t = min(1.0 / z.real, N) if z.real > 0 else N
+    ms = np.array([max(1, math.floor(t)), math.ceil(t)], dtype=float)
+    return float(np.abs(z - 1.0 / ms).min())
+
+
 def _check_not_pole(lam, N: int) -> None:
     if isinstance(lam, Fraction):
         if lam == 0:
@@ -456,9 +481,7 @@ def _check_not_pole(lam, N: int) -> None:
     lam_f = complex(lam)
     if not math.isfinite(math.hypot(lam_f.real, lam_f.imag)):
         raise PreconditionError(f"lambda={lam_f} has no finite modulus")
-    ms = np.arange(1, N + 1, dtype=float)
-    d = float(min(abs(lam_f), np.min(np.abs(lam_f - 1.0 / ms))))
-    if d < TOL_SIGMA:
+    if min(abs(lam_f), _reciprocal_distance(lam_f, N)) < TOL_SIGMA:
         raise PreconditionError(f"lambda={lam_f} is within {TOL_SIGMA} of "
                                 "the reciprocal-integer set")
 

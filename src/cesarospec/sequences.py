@@ -186,7 +186,6 @@ class AlphaSequence:
         self.params = dict(params)
         self._cache: np.ndarray | None = None
         self._probes: dict[tuple[int, int], tuple[TailProbe, ...]] = {}
-        self.notes: tuple[str, ...] = ()
         self._validate()
 
     # -- construction helpers -------------------------------------------------
@@ -204,7 +203,6 @@ class AlphaSequence:
     }
 
     def _validate(self) -> None:
-        notes: list[str] = []
         kind, p = self.kind, self.params
         allowed = self._PARAM_NAMES.get(kind, set())
         if set(p) != allowed:
@@ -238,14 +236,6 @@ class AlphaSequence:
             if floats is None or 0.0 in floats[:-1]:
                 raise ValueError(
                     "table values and step must lie within float range")
-            if p["step"] == 0:
-                notes.append("constant tail: alpha is bounded, space degenerates")
-        a1 = float(self.values(1)[0])
-        if a1 <= 1.0:
-            # Several bound constants below assume alpha_1 > 1; verdicts stay
-            # valid but the note is surfaced in profiles.
-            notes.append("alpha_1 <= 1")
-        self.notes = tuple(notes)
 
     # -- identity --------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .operators import _check_not_pole, _scaled_tail_parts, logbinom, \
+from .operators import _reciprocal_distance, _scaled_tail_parts, logbinom, \
     resolvent_tail_logs
 from .sequences import AlphaSequence, default_resolution, s0_estimate
 from .criteria import SpaceProfile
@@ -58,17 +58,9 @@ _BAND_TOL = 1e-6
 
 
 def _near_reciprocal(z: complex, tol: float) -> bool:
-    """Is z within tol of 1/m for some positive integer m?"""
-    if abs(z.imag) > tol:
-        return False
-    x = z.real
-    if x <= tol:
-        return False
-    inv = 1.0 / x
-    for m in {math.floor(inv), math.ceil(inv), round(inv)}:
-        if m >= 1 and abs(z - 1.0 / m) <= tol:
-            return True
-    return False
+    """Is z within tol of 1/m for some positive integer m?  Re z <= tol
+    counts as near 0 instead."""
+    return z.real > tol and _reciprocal_distance(z, math.inf) <= tol
 
 
 @dataclass(frozen=True)
@@ -262,7 +254,6 @@ def verify_resolvent_point(
     N = N or default_resolution(seq)
     if N < 16:
         raise PreconditionError("resolvent verification needs N >= 16")
-    _check_not_pole(lam, N)
     row_part, col_part = _scaled_tail_parts(seq, lam, k, N)
 
     # (a) column decay for the sampled columns m = 1, 2, 4, ... <= N/4
@@ -343,9 +334,8 @@ def boun_bounds_fit(lam, N: int = 1_000) -> tuple[float, float, Verdict]:
     """
     if N < 32:
         raise PreconditionError("envelope fit needs N >= 32")
-    _check_not_pole(lam, N)
+    L, logn = resolvent_tail_logs(lam, N)   # refuses lam at a pole or 0
     a = (1.0 / complex(lam)).real
-    L, logn = resolvent_tail_logs(lam, N)
     row_term = -a * logn - L[1:]         # n index, 0-based
     col_term = a * logn + L[:-1]         # m index, 0-based
     pref_max = np.maximum.accumulate(col_term)

@@ -2,7 +2,6 @@
 
 import functools
 import math
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +163,21 @@ class TestWindowScan:
         assert calls == [(1, 2)] + [(2, l) for l in range(3, 17)] \
             + [(3, 4), (4, 5)]
 
+    def test_l_candidates_per_level_are_an_argument(self):
+        calls = []
+
+        def per_pair(kp, l):
+            calls.append((kp, l))
+            if kp < 3:
+                return Verdict(HOLDS, "bounded")
+            return Verdict(FAILS, "unbounded", witness=l)
+
+        v = _window_scan(per_pair, "q", ls=lambda kp: (2 * kp, 2 * kp))
+        assert v.outcome == FAILS
+        assert v.witness == {"k": 3, "l_range": (6, 6)}
+        assert v.params["chosen_l_by_k"] == {1: 2, 2: 4}
+        assert calls == [(1, 2), (2, 4), (3, 6)]
+
     def test_log_inverse_scan_pairs(self, log2, monkeypatch):
         pairs = _spy_pairs(monkeypatch)
         v = inverse_continuity_check(log2, N=500)
@@ -260,6 +274,27 @@ class TestDContinuity:
         assert d_continuity_check(linear).outcome == HOLDS
 
 
+_F, _H, _I = FAILS, HOLDS, INCONCLUSIVE
+# spec: ((outcome, rowsum, scalar) at the default N, the same at N = 200)
+DELTA_OUTCOMES = {
+    "linear": ((_F, _F, _F), (_F, _F, _F)),
+    "power:beta=2": ((_H, _H, _H), (_H, _H, _H)),
+    "sqrt": ((_F, _F, _F), (_F, _F, _F)),
+    "log:beta=2": ((_F, _F, _F), (_F, _F, _F)),
+    "psum:beta=1/2": ((_F, _F, _F), (_F, _F, _F)),
+    "tower": ((_H, _H, _H), (_H, _H, _H)),
+    "rsw_b": ((_F, _F, _F), (_F, _F, _F)),
+    "s1_empty": ((_F, _F, _F), (_F, _F, _F)),
+    "log:beta=1": ((_F, _F, _F), (_F, _F, _F)),
+    "power:beta=1": ((_F, _F, _F), (_F, _F, _F)),
+    "table:[1,3,4]:step=2": ((_F, _F, _F), (_F, _F, _I)),
+    "log:beta=1000": ((_F, _I, _F), (_I, _H, _F)),
+    "table:[10]:step=10": ((_I, _H, _F), (_I, _H, _F)),
+    "table:[1]:step=1000": ((_I, _H, _F), (_H, _H, _I)),
+    "power:beta=8": ((_H, _H, _H), (_H, _H, _H)),
+}
+
+
 class TestDeltaContinuity:
     def test_power_two_holds(self):
         assert delta_continuity_check(
@@ -280,11 +315,25 @@ class TestDeltaContinuity:
                 continue
             assert dv.outcome == noa.outcome, spec
 
-    def test_non_nuclear_scope_note(self, log2):
-        v = delta_continuity_check(log2)
-        assert v.outcome == FAILS
-        notes = str(v.params)
-        assert "scope" in notes or "nuclear" in notes
+    def test_no_delta_verdict_carries_a_scope_note(self):
+        # the two bounds make the tracks equivalent for every positive
+        # nondecreasing alpha, nuclear or not, so no verdict is annotated
+        for spec in (*GALLERY_SPECS, *DELTA_OUTCOMES):
+            for N in (None, 200):
+                v = delta_continuity_check(parse_alpha(spec), N=N)
+                assert "scope_note" not in v.params, spec
+        for spec, prof in ALL_PROFILES.items():
+            assert not any("nuclear spaces" in n for n in prof.notes), spec
+
+    @pytest.mark.parametrize("N", [None, 200])
+    @pytest.mark.parametrize("spec", list(DELTA_OUTCOMES))
+    def test_outcome_table(self, spec, N):
+        # (outcome, rowsum_outcome, scalar_outcome) at the default N and at
+        # N = 200, the same as when every l in (k', 4k'+8] was searched
+        v = delta_continuity_check(parse_alpha(spec), N=N)
+        got = (v.outcome, v.params["rowsum_outcome"],
+               v.params["scalar_outcome"])
+        assert got == DELTA_OUTCOMES[spec][N is not None]
 
 
 
@@ -304,11 +353,6 @@ def _reference_rowsums(a):
     # the full-table route the blocked kernel replaces
     with np.errstate(invalid="ignore"):
         return logsumexp(_dense_logc(len(a)) + a[None, :], axis=1)
-
-
-def _reference_columns(A):
-    # the reference route, one column of A at a time
-    return np.column_stack([_reference_rowsums(a) for a in A.T])
 
 
 class TestRowSumKernel:
@@ -335,7 +379,7 @@ class TestRowSumKernel:
         new = {spec: delta_continuity_check(parse_alpha(spec))
                for spec in GALLERY_SPECS}
         monkeypatch.setattr(criteria_module, "_log_rowsums",
-                            _reference_columns)
+                            _reference_rowsums)
         for spec in GALLERY_SPECS:
             ref = delta_continuity_check(parse_alpha(spec))
             got = new[spec]
@@ -407,38 +451,29 @@ class TestRowSumRoutes:
 
     @pytest.mark.parametrize("spec", GALLERY_SPECS)
     def test_one_rowsum_per_l(self, monkeypatch, spec):
-        ls, sums = [], []
+        # at most one `_log_rowsums` call per level k' reached, each on the
+        # one column alpha/(2k') that the level is probed at
+        sums, levels = [], []
         inner_sums = criteria_module._log_rowsums
         inner_sup = criteria_module.sup_verdict_bounded
 
-        def rowsums(A):
-            sums.extend(a.tobytes() for a in A.T)
-            return inner_sums(A)
+        def rowsums(a):
+            sums.append(a.tobytes())
+            return inner_sums(a)
 
         def sup(ns, q, label, extra):
-            ls.append(extra["l"])
+            if "l" in extra:
+                assert extra["l"] == 2 * extra["k"]
+                levels.append(extra["k"])
             return inner_sup(ns, q, label, extra=extra)
 
         monkeypatch.setattr(criteria_module, "_log_rowsums", rowsums)
         monkeypatch.setattr(criteria_module, "sup_verdict_bounded", sup)
-        delta_continuity_check(parse_alpha(spec))
-        assert len(set(ls)) > 0
-        assert len(set(sums)) == len(sums)
-        # every probed l is among the summed columns alpha/l
-        alpha = parse_alpha(spec).values_saturated(len(np.frombuffer(sums[0])))
-        assert {(alpha / l).tobytes() for l in ls} <= set(sums)
-
-    def test_the_window_revisits_l(self, monkeypatch):
-        # rsw_b scans l = 3..14 at k' = 2 without a decision, then l = 4..20
-        # at k' = 3; the l they share are summed once
-        seen = []
-        inner = criteria_module.sup_verdict_bounded
-        monkeypatch.setattr(
-            criteria_module, "sup_verdict_bounded",
-            lambda ns, q, label, extra: seen.append(extra["l"])
-            or inner(ns, q, label, extra=extra))
-        delta_continuity_check(parse_alpha("rsw_b"))
-        assert len(seen) > len(set(seen))
+        v = delta_continuity_check(parse_alpha(spec))
+        alpha = parse_alpha(spec).values_saturated(v.params["N_rowsum"])
+        assert 1 <= len(sums) <= criteria_module.K_WINDOW
+        assert levels == list(range(1, len(sums) + 1))
+        assert sums == [(alpha / (2 * kp)).tobytes() for kp in levels]
 
     @pytest.mark.parametrize("N", [200, 1024])
     @pytest.mark.parametrize("spec", [
@@ -447,7 +482,7 @@ class TestRowSumRoutes:
                                                         spec, N):
         got = delta_continuity_check(parse_alpha(spec), N=N)
         monkeypatch.setattr(criteria_module, "_log_rowsums",
-                            _reference_columns)
+                            _reference_rowsums)
         ref = delta_continuity_check(parse_alpha(spec), N=N)
         assert got.outcome == ref.outcome
         assert got.witness == ref.witness
@@ -483,46 +518,88 @@ _COLUMNS = st.tuples(
 
 
 class TestBatchedRowSums:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(N=st.one_of(st.sampled_from([1, 64, 65, 200, _ROWSUM_N_CAP]),
                        st.integers(1, _ROWSUM_N_CAP)),
-           columns=st.lists(_COLUMNS, min_size=1, max_size=23))
-    def test_each_column_matches_full_table_and_one_column_call(self, N,
-                                                                columns):
-        A = np.column_stack([_growth_column(N, *c) for c in columns])
-        got = _log_rowsums(A)
-        assert got.shape == A.shape
-        for j, a in enumerate(A.T):
-            np.testing.assert_allclose(got[:, j], _reference_rowsums(a),
-                                       rtol=1e-12, atol=0)
-            # a row sum can sit near 0
-            np.testing.assert_allclose(got[:, j], _log_rowsums(a.copy()),
-                                       rtol=1e-14, atol=1e-14)
+           column=_COLUMNS, kp=st.integers(1, 20), dl=st.integers(1, 20))
+    def test_quantity_between_the_bounds_and_monotone_in_l(self, N, column,
+                                                           kp, dl):
+        # for alpha >= 0 nondecreasing and l > k':
+        #   (n-1) log 2 - alpha_n/k' <= log rowsum(alpha/l) - alpha_n/k'
+        #                            <= (n-1) log 2 + alpha_n/l - alpha_n/k',
+        # and the quantity does not increase with l
+        kind, segments, beta, saturate_at, l = column
+        l = max(l, kp + 1)
+        alpha = _growth_column(N, kind, segments, beta, saturate_at, 1)
+        log2n = np.arange(N) * math.log(2)
+        q = _log_rowsums(alpha / l) - alpha / kp
+        q_next = _log_rowsums(alpha / (l + dl)) - alpha / kp
+        slack = 1e-12 * (1 + np.abs(alpha / l) + log2n)
+        assert np.all(log2n - alpha / kp <= q + slack)
+        assert np.all(q <= log2n + alpha / l - alpha / kp + slack)
+        assert np.all(q_next <= q + slack)
+
+    @pytest.mark.parametrize("spec", [*GALLERY_SPECS, "log:beta=1"])
+    def test_summed_l_are_the_k_ranges_reached(self, monkeypatch, spec):
+        # each level k' reached sums its range, the one l = 2k'; the scan
+        # reaches every level up to a failing one, else the whole window
+        seq = parse_alpha(spec)
+        columns = []
+        inner_sums = criteria_module._log_rowsums
+
+        def rowsums(a):
+            columns.append(a.tobytes())
+            return inner_sums(a)
+
+        monkeypatch.setattr(criteria_module, "_log_rowsums", rowsums)
+        v = delta_continuity_check(seq)
+        alpha = seq.values_saturated(v.params["N_rowsum"])
+        l_of = {(alpha / l).tobytes(): l for l in range(2, 200)}
+        last = (v.witness["k"] if v.params["rowsum_outcome"] == FAILS
+                else criteria_module.K_WINDOW)
+        assert [l_of[c] for c in columns] == [2 * kp
+                                               for kp in range(1, last + 1)]
 
     def test_matvecs_take_the_columns_that_pass_gap_and_floor(self,
                                                                monkeypatch):
-        # columns: linear (a mat-vec in every later block), power:beta=2
-        # over 2 (every later block past the gap) and over 190 (late blocks
-        # pass the gap, then fail the floor: their sums underflow)
-        matvecs = Counter()
+        # linear takes the mat-vec in every block after the first;
+        # power:beta=2 over 2 is past the gap in every later block and takes
+        # the max-shift route; over 190 the late blocks pass the gap, then
+        # fail the floor (their sums underflow) and fall back
+        matvecs, fallbacks = [], []
 
         class Spy(np.ndarray):
             def __matmul__(self, other):
-                matvecs[self.shape[1]] += 1
+                matvecs.append(self.shape[1])
                 return np.asarray(self) @ other
+
+        inner = criteria_module._max_shift_rows
+
+        def max_shift(table, a, s, e):
+            fallbacks.append(e)
+            return inner(table, a, s, e)
 
         entry = _log_pascal(_ROWSUM_N_CAP)
         monkeypatch.setattr(criteria_module, "_logc_cache", {
             _ROWSUM_N_CAP: entry._replace(
                 blocks=tuple(b.view(Spy) for b in entry.blocks))})
+        monkeypatch.setattr(criteria_module, "_max_shift_rows", max_shift)
         ns = np.arange(1, _ROWSUM_N_CAP + 1, dtype=float)
-        A = np.column_stack((ns / 3, ns ** 2 / 2, ns ** 2 / 190))
-        got = _log_rowsums(A)
-        for j, a in enumerate(A.T):
-            np.testing.assert_allclose(got[:, j], _reference_rowsums(a),
+        later = list(range(128, _ROWSUM_N_CAP + 1, 64))
+        routes = {}
+        for name, a in (("linear", ns / 3), ("over 2", ns ** 2 / 2),
+                        ("over 190", ns ** 2 / 190)):
+            matvecs.clear()
+            fallbacks.clear()
+            np.testing.assert_allclose(_log_rowsums(a), _reference_rowsums(a),
                                        rtol=1e-12, atol=0)
-        # one entry per block after the first, keyed by its last column
-        assert matvecs == {e: 2 for e in range(128, _ROWSUM_N_CAP + 1, 64)}
+            routes[name] = (list(matvecs), list(fallbacks))
+        assert routes["linear"] == (later, [64])
+        assert routes["over 2"] == ([], [64, *later])
+        matvec, fallback = routes["over 190"]
+        assert matvec == later
+        assert fallback[0] == 64 and set(fallback[1:]) < set(later)
+        assert fallback[1:]
 
     def test_band_keeps_every_term_that_counts(self, monkeypatch):
         # with no mat-vec sum passing the floor every block takes the
@@ -560,43 +637,13 @@ class TestBatchedRowSums:
             unbanded = sum(rows * e for rows, _, e in reads)
             assert 5 * banded < unbanded, l
 
-    @pytest.mark.parametrize("spec", [*GALLERY_SPECS, "log:beta=1"])
-    def test_summed_l_are_the_k_ranges_reached(self, monkeypatch, spec):
-        # the first miss at k' sums the rest of k''s l range, so a k' whose
-        # probes were all summed earlier adds nothing
-        seq = parse_alpha(spec)
-        columns, pairs = [], []
-        inner_sums = criteria_module._log_rowsums
-        inner_sup = criteria_module.sup_verdict_bounded
-
-        def rowsums(A):
-            columns.extend(a.tobytes() for a in A.T)
-            return inner_sums(A)
-
-        def sup(ns, q, label, extra):
-            pairs.append((extra["k"], extra["l"]))
-            return inner_sup(ns, q, label, extra=extra)
-
-        monkeypatch.setattr(criteria_module, "_log_rowsums", rowsums)
-        monkeypatch.setattr(criteria_module, "sup_verdict_bounded", sup)
-        delta_continuity_check(seq)
-        alpha = seq.values_saturated(len(np.frombuffer(columns[0])))
-        l_of = {(alpha / l).tobytes(): l for l in range(2, 200)}
-        summed = [l_of[c] for c in columns]
-        assert len(summed) == len(set(summed))
-        reached = set()
-        for kp, l in pairs:
-            if l not in reached:
-                reached.update(range(kp + 1, default_lmax(kp) + 1))
-        assert set(summed) == reached
-
     @pytest.mark.parametrize("N", [200, _ROWSUM_N_CAP])
     @pytest.mark.parametrize("spec", GALLERY_SPECS)
     def test_gallery_verdicts_match_reference_kernel(self, monkeypatch, spec,
                                                      N):
         got = delta_continuity_check(parse_alpha(spec), N=N)
         monkeypatch.setattr(criteria_module, "_log_rowsums",
-                            _reference_columns)
+                            _reference_rowsums)
         ref = delta_continuity_check(parse_alpha(spec), N=N)
         assert got.outcome == ref.outcome
         assert got.witness == ref.witness

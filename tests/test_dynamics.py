@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -33,7 +34,9 @@ from cesarospec import (
     power_iterate,
     seminorm,
 )
-from cesarospec.cli import DYNAMICS_STEP_CAP
+from cesarospec.cli import DYNAMICS_STEP_CAP, _build_parser, \
+    assemble_config, emit, run
+import cesarospec.operators as operators_module
 import cesarospec.dynamics as dynamics_module
 from cesarospec import exact
 from cesarospec.dynamics import IterateTrace
@@ -86,6 +89,41 @@ class TestPowerIterate:
         x = CoordinateVector([1 + 1j, 0.0, 0.0])
         tr = power_iterate(x, 1)
         assert tr.final().values[1] == pytest.approx((1 + 1j) / 2)
+
+
+class TestHugeFloatIterates:
+    def test_iterates_stay_at_the_float_limit(self):
+        # every running mean of finite input lies within max|x|
+        x = CoordinateVector(np.array([1e308] * 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = power_iterate(x, 5)
+            limit = iterate_limit_check(x)
+        for v in trace.vectors:
+            assert list(v.values) == [1e308] * 3
+        assert limit.outcome == HOLDS
+
+    def test_limit_check_runs_without_overflow(self):
+        x = CoordinateVector(np.array([1e308, 1.7e308, 1.5e308, 1.2e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = iterate_limit_check(x, tol=1e300)
+        assert v.outcome == HOLDS
+
+    def test_random_dynamics_report_bytes(self, monkeypatch):
+        # the helper keeps the bytes of the plain prefix-sum formula on
+        # ordinary input
+        argv = ["--N", "512", "--experiments", "dynamics:random",
+                "--seed", "7"]
+        config, _ = assemble_config(_build_parser().parse_args(argv))
+        got = emit(run(config))
+
+        def plain(v):
+            return np.cumsum(v) / np.arange(1, len(v) + 1)
+
+        monkeypatch.setattr(operators_module, "_prefix_means", plain)
+        monkeypatch.setattr(dynamics_module, "_prefix_means", plain)
+        assert got == emit(run(config))
 
 
 class TestCesaroMeans:

@@ -29,12 +29,21 @@ from cesarospec import (
 )
 import cesarospec.operators as operators_module
 from cesarospec.operators import (
+    TOL_SIGMA,
     TruncOperator,
+    _check_not_pole,
+    _prefix_means,
+    _reciprocal_distance,
     _scaled_tail_parts,
     logbinom,
     ops_equal_exact,
 )
 from cesarospec.sequences import WeightSystem, parse_alpha
+from cesarospec.spectral import (
+    _near_reciprocal,
+    boun_bounds_fit,
+    verify_resolvent_point,
+)
 
 F = Fraction
 
@@ -467,6 +476,94 @@ class TestTailLogs:
         assert not L.any()
         assert np.allclose(entries, 1.0 / np.arange(1, 9)[:, None],
                            rtol=0.0, atol=1e-300)
+
+
+def _scan_distance(lam, N):
+    # the O(N) scan over every 1/m, m <= N, that the helper replaces
+    return float(np.min(np.abs(complex(lam) - 1.0 / np.arange(1, N + 1))))
+
+
+class TestNearestReciprocal:
+    @pytest.mark.parametrize("N", [1, 2, 7, 100, 5000])
+    def test_matches_the_scan_on_a_grid(self, N):
+        xs = [*np.linspace(-1.0, 2.5, 71), 0.0, 5e-324, 1e-300, 1e300,
+              *(1.0 / m + d for m in (1, 2, 3, 7, 99, 100, 101, 4999, 5001)
+                for d in (0.0, 1e-12, -1e-12, 1e-4, -1e-4))]
+        for x in xs:
+            for y in (0.0, 1e-12, -1e-3, 0.3, 1e300):
+                lam = complex(x, y)
+                assert _reciprocal_distance(lam, N) == _scan_distance(lam, N)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(-3.0, 3.0), y=st.floats(-1.0, 1.0),
+           N=st.integers(1, 5000))
+    def test_matches_the_scan_on_draws(self, x, y, N):
+        lam = complex(x, y)
+        assert _reciprocal_distance(lam, N) == _scan_distance(lam, N)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(-0.5, 1.5), y=st.floats(-1e-5, 1e-5))
+    def test_spectral_rule_matches_the_scan(self, x, y):
+        # near some 1/m with Re z above the band, else near 0 instead; every
+        # 1/m within tol of such z has m <= 1/tol + 1
+        z, tol = complex(x, y), 1e-6
+        want = x > tol and _scan_distance(z, 10 ** 6 + 2) <= tol
+        assert _near_reciprocal(z, tol) == want
+
+    @pytest.mark.parametrize("lam,message", [
+        (0.0, "within 1e-09 of the reciprocal-integer set"),
+        (0.5, "within 1e-09 of the reciprocal-integer set"),
+        (1 / 7 + 1e-12, "within 1e-09 of the reciprocal-integer set"),
+        (complex(1 / 40, 1e-10), "within 1e-09 of the reciprocal-integer set"),
+        (complex(math.inf, 0.0), "has no finite modulus"),
+        (1.7e308 + 1.7e308j, "has no finite modulus"),
+    ])
+    def test_poles_zero_and_infinite_modulus_are_refused(self, lam, message):
+        seq = parse_alpha("linear")
+        for call in (lambda: _check_not_pole(lam, 100),
+                     lambda: resolvent(lam, 100),
+                     lambda: resolvent_tail_logs(lam, 100),
+                     lambda: verify_resolvent_point(seq, lam, N=100),
+                     lambda: boun_bounds_fit(lam, N=100)):
+            with pytest.raises(PreconditionError, match=message):
+                call()
+
+    @pytest.mark.parametrize("lam", [0, F(0), F(1, 3)])
+    def test_exact_poles_are_refused(self, lam):
+        # boun_bounds_fit reaches 1/lambda only after the pole check
+        with pytest.raises(PreconditionError):
+            boun_bounds_fit(lam)
+        with pytest.raises(PreconditionError):
+            verify_resolvent_point(parse_alpha("linear"), lam, N=100)
+
+    def test_just_outside_the_truncation_is_not_a_pole(self):
+        assert _reciprocal_distance(complex(1 / 101), 100) > TOL_SIGMA
+        _check_not_pole(1 / 101, 100)
+        with pytest.raises(PreconditionError):
+            _check_not_pole(1 / 101, 101)
+
+
+class TestPrefixMeans:
+    @settings(max_examples=100, deadline=None)
+    @given(xs=st.lists(st.floats(-1e290, 1e290), min_size=1, max_size=40),
+           imag=st.booleans())
+    def test_ordinary_input_keeps_its_bytes(self, xs, imag):
+        v = np.array(xs) * (1j if imag else 1)
+        want = np.cumsum(v) / np.arange(1, len(v) + 1)
+        assert _prefix_means(v).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("v", [
+        np.array([1e308] * 3), np.array([1.7e308, -1.7e308, 1.7e308, 1e-300]),
+        np.array([1e308, 1e308j, -1e308 + 1e308j, 1e308 - 1e308j]),
+        np.full(5000, 1.7e308)])
+    def test_huge_input_stays_within_its_bound(self, v):
+        # every running mean lies within max|v|; the prefix sums of v do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _prefix_means(v)
+        scaled = np.cumsum(v / 2.0 ** 20) / np.arange(1, len(v) + 1)
+        np.testing.assert_allclose(got, scaled * 2.0 ** 20, rtol=1e-15)
+        assert np.all(np.abs(got) <= np.max(np.abs(v)) * (1 + 1e-12))
 
 
 class TestScaledTail:
