@@ -375,12 +375,12 @@ def _log_rowsums(a: np.ndarray) -> np.ndarray:
     N <= _ROWSUM_N_CAP every lower-triangle entry of scaled is a normal float
     (log binom(1023, 511) < 705 < 708), so only the a side can underflow.  A
     block whose first row is bound to have a sum under _MATVEC_FLOOR
-    (_MATVEC_GAP) skips the mat-vec, and one with a sum under it drops it.
-    Those blocks, and the first block, take the max-shift route over a band
-    of logc computed on demand: each row's largest term is subtracted before
-    the exp, exact to rounding however fast a grows (in the first block row 1
-    is exactly a[0]).  Every row maximum is finite: the diagonal is
-    log binom(n-1, n-1) = 0.
+    (_MATVEC_GAP) skips the mat-vec, and one whose mat-vec gives a sum under
+    it discards the mat-vec.  Those blocks, and the first block, take the
+    max-shift route over a band of logc computed on demand: each row's
+    largest term is subtracted before the exp, exact to rounding however
+    fast a grows (in the first block row 1 is exactly a[0]).  Every row
+    maximum is finite: the diagonal is log binom(n-1, n-1) = 0.
     """
     N = len(a)
     table = _log_pascal(N)

@@ -325,6 +325,22 @@ class TestDeltaContinuity:
         for spec, prof in ALL_PROFILES.items():
             assert not any("nuclear spaces" in n for n in prof.notes), spec
 
+    def test_a_growing_row_sum_fails_a_level_only_with_its_envelope(self):
+        # alpha_n = 4n/5: at k'=1 the row sum at l=2 grows, since
+        # log(1 + e**0.4) > 0.8, but (n-1) log 2 - 0.8n does not, so k'=1 is
+        # inconclusive; at k'=2 the envelope grows and the level fails
+        v = delta_continuity_check(parse_alpha("table:[4/5]:step=4/5"))
+        assert v.outcome == FAILS
+        assert v.witness == {"k": 2, "l_range": (4, 4)}
+        assert v.params["rowsum_params"]["chosen_l_by_k"] == {}
+        # alpha_n = 3n: at k'=4 every l > 27 bounds the row sums, l = 8 does
+        # not, and the envelope is bounded, so the track is inconclusive;
+        # the first failing level is 5
+        v = delta_continuity_check(parse_alpha("table:[3]:step=3"))
+        assert v.params["rowsum_outcome"] == INCONCLUSIVE
+        assert v.params["rowsum_params"]["chosen_l_by_k"] == {1: 2, 2: 4,
+                                                               3: 6}
+
     @pytest.mark.parametrize("N", [None, 200])
     @pytest.mark.parametrize("spec", list(DELTA_OUTCOMES))
     def test_outcome_table(self, spec, N):
