@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import InternalConsistencyError, PreconditionError
 from . import exact
-from .operators import CoordinateVector, _prefix_means, as_vector, \
-    b_apply, cesaro_apply
+from .operators import CoordinateVector, _overflow_scale, _prefix_means, \
+    as_vector, b_apply, cesaro_apply
 from .sequences import AlphaSequence, SeminormTable, WeightSystem
 from .trend import FAILS, HOLDS, Verdict
 
@@ -254,13 +254,20 @@ def _running_means(iterates):
     Exact iterates y_j = p_j / D_j are summed on their numerators: S_j =
     S_{j-1} (D/D_{j-1}) + p_j (D/D_j) over D = lcm(D_{j-1}, D_j), which is
     D_j itself along a running-mean chain.  T_j is then S_j / (j D) in
-    shared-denominator form, with no gcd on the way.
+    shared-denominator form, with no gcd on the way.  Float sums that could
+    pass 2**1000 run on the iterates scaled by a power of two, as in
+    _prefix_means.
     """
     if not iterates or not iterates[0].exact:
+        peak = max((float(np.max(np.abs(y.values), initial=0.0))
+                    for y in iterates), default=0.0)
+        scale = _overflow_scale(peak, len(iterates))
         acc = None
         for j, y in enumerate(iterates, start=1):
-            acc = y.values if acc is None else acc + y.values
-            yield j, CoordinateVector(acc / j, y.valid_len)
+            v = y.values if scale == 1.0 else y.values / scale
+            acc = v if acc is None else acc + v
+            mean = acc / j if scale == 1.0 else acc / j * scale
+            yield j, CoordinateVector(mean, y.valid_len)
         return
     re_sum, den = [0] * len(iterates[0]), 1
     for j, y in enumerate(iterates, start=1):
@@ -391,17 +398,21 @@ def iterate_limit_check(x, tol: float = 1e-6) -> Verdict:
     m_cap = _LIMIT_STEP_CAP
     x = as_vector(x)
     xf = x.as_float().astype(complex)
-    limit = xf[0]
+    # |y - x_1| <= 2 max|x| for every iterate y, since averaging keeps each
+    # entry within max|x|; where that could overflow, the run is on x scaled
+    # by a power of two, whose iterates are the scaled iterates
+    scale = _overflow_scale(float(np.max(np.abs(xf), initial=0.0)), 2)
+    y = xf if scale == 1.0 else xf / scale
+    limit, band = y[0], tol / scale
     n = len(xf)
     first_entry = np.full(n, -1, dtype=np.int64)
-    y = xf.copy()
-    close0 = np.abs(y - limit) < tol
+    close0 = np.abs(y - limit) < band
     first_entry[close0] = 0
     m = 0
     while m < m_cap and np.any(first_entry < 0):
         m += 1
         y = _prefix_means(y)
-        newly = (first_entry < 0) & (np.abs(y - limit) < tol)
+        newly = (first_entry < 0) & (np.abs(y - limit) < band)
         first_entry[newly] = m
     evidence = tuple((i + 1, int(first_entry[i])) for i in range(n))
     if np.any(first_entry < 0):

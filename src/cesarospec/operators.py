@@ -362,11 +362,18 @@ def _prefix_means(v: np.ndarray) -> np.ndarray:
     power of two, which is exact save for entries it takes below 2**-1022.
     """
     ns = np.arange(1, len(v) + 1)
-    peak = float(np.max(np.abs(v), initial=0.0))
-    if peak * len(v) < 2.0 ** 1000:
+    scale = _overflow_scale(float(np.max(np.abs(v), initial=0.0)), len(v))
+    if scale == 1.0:
         return np.cumsum(v) / ns
-    scale = 2.0 ** (math.frexp(peak)[1] + len(v).bit_length() - 1000)
     return np.cumsum(v / scale) / ns * scale
+
+
+def _overflow_scale(peak: float, count: int) -> float:
+    """1.0 where count terms of modulus at most peak sum below 2**1000, else
+    the power of two that takes every such sum below it."""
+    if peak * count < 2.0 ** 1000:
+        return 1.0
+    return 2.0 ** (math.frexp(peak)[1] + count.bit_length() - 1000)
 
 
 def cesaro_inverse_apply(y) -> CoordinateVector:
@@ -584,16 +591,17 @@ def resolvent_tail_logs(lam, N: int) -> tuple[np.ndarray, np.ndarray]:
     return L, np.log(ns)
 
 
-def _scaled_tail_parts(seq: AlphaSequence, lam, k: int, N: int):
+def _scaled_tail_parts(seq: AlphaSequence, k: int, tails: tuple):
     """Log-scale row/column factors of the scaled resolvent tail matrix.
 
     Entry (n, m), m < n, factors as row_part[n] + col_part[m] with
     row_part[n] = -alpha_n/k - log n - L_n and
-    col_part[m] = alpha_m/(k+1) + L_{m-1}; L is the prefix log-product of the
-    resolvent's diagonal corrections.
+    col_part[m] = alpha_m/(k+1) + L_{m-1}; (L, log n) = tails is
+    resolvent_tail_logs(lam, N), the prefix log-product of the resolvent's
+    diagonal corrections, which does not depend on k.
     """
-    L, logn = resolvent_tail_logs(lam, N)
-    alpha = seq.values_saturated(N)
+    L, logn = tails
+    alpha = seq.values_saturated(len(logn))
     row_part = -alpha / k - logn - L[1:]
     col_part = alpha / (k + 1) + L[:-1]
     return row_part, col_part
@@ -611,7 +619,8 @@ def scaled_e_matrix(lam, k: int, w, N: int) -> TruncOperator:
     if k < 1:
         raise ValueError("k must be >= 1")
     lam_f = complex(lam)
-    row_part, col_part = _scaled_tail_parts(seq, lam_f, k, N)
+    row_part, col_part = _scaled_tail_parts(seq, k,
+                                            resolvent_tail_logs(lam_f, N))
     mask = np.tri(N, k=-1, dtype=bool)
     if np.any((row_part[:, None] + col_part[None, :])[mask] > 700.0):
         raise RepresentationError(

@@ -48,6 +48,7 @@ from .trend import (
     UNDECIDED,
     WINDOW,
     Verdict,
+    _running_extreme,
     ladder,
     limit_verdict_positive,
     limit_verdict_zero,
@@ -655,7 +656,9 @@ def v_alpha(seq: AlphaSequence, N: int | None = None) -> tuple[float, Verdict]:
 
     A positive gap infimum forces log(n)/alpha_n -> 0 (gaps bounded below make
     alpha grow at least linearly), so `holds` here should always co-occur with
-    a nuclearity `holds`; classify_space cross-checks that.
+    a nuclearity `holds`; classify_space cross-checks that.  The running min
+    at ladder index n is min(gaps[:n]), read from segment minima between the
+    checkpoints; min only selects, so it equals the full accumulate there.
     """
     N = N or default_resolution(seq)
     if N < 2:
@@ -666,14 +669,16 @@ def v_alpha(seq: AlphaSequence, N: int | None = None) -> tuple[float, Verdict]:
         raise ValueError("alpha must be nondecreasing")
     extra = {"alpha": seq.spec_string(), "N": N}
     gaps = gaps[_unsaturated(np.arange(2, N + 1), a[1:], extra)]
-    running_min = np.minimum.accumulate(gaps)
-    lad = ladder(len(gaps)) if len(gaps) else np.array([], dtype=np.int64)
-    sampled = running_min[lad - 1]
+    if len(gaps):
+        lad = ladder(len(gaps))
+        sampled, observed = _running_extreme(np.minimum, gaps, lad - 1)
+        observed = float(observed)
+    else:
+        lad, sampled, observed = np.array([], dtype=np.int64), gaps, math.nan
     with np.errstate(divide="ignore"):
         logs = np.log(np.maximum(sampled, 0.0))
     quantity = "running min of alpha gaps"
     starved = _saturation_starved(lad, logs, quantity, extra)
-    observed = float(running_min[-1]) if len(gaps) else math.nan
     if starved is not None:
         return observed, starved
     extra["observed_inf"] = observed

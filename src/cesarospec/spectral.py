@@ -251,10 +251,22 @@ def verify_resolvent_point(
     """
     if k < 1:
         raise PreconditionError(f"weight step k must be >= 1, got {k}")
+    N = _resolvent_resolution(seq, N)
+    return _resolvent_step(seq, lam, k, N, resolvent_tail_logs(lam, N))
+
+
+def _resolvent_resolution(seq: AlphaSequence, N: int | None) -> int:
+    """N, or seq's default resolution; a resolvent check needs N >= 16."""
     N = N or default_resolution(seq)
     if N < 16:
         raise PreconditionError("resolvent verification needs N >= 16")
-    row_part, col_part = _scaled_tail_parts(seq, lam, k, N)
+    return N
+
+
+def _resolvent_step(seq: AlphaSequence, lam, k: int, N: int,
+                    tails: tuple) -> Verdict:
+    """verify_resolvent_point at step k, given resolvent_tail_logs(lam, N)."""
+    row_part, col_part = _scaled_tail_parts(seq, k, tails)
 
     # (a) column decay for the sampled columns m = 1, 2, 4, ... <= N/4
     col_ms = [1 << j for j in range((N // 4).bit_length())]
@@ -272,7 +284,7 @@ def verify_resolvent_point(
     # (b) bounded absolute row sums via prefix log-sum-exp of the column part
     G = np.logaddexp.accumulate(col_part)
     ns = np.arange(2, N + 1, dtype=np.int64)
-    q = row_part[ns - 1] + G[ns - 2]
+    q = row_part[1:] + G[:-1]   # rows n = 2..N
     rows = sup_verdict_bounded(
         ns, q, "absolute row sums of the scaled tail matrix",
         extra={"alpha": seq.spec_string(), "lambda": complex(lam),
@@ -308,7 +320,9 @@ def resolvent_point_profile(
     """
     if kmax < 1:
         raise PreconditionError(f"need kmax >= 1, got {kmax}")
-    steps = [verify_resolvent_point(seq, lam, k, N)
+    N = _resolvent_resolution(seq, N)
+    tails = resolvent_tail_logs(lam, N)   # the same for every step
+    steps = [_resolvent_step(seq, lam, k, N, tails)
              for k in range(1, kmax + 1)]
     params = {"alpha": seq.spec_string(), "lambda": complex(lam),
               "kmax": kmax,

@@ -237,23 +237,44 @@ def limit_verdict_positive(
         ns, logs, quantity, extra)
 
 
+_ZERO = np.zeros(1, dtype=np.intp)
+
+
+def _running_extreme(ufunc, values: np.ndarray, pos: np.ndarray) -> tuple:
+    """(ufunc.accumulate(values)[pos], ufunc.reduce(values)) for np.maximum
+    or np.minimum, from one reduce per segment between the nondecreasing
+    positions pos (repeats allowed) instead of a full-length accumulate.
+
+    Segment i is values[pos[i-1]:pos[i]], from 0 for i = 0 and to the end
+    after the last; reduceat reads a repeated position's empty segment as
+    the entry there, which lies in the prefix anyway.  The extreme up to
+    pos[i] is the prefix extreme of segments 0..i joined with
+    values[pos[i]].  max and min only select and never round, so each entry
+    equals the accumulate's, NaN and -inf included, save that of tied zeros
+    reduce may pick the other sign.
+    """
+    seg = ufunc.accumulate(ufunc.reduceat(values, np.concatenate((_ZERO, pos))))
+    return ufunc(seg[:-1], values[pos]), seg[-1]
+
+
 def _sup_scan(ns, logs) -> tuple:
     """(trend, detail, ladder checkpoints, running sup there) for
-    classify_sup and sup_verdict_bounded.  The running sup carries NaN
-    forward and ends at the max, so both input checks read its last entry."""
+    classify_sup and sup_verdict_bounded.  The running sup at checkpoint n
+    is max(logs[:i + 1]) for the last i with ns[i] <= n, read by
+    _running_extreme; the overall max is NaN if any sample is.  No
+    checkpoint lies below ns[0]: ladder(N, start) starts at start or above.
+    """
     ns = np.asarray(ns)
     logs = np.asarray(logs, dtype=float)
     if len(ns) != len(logs) or len(ns) == 0:
         raise ValueError("need matching nonempty samples")
-    running = np.maximum.accumulate(logs)
-    top = float(running[-1])
+    lad = ladder(int(ns[-1]), start=int(ns[0]))
+    pos = np.searchsorted(ns, lad, side="right") - 1
+    running, top = _running_extreme(np.maximum, logs, pos)
+    top = float(top)
     if top != top:
         raise ValueError("sup samples must not be NaN")
-
-    lad = ladder(int(ns[-1]), start=int(ns[0]))
-    lad = lad[lad >= ns[0]]
-    pos = np.searchsorted(ns, lad, side="right") - 1
-    checkpoints = running[pos].tolist()
+    checkpoints = running.tolist()
     scan = (lad.tolist(), checkpoints)
 
     if top >= LOG_OVERFLOW:

@@ -110,6 +110,36 @@ class TestHugeFloatIterates:
             v = iterate_limit_check(x, tol=1e300)
         assert v.outcome == HOLDS
 
+    def test_means_stay_at_the_float_limit(self):
+        # the running sums pass float range; the means do not
+        x = CoordinateVector(np.array([1e308] * 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means = cesaro_means(x, 3).means
+        assert [j for j, _ in means] == [1, 2, 3]
+        for _, mean in means:
+            assert list(mean) == [1e308] * 3
+
+    def test_band_test_of_opposite_huge_entries(self):
+        # x_2 - x_1 = -2.7e308 is past float range; the second entry still
+        # reaches x_1 to rounding after 55 halvings of that gap
+        x = CoordinateVector(np.array([1e308, -1.7e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = iterate_limit_check(x)
+        assert v.outcome == HOLDS
+        assert v.evidence == ((1, 0), (2, 55))
+        assert v.params == {"tol": 1e-6, "m_cap": 256, "max_steps": 55}
+
+    def test_ordinary_means_keep_the_plain_sums(self, rng):
+        x = CoordinateVector(rng.uniform(-1, 1, size=40))
+        trace = power_iterate(x, 12)
+        acc = None
+        for (j, mean), y in zip(cesaro_means(trace, 12).means,
+                                trace.vectors[1:]):
+            acc = y.values if acc is None else acc + y.values
+            assert np.array_equal(np.array(mean), acc / j)
+
     def test_random_dynamics_report_bytes(self, monkeypatch):
         # the helper keeps the bytes of the plain prefix-sum formula on
         # ordinary input

@@ -572,7 +572,7 @@ class TestScaledTail:
         seq = parse_alpha("linear")
         lam = 2.0
         n = 10
-        row_part, col_part = _scaled_tail_parts(seq, lam, 1, n)
+        row_part, col_part = _scaled_tail_parts(seq, 1, resolvent_tail_logs(lam, n))
         L, logn = resolvent_tail_logs(lam, n)
         # cell (5, 2): -alpha_5/1 + alpha_2/2 + log|e_52|
         want = -5.0 + 1.0 + (L[1] - logn[4] - L[5])
@@ -590,7 +590,7 @@ class TestScaledTail:
         seq = parse_alpha("linear")
         lower = np.tri(12, k=-1, dtype=bool)
         for lam in (2.0, 0.4, 0.4 + 0.3j):
-            row_part, col_part = _scaled_tail_parts(seq, lam, 1, 12)
+            row_part, col_part = _scaled_tail_parts(seq, 1, resolvent_tail_logs(lam, 12))
             got = scaled_e_matrix(lam, 1, seq, 12).log_abs()[lower]
             want = (row_part[:, None] + col_part[None, :])[lower]
             assert np.allclose(got, want, rtol=1e-10, atol=0.0)
@@ -613,7 +613,7 @@ class TestScaledTail:
         # and the tail entries P_{m-1} / (n P_n) exceed float range
         seq = parse_alpha("sqrt")
         lam, n = 2 / 801, 801
-        row_part, col_part = _scaled_tail_parts(seq, lam, 1, n)
+        row_part, col_part = _scaled_tail_parts(seq, 1, resolvent_tail_logs(lam, n))
         lower = np.tri(n, k=-1, dtype=bool)
         assert (row_part[:, None] + col_part[None, :])[lower].max() > 700.0
         with pytest.raises(RepresentationError, match="float range"):

@@ -31,6 +31,7 @@ from cesarospec import (
 from cesarospec.errors import RepresentationError
 import cesarospec.sequences as sequences_module
 from cesarospec.sequences import ALPHA_SATURATION, SeminormTable
+from cesarospec.trend import ladder
 
 
 class TestGeneratorValues:
@@ -649,6 +650,21 @@ class TestSaturatedTail:
         # the unclipped values still refuse a tail beyond float range
         with pytest.raises(RepresentationError):
             seq.values(50)
+
+    def test_gap_running_min_over_a_saturated_tail(self):
+        # gaps that shrink and grow again before alpha saturates at n = 42:
+        # the ladder reads the running min of the unsaturated gaps
+        gaps = [3.0, 1.0, 2.0, 0.5, 4.0, 0.25, 0.75] * 5 + [0.125] * 5
+        vals = np.cumsum([1.0] + gaps).tolist() + [1e301]
+        seq = parse_alpha("table:[" + ",".join(map(repr, vals)) + "]")
+        observed, v = v_alpha(seq, 400)
+        a = seq.values_saturated(400)
+        kept = np.diff(a)[a[1:] < ALPHA_SATURATION]
+        lad = ladder(len(kept))
+        want = np.log(np.minimum.accumulate(kept)[lad - 1])
+        assert v.params["saturated_from"] == 42
+        assert observed == 0.125
+        assert v.evidence == tuple(zip(lad.tolist(), want.tolist()))
 
     def test_too_few_unsaturated_samples_is_inconclusive(self):
         # alpha_6 = 1.1e300 saturates, which leaves fewer ladder samples

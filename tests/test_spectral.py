@@ -203,6 +203,27 @@ class TestResolventPoints:
         with pytest.raises(PreconditionError):
             verify_resolvent_point(linear, 0.5)
 
+    @pytest.mark.parametrize("spec,lam", [("log:beta=2", 0.4),
+                                          ("s1_empty", 2), ("linear", 0.4 + 0.3j)])
+    def test_profile_steps_are_the_point_checks(self, spec, lam):
+        # the profile computes the tail logs once for all steps
+        seq = parse_alpha(spec)
+        v = resolvent_point_profile(seq, lam, kmax=4, N=400)
+        for k in range(1, 5):
+            step = verify_resolvent_point(seq, lam, k, 400)
+            assert v.params["per_step"][k] == step.outcome
+            if v.witness is not None and v.witness["k"] == k:
+                assert v.evidence == step.evidence
+
+    @pytest.mark.parametrize("lam", [0.5, 0, 1 / 3 + 1e-12])
+    def test_profile_refuses_poles_as_the_point_check(self, linear, lam):
+        errors = []
+        for check in (verify_resolvent_point, resolvent_point_profile):
+            with pytest.raises(PreconditionError) as err:
+                check(linear, lam)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
 
 class TestEnvelope:
     @pytest.mark.parametrize("lam", [2.0, -1.0])

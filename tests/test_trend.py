@@ -24,6 +24,7 @@ from cesarospec.trend import (
     WINDOW,
     ZERO_REL_TOL,
     Verdict,
+    _running_extreme,
     classify_limit,
     classify_sup,
     first_deciding,
@@ -415,6 +416,15 @@ def dense_samples(draw):
     return _as_given(draw, ns, draw(_logs(ns)))
 
 
+@st.composite
+def sparse_samples(draw):
+    """Strictly increasing grids with gaps, where several ladder checkpoints
+    fall between two grid points and share one position."""
+    ns = sorted(draw(st.sets(st.integers(1, 5000), min_size=1, max_size=60)))
+    ns = np.array(ns, dtype=np.int64)
+    return _as_given(draw, ns, draw(_logs(ns)))
+
+
 def _same(got, want):
     """Equal values of equal types, element by element for evidence."""
     assert type(got) is type(want)
@@ -454,13 +464,13 @@ class TestRewriteMatchesReference:
         _same(new(ns, logs, "q", extra), ref(ns, logs, "q", extra))
 
     @settings(max_examples=400, deadline=None)
-    @given(st.one_of(dense_samples(), ladder_samples()))
+    @given(st.one_of(dense_samples(), ladder_samples(), sparse_samples()))
     def test_classify_sup(self, samples):
         ns, logs = samples
         _same(classify_sup(ns, logs), ref_classify_sup(ns, logs))
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(dense_samples(), ladder_samples()))
+    @given(st.one_of(dense_samples(), ladder_samples(), sparse_samples()))
     def test_sup_verdict(self, samples):
         ns, logs = samples
         _same(sup_verdict_bounded(ns, logs, "q", {"k": 1}),
@@ -548,3 +558,90 @@ class TestRewriteMatchesReference:
         for ns, logs in (([], []), ([1, 2], [0.0])):
             with pytest.raises(ValueError, match="matching nonempty"):
                 fn(ns, logs)
+
+
+# -- the running extreme at checkpoints ------------------------------------------
+
+# values that tie (both zeros), sit at the ends, or are -inf
+_POOL = np.array([0.0, -0.0, 1.0, -1.0, -np.inf, LOG_OVERFLOW, 1e308])
+
+
+@st.composite
+def checkpointed(draw):
+    """(values, nondecreasing positions): a contiguous grid's ladder
+    positions, a sparse grid's (with repeats), or positions drawn directly,
+    with length-1 cases among each."""
+    kind = draw(st.sampled_from(["contiguous", "sparse", "direct"]))
+    if kind == "contiguous":
+        start = draw(st.integers(1, 40))
+        ns = np.arange(start, draw(st.integers(start, 3000)) + 1)
+    elif kind == "sparse":
+        ns = np.array(sorted(draw(st.sets(st.integers(1, 5000), min_size=1,
+                                          max_size=60))))
+    else:
+        ns = np.arange(draw(st.integers(1, 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = len(ns)
+    values = np.where(rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])),
+                      rng.choice(_POOL, n), rng.uniform(-5.0, 5.0, n))
+    if kind == "direct":
+        pos = np.sort(rng.integers(0, n, draw(st.integers(1, 40))))
+    else:
+        lad = ladder(int(ns[-1]), start=int(ns[0]))
+        pos = np.searchsorted(ns, lad, side="right") - 1
+    return values, pos
+
+
+def _accumulated(ufunc, values, pos):
+    full = ufunc.accumulate(values)
+    return full[pos], full[-1]
+
+
+class TestRunningExtreme:
+    """The checkpoint reads equal the full accumulate's.  np.testing's
+    equality is exact for every nonzero value and NaN, and reads 0.0 and
+    -0.0 as equal: reduce and accumulate pick different members of a tie."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(checkpointed(), st.sampled_from([np.maximum, np.minimum]))
+    def test_matches_accumulate(self, case, ufunc):
+        values, pos = case
+        got, top = _running_extreme(ufunc, values, pos)
+        want, want_top = _accumulated(ufunc, values, pos)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(top, want_top)
+
+    @pytest.mark.parametrize("ufunc", [np.maximum, np.minimum])
+    def test_nan_is_carried_forward(self, ufunc):
+        values = np.array([0.0, 2.0, np.nan, 1.0, -np.inf, 5.0])
+        for pos in ([0, 1, 2, 5], [1, 1, 3, 3, 3], [4], [0, 0]):
+            pos = np.array(pos, dtype=np.intp)
+            got, top = _running_extreme(ufunc, values, pos)
+            want, want_top = _accumulated(ufunc, values, pos)
+            np.testing.assert_array_equal(got, want)
+            assert math.isnan(top) and math.isnan(want_top)
+
+    def test_single_entry(self):
+        for ufunc in (np.maximum, np.minimum):
+            got, top = _running_extreme(ufunc, np.array([-np.inf]),
+                                        np.array([0, 0], dtype=np.intp))
+            assert got.tolist() == [-np.inf, -np.inf] and top == -np.inf
+
+    def test_shared_checkpoint_position_reads_the_whole_prefix(self):
+        # the ladder checkpoints 64 to 724 all map to ns = 51, so the running
+        # sup there is max(0, 1, 3); a segment start clipped to the repeated
+        # position reads 1.0 at 64, missing logs[2]
+        ns, logs = [2, 50, 51, 1000], [0.0, 1.0, 3.0, 0.2]
+        v = sup_verdict_bounded(ns, logs, "q")
+        ev = dict(v.evidence)
+        assert ev[46] == 0.0
+        assert all(ev[n] == 3.0 for n in ev if n >= 64)
+        _same(v, ref_sup_verdict_bounded(ns, logs, "q"))
+        _same(classify_sup(ns, logs), ref_classify_sup(ns, logs))
+
+    def test_nan_on_a_sparse_grid_raises(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            sup_verdict_bounded([2, 50, 51, 1000], [0.0, np.nan, 3.0, 0.2],
+                                "q")
+        with pytest.raises(ValueError, match="must not be NaN"):
+            classify_sup([3], [np.nan])
