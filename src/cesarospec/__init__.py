@@ -18,7 +18,6 @@ from .criteria import (
     classify_space,
     d_continuity_check,
     delta_continuity_check,
-    echelon_weights,
     gallery,
     inverse_continuity_check,
     koethe_continuity_check,

@@ -62,22 +62,6 @@ WeightFamily = Callable[[int, np.ndarray], np.ndarray]
 K_WINDOW = 4
 
 
-def echelon_weights(seq: AlphaSequence) -> WeightFamily:
-    """The defining weights w_k(n) = exp(-alpha_n / k) as a matrix family.
-
-    These increase in k like any echelon matrix, and the averaging operator
-    is continuous on the space exactly when the (k, l) sup condition below
-    holds for them; for this family it always does.
-    """
-
-    def family(k: int, ns: np.ndarray) -> np.ndarray:
-        ns = np.asarray(ns, dtype=np.int64)
-        vals = seq.values_saturated(int(ns[-1]))
-        return -vals[ns - 1] / k
-
-    return family
-
-
 def default_lmax(k: int) -> int:
     """Search ceiling for the secondary index: generous but finite."""
     return 4 * k + 8

@@ -53,8 +53,8 @@ class IterateTrace:
     vectors holds x0 and every iterate in step order (exact iterates in
     shared-denominator form); the seminorm history holds
     (step, ((k, p_k value), ...)) when a weight system was supplied.
-    Every iterate keeps the full trustworthy prefix of x0: the map is lower
-    triangular and consumes nothing.
+    Every iterate has the length of x0 and is exact on all of it: the map
+    is lower triangular and consumes nothing.
     """
 
     vectors: tuple
@@ -157,7 +157,7 @@ def iterate_via_kernel(x, m: int) -> CoordinateVector:
         raise PreconditionError(f"need m >= 1, got {m}")
     x = as_vector(x)
     K = kernel_matrix(m, len(x))
-    return CoordinateVector(K @ x.as_float(), x.valid_len)
+    return CoordinateVector(K @ x.as_float())
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -194,7 +194,10 @@ def gm_sup(m: int, method: str = "both") -> float:
 
     The numeric maximum is taken over s = log(1/t) on [0, 2m], a bracket
     that holds the maximizer s = m - 1 for every m; in t the maximizer
-    e^-(m-1) falls below any fixed floor once m is large.
+    e^-(m-1) falls below any fixed floor once m is large.  It maximizes the
+    log of the density, -s + (m-1) log s - log (m-1)!, and takes one exp at
+    the end: the density itself underflows to 0.0 away from its peak once
+    m passes about 30,000, and the search would follow the zeros.
     """
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
@@ -210,14 +213,14 @@ def gm_sup(m: int, method: str = "both") -> float:
 
     lg = math.lgamma(m)
 
-    def g(s: float) -> float:
+    def log_g(s: float) -> float:
         if m == 1:
-            return math.exp(-s)
+            return -s
         if s <= 0.0:
-            return 0.0
-        return math.exp(-s + (m - 1) * math.log(s) - lg)
+            return -math.inf
+        return -s + (m - 1) * math.log(s) - lg
 
-    numeric = _golden_max(g, 0.0, 2.0 * m)
+    numeric = math.exp(_golden_max(log_g, 0.0, 2.0 * m))
     if method == "numeric":
         return numeric
     if abs(closed - numeric) > 1e-10:
@@ -267,7 +270,7 @@ def _running_means(iterates):
             v = y.values if scale == 1.0 else y.values / scale
             acc = v if acc is None else acc + v
             mean = acc / j if scale == 1.0 else acc / j * scale
-            yield j, CoordinateVector(mean, y.valid_len)
+            yield j, CoordinateVector(mean)
         return
     re_sum, den = [0] * len(iterates[0]), 1
     for j, y in enumerate(iterates, start=1):
@@ -276,8 +279,7 @@ def _running_means(iterates):
         a, b = lcm // den, lcm // den_y
         re_sum = [s * a + p * b for s, p in zip(re_sum, re)]
         den = lcm
-        yield j, CoordinateVector.over_denominator(re_sum, j * den,
-                                                   y.valid_len)
+        yield j, CoordinateVector.over_denominator(re_sum, j * den)
 
 
 def cesaro_means(
@@ -397,6 +399,8 @@ def iterate_limit_check(x, tol: float = 1e-6) -> Verdict:
     """
     m_cap = _LIMIT_STEP_CAP
     x = as_vector(x)
+    if len(x) == 0:
+        raise PreconditionError("empty vector")
     xf = x.as_float().astype(complex)
     # |y - x_1| <= 2 max|x| for every iterate y, since averaging keeps each
     # entry within max|x|; where that could overflow, the run is on x scaled

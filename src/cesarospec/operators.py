@@ -17,9 +17,11 @@ Entries beyond float range (large binomials, scaled resolvent tails) are
 read in log scale from plain arrays: logbinom, resolvent_tail_logs and
 _scaled_tail_parts.
 
-Truncation honesty is tracked rather than hidden: a CoordinateVector carries
-the length of its trustworthy prefix.  Matrix applications keep it, and
-differentiation_apply, which consumes a trailing coordinate, shrinks it.
+Every matrix here is lower triangular, so output n reads only inputs
+1..n: an N x N truncation gives the first N outputs of the untruncated
+operator exactly, and a truncated vector is exact on its whole length.  A
+map that reads ahead consumes coordinates and returns a shorter vector:
+differentiation_apply, output n = n x_{n+1}, returns one fewer.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def logbinom(n, k) -> np.ndarray:
 
 
 class CoordinateVector:
-    """A finite coordinate block with a trustworthy-prefix marker.
+    """A finite coordinate block, exact on its whole length.
 
     A float vector holds a float64 or complex128 array.  An exact vector
     holds integer numerators re over one positive integer den, entry n being
@@ -93,11 +95,10 @@ class CoordinateVector:
     exact running means and rational matrix applies return it, so they need
     no gcd.  Its Fraction values are built only when .values is read; a
     single entry, as_float and prefix read the numerators directly.
-    valid_len says how many leading coordinates are meaningful (truncated
-    operator applications can consume trailing ones).  Indexing is 0-based.
+    Indexing is 0-based.
     """
 
-    def __init__(self, values, valid_len: int | None = None):
+    def __init__(self, values):
         self._values = self._shared = None
         if isinstance(values, np.ndarray) and values.dtype.kind in "fc":
             self._values = np.array(values)
@@ -111,22 +112,14 @@ class CoordinateVector:
                 arr = np.asarray(vals)
                 self._values = arr if arr.dtype.kind in "fc" \
                     else arr.astype(float)
-        self._set_valid_len(valid_len)
 
     @classmethod
-    def over_denominator(cls, re: list, den: int,
-                         valid_len: int | None = None) -> "CoordinateVector":
+    def over_denominator(cls, re: list, den: int) -> "CoordinateVector":
         """The exact vector re[n] / den, for integers re and den > 0."""
         vec = cls.__new__(cls)
         vec._values = None
         vec._shared = (re, den)
-        vec._set_valid_len(valid_len)
         return vec
-
-    def _set_valid_len(self, valid_len) -> None:
-        self.valid_len = len(self) if valid_len is None else int(valid_len)
-        if not 0 <= self.valid_len <= len(self):
-            raise ValueError("valid_len out of range")
 
     @property
     def values(self) -> np.ndarray:
@@ -166,14 +159,13 @@ class CoordinateVector:
         return np.array([p / den for p in re])
 
     def prefix(self, n: int) -> "CoordinateVector":
-        valid = min(self.valid_len, n)
         if self._shared is None:
-            return CoordinateVector(self._values[:n], valid)
+            return CoordinateVector(self._values[:n])
         re, den = self._shared
-        return CoordinateVector.over_denominator(re[:n], den, valid)
+        return CoordinateVector.over_denominator(re[:n], den)
 
     def __repr__(self) -> str:
-        return f"CoordinateVector(len={len(self)}, valid={self.valid_len})"
+        return f"CoordinateVector(len={len(self)})"
 
 
 def as_vector(x) -> CoordinateVector:
@@ -262,20 +254,18 @@ class TruncOperator:
     # -- algebra ----------------------------------------------------------
 
     def apply(self, x) -> CoordinateVector:
-        """Matrix-vector product, tracking the trustworthy prefix."""
+        """Matrix-vector product with the first N coordinates of x."""
         x = as_vector(x)
         if len(x) < self.N:
             raise ValueError(f"vector of length {len(x)} too short for N={self.N}")
-        out_valid = min(x.valid_len, self.N)
         if self.mode == "rational" and x.exact:
             re, den = self._num
             xre, xden = x.prefix(self.N).shared()
             out = re @ np.array(xre, dtype=object)
-            return CoordinateVector.over_denominator(out.tolist(), den * xden,
-                                                     out_valid)
+            return CoordinateVector.over_denominator(out.tolist(), den * xden)
         xf = x.prefix(self.N).as_float()
         data = self._data if self.mode == "float" else self.as_float_entries()
-        return CoordinateVector(data @ xf, out_valid)
+        return CoordinateVector(data @ xf)
 
     def as_float_entries(self) -> np.ndarray:
         """Entries as floats; each rational entry p/den is correctly rounded,
@@ -286,7 +276,8 @@ class TruncOperator:
         return (re / den).astype(float)
 
     def compose(self, other: "TruncOperator") -> "TruncOperator":
-        """Truncated product self @ other (valid where both truncations agree)."""
+        """Truncated product self @ other.  For lower-triangular factors it
+        is the N x N truncation of the untruncated product."""
         if self.N != other.N:
             raise ValueError("size mismatch")
         if self.mode != other.mode:
@@ -350,8 +341,8 @@ def cesaro_apply(x) -> CoordinateVector:
         re, den = x.shared()
         L, mult = _mean_multipliers(len(x))
         return CoordinateVector.over_denominator(
-            list(map(mul, accumulate(re), mult)), den * L, x.valid_len)
-    return CoordinateVector(_prefix_means(np.asarray(x.values)), x.valid_len)
+            list(map(mul, accumulate(re), mult)), den * L)
+    return CoordinateVector(_prefix_means(np.asarray(x.values)))
 
 
 def _prefix_means(v: np.ndarray) -> np.ndarray:
@@ -387,11 +378,11 @@ def cesaro_inverse_apply(y) -> CoordinateVector:
         re, den = y.shared()
         out = [n * p - (n - 1) * q
                for n, p, q in zip(range(1, len(re) + 1), re, [0] + re[:-1])]
-        return CoordinateVector.over_denominator(out, den, y.valid_len)
+        return CoordinateVector.over_denominator(out, den)
     vals = np.asarray(y.values)
     ns = np.arange(1, len(vals) + 1)
     shifted = np.concatenate([[0.0], vals[:-1]])
-    return CoordinateVector(ns * vals - (ns - 1) * shifted, y.valid_len)
+    return CoordinateVector(ns * vals - (ns - 1) * shifted)
 
 
 def b_apply(z) -> CoordinateVector:
@@ -409,31 +400,30 @@ def b_apply(z) -> CoordinateVector:
         for n, t in enumerate(map(mul, mult, re), start=1):
             out.append(acc + (n + 1) * t)
             acc += t
-        return CoordinateVector.over_denominator(out, den * L, z.valid_len)
+        return CoordinateVector.over_denominator(out, den * L)
     vals = np.asarray(z.values)
     ns = np.arange(1, len(vals) + 1)
     scaled = vals / ns
     prior = np.zeros_like(scaled)
     np.cumsum(scaled[:-1], out=prior[1:])
-    return CoordinateVector((ns + 1) / ns * vals + prior, z.valid_len)
+    return CoordinateVector((ns + 1) / ns * vals + prior)
 
 
 def differentiation_apply(x) -> CoordinateVector:
     """The basis-shift derivative: output_n = n * x_{n+1}.
 
-    Consumes one trailing coordinate, so the result is one shorter and the
-    trustworthy prefix shrinks by one.
+    Output n reads x_{n+1}, so the last coordinate is consumed and the
+    result is one shorter than x.
     """
     x = as_vector(x)
     if len(x) < 2:
         raise ValueError("need at least two coordinates")
-    valid = max(0, min(x.valid_len, len(x)) - 1)
     if x.exact:
         re, den = x.shared()
         return CoordinateVector.over_denominator(
-            [n * p for n, p in enumerate(re[1:], start=1)], den, valid)
+            [n * p for n, p in enumerate(re[1:], start=1)], den)
     vals = np.asarray(x.values)
-    return CoordinateVector(np.arange(1, len(vals)) * vals[1:], valid)
+    return CoordinateVector(np.arange(1, len(vals)) * vals[1:])
 
 
 def delta(N: int) -> TruncOperator:

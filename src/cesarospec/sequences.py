@@ -590,7 +590,7 @@ class SeminormTable:
                              f"got shape {mags.shape}")
         with np.errstate(divide="ignore"):
             tops = np.max(self._log_w + np.log(mags)[..., None, :], axis=-1)
-        rows = [tuple(math.exp(t) if t > -math.inf else 0.0 for t in row)
+        rows = [tuple(0.0 if t == -math.inf else math.exp(t) for t in row)
                 for row in np.atleast_2d(tops).tolist()]
         return rows if mags.ndim == 2 else rows[0]
 

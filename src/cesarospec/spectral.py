@@ -32,6 +32,8 @@ from .trend import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    UNDECIDED,
+    WINDOW,
     Verdict,
     first_deciding,
     ladder,
@@ -211,6 +213,9 @@ def eigenvector_membership(
     The magnitudes are binom(n-1, m-1), so membership at level k is the trend
     of -alpha_n/k + log binom(n-1, m-1) along the ladder.  holds only when
     every level up to K vanishes; the witness of a failure is the first bad k.
+    The column is zero above row m, so only ladder samples at n >= m say
+    anything: with fewer than trend.WINDOW of them up to N the verdict is
+    inconclusive, as one or two samples cannot show a trend.
     """
     if m < 1:
         raise PreconditionError(f"eigenvector index m must be >= 1, got {m}")
@@ -218,6 +223,13 @@ def eigenvector_membership(
         raise PreconditionError(f"need K >= 1, got {K}")
     N = N or default_resolution(seq)
     lad = ladder(N, start=max(2, m))
+    support = int(np.count_nonzero(lad >= m))
+    if support < WINDOW:
+        return Verdict(
+            INCONCLUSIVE, UNDECIDED,
+            reason=f"only {support} ladder samples lie at n >= m = {m} up to "
+                   f"N = {N}; a trend needs {WINDOW}",
+            params={"alpha": seq.spec_string(), "m": m, "K": K, "N": N})
     alpha = seq.values_saturated(N)[lad - 1]
     logx = logbinom(lad - 1, m - 1)
     i, v = first_deciding(

@@ -379,6 +379,25 @@ class TestMainExitCodes:
             (1, 40, True), (2, 40, True), (3, 40, True), (20, 40, True),
             (200, 400, True)]
 
+    @pytest.mark.parametrize("alpha,N,experiments,m", [
+        ("s1_empty", 20, ["eigenpairs:30"], 30),
+        ("log:beta=2", 10, ["profile", "eigenpairs:20"], 20),
+        ("linear", 40, ["profile", "eigenpairs:40"], 40),
+        ("linear", 100, ["profile", "eigenpairs:90"], 90),
+        ("power:beta=2", 100, ["profile", "eigenpairs:100"], 100),
+    ])
+    def test_membership_past_the_ladder_is_inconclusive(self, alpha, N,
+                                                        experiments, m,
+                                                        capsys):
+        # fewer than WINDOW ladder samples at n >= m up to N
+        assert main(["--alpha", alpha, "--N", str(N),
+                     "--experiments", *experiments]) == 0
+        tree = json.loads(capsys.readouterr().out)
+        membership = tree["results"][-1]["data"]["pairs"][0]["membership"]
+        assert membership["outcome"] == "inconclusive"
+        assert f"m = {m} up to N = {N}" in membership["reason"]
+        assert tree["mismatches"] == []
+
     def test_a_broken_eigenvector_fails_the_exact_check(self, monkeypatch,
                                                         capsys):
         def off_by_one(m, N):

@@ -21,7 +21,6 @@ from cesarospec import (
     classify_space,
     d_continuity_check,
     delta_continuity_check,
-    echelon_weights,
     inverse_continuity_check,
     koethe_continuity_check,
     noncompactness_witness,
@@ -53,6 +52,18 @@ def power_weights(k: int, ns: np.ndarray) -> np.ndarray:
 def geometric_weights(k: int, ns: np.ndarray) -> np.ndarray:
     """log of a_k(n) = k^n."""
     return np.asarray(ns, dtype=float) * math.log(k)
+
+
+def echelon_weights(seq):
+    """log of the defining weights w_k(n) = exp(-alpha_n / k); the averaging
+    map is continuous on every space, so the (k, l) condition holds for
+    them."""
+
+    def family(k, ns):
+        ns = np.asarray(ns, dtype=np.int64)
+        return -seq.values_saturated(int(ns[-1]))[ns - 1] / k
+
+    return family
 
 
 def koethe_outcomes(fam, k):

@@ -275,8 +275,9 @@ class TestDensitySups:
 
     def test_closed_matches_numeric(self):
         # up to the CLI's dynamics step cap; the maximizer e^-(m-1) is below
-        # 1e-12 from m = 29 on
-        for m in range(1, DYNAMICS_STEP_CAP + 1):
+        # 1e-12 from m = 29 on, and the density underflows to 0.0 away from
+        # its peak from m = 30,616 on
+        for m in [*range(1, DYNAMICS_STEP_CAP + 1), 30_616, 61_232, 10 ** 6]:
             closed = gm_sup(m, method="closed")
             numeric = gm_sup(m, method="numeric")
             assert abs(closed - numeric) <= 1e-10
@@ -568,6 +569,10 @@ class TestIterateLimit:
     def test_skewed_vector_settles(self, rng):
         x = CoordinateVector(rng.uniform(-1, 1, size=25))
         assert iterate_limit_check(x, tol=1e-6).outcome == HOLDS
+
+    def test_rejects_empty_vector(self):
+        with pytest.raises(PreconditionError, match="empty vector"):
+            iterate_limit_check([])
 
     def test_cap_too_small_fails_honestly(self, monkeypatch):
         monkeypatch.setattr(dynamics_module, "_LIMIT_STEP_CAP", 2)

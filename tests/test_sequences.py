@@ -310,13 +310,18 @@ class TestWeights:
         with pytest.raises(ValueError):
             seminorm(linear, 1, [])
 
+    def test_seminorm_passes_nan_through(self, linear):
+        # only a log-sup of -inf (a zero vector) reads as 0.0
+        assert math.isnan(seminorm(linear, 1, [math.nan, 1.0]))
+        assert seminorm(linear, 1, [0.0, 0.0]) == 0.0
+
 
 def reference_seminorm(w, k, x):
     """The per-call seminorm as one weight build and one log pass."""
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
         top = float(np.max(w.log_w(k, len(x)) + np.log(np.abs(x))))
-    return math.exp(top) if top > -np.inf else 0.0
+    return 0.0 if top == -np.inf else math.exp(top)
 
 
 def _same_bits(got, want):

@@ -419,10 +419,28 @@ def dense_samples(draw):
 @st.composite
 def sparse_samples(draw):
     """Strictly increasing grids with gaps, where several ladder checkpoints
-    fall between two grid points and share one position."""
-    ns = sorted(draw(st.sets(st.integers(1, 5000), min_size=1, max_size=60)))
-    ns = np.array(ns, dtype=np.int64)
-    return _as_given(draw, ns, draw(_logs(ns)))
+    fall between two grid points and share one position.  Where a drawn
+    flag says so, the grid holds a ladder point v >= 8 whose next ladder
+    point lies before the next grid point, right after a grid point v - 1
+    that no checkpoint reads, with a new running maximum planted at v: only
+    there does a checkpoint read that stops short of its own position's
+    entry differ from the accumulate."""
+    ns = draw(st.sets(st.integers(1, 5000), min_size=1, max_size=60))
+    plant = draw(st.booleans())
+    if plant:
+        lad = ladder(5000)
+        k = draw(st.integers(4, len(lad) - 3))
+        v, nxt = int(lad[k]), int(lad[k + 1])
+        ns = {n for n in ns if not v - 1 <= n <= nxt}
+        ns |= {draw(st.integers(1, v - 2)), v - 1, v,
+               draw(st.integers(nxt + 1, 5000))}
+    ns = np.array(sorted(ns), dtype=np.int64)
+    logs = draw(_logs(ns))
+    if plant:
+        p = int(np.searchsorted(ns, v))
+        prior = logs[:p][np.isfinite(logs[:p])]
+        logs[p] = max(prior, default=0.0) + draw(st.sampled_from([0.005, 3.0]))
+    return _as_given(draw, ns, logs)
 
 
 def _same(got, want):
