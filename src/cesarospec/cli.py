@@ -459,7 +459,7 @@ def _run_dynamics(ctx: _RunContext, x_spec: str, ms) -> tuple:
     exact_ok = x.exact and ctx.seq.exact_values(1) is not None
     bound = power_bound_check(ctx.weights, trace, K=len(ks), M=M,
                               mode="rational" if exact_ok else "float")
-    limit = iterate_limit_check(x, tol=config.tol or 1e-6)
+    limit = iterate_limit_check(trace, tol=config.tol or 1e-6)
     ergodic = ergodic_decomposition_check(ctx.seq, x)
     mism += claims.check(claims.DYNAMICS, {
         "contraction": bound.outcome, "pointwise_limit": limit.outcome,

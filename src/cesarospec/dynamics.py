@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -44,6 +45,12 @@ _LIMIT_STEP_CAP = 256
 # Floats per temporary of one power_bound_check chunk (at least one
 # iterate); larger chunks gain little speed and grow the peak heap.
 _CHUNK_ENTRIES = 1 << 9
+# Floats per row-stack of one _stacked_seminorms table call (at least one
+# row), whose temporaries hold K times as many: at most what one call on a
+# single N = 512 iterate, the longest the CLI iterates, holds.  Stacks of
+# 2**11 and 2**12 floats raised a cli_sweep pass's traced peak by 100 and
+# 230 KB.
+_STACK_ENTRIES = 1 << 9
 
 
 @dataclass(frozen=True)
@@ -90,8 +97,9 @@ def power_iterate(
     """Apply m running-mean passes, recording every intermediate step.
 
     O(m N) total.  Exact input stays exact; the seminorm history (float) is
-    recorded only when a weight system is given.  This is the one producer
-    of iterates: the contraction check and the Cesaro means read its trace.
+    recorded, in stacks, only when a weight system is given.  This is the
+    one producer of iterates: the contraction, means and limit checks read
+    its trace.
     """
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
@@ -104,9 +112,19 @@ def power_iterate(
     sems = ()
     if w is not None:
         table = SeminormTable(w, ks, len(x))
-        sems = tuple((step, tuple(zip(table.ks, table(v.as_float()))))
-                     for step, v in enumerate(vectors))
+        sems = tuple(enumerate(_stacked_seminorms(
+            table, (v.as_float() for v in vectors))))
     return IterateTrace(vectors=tuple(vectors), seminorms=sems)
+
+
+def _stacked_seminorms(table: SeminormTable, rows) -> list:
+    """((k, p_k(row)) for k in ks) per float row, from one table call per
+    stack of _STACK_ENTRIES floats: bit for bit one call per row."""
+    rows, step = iter(rows), max(1, _STACK_ENTRIES // table.N)
+    out = []
+    while chunk := list(islice(rows, step)):
+        out += (tuple(zip(table.ks, p)) for p in table(np.array(chunk)))
+    return out
 
 
 def _trace_of(x, steps: int) -> IterateTrace:
@@ -289,21 +307,23 @@ def cesaro_means(
     ks: tuple = (1, 2, 3),
 ) -> CesaroMeansTrace:
     """Accumulate the first nmax averaged iterates of x, a start vector or
-    an IterateTrace of at least nmax passes.  The exact means are built only
-    when .means is read."""
+    an IterateTrace of at least nmax passes.  The seminorm gaps of the
+    means to x_1 are read in stacks, real for a real trace.  The exact
+    means are built only when .means is read."""
     if nmax < 1:
         raise PreconditionError(f"need nmax >= 1, got {nmax}")
     trace = _trace_of(x, nmax)
     limit = trace.limit_prediction
     iterates = trace.vectors[1:nmax + 1]
-    distances = []
+    distances = ()
     if w is not None:
         table = SeminormTable(w, ks, len(trace.x0))
-        for j, tj in _running_means(iterates):
-            gaps = table(tj.as_float().astype(complex) - complex(limit))
-            distances.append((j, tuple(zip(table.ks, gaps))))
+        lim = float(limit) if trace.x0.exact else limit
+        distances = tuple(enumerate(_stacked_seminorms(table, (
+            t.as_float() - lim for _, t in _running_means(iterates))),
+            start=1))
     return CesaroMeansTrace(
-        x0=trace.x0, distances=tuple(distances), limit_prediction=limit,
+        x0=trace.x0, distances=distances, limit_prediction=limit,
         iterates=iterates,
     )
 
@@ -396,37 +416,42 @@ def iterate_limit_check(x, tol: float = 1e-6) -> Verdict:
     stays there is not required (no rate or monotonicity is claimed); fails
     only if some coordinate has not entered the band by _LIMIT_STEP_CAP
     steps, reported as "m_cap".
+
+    x is a start vector or an IterateTrace, whose float iterates are the
+    first steps: running means are computed only past the trace's end.  An
+    exact trace's iterates are not read, since turning big integers into
+    floats costs more than iterating float(x).  Real x stays real.
     """
     m_cap = _LIMIT_STEP_CAP
+    head = ()
+    if isinstance(x, IterateTrace):
+        head, x = (() if x.x0.exact else x.vectors[1:]), x.x0
     x = as_vector(x)
     if len(x) == 0:
         raise PreconditionError("empty vector")
-    xf = x.as_float().astype(complex)
+    xf = x.as_float()
     # |y - x_1| <= 2 max|x| for every iterate y, since averaging keeps each
     # entry within max|x|; where that could overflow, the run is on x scaled
     # by a power of two, whose iterates are the scaled iterates
     scale = _overflow_scale(float(np.max(np.abs(xf), initial=0.0)), 2)
-    y = xf if scale == 1.0 else xf / scale
+    y = xf / scale
     limit, band = y[0], tol / scale
-    n = len(xf)
-    first_entry = np.full(n, -1, dtype=np.int64)
-    close0 = np.abs(y - limit) < band
-    first_entry[close0] = 0
+    first_entry = np.where(np.abs(y - limit) < band, 0, -1)
     m = 0
     while m < m_cap and np.any(first_entry < 0):
         m += 1
-        y = _prefix_means(y)
-        newly = (first_entry < 0) & (np.abs(y - limit) < band)
-        first_entry[newly] = m
-    evidence = tuple((i + 1, int(first_entry[i])) for i in range(n))
-    if np.any(first_entry < 0):
-        bad = int(np.argmax(first_entry < 0)) + 1
+        y = head[m - 1].values / scale if m <= len(head) else _prefix_means(y)
+        first_entry[(first_entry < 0) & (np.abs(y - limit) < band)] = m
+    entries = first_entry.tolist()
+    evidence = tuple(enumerate(entries, start=1))
+    if -1 in entries:
         return Verdict(FAILS, "no_entry", evidence,
-                       witness={"n": bad, "m_cap": m_cap, "tol": tol},
+                       witness={"n": entries.index(-1) + 1, "m_cap": m_cap,
+                                "tol": tol},
                        params={"tol": tol, "m_cap": m_cap})
     return Verdict(HOLDS, "entered_band", evidence,
                    params={"tol": tol, "m_cap": m_cap,
-                           "max_steps": int(np.max(first_entry))})
+                           "max_steps": max(entries)})
 
 
 def ergodic_decomposition_check(seq: AlphaSequence, x) -> Verdict:

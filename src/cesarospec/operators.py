@@ -361,8 +361,9 @@ def _prefix_means(v: np.ndarray) -> np.ndarray:
 
 def _overflow_scale(peak: float, count: int) -> float:
     """1.0 where count terms of modulus at most peak sum below 2**1000, else
-    the power of two that takes every such sum below it."""
-    if peak * count < 2.0 ** 1000:
+    the power of two that takes every such sum below it.  A NaN peak
+    gets 1.0: no scale makes its sums finite."""
+    if not peak * count >= 2.0 ** 1000:
         return 1.0
     return 2.0 ** (math.frexp(peak)[1] + count.bit_length() - 1000)
 

@@ -33,7 +33,7 @@ from decimal import (
     Overflow, localcontext,
 )
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -455,6 +455,11 @@ class AlphaSequence:
             self._probes[N] = tuple(self._tail_probes(N))
         return self._probes[N]
 
+    @cached_property
+    def bracket_probes(self) -> tuple:
+        """_bracket_probes(self), computed once per sequence."""
+        return _bracket_probes(self)
+
     def _tail_probes(self, N: int) -> list[TailProbe]:
         if self.kind == "s1_empty":
             _, ylogs = _sparse_block_table(_LOG_PROBE_LIMIT)
@@ -732,7 +737,8 @@ def _bracket_probes(seq: AlphaSequence) -> tuple:
     below, and the samples after it would flatten or fall.
 
     s1_empty reads the starts of its blocks, every other kind the
-    log-indices log(N) 2^t, both up to log n = _LOG_PROBE_LIMIT.
+    log-indices log(N) 2^t, both up to log n = _LOG_PROBE_LIMIT.  The
+    arrays are read-only: AlphaSequence.bracket_probes keeps them.
     """
     if seq.kind == "s1_empty":
         probes = seq.tail_probes(_BRACKET_N)
@@ -747,7 +753,9 @@ def _bracket_probes(seq: AlphaSequence) -> tuple:
         labels = [f"log n={L:.6g}" for L in logs_n.tolist()]
     saturated = np.flatnonzero(alphas >= ALPHA_SATURATION)
     end = int(saturated[0]) + 1 if len(saturated) else len(alphas)
-    return labels[:end], logs_n[:end], alphas[:end]
+    logs_n, alphas = logs_n[:end], alphas[:end]
+    logs_n.flags.writeable = alphas.flags.writeable = False
+    return tuple(labels[:end]), logs_n, alphas
 
 
 def _bracket_end(seq: AlphaSequence, k: int, half: bool) -> tuple:
@@ -777,7 +785,7 @@ def _bracket_end(seq: AlphaSequence, k: int, half: bool) -> tuple:
     if verdict.outcome == FAILS:  # no probe can overturn it
         return verdict, 1.0 if half else math.inf
     # at a probe the index is n = e^L, or n = 2 e^L for alpha at ceil(n/2)
-    labels, logs_n, probe_alphas = _bracket_probes(seq)
+    labels, logs_n, probe_alphas = seq.bracket_probes
     plogs = np.log(probe_alphas) - np.log(
         k * (logs_n + (math.log(2.0) if half else 0.0)))
     verdict = probe_escalation(verdict, labels, plogs, "probe_logs")

@@ -114,8 +114,10 @@ def _number_pairs(v: tuple, inner: str) -> list | None:
     return items
 
 
-def _write(v, pad: str) -> str:
-    """JSON text of v at indent ``pad``, as json.dumps(indent=2) lays it out."""
+def _write(v, pad: str, memo: dict) -> str:
+    """JSON text of v at indent ``pad``, as json.dumps(indent=2) lays it out.
+    memo holds (node, text) per (id, pad) of each dataclass node written, so
+    a repeated node is written once; holding it keeps its id from reuse."""
     s = _scalar(v)
     if s is not _CONTAINER:
         if s is None:
@@ -129,24 +131,32 @@ def _write(v, pad: str) -> str:
         if isinstance(s, int):
             return int.__repr__(s)
         return float.__repr__(s)
+    key = (id(v), pad)
+    if key in memo:
+        return memo[key][1]
     inner = pad + "  "
     pairs = _members(v)
     if pairs is None:
         items = _number_pairs(v, inner) if type(v) is tuple else None
         if items is None:
-            items = [_write(x, inner) for x in v]
+            items = [_write(x, inner, memo) for x in v]
         brackets = "[]"
     else:
         # equal key texts keep the last value, as a dict built from them would
-        texts = {k: _write(x, inner) for k, x in pairs}
+        texts = {k: _write(x, inner, memo) for k, x in pairs}
         items = [f"{encode_basestring_ascii(k)}: {t}" for k, t in texts.items()]
         brackets = "{}"
     if not items:
         return brackets
-    body = (",\n" + inner).join(items)
-    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+    # the brackets join the end items, so that the text is one copy
+    items[0] = f"{brackets[0]}\n{inner}{items[0]}"
+    items[-1] = f"{items[-1]}\n{pad}{brackets[1]}"
+    text = (",\n" + inner).join(items)
+    if hasattr(v, "__dataclass_fields__"):
+        memo[key] = v, text
+    return text
 
 
 def dumps_json(payload) -> str:
     """Canonical JSON text: sorted keys, two-space indent, one final newline."""
-    return _write(payload, "") + "\n"
+    return _write(payload, "", {}) + "\n"

@@ -560,6 +560,91 @@ class TestTraceInput:
             cesaro_means(trace, 4)
 
 
+def reference_history(w, ks, vectors):
+    """The seminorm history as one table call per iterate."""
+    table = SeminormTable(w, ks, len(vectors[0]))
+    return tuple((step, tuple(zip(table.ks, table(v.as_float()))))
+                 for step, v in enumerate(vectors))
+
+
+def reference_gaps(w, ks, trace, nmax):
+    """The means' gaps to x_1 as one complex table call per mean."""
+    table = SeminormTable(w, ks, len(trace.x0))
+    limit = complex(trace.limit_prediction)
+    return tuple(
+        (j, tuple(zip(table.ks, table(t.as_float().astype(complex) - limit))))
+        for j, t in dynamics_module._running_means(
+            trace.vectors[1:nmax + 1]))
+
+
+def stack_shapes(run):
+    """run()'s result and the shapes of its SeminormTable calls."""
+    shapes, real = [], SeminormTable.__call__
+
+    def spy(self, x):
+        shapes.append(np.shape(x))
+        return real(self, x)
+
+    with mock.patch.object(SeminormTable, "__call__", spy):
+        return run(), shapes
+
+
+def float_start(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "huge":
+        return CoordinateVector(np.array([1e308] * n))
+    x = rng.uniform(-1, 1, size=n)
+    if kind == "complex":
+        x = x + 1j * rng.uniform(-1, 1, size=n)
+    return CoordinateVector(x)
+
+
+class TestStackedOrbit:
+    """The seminorm history and the means' gaps, read in stacks of
+    iterates, are those of one table call per iterate, bit for bit."""
+
+    @given(kind=st.sampled_from(["real", "complex", "huge"]),
+           n=st.integers(1, 600), m=st.integers(1, 40),
+           ks=st.lists(st.integers(1, 6), min_size=1, max_size=4,
+                       unique=True),
+           entries=st.sampled_from([1, 7, 600, 1 << 12]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_loop(self, linear, kind, n, m, ks, entries,
+                                    seed):
+        x = float_start(kind, n, seed)
+        with mock.patch.object(dynamics_module, "_STACK_ENTRIES", entries):
+            trace = power_iterate(x, m, w=linear, ks=ks)
+            means = cesaro_means(trace, m, w=linear, ks=ks)
+        assert repr(trace.seminorms) == repr(
+            reference_history(linear, ks, trace.vectors))
+        assert repr(means.distances) == repr(
+            reference_gaps(linear, ks, trace, m))
+
+    def test_exact_orbit_matches_reference_loop(self, linear):
+        x = CoordinateVector([F(5), F(-3), F(7, 2), F(0), F(2)])
+        trace = power_iterate(x, 9, w=linear, ks=(1, 3))
+        assert trace.seminorms == reference_history(linear, (1, 3),
+                                                    trace.vectors)
+        assert cesaro_means(trace, 9, w=linear, ks=(1, 3)).distances \
+            == reference_gaps(linear, (1, 3), trace, 9)
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 512, 4096, 5000])
+    def test_stacks_stay_within_the_entry_budget(self, linear, n):
+        budget = dynamics_module._STACK_ENTRIES
+        x = float_start("real", n, n)
+        # 33 iterates with x0, and 32 means
+        for count, run in (
+                (33, lambda: power_iterate(x, 32, w=linear, ks=(1, 2))),
+                (32, lambda: cesaro_means(x, 32, w=linear, ks=(1, 2)))):
+            _, shapes = stack_shapes(run)
+            rows = [r for r, width in shapes]
+            assert all(width == n for _, width in shapes)
+            assert sum(rows) == count
+            assert max(rows) == max(1, min(count, budget // n))
+            assert all(r * n <= max(n, budget) for r in rows)
+
+
 class TestIterateLimit:
     def test_basis_vector_settles(self):
         v = iterate_limit_check(basis_vector(1, 30), tol=1e-6)
@@ -579,6 +664,47 @@ class TestIterateLimit:
         v = iterate_limit_check(basis_vector(1, 30), tol=1e-12)
         assert v.outcome == FAILS
         assert v.witness["m_cap"] == 2
+
+    @pytest.mark.parametrize("x", [
+        CoordinateVector(np.linspace(-1.0, 1.0, 40)),
+        CoordinateVector(np.linspace(-1.0, 1.0, 40) * (1 - 2j)),
+        CoordinateVector(np.array([1e308, -1.7e308])),
+        CoordinateVector(np.array([1e308, 1.7e308, 1.5e308, 1.2e308])),
+        CoordinateVector(np.array([np.nan, 1.0])),
+        CoordinateVector([F(3), F(-1), F(1, 2), F(0), F(7)]),
+        basis_vector(2, 30),
+    ])
+    @pytest.mark.parametrize("steps", [1, 5, 32, 300])
+    def test_trace_gives_the_verdict_of_its_start(self, x, steps):
+        # short traces end before the band is entered, so the check runs on
+        # past them; [1e308, -1.7e308] enters at step 55
+        want = iterate_limit_check(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = iterate_limit_check(power_iterate(x, steps))
+        assert repr(got) == repr(want)
+
+    def test_only_float_trace_iterates_are_read(self, monkeypatch):
+        # a float 32-pass trace leaves only the steps past it to compute; an
+        # exact trace's big-integer iterates are not converted
+        calls = []
+        real = dynamics_module._prefix_means
+        monkeypatch.setattr(dynamics_module, "_prefix_means",
+                            lambda v: calls.append(1) or real(v))
+        x = CoordinateVector(np.array([1e308, -1.7e308]))
+        assert iterate_limit_check(power_iterate(x, 32)).params[
+            "max_steps"] == 55
+        assert len(calls) == 55 - 32
+        calls.clear()
+        v = iterate_limit_check(power_iterate(basis_vector(1, 30), 32))
+        assert len(calls) == v.params["max_steps"] > 0
+
+    def test_nan_start_fails_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = iterate_limit_check(CoordinateVector(np.array([np.nan, 1.0])))
+        assert (v.outcome, v.trend) == (FAILS, "no_entry")
+        assert v.evidence == ((1, -1), (2, -1))
 
 
 class TestErgodicSplitting:

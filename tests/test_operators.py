@@ -559,6 +559,13 @@ class TestPrefixMeans:
         np.testing.assert_allclose(got, scaled * 2.0 ** 20, rtol=1e-15)
         assert np.all(np.abs(got) <= np.max(np.abs(v)) * (1 + 1e-12))
 
+    def test_nan_peak_is_not_scaled(self):
+        # no scale makes a sum holding a NaN finite; the finite means stay
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = cesaro_apply(CoordinateVector(np.array([1e10, np.nan])))
+        assert got.values[0] == 1e10 and np.isnan(got.values[1])
+
 
 class TestScaledTail:
     def test_logmag_cell_oracle(self):

@@ -566,6 +566,19 @@ class TestSeriesExponents:
             s0_estimate(parse_alpha("power:beta=1/1000"), 1)
         assert info.value.verdict.witness.startswith("log n=")
 
+    @pytest.mark.parametrize("spec", ["log:beta=2", "power:beta=1/1000",
+                                      "s1_empty"])
+    def test_bracket_probes_are_computed_once(self, spec):
+        seq = parse_alpha(spec)
+        first = seq.bracket_probes
+        assert seq.bracket_probes is first
+        labels, logs_n, alphas = first
+        want = sequences_module._bracket_probes(parse_alpha(spec))
+        assert labels == want[0]
+        assert logs_n.tobytes() == want[1].tobytes()
+        assert alphas.tobytes() == want[2].tobytes()
+        assert not logs_n.flags.writeable and not alphas.flags.writeable
+
 
 class TestAlphaAtLog:
     def test_log_closed_form(self):

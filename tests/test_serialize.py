@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cesarospec import cli
+from cesarospec import cli, serialize
 from cesarospec.serialize import dumps_json, jsonable
+from cesarospec.trend import HOLDS, Verdict
 
 
 # -- the reference: type rules as a standalone copy, then json.dumps -----------
@@ -190,6 +191,19 @@ class TestWriterMatchesStandardLibrary:
             dumps_json(bad)
         with pytest.raises(TypeError):
             jsonable(bad)
+
+
+def test_repeated_node_is_written_once_with_the_same_bytes(monkeypatch):
+    v = Verdict(HOLDS, "flat", ((1, 0.5), (2, 0.25)), params={"N": 8})
+    tree = {"a": v, "b": [v, {"c": v}], "d": (v, Record(v, v))}
+    want = json.dumps(jsonable(tree), indent=2, sort_keys=True) + "\n"
+    assert dumps_json(tree) == want == reference_dumps(tree)
+    # at one indent the second copy is the first one's text
+    read, members = [], serialize._members
+    monkeypatch.setattr(serialize, "_members",
+                        lambda node: read.append(node) or members(node))
+    assert dumps_json([v, v]) == reference_dumps([v, v])
+    assert sum(node is v for node in read) == 1
 
 
 @pytest.mark.parametrize("argv", [
