@@ -42,15 +42,12 @@ from .trend import FAILS, HOLDS, Verdict
 _FLOAT_TOL = 1e-12
 # Steps iterate_limit_check takes before a coordinate outside the band fails.
 _LIMIT_STEP_CAP = 256
-# Floats per temporary of one power_bound_check chunk (at least one
-# iterate); larger chunks gain little speed and grow the peak heap.
+# Floats per temporary of one rational power_bound_check chunk (at least
+# one iterate); larger chunks gain little speed and grow the peak heap.
 _CHUNK_ENTRIES = 1 << 9
-# Floats per row-stack of one _stacked_seminorms table call (at least one
-# row), whose temporaries hold K times as many: at most what one call on a
-# single N = 512 iterate, the longest the CLI iterates, holds.  Stacks of
-# 2**11 and 2**12 floats raised a cli_sweep pass's traced peak by 100 and
-# 230 KB.
-_STACK_ENTRIES = 1 << 9
+# Floats per stack of iterates (at least one) in a SeminormTable call, which
+# holds two stacks at once (34 KB traced), or a running-mean sum: 4 at N = 512.
+_STACK_ENTRIES = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -59,13 +56,14 @@ class IterateTrace:
 
     vectors holds x0 and every iterate in step order (exact iterates in
     shared-denominator form); the seminorm history holds
-    (step, ((k, p_k value), ...)) when a weight system was supplied.
-    Every iterate has the length of x0 and is exact on all of it: the map
-    is lower triangular and consumes nothing.
+    (step, ((k, p_k value), ...)) when a weight system was supplied, and
+    alpha its generator.  Every iterate has the length of x0 and is exact
+    on all of it: the map is lower triangular and consumes nothing.
     """
 
     vectors: tuple
     seminorms: tuple
+    alpha: AlphaSequence | None = None
 
     @property
     def x0(self) -> CoordinateVector:
@@ -77,7 +75,7 @@ class IterateTrace:
 
     @property
     def limit_prediction(self) -> complex | float:
-        return self.x0.values[0]
+        return self.x0[0]
 
     @property
     def iterates(self) -> tuple:
@@ -109,22 +107,25 @@ def power_iterate(
     vectors = [x]
     for _ in range(m):
         vectors.append(cesaro_apply(vectors[-1]))
-    sems = ()
+    sems, alpha = (), None
     if w is not None:
-        table = SeminormTable(w, ks, len(x))
-        sems = tuple(enumerate(_stacked_seminorms(
-            table, (v.as_float() for v in vectors))))
-    return IterateTrace(vectors=tuple(vectors), seminorms=sems)
+        sems = tuple(enumerate(_stacked_seminorms(SeminormTable(
+            w, ks, len(x)), _stacks(v.as_float() for v in vectors))))
+        alpha = w.alpha if isinstance(w, WeightSystem) else w
+    return IterateTrace(tuple(vectors), sems, alpha)
 
 
-def _stacked_seminorms(table: SeminormTable, rows) -> list:
-    """((k, p_k(row)) for k in ks) per float row, from one table call per
-    stack of _STACK_ENTRIES floats: bit for bit one call per row."""
-    rows, step = iter(rows), max(1, _STACK_ENTRIES // table.N)
-    out = []
-    while chunk := list(islice(rows, step)):
-        out += (tuple(zip(table.ks, p)) for p in table(np.array(chunk)))
-    return out
+def _stacks(rows):
+    """The rows in order, in stacks of _STACK_ENTRIES floats or one row."""
+    rows = iter(rows)
+    for row in rows:
+        more = max(1, _STACK_ENTRIES // max(len(row), 1)) - 1
+        yield np.array([row, *islice(rows, more)])
+
+
+def _stacked_seminorms(table: SeminormTable, stacks) -> list:
+    """((k, p_k(row)) for k in ks) per row, from one table call per stack."""
+    return [tuple(zip(table.ks, p)) for stack in stacks for p in table(stack)]
 
 
 def _trace_of(x, steps: int) -> IterateTrace:
@@ -171,8 +172,6 @@ def kernel_matrix(m: int, N: int) -> np.ndarray:
 
 def iterate_via_kernel(x, m: int) -> CoordinateVector:
     """Evaluate the m-th iterate through the closed-form kernel (float only)."""
-    if m < 1:
-        raise PreconditionError(f"need m >= 1, got {m}")
     x = as_vector(x)
     K = kernel_matrix(m, len(x))
     return CoordinateVector(K @ x.as_float())
@@ -202,6 +201,7 @@ def _golden_max(f, lo: float, hi: float) -> float:
     return max(f(t), fc, fd)
 
 
+@lru_cache
 def gm_sup(m: int, method: str = "both") -> float:
     """a_m = sup over (0, 1] of t log^(m-1)(1/t) / (m-1)!.
 
@@ -275,20 +275,11 @@ def _running_means(iterates):
     Exact iterates y_j = p_j / D_j are summed on their numerators: S_j =
     S_{j-1} (D/D_{j-1}) + p_j (D/D_j) over D = lcm(D_{j-1}, D_j), which is
     D_j itself along a running-mean chain.  T_j is then S_j / (j D) in
-    shared-denominator form, with no gcd on the way.  Float sums that could
-    pass 2**1000 run on the iterates scaled by a power of two, as in
-    _prefix_means.
-    """
+    shared-denominator form, with no gcd on the way; float means come from
+    _float_means."""
     if not iterates or not iterates[0].exact:
-        peak = max((float(np.max(np.abs(y.values), initial=0.0))
-                    for y in iterates), default=0.0)
-        scale = _overflow_scale(peak, len(iterates))
-        acc = None
-        for j, y in enumerate(iterates, start=1):
-            v = y.values if scale == 1.0 else y.values / scale
-            acc = v if acc is None else acc + v
-            mean = acc / j if scale == 1.0 else acc / j * scale
-            yield j, CoordinateVector(mean)
+        yield from enumerate((CoordinateVector(t) for stack in
+                              _float_means(iterates) for t in stack), start=1)
         return
     re_sum, den = [0] * len(iterates[0]), 1
     for j, y in enumerate(iterates, start=1):
@@ -298,6 +289,25 @@ def _running_means(iterates):
         re_sum = [s * a + p * b for s, p in zip(re_sum, re)]
         den = lcm
         yield j, CoordinateVector.over_denominator(re_sum, j * den)
+
+
+def _float_means(iterates):
+    """Stacks of the running means T_j of float iterates: a cumulative sum
+    down each stack, carried to the next, adds y_1 + ... + y_j in order, bit
+    for bit; scaled as in _prefix_means where sums could pass 2**1000."""
+    peak = max((p for s in _stacks(y.values for y in iterates) for p in
+                np.abs(s).max(axis=1, initial=0.0).tolist()), default=0.0)
+    scale = _overflow_scale(peak, len(iterates))
+    acc, done = None, 0
+    for stack in _stacks(y.values for y in iterates):
+        if scale != 1.0:
+            stack /= scale
+        if acc is not None:
+            stack[0] = acc + stack[0]
+        stack = stack.cumsum(axis=0)
+        acc, done = stack[-1].copy(), done + len(stack)
+        stack /= np.arange(done - len(stack) + 1, done + 1)[:, None]
+        yield stack if scale == 1.0 else stack * scale
 
 
 def cesaro_means(
@@ -317,11 +327,11 @@ def cesaro_means(
     iterates = trace.vectors[1:nmax + 1]
     distances = ()
     if w is not None:
-        table = SeminormTable(w, ks, len(trace.x0))
         lim = float(limit) if trace.x0.exact else limit
-        distances = tuple(enumerate(_stacked_seminorms(table, (
-            t.as_float() - lim for _, t in _running_means(iterates))),
-            start=1))
+        means = (_stacks(t.as_float() for _, t in _running_means(iterates))
+                 if trace.x0.exact else _float_means(iterates))
+        distances = tuple(enumerate(_stacked_seminorms(SeminormTable(
+            w, ks, len(trace.x0)), (s - lim for s in means)), start=1))
     return CesaroMeansTrace(
         x0=trace.x0, distances=distances, limit_prediction=limit,
         iterates=iterates,
@@ -337,15 +347,19 @@ def power_bound_check(
 ) -> Verdict:
     """Seminorm contraction p_k(iterate) <= p_k(x) for k <= K, m <= M.
 
+    This holds for every generator: alpha is nondecreasing, so w_k(n) =
+    exp(-alpha_n / k) is nonincreasing in n, so w_k(n) |(Cx)_n| <= (1/n)
+    sum_{j<=n} w_k(j) |x_j| <= p_k(x).  A fails verdict is therefore a
+    defect in the operator code, never a fact about alpha.
+
     x is a start vector or an IterateTrace of at least M passes.  Float mode
-    allows a fixed relative slack of 1e-12, reported as "tol", and needs
-    finite vectors; rational mode compares exactly and requires a generator
-    with exact rational values.  Iterates of length N are read in chunks of
-    max(1, 2**9 // (K N)), each in one float pass over every level k <= K:
-    a SeminormTable call, or an exact.WeightedSups bracket pass.  There
-    only the pairs whose brackets overlap the start vector's (such as exact
-    ties at coordinate 1, which every pass fixes) go to
-    exact.compare_weighted, as integer numerators (exact.compare_sups).
+    allows a fixed relative slack of 1e-12, reported as "tol", needs finite
+    vectors, and reads the seminorm history the trace recorded for this
+    generator, or computes it once.  Rational mode compares exactly, needs a
+    generator with exact rational values, and reads iterates of length N in
+    chunks of max(1, 2**9 // (K N)), one exact.WeightedSups bracket pass
+    each; only pairs whose brackets overlap the start vector's, such as
+    exact ties at coordinate 1, go on to exact.compare_weighted.
     """
     if K < 1 or M < 1:
         raise PreconditionError("need K >= 1 and M >= 1")
@@ -358,7 +372,25 @@ def power_bound_check(
     x = trace.x0
     levels = range(1, K + 1)
     params = {"alpha": seq.spec_string(), "K": K, "M": M, "mode": mode}
-    if mode == "rational":
+    at = None
+    if mode == "float":
+        params["tol"] = _FLOAT_TOL
+        sems = trace.seminorms[:M + 1] if trace.alpha == seq else ()
+        if [[k for k, _ in p[:K]] for _, p in sems] != [[*levels]] * (M + 1):
+            sems = enumerate(_stacked_seminorms(SeminormTable(
+                w, levels, len(x)), _stacks(
+                    y.as_float() for y in trace.vectors[:M + 1])))
+        pks = np.array([[p for _, p in pairs[:K]] for _, pairs in sems])
+        # log w_k is finite: a row of p_k is finite exactly where its vector is
+        finite = np.isfinite(pks).all(axis=1)
+        pairs = np.argwhere((pks > pks[0] * (1.0 + _FLOAT_TOL))
+                            | ~finite[:, None]).tolist()
+        at = (pairs[0][0], pairs[0][1] + 1) if pairs else None
+        if at is not None and not finite[at[0]]:
+            raise PreconditionError(
+                f"iterate {at[0]} is not finite" if at[0] else
+                "float mode needs a finite start vector")
+    else:
         alphas = seq.exact_values(len(x))
         if alphas is None:
             raise PreconditionError(
@@ -367,46 +399,28 @@ def power_bound_check(
         if not x.exact:
             raise PreconditionError("rational mode needs an exact vector")
         base = exact.WeightedSups(alphas, [x.shared()], levels)
-    else:
-        params["tol"] = _FLOAT_TOL
-        table = SeminormTable(w, levels, len(x))
-        xf = x.as_float()
-        if not np.isfinite(xf).all():
-            raise PreconditionError("float mode needs a finite start vector")
-        bounds = table(xf)
-        limits = np.array(bounds) * (1.0 + _FLOAT_TOL)
-
-    step = max(1, _CHUNK_ENTRIES // (K * len(x)))
-    evidence = []
-    for start in range(1, M + 1, step):
-        chunk = trace.vectors[start:min(start + step, M + 1)]
-        if mode == "rational":
+        step = max(1, _CHUNK_ENTRIES // (K * len(x)))
+        for start in range(1, M + 1, step):
+            chunk = trace.vectors[start:min(start + step, M + 1)]
             sups = exact.WeightedSups(alphas, [y.shared() for y in chunk],
                                       levels)
             # the first expanding pair of those not decisively below x
             pairs = np.argwhere(sups.hi >= base.lo).tolist()
-            at = next(((i, r) for i, r in pairs
+            at = next(((start + i, r + 1) for i, r in pairs
                        if exact.compare_sups(sups, base, r + 1, i) > 0), None)
-        else:
-            ys = np.array([y.as_float() for y in chunk])
-            pks = table(ys)
-            pairs = np.argwhere((np.array(pks) > limits) | ~np.isfinite(ys).all(
-                axis=1, keepdims=True)).tolist()
-            at = pairs[0] if pairs else None
-            if at is not None and not np.isfinite(ys[at[0]]).all():
-                raise PreconditionError(f"iterate {start + at[0]} is not finite")
-        # the evidence is the running worst slack max(0, p_k - limit), which
-        # stays 0.0 up to the first expansion
-        stop = len(chunk) if at is None else at[0]
-        evidence.extend((m, 0.0) for m in range(start, start + stop))
-        if at is not None:
-            i, r = at
-            witness = {"k": r + 1, "m": start + i}
-            if mode == "float":
-                witness.update(p_k=pks[i][r], bound=bounds[r])
-            return Verdict(FAILS, "expansion", tuple(evidence),
-                           witness=witness, params=params)
-    return Verdict(HOLDS, "contraction", tuple(evidence), params=params)
+            if at is not None:
+                break
+    # the evidence is the running worst slack max(0, p_k - limit), which
+    # stays 0.0 up to the first expansion
+    evidence = tuple((m, 0.0) for m in range(1, at[0] if at else M + 1))
+    if at is None:
+        return Verdict(HOLDS, "contraction", evidence, params=params)
+    m, k = at
+    witness = {"k": k, "m": m}
+    if mode == "float":
+        witness.update(p_k=float(pks[m, k - 1]), bound=float(pks[0, k - 1]))
+    return Verdict(FAILS, "expansion", evidence, witness=witness,
+                   params=params)
 
 
 def iterate_limit_check(x, tol: float = 1e-6) -> Verdict:
@@ -444,14 +458,12 @@ def iterate_limit_check(x, tol: float = 1e-6) -> Verdict:
         first_entry[(first_entry < 0) & (np.abs(y - limit) < band)] = m
     entries = first_entry.tolist()
     evidence = tuple(enumerate(entries, start=1))
+    params = {"tol": tol, "m_cap": m_cap}
     if -1 in entries:
-        return Verdict(FAILS, "no_entry", evidence,
-                       witness={"n": entries.index(-1) + 1, "m_cap": m_cap,
-                                "tol": tol},
-                       params={"tol": tol, "m_cap": m_cap})
+        return Verdict(FAILS, "no_entry", evidence, params=params, witness={
+            "n": entries.index(-1) + 1, "m_cap": m_cap, "tol": tol})
     return Verdict(HOLDS, "entered_band", evidence,
-                   params={"tol": tol, "m_cap": m_cap,
-                           "max_steps": max(entries)})
+                   params={**params, "max_steps": max(entries)})
 
 
 def ergodic_decomposition_check(seq: AlphaSequence, x) -> Verdict:
@@ -468,7 +480,8 @@ def ergodic_decomposition_check(seq: AlphaSequence, x) -> Verdict:
     N = len(x)
     if N < 2:
         raise PreconditionError("need N >= 2")
-
+    params = {"alpha": seq.spec_string(), "N": N,
+              "mode": "rational" if x.exact else "float"}
     if x.exact:
         # z = x - x_1 over x's denominator, then v = (0, B z_2..z_N) and the
         # residual v - C v - z, cross-multiplied onto integers
@@ -484,11 +497,9 @@ def ergodic_decomposition_check(seq: AlphaSequence, x) -> Verdict:
             raise InternalConsistencyError(
                 "exact ergodic reconstruction left a nonzero residual"
             )
-        return Verdict(
-            HOLDS, "exact_identity", ((N, 0.0),),
-            params={"alpha": seq.spec_string(), "N": N, "mode": "rational"},
-        )
+        return Verdict(HOLDS, "exact_identity", ((N, 0.0),), params=params)
 
+    params["tol"] = _FLOAT_TOL
     xf = x.as_float()
     z = xf - xf[0]
     u = b_apply(z[1:])
@@ -498,14 +509,6 @@ def ergodic_decomposition_check(seq: AlphaSequence, x) -> Verdict:
     scale = max(1.0, float(np.max(np.abs(z))))
     if worst > _FLOAT_TOL * scale:
         bad = int(np.argmax(np.abs(resid))) + 1
-        return Verdict(
-            FAILS, "residual", ((N, worst),),
-            witness={"n": bad, "residual": worst},
-            params={"alpha": seq.spec_string(), "N": N, "mode": "float",
-                    "tol": _FLOAT_TOL},
-        )
-    return Verdict(
-        HOLDS, "residual_below_tol", ((N, worst),),
-        params={"alpha": seq.spec_string(), "N": N, "mode": "float",
-                "tol": _FLOAT_TOL},
-    )
+        return Verdict(FAILS, "residual", ((N, worst),), params=params,
+                       witness={"n": bad, "residual": worst})
+    return Verdict(HOLDS, "residual_below_tol", ((N, worst),), params=params)

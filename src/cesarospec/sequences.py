@@ -573,9 +573,9 @@ def seminorm(w, k: int, x) -> float:
 class SeminormTable:
     """The truncated seminorms p_k, k in ks, of vectors of one length N.
 
-    log w_k(n) is stacked for every k once, so a call on one vector or on a
-    stack of them costs one log pass and one row maximum per (vector,
-    level).  seminorm is the one-level case, so the two agree bit for bit.
+    log w_k(n) is computed for every k once; a call on a vector or a stack
+    costs one log pass, then per level one add and row maximum in a reused
+    buffer.  seminorm is the one-level case, so the two agree bit for bit.
     """
 
     def __init__(self, w, ks, N: int):
@@ -583,21 +583,23 @@ class SeminormTable:
             w = WeightSystem(w)
         self.ks = tuple(ks)
         self.N = N
-        self._log_w = np.array([w.log_w(k, N) for k in self.ks]).reshape(
-            len(self.ks), N)
+        self._log_w = [w.log_w(k, N) for k in self.ks]
 
     def __call__(self, x):
         """(p_k(x) for k in ks) for a real or complex vector x of length N;
         for a (rows, N) stack of them, the list of those tuples."""
-        mags = np.abs(x)
-        if mags.ndim not in (1, 2) or mags.shape[-1:] != (self.N,):
+        if np.ndim(x) not in (1, 2) or np.shape(x)[-1:] != (self.N,):
             raise ValueError(f"need vectors of length {self.N}, "
-                             f"got shape {mags.shape}")
+                             f"got shape {np.shape(x)}")
         with np.errstate(divide="ignore"):
-            tops = np.max(self._log_w + np.log(mags)[..., None, :], axis=-1)
+            logs = np.log(np.abs(np.atleast_2d(x)))
+        buf, tops = np.empty(logs.shape), np.empty((len(logs), len(self.ks)))
+        for i, log_w in enumerate(self._log_w):
+            buf[:] = log_w  # a broadcast add into buf would buffer a copy
+            np.add(buf, logs, out=buf).max(axis=-1, out=tops[:, i])
         rows = [tuple(0.0 if t == -math.inf else math.exp(t) for t in row)
-                for row in np.atleast_2d(tops).tolist()]
-        return rows if mags.ndim == 2 else rows[0]
+                for row in tops.tolist()]
+        return rows if np.ndim(x) == 2 else rows[0]
 
 
 # -- scalar diagnostics ---------------------------------------------------------

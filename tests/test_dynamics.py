@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -65,6 +66,20 @@ class TestPowerIterate:
     def test_limit_prediction_is_first_coordinate(self):
         x = CoordinateVector([F(7), F(1), F(2)])
         assert power_iterate(x, 2).limit_prediction == 7
+
+    @pytest.mark.parametrize("x", [
+        CoordinateVector([F(1, k) for k in range(1, 513)]),
+        CoordinateVector(np.linspace(-1.0, 1.0, 9)),
+        CoordinateVector(np.linspace(-1.0, 1.0, 9) * (1 - 2j)),
+    ])
+    def test_limit_prediction_reads_one_entry(self, x):
+        # an exact start vector builds no Fraction for the entries not read
+        got = power_iterate(x, 2).limit_prediction
+        if x.exact:
+            assert x._values is None
+        want = x.values[0]
+        assert got == want
+        assert type(got) is type(want)
 
     def test_seminorm_history_with_weights(self, linear):
         tr = power_iterate(basis_vector(1, 5), 3, w=WeightSystem(linear),
@@ -291,6 +306,18 @@ class TestDensitySups:
     def test_rejects_bad_m(self):
         with pytest.raises(PreconditionError):
             gm_sup(0)
+
+    def test_each_search_runs_once(self, monkeypatch):
+        calls = []
+        real = dynamics_module._golden_max
+        monkeypatch.setattr(dynamics_module, "_golden_max",
+                            lambda *a: calls.append(a) or real(*a))
+        gm_sup.cache_clear()
+        try:
+            assert gm_sup(7) == gm_sup(7) == gm_sup(7, method="closed")
+            assert len(calls) == 1
+        finally:
+            gm_sup.cache_clear()
 
 
 class TestContraction:
@@ -568,13 +595,26 @@ def reference_history(w, ks, vectors):
 
 
 def reference_gaps(w, ks, trace, nmax):
-    """The means' gaps to x_1 as one complex table call per mean."""
+    """The means' gaps to x_1, one mean at a time: float iterates added in
+    order (over the power of two that _overflow_scale picks from their
+    peaks), exact ones as Fractions, and one complex table call per mean."""
     table = SeminormTable(w, ks, len(trace.x0))
     limit = complex(trace.limit_prediction)
-    return tuple(
-        (j, tuple(zip(table.ks, table(t.as_float().astype(complex) - limit))))
-        for j, t in dynamics_module._running_means(
-            trace.vectors[1:nmax + 1]))
+    rows = [y.values for y in trace.vectors[1:nmax + 1]]
+    scale = 1.0
+    if not trace.x0.exact:
+        scale = operators_module._overflow_scale(
+            max(float(np.max(np.abs(row))) for row in rows), len(rows))
+    gaps, total = [], None
+    for j, row in enumerate(rows, start=1):
+        term = row if scale == 1.0 else row / scale
+        total = term if total is None else total + term
+        mean = total / j if scale == 1.0 else total / j * scale
+        if trace.x0.exact:
+            mean = np.array([float(v) for v in mean])
+        gaps.append((j, tuple(zip(table.ks,
+                                  table(mean.astype(complex) - limit)))))
+    return tuple(gaps)
 
 
 def stack_shapes(run):
@@ -628,6 +668,58 @@ class TestStackedOrbit:
                                                     trace.vectors)
         assert cesaro_means(trace, 9, w=linear, ks=(1, 3)).distances \
             == reference_gaps(linear, (1, 3), trace, 9)
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "huge"])
+    def test_matches_reference_loop_at_the_budget(self, linear, kind):
+        # N = 512 and K = 5, as the CLI's top band runs: stacks of four
+        # iterates, and the contraction check reads the recorded history
+        ks = (1, 2, 3, 4, 5)
+        x = float_start(kind, 512, 5)
+        trace = power_iterate(x, 32, w=linear, ks=ks)
+        means, shapes = stack_shapes(
+            lambda: cesaro_means(trace, 32, w=linear, ks=ks))
+        assert set(shapes) == {(4, 512)}
+        assert repr(trace.seminorms) == repr(
+            reference_history(linear, ks, trace.vectors))
+        assert repr(means.distances) == repr(
+            reference_gaps(linear, ks, trace, 32))
+        bound, shapes = stack_shapes(
+            lambda: power_bound_check(linear, trace, K=5, M=32))
+        assert shapes == []
+        assert repr(bound) == repr(reference_bound(linear, trace, 5, 32,
+                                                   "float"))
+
+    def test_history_of_other_levels_or_generator_is_not_read(self, linear):
+        # a history over levels (1, 2), under another generator, or shorter
+        # than the check, does not cover it: it computes its own in one stack
+        x = float_start("real", 30, 3)
+        full = power_iterate(x, 20, w=linear, ks=(1, 2, 3))
+        for trace in (power_iterate(x, 20, w=linear, ks=(1, 2)),
+                      power_iterate(x, 20, w=parse_alpha("sqrt")),
+                      IterateTrace(full.vectors, full.seminorms[:5], linear),
+                      IterateTrace(full.vectors, (), linear)):
+            got, shapes = stack_shapes(
+                lambda: power_bound_check(linear, trace, K=3, M=20))
+            assert shapes == [(21, 30)]
+            assert repr(got) == repr(reference_bound(linear, trace, 3, 20,
+                                                     "float"))
+
+    @pytest.mark.parametrize("n", [40, 512, 2048])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_table_call_holds_few_copies_of_a_stack(self, linear, n, kind):
+        # one SeminormTable call on a full stack at K = 5 holds at most four
+        # stacks' worth at once: no (rows, K, N) broadcast
+        rows = max(1, dynamics_module._STACK_ENTRIES // n)
+        table = SeminormTable(linear, range(1, 6), n)
+        x = float_start(kind, rows * n, n).as_float().reshape(rows, n)
+        table(x)
+        tracemalloc.start()
+        try:
+            table(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * rows * n * 8
 
     @pytest.mark.parametrize("n", [1, 7, 100, 512, 4096, 5000])
     def test_stacks_stay_within_the_entry_budget(self, linear, n):
