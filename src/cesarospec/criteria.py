@@ -13,9 +13,10 @@ The for-every-k criteria are read from level k = 1: each scan probes the
 window of base indices k' in {1, ..., 4}.  Several gallery generators
 satisfy a criterion at k=1 for shallow reasons and only reveal the true
 failure at k=2 or 3, so quantifying over a window keeps single-call verdicts
-aligned with the for-every-k statements they stand in for.  The inverse and
-shift scans search the secondary index l over (k', 4k'+8] at each k'; the
-alternating transform's row sums need only l = 2k' (see
+aligned with the for-every-k statements they stand in for.  Each k' is
+probed at one secondary index l: the inverse and shift scans at l = 4k'+8,
+where their quantities are least over (k', 4k'+8] (see _window_scan), and
+the alternating transform's row sums at l = 2k' (see
 delta_continuity_check).
 """
 
@@ -63,7 +64,7 @@ K_WINDOW = 4
 
 
 def default_lmax(k: int) -> int:
-    """Search ceiling for the secondary index: generous but finite."""
+    """The secondary index the inverse and shift scans probe at level k."""
     return 4 * k + 8
 
 
@@ -99,55 +100,48 @@ def koethe_continuity_check(
     )
 
 
-def _l_range(kp: int) -> tuple[int, int]:
-    """First and last l a window scan probes at k'."""
-    return kp + 1, default_lmax(kp)
-
-
 def _window_scan(per_pair: Callable[[int, int], Verdict],
                  quantity: str,
-                 ls: Callable[[int], tuple[int, int]] = _l_range) -> Verdict:
-    """One Verdict from the per-(k', l) sup verdicts over k' = 1..K_WINDOW.
+                 l_of: Callable[[int], int] = default_lmax) -> Verdict:
+    """One Verdict from the sup verdicts at (k', l_of(k')), k' = 1..K_WINDOW.
 
-    ls(k') gives the first and last l probed at k'.  holds: every k' in the
-    window found some l.  fails: some k' failed for every probed l,
+    holds: every k' in the window holds at its l.  fails: some k' failed
     decisively; the scan stops there.  Anything else is inconclusive.
+
+    One l per level suffices.  The inverse and shift quantities,
+    log n - (1/k' - 1/l) alpha_n and log n - alpha_n/k' + alpha_{n+1}/l,
+    fall pointwise as l grows, since alpha > 0.  So l = default_lmax(k')
+    bounds them whenever any l in (k', default_lmax(k')] does, and fails
+    only where every such l fails: a search over that window finds nothing
+    its top misses.  The row sums of delta_continuity_check name their l.
     """
-    chosen: dict[int, int] = {}
-    held: list[Verdict] = []
+    read: list[Verdict] = []
 
-    def some_l(kp: int) -> Verdict:
-        lo, hi = ls(kp)
-        j, v = first_deciding(
-            (per_pair(kp, l) for l in range(lo, hi + 1)), stop=HOLDS)
-        if v.outcome == HOLDS:
-            chosen[kp] = lo + j
-            held.append(v)
-        return v
+    def level(kp: int) -> Verdict:
+        read.append(per_pair(kp, l_of(kp)))
+        return read[-1]
 
-    i, v = first_deciding(map(some_l, range(1, K_WINDOW + 1)))
-    kp = 1 + i
+    i, v = first_deciding(map(level, range(1, K_WINDOW + 1)))
+    kp, l = 1 + i, l_of(1 + i)
+    chosen = {k: l_of(k) for k, u in enumerate(read, 1) if u.outcome == HOLDS}
     if v.outcome == FAILS:
-        # Every l decisively failed at this k': the for-every-k statement fails.
         return Verdict(
             FAILS, v.trend, v.evidence,
-            witness={"k": kp, "l_range": ls(kp)},
+            witness={"k": kp, "l_range": (l, l)},
             params={**v.params, "quantity": quantity,
-                    "chosen_l_by_k": dict(chosen)},
+                    "chosen_l_by_k": chosen},
         )
     if v.outcome == INCONCLUSIVE:
         return Verdict(
             INCONCLUSIVE, UNBOUNDED if not chosen else BOUNDED, (),
-            reason=f"growth at k'={kp} is sub-resolution for at "
-                   "least one probed l",
-            params={"quantity": quantity, "k": 1,
-                    "chosen_l_by_k": dict(chosen)},
+            reason=f"growth at k'={kp} is sub-resolution at l={l}",
+            params={"quantity": quantity, "k": 1, "chosen_l_by_k": chosen},
         )
-    base = held[0]
+    base = read[0]
     return Verdict(
         HOLDS, base.trend, base.evidence,
         params={**base.params, "quantity": quantity,
-                "chosen_l": chosen[1], "chosen_l_by_k": dict(chosen)},
+                "chosen_l": chosen[1], "chosen_l_by_k": chosen},
     )
 
 
@@ -164,10 +158,7 @@ def inverse_continuity_check(seq: AlphaSequence,
     alpha = seq.values_saturated(N)
     ns = np.arange(1, N + 1, dtype=np.int64)
     logn = np.log(ns.astype(float))
-    probes = seq.tail_probes(N)
-    labels = [p.label for p in probes]
-    p_logn = np.array([p.log_n for p in probes])
-    p_alpha = np.array([p.alpha for p in probes])
+    labels, p_logn, p_alpha, _ = seq.tail_probes(N)
 
     def per_pair(kp: int, l: int) -> Verdict:
         c = 1.0 / kp - 1.0 / l
@@ -474,14 +465,14 @@ def delta_continuity_check(seq: AlphaSequence,
 
     track_rows = _window_scan(per_level,
                               "sum_m (w_k(n)/w_l(m)) binom(n-1,m-1)",
-                              ls=lambda kp: (2 * kp, 2 * kp))
+                              l_of=lambda kp: 2 * kp)
     track_scalar = n_over_alpha_check(seq, N_full)
     outcomes = (track_rows.outcome, track_scalar.outcome)
     params = {
         "alpha": seq.spec_string(), "k": 1, "N_rowsum": N1, "N": N_full,
         "rowsum_outcome": outcomes[0],
         "rowsum_params": {kk: vv for kk, vv in track_rows.params.items()
-                          if kk in ("chosen_l", "chosen_l_by_k", "l_range")},
+                          if kk in ("chosen_l", "chosen_l_by_k")},
         "scalar_outcome": outcomes[1],
     }
     if INCONCLUSIVE not in outcomes and outcomes[0] != outcomes[1]:

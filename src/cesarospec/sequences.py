@@ -77,21 +77,6 @@ _PROBE_COUNT = 24
 _LOG_PROBE_LIMIT = 1e15
 
 
-@dataclass(frozen=True)
-class TailProbe:
-    """A beyond-resolution sample of alpha.
-
-    log_n is the natural log of the index (the index itself may not be float
-    representable); alpha and alpha_prev are the (saturated) values at that
-    index and the one before it.
-    """
-
-    label: str
-    log_n: float
-    alpha: float
-    alpha_prev: float
-
-
 # Bernoulli numbers B_2, B_4, ..., B_48 as (numerator, denominator).
 _BERNOULLI = (
     (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
@@ -186,7 +171,7 @@ class AlphaSequence:
         self.kind = kind
         self.params = dict(params)
         self._cache: np.ndarray | None = None
-        self._probes: dict[tuple[int, int], tuple[TailProbe, ...]] = {}
+        self._probes: dict[int, tuple] = {}
         self._validate()
 
     # -- construction helpers -------------------------------------------------
@@ -443,16 +428,23 @@ class AlphaSequence:
             out[small] = dense[ns[small].astype(int) - 1]
         return out
 
-    def tail_probes(self, N: int) -> tuple[TailProbe, ...]:
-        """Samples of alpha past index N for divergence-at-infinity checks.
+    def tail_probes(self, N: int) -> tuple:
+        """(labels, log n, alpha, alpha_prev) at samples past index N for
+        divergence-at-infinity checks: the log of each index (which may not
+        be float representable) and the (saturated) alpha at it and at the
+        index before.
 
         Default: doubling indices N*2^t.  The sparse-block generator instead
         probes the start of every block beyond N up to log n =
         _LOG_PROBE_LIMIT, because its interesting behaviour is concentrated
-        there.  Computed once per N.
+        there.  Computed once per N; the arrays are read-only.
         """
         if N not in self._probes:
-            self._probes[N] = tuple(self._tail_probes(N))
+            labels, *cols = list(zip(*self._tail_probes(N))) or [()] * 4
+            arrays = tuple(np.array(c, dtype=float) for c in cols)
+            for arr in arrays:
+                arr.flags.writeable = False
+            self._probes[N] = (labels, *arrays)
         return self._probes[N]
 
     @cached_property
@@ -460,10 +452,10 @@ class AlphaSequence:
         """_bracket_probes(self), computed once per sequence."""
         return _bracket_probes(self)
 
-    def _tail_probes(self, N: int) -> list[TailProbe]:
+    def _tail_probes(self, N: int):
+        """Yield (label, log n, alpha, alpha_prev) per probe past N."""
         if self.kind == "s1_empty":
             _, ylogs = _sparse_block_table(_LOG_PROBE_LIMIT)
-            probes = []
             logN = math.log(N)
             for k in range(2, len(ylogs)):
                 y = ylogs[k - 1]  # log j(k)
@@ -471,16 +463,14 @@ class AlphaSequence:
                     continue
                 alpha = min(math.log(k) + k * y, ALPHA_SATURATION)
                 prev = min(math.log(k - 1) + (k - 1) * ylogs[k - 2], ALPHA_SATURATION)
-                probes.append(TailProbe(f"block k={k}", y, alpha, prev))
-            return probes
-        probes = []
+                yield f"block k={k}", y, alpha, prev
+            return
         for t in range(1, _PROBE_COUNT + 1):
             n = float(N) * 2.0 ** t
             if n > 4e12:
                 break
             a, ap = self.alpha_at(np.array([n, n - 1.0]))
-            probes.append(TailProbe(f"n={n:.0f}", math.log(n), float(a), float(ap)))
-        return probes
+            yield f"n={n:.0f}", math.log(n), float(a), float(ap)
 
 
 _ALPHA_RE = re.compile(r"^(\w+)(:.*)?$")
@@ -714,13 +704,10 @@ def shift_stability_check(seq: AlphaSequence, N: int | None = None) -> Verdict:
     extra["sup_ratio_observed"] = float(np.max(ratios))
     verdict = sup_verdict_bounded(
         ns, logs, "alpha_{n+1}/alpha_n", extra=extra)
-    probes = seq.tail_probes(N)
-    plogs = np.array([
-        math.log(p.alpha / p.alpha_prev) if p.alpha_prev > 0 else np.inf
-        for p in probes
-    ])
-    return probe_escalation(verdict, [p.label for p in probes], plogs,
-                            "probe_ratios_log")
+    labels, _, p_alpha, p_prev = seq.tail_probes(N)
+    plogs = np.array([math.log(a / ap) if ap > 0 else np.inf
+                      for a, ap in zip(p_alpha.tolist(), p_prev.tolist())])
+    return probe_escalation(verdict, labels, plogs, "probe_ratios_log")
 
 
 def n_over_alpha_check(seq: AlphaSequence, N: int | None = None) -> Verdict:
@@ -743,10 +730,7 @@ def _bracket_probes(seq: AlphaSequence) -> tuple:
     arrays are read-only: AlphaSequence.bracket_probes keeps them.
     """
     if seq.kind == "s1_empty":
-        probes = seq.tail_probes(_BRACKET_N)
-        labels = [p.label for p in probes]
-        logs_n = np.array([p.log_n for p in probes])
-        alphas = np.array([p.alpha for p in probes])
+        labels, logs_n, alphas, _ = seq.tail_probes(_BRACKET_N)
     else:
         logs_n = np.array([L for L in (math.log(_BRACKET_N) * 2.0 ** t
                                        for t in range(1, 64))

@@ -28,6 +28,7 @@ from cesarospec import (
 )
 from cesarospec.criteria import (
     GALLERY_SPECS,
+    K_WINDOW,
     _ROWSUM_BLOCK,
     _ROWSUM_N_CAP,
     _log_pascal,
@@ -38,7 +39,7 @@ from cesarospec.criteria import (
 )
 from cesarospec.operators import logbinom
 from cesarospec.sequences import ALPHA_SATURATION
-from cesarospec.trend import Verdict
+from cesarospec.trend import Verdict, first_deciding
 
 ALL_PROFILES = {spec: classify_space(parse_alpha(spec))
                 for spec in GALLERY_SPECS}
@@ -127,36 +128,67 @@ class TestKoetheScan:
         assert default_lmax(3) == 20
 
 
-def _spy_pairs(monkeypatch):
-    """Record the (k', l) pair of every per-pair sup verdict the scans make."""
+def _spy_pairs(monkeypatch, qs=None):
+    """Record the (k', l) pair of every per-pair sup verdict the scans make,
+    and its quantity under that pair in qs when given."""
     pairs = []
     real = criteria_module.sup_verdict_bounded
 
     def spy(ns, q, quantity, extra=None):
         pairs.append((extra["k"], extra["l"]))
+        if qs is not None:
+            qs[pairs[-1]] = np.array(q)
         return real(ns, q, quantity, extra=extra)
 
     monkeypatch.setattr(criteria_module, "sup_verdict_bounded", spy)
     return pairs
 
 
+def _scan_closures(seq, N=None):
+    """The per_pair closures the inverse and shift scans hand _window_scan."""
+    closures = []
+    real = criteria_module._window_scan
+
+    def record(per_pair, *args, **kwargs):
+        closures.append(per_pair)
+        return real(per_pair, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criteria_module, "_window_scan", record)
+        scans = (inverse_continuity_check(seq, N=N),
+                 d_continuity_check(seq, N=N))
+    return tuple(zip(closures, scans))
+
+
+def searched_scan(per_pair):
+    """A window scan that searches l: at each k' the first l in
+    (k', default_lmax(k')] that holds, else the first inconclusive one,
+    else the failure.  Returns the deciding (k', verdict)."""
+
+    def some_l(kp):
+        ls = range(kp + 1, default_lmax(kp) + 1)
+        return first_deciding((per_pair(kp, l) for l in ls), stop=HOLDS)[1]
+
+    i, v = first_deciding(map(some_l, range(1, K_WINDOW + 1)))
+    return 1 + i, v
+
+
 class TestWindowScan:
-    def test_stops_at_first_holding_l_and_first_failing_k(self):
-        # k'=1 holds at l=3, k'=2 at l=4, k'=3 fails for every l
+    def test_stops_at_first_failing_k(self):
+        # k'=1 and 2 hold at their l, k'=3 fails there, k'=4 is not read
         calls = []
 
         def per_pair(kp, l):
             calls.append((kp, l))
-            if kp < 3 and l == kp + 2:
+            if kp < 3:
                 return Verdict(HOLDS, "bounded")
             return Verdict(FAILS, "unbounded", witness=l)
 
         v = _window_scan(per_pair, "q")
         assert v.outcome == FAILS
-        assert v.witness == {"k": 3, "l_range": (4, default_lmax(3))}
-        assert v.params["chosen_l_by_k"] == {1: 3, 2: 4}
-        assert calls == [(1, 2), (1, 3), (2, 3), (2, 4)] + [
-            (3, l) for l in range(4, default_lmax(3) + 1)]
+        assert v.witness == {"k": 3, "l_range": (20, 20)}
+        assert v.params["chosen_l_by_k"] == {1: 12, 2: 16}
+        assert calls == [(kp, default_lmax(kp)) for kp in (1, 2, 3)]
 
     def test_inconclusive_step_reads_the_whole_window(self):
         calls = []
@@ -170,9 +202,8 @@ class TestWindowScan:
         v = _window_scan(per_pair, "q")
         assert v.outcome == INCONCLUSIVE
         assert v.reason.startswith("growth at k'=2 ")
-        assert v.params["chosen_l_by_k"] == {1: 2, 3: 4, 4: 5}
-        assert calls == [(1, 2)] + [(2, l) for l in range(3, 17)] \
-            + [(3, 4), (4, 5)]
+        assert v.params["chosen_l_by_k"] == {1: 12, 3: 20, 4: 24}
+        assert calls == [(kp, default_lmax(kp)) for kp in range(1, 5)]
 
     def test_l_candidates_per_level_are_an_argument(self):
         calls = []
@@ -183,27 +214,72 @@ class TestWindowScan:
                 return Verdict(HOLDS, "bounded")
             return Verdict(FAILS, "unbounded", witness=l)
 
-        v = _window_scan(per_pair, "q", ls=lambda kp: (2 * kp, 2 * kp))
+        v = _window_scan(per_pair, "q", l_of=lambda kp: 2 * kp)
         assert v.outcome == FAILS
         assert v.witness == {"k": 3, "l_range": (6, 6)}
         assert v.params["chosen_l_by_k"] == {1: 2, 2: 4}
         assert calls == [(1, 2), (2, 4), (3, 6)]
 
+    def test_holding_scan_carries_the_first_level(self):
+        v = _window_scan(
+            lambda kp, l: Verdict(HOLDS, "bounded", ((l, float(kp)),)), "q",
+            l_of=lambda kp: 2 * kp)
+        assert v.outcome == HOLDS
+        assert v.evidence == ((2, 1.0),)
+        assert v.params["chosen_l"] == 2
+        assert v.params["chosen_l_by_k"] == {1: 2, 2: 4, 3: 6, 4: 8}
+
     def test_log_inverse_scan_pairs(self, log2, monkeypatch):
         pairs = _spy_pairs(monkeypatch)
         v = inverse_continuity_check(log2, N=500)
         assert v.outcome == FAILS
-        assert v.witness == {"k": 2, "l_range": (3, 16)}
-        assert v.params["chosen_l_by_k"] == {1: 2}
-        assert pairs == [(1, 2)] + [(2, l) for l in range(3, 17)]
+        assert v.witness == {"k": 2, "l_range": (16, 16)}
+        assert v.params["chosen_l_by_k"] == {1: 12}
+        assert pairs == [(1, 12), (2, 16)]
 
     def test_tower_d_scan_pairs(self, tower, monkeypatch):
         pairs = _spy_pairs(monkeypatch)
         v = d_continuity_check(tower, N=500)
         assert v.outcome == FAILS
-        assert v.witness == {"k": 1, "l_range": (2, 12)}
+        assert v.witness == {"k": 1, "l_range": (12, 12)}
         assert v.params["chosen_l_by_k"] == {}
-        assert pairs == [(1, l) for l in range(2, 13)]
+        assert pairs == [(1, 12)]
+
+    @pytest.mark.parametrize("spec, N", [
+        *((spec, N) for spec in GALLERY_SPECS for N in (50, 200, 2000)),
+        *((spec, None) for spec in (
+            "log:beta=1", "log:beta=10", "log:beta=1000", "power:beta=1",
+            "power:beta=8", "power:beta=20", "table:[10]:step=10")),
+    ])
+    def test_searching_l_decides_as_the_top_l(self, spec, N):
+        # both quantities fall as l grows, so the search over the window
+        # reaches the outcome, at the same k', that its top l reaches
+        for per_pair, v in _scan_closures(parse_alpha(spec), N):
+            kp, searched = searched_scan(per_pair)
+            assert searched.outcome == v.outcome
+            if v.outcome == FAILS:
+                assert v.witness["k"] == kp
+            elif v.outcome == INCONCLUSIVE:
+                assert v.reason.startswith(f"growth at k'={kp} ")
+
+    @given(steps=st.lists(st.integers(min_value=1, max_value=60),
+                          min_size=1, max_size=10),
+           scale=st.integers(min_value=1, max_value=1000),
+           kp=st.integers(min_value=1, max_value=K_WINDOW),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scan_quantities_fall_as_l_grows(self, steps, scale, kp, data):
+        seq = AlphaSequence.table(
+            [Fraction(int(v), scale) for v in np.cumsum(steps)])
+        l = data.draw(st.integers(min_value=kp + 1,
+                                  max_value=default_lmax(kp) - 1))
+        for per_pair, _ in _scan_closures(seq, 100):
+            with pytest.MonkeyPatch.context() as mp:
+                qs = {}
+                _spy_pairs(mp, qs)
+                per_pair(kp, l)
+                per_pair(kp, l + 1)
+            assert np.all(qs[kp, l + 1] <= qs[kp, l])
 
     def test_sparse_blocks_inverse_inconclusive_at_base(self):
         v = inverse_continuity_check(parse_alpha("s1_empty"), N=500)

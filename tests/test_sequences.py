@@ -462,11 +462,10 @@ class TestShiftStability:
     @pytest.mark.parametrize("N", [200, 2000, 10000])
     def test_sparse_block_probes_stop_at_the_log_limit(self, N):
         # block starts k = 4..18: log j(19) is past log n = 1e15
-        probes = parse_alpha("s1_empty").tail_probes(N)
-        assert [p.label for p in probes] == [
-            f"block k={k}" for k in range(4, 19)]
-        assert all(math.log(N) < p.log_n <= sequences_module._LOG_PROBE_LIMIT
-                   for p in probes)
+        labels, logs_n, _, _ = parse_alpha("s1_empty").tail_probes(N)
+        assert list(labels) == [f"block k={k}" for k in range(4, 19)]
+        assert all(math.log(N) < log_n <= sequences_module._LOG_PROBE_LIMIT
+                   for log_n in logs_n)
         v = shift_stability_check(parse_alpha("s1_empty"), N)
         assert len(v.params["probe_ratios_log"]) == 15
 
@@ -579,6 +578,19 @@ class TestSeriesExponents:
         assert alphas.tobytes() == want[2].tobytes()
         assert not logs_n.flags.writeable and not alphas.flags.writeable
 
+    @pytest.mark.parametrize("spec, N, count", [
+        ("log:beta=2", 1000, 24), ("s1_empty", 10000, 15),
+        ("linear", 3 * 10 ** 12, 0)])
+    def test_tail_probes_are_computed_once(self, spec, N, count):
+        seq = parse_alpha(spec)
+        first = seq.tail_probes(N)
+        assert seq.tail_probes(N) is first
+        labels, *arrays = first
+        assert isinstance(labels, tuple) and len(labels) == count
+        for arr in arrays:
+            assert arr.dtype == float and arr.shape == (count,)
+            assert not arr.flags.writeable
+
 
 class TestAlphaAtLog:
     def test_log_closed_form(self):
@@ -659,11 +671,11 @@ class TestSaturatedTail:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             far = seq.alpha_at([1.0, 2.0, 3.0, 1e6, 1e300])
-            probes = seq.tail_probes(1000)
+            _, _, p_alpha, p_prev = seq.tail_probes(1000)
             dense = seq.values_saturated(50)
         assert np.all(far == ALPHA_SATURATION)
-        assert all(p.alpha == p.alpha_prev == ALPHA_SATURATION
-                   for p in probes)
+        assert all(a == ap == ALPHA_SATURATION
+                   for a, ap in zip(p_alpha, p_prev))
         assert np.all(dense == ALPHA_SATURATION)
         # the unclipped values still refuse a tail beyond float range
         with pytest.raises(RepresentationError):
