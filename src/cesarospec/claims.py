@@ -29,7 +29,8 @@ def check(rows, facts: dict, prefix: str = "") -> list:
 
 
 _SPECTRUM = "PAPER.md: nuclearity is characterized via the spectrum of C"
-_POWER_BOUNDED = "PAPER.md: C is always power bounded"
+_POWER_BOUNDED = ("PAPER.md: C is always power bounded; proof in "
+                  "dynamics.power_bound_check")
 _MEAN_ERGODIC = "PAPER.md: C is uniformly mean ergodic"
 _INVERSE = "criteria.SpaceProfile: inverse continuity <=> nuclear"
 _SHIFT = "criteria.d_continuity_check: <=> nuclear and shift-stable"

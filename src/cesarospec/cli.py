@@ -374,6 +374,7 @@ def _run_resolvent(ctx: _RunContext, lambdas) -> tuple:
         try:
             point = resolvent_point_profile(
                 ctx.seq, lam, kmax=ctx.config.kmax, N=ctx.config.N)
+            low, high, env = boun_bounds_fit(lam)
         except PreconditionError as err:
             entry["error"] = str(err)
             entries.append(entry)
@@ -381,7 +382,6 @@ def _run_resolvent(ctx: _RunContext, lambdas) -> tuple:
         predicted = sigma.contains(lam)
         entry["resolvent_point"] = point
         entry["predicted_membership"] = predicted
-        low, high, env = boun_bounds_fit(lam)
         entry["envelope"] = {"lower": low, "upper": high, "verdict": env}
         mism += claims.check(claims.RESOLVENT, {
             "lam": lam, "tail": point.outcome, "predicted": predicted,

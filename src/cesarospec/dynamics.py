@@ -14,7 +14,7 @@ Exact iterates are kept in shared-denominator form: iterate m of x = p/D
 is q_m / (D L^m) with L = lcm(1..N) and integer numerators q_m, so one pass
 is an integer prefix sum and one multiplication by L/n per entry, with no
 gcd (operators.cesaro_apply).  The rational contraction check reads log|q|
-- log(D L^m) in one pass per chunk of iterates, the Cesaro means sum the
+- log(D L^m) in one pass over the trace, the Cesaro means sum the
 numerators, and Fractions are built only for the entries a caller reads.
 
 Claims here are deliberately modest: iterates converge to x_1 on every
@@ -42,9 +42,6 @@ from .trend import FAILS, HOLDS, Verdict
 _FLOAT_TOL = 1e-12
 # Steps iterate_limit_check takes before a coordinate outside the band fails.
 _LIMIT_STEP_CAP = 256
-# Floats per temporary of one rational power_bound_check chunk (at least
-# one iterate); larger chunks gain little speed and grow the peak heap.
-_CHUNK_ENTRIES = 1 << 9
 # Floats per stack of iterates (at least one) in a SeminormTable call, which
 # holds two stacks at once (34 KB traced), or a running-mean sum: 4 at N = 512.
 _STACK_ENTRIES = 1 << 11
@@ -356,10 +353,10 @@ def power_bound_check(
     allows a fixed relative slack of 1e-12, reported as "tol", needs finite
     vectors, and reads the seminorm history the trace recorded for this
     generator, or computes it once.  Rational mode compares exactly, needs a
-    generator with exact rational values, and reads iterates of length N in
-    chunks of max(1, 2**9 // (K N)), one exact.WeightedSups bracket pass
-    each; only pairs whose brackets overlap the start vector's, such as
-    exact ties at coordinate 1, go on to exact.compare_weighted.
+    generator with exact rational values, and brackets iterates 1..M in one
+    exact.WeightedSups pass; only pairs whose brackets overlap the start
+    vector's, such as exact ties at coordinate 1, go on to
+    exact.compare_weighted.
     """
     if K < 1 or M < 1:
         raise PreconditionError("need K >= 1 and M >= 1")
@@ -399,17 +396,12 @@ def power_bound_check(
         if not x.exact:
             raise PreconditionError("rational mode needs an exact vector")
         base = exact.WeightedSups(alphas, [x.shared()], levels)
-        step = max(1, _CHUNK_ENTRIES // (K * len(x)))
-        for start in range(1, M + 1, step):
-            chunk = trace.vectors[start:min(start + step, M + 1)]
-            sups = exact.WeightedSups(alphas, [y.shared() for y in chunk],
-                                      levels)
-            # the first expanding pair of those not decisively below x
-            pairs = np.argwhere(sups.hi >= base.lo).tolist()
-            at = next(((start + i, r + 1) for i, r in pairs
-                       if exact.compare_sups(sups, base, r + 1, i) > 0), None)
-            if at is not None:
-                break
+        sups = exact.WeightedSups(
+            alphas, [y.shared() for y in trace.vectors[1:M + 1]], levels)
+        # the first expanding pair of those not decisively below x
+        pairs = np.argwhere(sups.hi >= base.lo).tolist()
+        at = next(((i + 1, r + 1) for i, r in pairs
+                   if exact.compare_sups(sups, base, r + 1, i) > 0), None)
     # the evidence is the running worst slack max(0, p_k - limit), which
     # stays 0.0 up to the first expansion
     evidence = tuple((m, 0.0) for m in range(1, at[0] if at else M + 1))

@@ -22,11 +22,10 @@ an error below 2**-49 times its scale; its band b_n is _FILTER_BAND times
 that scale, so the true log-weight lies in [w_n - b_n, w_n + b_n].  The
 log-sup then lies between the largest w_n - b_n and the largest w_n + b_n.
 One float pass over a stack of vectors (WeightedSups) gives these brackets
-for every vector at every level asked for; a caller that brackets a long
-trace passes it in chunks.  When two brackets are disjoint the float order
-is the exact order.  Only a comparison inside the bands, such as an exact
-tie, goes to compare_weighted, as integer numerators, and from there to
-sign_minus_exp.
+for every vector at every level asked for.  When two brackets are disjoint
+the float order is the exact order.  Only a comparison inside the bands,
+such as an exact tie, goes to compare_weighted, as integer numerators, and
+from there to sign_minus_exp.
 """
 
 from __future__ import annotations
@@ -256,11 +255,9 @@ def weighted_argmax(alphas, xs, k: int) -> int:
 
 
 def compare_seminorms(alphas, k: int, xs, ys) -> int:
-    """Exact sign of p_k(x) - p_k(y) over the common truncation."""
-    if len(xs) == len(ys):
-        both = WeightedSups(alphas[:len(xs)], [common_denominator(xs),
-                                               common_denominator(ys)], (k,))
-        return compare_sups(both, both, k, 0, 1)
-    xw, yw = (WeightedSups(alphas[:len(v)], [common_denominator(v)], (k,))
-              for v in (xs, ys))
-    return compare_sups(xw, yw, k)
+    """Exact sign of p_k(x) - p_k(y) for two vectors of one length, read
+    from one WeightedSups pass; vectors of unequal length are a
+    ValueError."""
+    both = WeightedSups(alphas[:len(xs)], [common_denominator(xs),
+                                           common_denominator(ys)], (k,))
+    return compare_sups(both, both, k, 0, 1)

@@ -467,6 +467,19 @@ class TestMainExitCodes:
         assert "not finite" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_pole_of_the_envelope_truncation_is_a_point_error(self, capsys):
+        # 0.002 = 1/500 is a pole of the envelope's N = 1,000 truncation but
+        # not of N = 100: that point gets an error entry, and 2 keeps its own
+        base = ["--alpha", "linear", "--N", "100", "--experiments",
+                "resolvent", "--lambda"]
+        points = []
+        for lams in ("0.002,2", "2"):
+            assert main([*base, lams]) == 0
+            tree = json.loads(capsys.readouterr().out)
+            points.append(tree["results"][0]["data"]["points"])
+        assert "reciprocal-integer set" in points[0][0]["error"]
+        assert points[0][1:] == points[1]
+
     @pytest.mark.parametrize("field,literal", [
         ("m", '"1,2"'), ("m", "2.5"), ("m", "null"), ("lambda", "null"),
         ("m", '"12"'), ("N", "100.9"), ("K", "4.7"), ("kmax", "2.5"),

@@ -487,31 +487,28 @@ def exact_traces(draw, n, M):
 
 
 class TestStackedContraction:
-    """The chunked check gives the Verdict of the per-iterate loop in both
-    modes, and makes the same exact comparisons in the same order."""
+    """The one-pass check over the whole trace gives the Verdict of the
+    per-iterate loop in both modes, and makes the same exact comparisons in
+    the same order."""
 
     @given(spec=st.sampled_from(_EXACT_SPECS), n=st.integers(1, 6),
-           K=st.integers(1, 5), chunk=st.integers(1, 4),
-           M=st.integers(1, 9), data=st.data())
+           K=st.integers(1, 5), M=st.integers(1, 9), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_reference_loop(self, spec, n, K, chunk, M, data):
+    def test_matches_reference_loop(self, spec, n, K, M, data):
         seq = parse_alpha(spec)
         trace = data.draw(exact_traces(n, M))
-        # chunks of `chunk` iterates, so M lies on both sides of their length
-        entries = chunk * K * n + data.draw(st.integers(0, K * n - 1))
-        with mock.patch.object(dynamics_module, "_CHUNK_ENTRIES", entries):
-            for mode in ("rational", "float"):
-                got, calls = with_weighted_calls(
-                    power_bound_check, seq, trace, K=K, M=M, mode=mode)
-                want, want_calls = with_weighted_calls(
-                    reference_bound, seq, trace, K, M, mode)
-                assert repr(got) == repr(want)
-                assert calls == want_calls
+        for mode in ("rational", "float"):
+            got, calls = with_weighted_calls(
+                power_bound_check, seq, trace, K=K, M=M, mode=mode)
+            want, want_calls = with_weighted_calls(
+                reference_bound, seq, trace, K, M, mode)
+            assert repr(got) == repr(want)
+            assert calls == want_calls
 
     @pytest.mark.parametrize("spec", ["linear", "power:beta=2",
                                       "table:[1e308]:step=1e308"])
-    def test_matches_reference_loop_at_the_chunk_rule(self, spec, rng):
-        # K N = 120: chunks of 4 iterates, so M = 40 reads ten of them
+    def test_matches_reference_loop_over_a_long_trace(self, spec, rng):
+        # K N = 120 and M = 40: one pass brackets 200 (iterate, level) pairs
         seq = parse_alpha(spec)
         x = CoordinateVector([F(int(a), int(b)) for a, b in zip(
             rng.integers(-99, 100, 24), rng.integers(1, 20, 24))])

@@ -223,6 +223,8 @@ class TestWeightedComparisons:
         assert compare_seminorms(alphas, 1, e1, e2) == 1
         assert compare_seminorms(alphas, 1, e2, e1) == -1
         assert compare_seminorms(alphas, 1, e1, e1) == 0
+        with pytest.raises(ValueError, match="matching"):
+            compare_seminorms(alphas, 1, e1, e2[:2])
 
 
 class TestCommonDenominator:
