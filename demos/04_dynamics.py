@@ -22,12 +22,13 @@ from cesarospec import (
     parse_alpha,
     power_bound_check,
     power_iterate,
+    seminorm,
 )
 
 linear = parse_alpha("linear")
 
 # exact iterates of the first basis vector: each pass is a running mean
-trace = power_iterate(basis_vector(1, 6), 3, w=linear, ks=(1, 2))
+trace = power_iterate(basis_vector(1, 6), 3)
 for m, values in trace.iterates:
     print(f"C^{m} e_1 =", [str(v) for v in values])
 
@@ -51,11 +52,12 @@ x = CoordinateVector([Fraction(5), Fraction(-3), Fraction(7, 2), Fraction(1)])
 print("power bound (exact):", power_bound_check(linear, x, K=3, M=20,
                                                 mode="rational").outcome)
 
-# Cesaro means of the iterates converge too (mean ergodicity); the trace
-# records the seminorm distance to the predicted limit
-means = cesaro_means(basis_vector(1, 8), 30, w=linear, ks=(1,))
-first = dict(means.distances[0][1])[1]
-last = dict(means.distances[-1][1])[1]
+# Cesaro means of the iterates converge too (mean ergodicity): the p_1
+# distance of the first and the last mean to the predicted limit x_1
+means = cesaro_means(basis_vector(1, 8), 30)
+first, last = (seminorm(linear, 1, np.array(mean, dtype=float)
+                        - float(means.limit_prediction))
+               for mean in (means.means[0][1], means.final().values))
 print(f"mean distance to limit: {first:.4f} -> {last:.4f}")
 
 # the space splits into fixed vectors plus the closure of the range of

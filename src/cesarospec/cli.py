@@ -39,7 +39,7 @@ from .errors import CesaroError, PreconditionError
 from .operators import CoordinateVector, a_matrix, b_matrix, basis_vector, \
     cesaro, cesaro_apply, cesaro_inverse_apply, delta, delta_eigenvector, \
     identity, ops_equal_exact, resolvent
-from .sequences import WeightSystem, parse_alpha
+from .sequences import SeminormTable, WeightSystem, parse_alpha
 from .serialize import dumps_json, format_float, jsonable
 from .spectral import boun_bounds_fit, disc_report, \
     eigenvector_membership, predict_spectra, resolvent_point_profile, \
@@ -439,15 +439,17 @@ def _run_dynamics(ctx: _RunContext, x_spec: str, ms) -> tuple:
     entries = []
     mism = []
     M = max(max(ms), 10)
-    trace = power_iterate(x, max(M, min(n_dyn, 32)), w=ctx.weights, ks=ks)
+    trace = power_iterate(x, max(M, min(n_dyn, 32)))
+    table = SeminormTable(ctx.weights, ks, n_dyn)
     for m in ms:
         final = trace.vectors[m]
+        yf = final.as_float()
         entry = {"m": m, "head": list(final.prefix(8).values),
-                 "seminorms": trace.seminorms[m][1]}
+                 "seminorms": tuple(zip(ks, table(yf)))}
         if m <= 5 and n_dyn <= 40:
             diff = float(np.max(np.abs(
                 iterate_via_kernel(x, m).as_float().astype(complex)
-                - final.as_float().astype(complex))))
+                - yf.astype(complex))))
             entry["kernel_max_diff"] = diff
             mism += claims.check(claims.KERNEL, {
                 "m": m, "diff": diff, "kernel_agrees": not diff > 1e-8},
@@ -465,11 +467,11 @@ def _run_dynamics(ctx: _RunContext, x_spec: str, ms) -> tuple:
         "contraction": bound.outcome, "pointwise_limit": limit.outcome,
         "ergodic": ergodic.outcome}, "dynamics: ")
 
-    means = cesaro_means(trace, nmax=min(n_dyn, 32), w=ctx.weights, ks=ks)
-    last_gap = None
-    if means.distances:
-        step, gaps = means.distances[-1]
-        last_gap = {"n": step, "gaps": gaps}
+    nmax = min(n_dyn, 32)
+    means = cesaro_means(trace, nmax)
+    x1 = means.limit_prediction
+    gap = means.final().as_float() - (float(x1) if x.exact else x1)
+    last_gap = {"n": nmax, "gaps": tuple(zip(ks, table(gap)))}
     payload = {
         "x": x_spec, "N": n_dyn, "iterates": entries, "density_sups": sups,
         "seminorm_contraction": bound, "pointwise_limit": limit,

@@ -52,15 +52,12 @@ class IterateTrace:
     """Recorded trajectory of m running-mean passes.
 
     vectors holds x0 and every iterate in step order (exact iterates in
-    shared-denominator form); the seminorm history holds
-    (step, ((k, p_k value), ...)) when a weight system was supplied, and
-    alpha its generator.  Every iterate has the length of x0 and is exact
-    on all of it: the map is lower triangular and consumes nothing.
+    shared-denominator form).  Every iterate has the length of x0 and is
+    exact on all of it: the map is lower triangular and consumes nothing.
+    Readers take the seminorms of the vectors they read themselves.
     """
 
     vectors: tuple
-    seminorms: tuple
-    alpha: AlphaSequence | None = None
 
     @property
     def x0(self) -> CoordinateVector:
@@ -83,18 +80,11 @@ class IterateTrace:
         return self.vectors[-1]
 
 
-def power_iterate(
-    x,
-    m: int,
-    w: WeightSystem | AlphaSequence | None = None,
-    ks: tuple = (1, 2, 3),
-) -> IterateTrace:
+def power_iterate(x, m: int) -> IterateTrace:
     """Apply m running-mean passes, recording every intermediate step.
 
-    O(m N) total.  Exact input stays exact; the seminorm history (float) is
-    recorded, in stacks, only when a weight system is given.  This is the
-    one producer of iterates: the contraction, means and limit checks read
-    its trace.
+    O(m N) total, and exact input stays exact.  This is the one producer of
+    iterates: the contraction, means and limit checks read its trace.
     """
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
@@ -104,12 +94,7 @@ def power_iterate(
     vectors = [x]
     for _ in range(m):
         vectors.append(cesaro_apply(vectors[-1]))
-    sems, alpha = (), None
-    if w is not None:
-        sems = tuple(enumerate(_stacked_seminorms(SeminormTable(
-            w, ks, len(x)), _stacks(v.as_float() for v in vectors))))
-        alpha = w.alpha if isinstance(w, WeightSystem) else w
-    return IterateTrace(tuple(vectors), sems, alpha)
+    return IterateTrace(tuple(vectors))
 
 
 def _stacks(rows):
@@ -118,11 +103,6 @@ def _stacks(rows):
     for row in rows:
         more = max(1, _STACK_ENTRIES // max(len(row), 1)) - 1
         yield np.array([row, *islice(rows, more)])
-
-
-def _stacked_seminorms(table: SeminormTable, stacks) -> list:
-    """((k, p_k(row)) for k in ks) per row, from one table call per stack."""
-    return [tuple(zip(table.ks, p)) for stack in stacks for p in table(stack)]
 
 
 def _trace_of(x, steps: int) -> IterateTrace:
@@ -249,21 +229,26 @@ def gm_sup(m: int, method: str = "both") -> float:
 class CesaroMeansTrace:
     """Running averages T_n = (1/n) sum_{j<=n} of the first n iterates.
 
-    distances records the seminorm gap to the predicted ergodic limit, the
-    constant vector at height x_1, per recorded n and weight index.
     iterates holds the averaged iterates; the means, as (n, coordinate
-    tuple) pairs, are built from them on first read.
+    tuple) pairs, are built from them on first read, and final() gives the
+    last one alone.  The predicted ergodic limit is the constant vector at
+    height limit_prediction = x_1.
     """
 
     x0: CoordinateVector
-    distances: tuple
     limit_prediction: complex | float
-    iterates: tuple = field(default=(), repr=False)
+    iterates: tuple = field(repr=False)
 
     @cached_property
     def means(self) -> tuple:
         return tuple((j, tuple(t.values))
                      for j, t in _running_means(self.iterates))
+
+    def final(self) -> CoordinateVector:
+        """The last mean, as a vector (exact for an exact trace)."""
+        for _, last in _running_means(self.iterates):
+            pass
+        return last
 
 
 def _running_means(iterates):
@@ -307,32 +292,15 @@ def _float_means(iterates):
         yield stack if scale == 1.0 else stack * scale
 
 
-def cesaro_means(
-    x,
-    nmax: int,
-    w: WeightSystem | AlphaSequence | None = None,
-    ks: tuple = (1, 2, 3),
-) -> CesaroMeansTrace:
+def cesaro_means(x, nmax: int) -> CesaroMeansTrace:
     """Accumulate the first nmax averaged iterates of x, a start vector or
-    an IterateTrace of at least nmax passes.  The seminorm gaps of the
-    means to x_1 are read in stacks, real for a real trace.  The exact
-    means are built only when .means is read."""
+    an IterateTrace of at least nmax passes.  The means are built only when
+    .means or final() is read."""
     if nmax < 1:
         raise PreconditionError(f"need nmax >= 1, got {nmax}")
     trace = _trace_of(x, nmax)
-    limit = trace.limit_prediction
-    iterates = trace.vectors[1:nmax + 1]
-    distances = ()
-    if w is not None:
-        lim = float(limit) if trace.x0.exact else limit
-        means = (_stacks(t.as_float() for _, t in _running_means(iterates))
-                 if trace.x0.exact else _float_means(iterates))
-        distances = tuple(enumerate(_stacked_seminorms(SeminormTable(
-            w, ks, len(trace.x0)), (s - lim for s in means)), start=1))
-    return CesaroMeansTrace(
-        x0=trace.x0, distances=distances, limit_prediction=limit,
-        iterates=iterates,
-    )
+    return CesaroMeansTrace(trace.x0, trace.limit_prediction,
+                            trace.vectors[1:nmax + 1])
 
 
 def power_bound_check(
@@ -351,12 +319,12 @@ def power_bound_check(
 
     x is a start vector or an IterateTrace of at least M passes.  Float mode
     allows a fixed relative slack of 1e-12, reported as "tol", needs finite
-    vectors, and reads the seminorm history the trace recorded for this
-    generator, or computes it once.  Rational mode compares exactly, needs a
-    generator with exact rational values, and brackets iterates 1..M in one
-    exact.WeightedSups pass; only pairs whose brackets overlap the start
-    vector's, such as exact ties at coordinate 1, go on to
-    exact.compare_weighted.
+    vectors, and reads p_k of iterates 0..M from one SeminormTable, called
+    on stacks of up to _STACK_ENTRIES floats.  Rational mode compares
+    exactly, needs a generator with exact rational values, and brackets
+    iterates 1..M in one exact.WeightedSups pass; only pairs whose brackets
+    overlap the start vector's, such as exact ties at coordinate 1, go on
+    to exact.compare_weighted.
     """
     if K < 1 or M < 1:
         raise PreconditionError("need K >= 1 and M >= 1")
@@ -372,12 +340,9 @@ def power_bound_check(
     at = None
     if mode == "float":
         params["tol"] = _FLOAT_TOL
-        sems = trace.seminorms[:M + 1] if trace.alpha == seq else ()
-        if [[k for k, _ in p[:K]] for _, p in sems] != [[*levels]] * (M + 1):
-            sems = enumerate(_stacked_seminorms(SeminormTable(
-                w, levels, len(x)), _stacks(
-                    y.as_float() for y in trace.vectors[:M + 1])))
-        pks = np.array([[p for _, p in pairs[:K]] for _, pairs in sems])
+        table = SeminormTable(w, levels, len(x))
+        pks = np.array([p for stack in _stacks(
+            y.as_float() for y in trace.vectors[:M + 1]) for p in table(stack)])
         # log w_k is finite: a row of p_k is finite exactly where its vector is
         finite = np.isfinite(pks).all(axis=1)
         pairs = np.argwhere((pks > pks[0] * (1.0 + _FLOAT_TOL))

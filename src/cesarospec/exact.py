@@ -190,7 +190,8 @@ class WeightedSups:
         w = log_mags[:, None, :] - e
         band = _FILTER_BAND * (scales[:, None, :] + np.abs(e))
         high = w + band
-        self.lo = (w - band).max(axis=2)
+        w -= band  # w - band in place: three (stack, levels, n) arrays live
+        self.lo = w.max(axis=2)
         self.hi = high.max(axis=2)
         self._candidates = high >= self.lo[:, :, None]
 

@@ -95,18 +95,17 @@ class Verdict:
         raise TypeError("Verdict is three-state; test .outcome explicitly")
 
 
-def first_deciding(verdicts: Iterable[Verdict],
-                   stop: str = FAILS) -> tuple[int, Verdict]:
-    """Join verdicts under one quantifier; return the deciding (index, verdict).
+def first_deciding(verdicts: Iterable[Verdict]) -> tuple[int, Verdict]:
+    """Join verdicts under "every item holds"; return the deciding (index,
+    verdict).
 
-    With ``stop=FAILS`` this is "every item holds": the first failing verdict
-    decides and nothing after it is read.  With ``stop=HOLDS`` it is the dual
-    "some item holds".  Without a ``stop`` verdict the first inconclusive one
-    decides, and otherwise the last verdict stands for the whole run.
+    The first failing verdict decides and nothing after it is read.
+    Without one the first inconclusive verdict decides, and otherwise the
+    last verdict stands for the whole run.
     """
     pending = last = None
     for i, v in enumerate(verdicts):
-        if v.outcome == stop:
+        if v.outcome == FAILS:
             return i, v
         if pending is None and v.outcome == INCONCLUSIVE:
             pending = (i, v)

@@ -166,8 +166,15 @@ def searched_scan(per_pair):
     else the failure.  Returns the deciding (k', verdict)."""
 
     def some_l(kp):
-        ls = range(kp + 1, default_lmax(kp) + 1)
-        return first_deciding((per_pair(kp, l) for l in ls), stop=HOLDS)[1]
+        pending = last = None
+        for l in range(kp + 1, default_lmax(kp) + 1):
+            v = per_pair(kp, l)
+            if v.outcome == HOLDS:
+                return v
+            if pending is None and v.outcome == INCONCLUSIVE:
+                pending = v
+            last = v
+        return last if pending is None else pending
 
     i, v = first_deciding(map(some_l, range(1, K_WINDOW + 1)))
     return 1 + i, v

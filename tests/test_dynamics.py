@@ -37,6 +37,7 @@ from cesarospec import (
 )
 from cesarospec.cli import DYNAMICS_STEP_CAP, _build_parser, \
     assemble_config, emit, run
+import cesarospec.cli as cli_module
 import cesarospec.operators as operators_module
 import cesarospec.dynamics as dynamics_module
 from cesarospec import exact
@@ -81,20 +82,14 @@ class TestPowerIterate:
         assert got == want
         assert type(got) is type(want)
 
-    def test_seminorm_history_with_weights(self, linear):
-        tr = power_iterate(basis_vector(1, 5), 3, w=WeightSystem(linear),
-                           ks=(1, 2))
-        assert len(tr.seminorms) == 4
-        step0 = dict(tr.seminorms[0][1])
-        assert step0[1] == pytest.approx(math.exp(-1))
-
     def test_averaging_fixes_the_top_seminorm_of_e1(self, linear):
         # the sup sits at coordinate 1, which every averaging pass fixes,
         # so p_k stays exactly constant along the trajectory
-        tr = power_iterate(basis_vector(1, 6), 4, w=linear, ks=(1, 2, 3))
-        for k in (1, 2, 3):
-            history = [dict(vals)[k] for _, vals in tr.seminorms]
-            assert all(h == history[0] for h in history)
+        tr = power_iterate(basis_vector(1, 6), 4)
+        table = SeminormTable(linear, (1, 2, 3), 6)
+        history = [table(v.as_float()) for v in tr.vectors]
+        assert history[0][0] == pytest.approx(math.exp(-1))
+        assert all(h == history[0] for h in history)
 
     def test_rejects_bad_m(self):
         with pytest.raises(PreconditionError):
@@ -182,10 +177,26 @@ class TestCesaroMeans:
         assert tr.means[1][1][1] == F(5, 8)
 
     def test_distances_shrink_for_e1(self, linear):
-        tr = cesaro_means(basis_vector(1, 8), 40, w=linear, ks=(1,))
-        gaps = [dict(v)[1] for _, v in tr.distances]
+        tr = cesaro_means(basis_vector(1, 8), 40)
+        gaps = [seminorm(linear, 1, np.array(mean, dtype=float) - 1.0)
+                for _, mean in tr.means]
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 0.05
+
+    @pytest.mark.parametrize("x", [
+        basis_vector(1, 8),
+        CoordinateVector([F(3, 7), F(-1), F(2, 3), F(0), F(5, 2)]),
+        CoordinateVector(np.linspace(-1.0, 1.0, 12)),
+        CoordinateVector(np.linspace(-1.0, 1.0, 12) * (1 - 2j)),
+        CoordinateVector(np.array([1e308] * 3)),
+    ])
+    @pytest.mark.parametrize("nmax", [1, 7])
+    def test_final_is_the_last_mean(self, x, nmax):
+        for start in (x, power_iterate(x, 9)):
+            tr = cesaro_means(start, nmax)
+            final = tr.final()
+            assert final.exact == x.exact
+            assert repr(list(final.values)) == repr(list(tr.means[-1][1]))
 
     def test_limit_prediction(self):
         x = CoordinateVector([F(3), F(0), F(0)])
@@ -382,8 +393,7 @@ class TestFloatContractionTable:
         if data.draw(st.booleans()):
             rows = [np.array(r) * 1j + np.array(r[::-1]) for r in rows]
         trace = IterateTrace(
-            vectors=tuple(CoordinateVector(np.asarray(r)) for r in rows),
-            seminorms=())
+            tuple(CoordinateVector(np.asarray(r)) for r in rows))
         got = power_bound_check(linear, trace, K=K, M=M, mode="float")
         outcome, evidence, witness = reference_float_bound(
             WeightSystem(linear), trace, K, M)
@@ -396,8 +406,7 @@ class TestFloatContractionTable:
         # and 3 e^(-3/k) exceeds e^(-1/k) first at k = 2 (3 > e, 3 < e^2)
         rows = [[1.0, 0.0, 1.0], [1.0, 0.0, 0.5], [1.0, 0.0, 3.0]]
         trace = IterateTrace(
-            vectors=tuple(CoordinateVector(np.array(r)) for r in rows),
-            seminorms=())
+            tuple(CoordinateVector(np.array(r)) for r in rows))
         got = power_bound_check(linear, trace, K=3, M=2, mode="float")
         outcome, evidence, witness = reference_float_bound(
             WeightSystem(linear), trace, 3, 2)
@@ -482,8 +491,7 @@ def exact_traces(draw, n, M):
         elif kind == "tie":
             y = [x[0]] + [v / 97 for v in y[1:]]
         rows.append(y)
-    return IterateTrace(
-        vectors=tuple(CoordinateVector(r) for r in rows), seminorms=())
+    return IterateTrace(tuple(CoordinateVector(r) for r in rows))
 
 
 class TestStackedContraction:
@@ -534,11 +542,11 @@ class TestStackedContraction:
         rows = [[1.0, 0.0, 1.0], [1.0, 0.0, 0.5], [1.0, 0.0, 3.0],
                 [1.0, math.inf, 1.0]]
         expands = IterateTrace(tuple(CoordinateVector(np.array(r))
-                                     for r in rows), ())
+                                     for r in rows))
         assert power_bound_check(linear, expands, K=3, M=3).witness["m"] == 2
         for bad in (math.inf, math.nan):
             y = CoordinateVector(np.array([1.0, 0.0, bad]))
-            trace = IterateTrace(expands.vectors[:2] + (y,), ())
+            trace = IterateTrace(expands.vectors[:2] + (y,))
             with pytest.raises(PreconditionError, match="iterate 2"):
                 power_bound_check(linear, trace, K=3, M=2)
 
@@ -558,7 +566,7 @@ class TestTraceInput:
 
     def test_float_power_bound_check_from_float_trace(self, linear, rng):
         x = CoordinateVector(rng.uniform(-1, 1, size=30))
-        trace = power_iterate(x, 20, w=linear, ks=(1, 2))
+        trace = power_iterate(x, 20)
         assert power_bound_check(linear, trace, K=4, M=20) \
             == power_bound_check(linear, x, K=4, M=20)
 
@@ -566,12 +574,12 @@ class TestTraceInput:
         basis_vector(1, 8),
         CoordinateVector(np.linspace(-1.0, 1.0, 12)),
     ])
-    def test_cesaro_means_from_trace(self, linear, x):
-        trace = power_iterate(x, 15, w=linear, ks=(1, 2))
-        got = cesaro_means(trace, 10, w=linear, ks=(1, 2))
-        want = cesaro_means(x, 10, w=linear, ks=(1, 2))
+    def test_cesaro_means_from_trace(self, x):
+        trace = power_iterate(x, 15)
+        got = cesaro_means(trace, 10)
+        want = cesaro_means(x, 10)
         assert got.means == want.means
-        assert got.distances == want.distances
+        assert list(got.final().values) == list(want.final().values)
         assert got.limit_prediction == want.limit_prediction
         assert got.x0 is trace.x0
 
@@ -584,34 +592,31 @@ class TestTraceInput:
             cesaro_means(trace, 4)
 
 
-def reference_history(w, ks, vectors):
-    """The seminorm history as one table call per iterate."""
-    table = SeminormTable(w, ks, len(vectors[0]))
-    return tuple((step, tuple(zip(table.ks, table(v.as_float()))))
-                 for step, v in enumerate(vectors))
-
-
-def reference_gaps(w, ks, trace, nmax):
-    """The means' gaps to x_1, one mean at a time: float iterates added in
-    order (over the power of two that _overflow_scale picks from their
-    peaks), exact ones as Fractions, and one complex table call per mean."""
-    table = SeminormTable(w, ks, len(trace.x0))
-    limit = complex(trace.limit_prediction)
+def reference_mean(trace, nmax):
+    """The last mean of iterates 1..nmax: float iterates added in order
+    (over the power of two that _overflow_scale picks from their peaks),
+    exact ones as Fractions."""
     rows = [y.values for y in trace.vectors[1:nmax + 1]]
-    scale = 1.0
-    if not trace.x0.exact:
-        scale = operators_module._overflow_scale(
-            max(float(np.max(np.abs(row))) for row in rows), len(rows))
-    gaps, total = [], None
-    for j, row in enumerate(rows, start=1):
-        term = row if scale == 1.0 else row / scale
-        total = term if total is None else total + term
-        mean = total / j if scale == 1.0 else total / j * scale
-        if trace.x0.exact:
-            mean = np.array([float(v) for v in mean])
-        gaps.append((j, tuple(zip(table.ks,
-                                  table(mean.astype(complex) - limit)))))
-    return tuple(gaps)
+    if trace.x0.exact:
+        return [sum(col, F(0)) / nmax for col in zip(*rows)]
+    scale = operators_module._overflow_scale(
+        max(float(np.max(np.abs(row))) for row in rows), len(rows))
+    total = rows[0] / scale
+    for row in rows[1:]:
+        total = total + row / scale
+    return total / nmax * scale
+
+
+def fraction_orbit(x, steps):
+    """x and its first `steps` running means, one Fraction at a time."""
+    rows = [list(x.values)]
+    for _ in range(steps):
+        acc, row = F(0), []
+        for n, v in enumerate(rows[-1], start=1):
+            acc += v
+            row.append(acc / n)
+        rows.append(row)
+    return rows
 
 
 def stack_shapes(run):
@@ -637,69 +642,48 @@ def float_start(kind, n, seed):
 
 
 class TestStackedOrbit:
-    """The seminorm history and the means' gaps, read in stacks of
-    iterates, are those of one table call per iterate, bit for bit."""
+    """The contraction check's p_k, read in stacks of iterates, and the
+    last mean are those of one table call per iterate and of one sum in
+    order, bit for bit."""
 
     @given(kind=st.sampled_from(["real", "complex", "huge"]),
-           n=st.integers(1, 600), m=st.integers(1, 40),
-           ks=st.lists(st.integers(1, 6), min_size=1, max_size=4,
-                       unique=True),
+           n=st.integers(1, 600), m=st.integers(1, 40), K=st.integers(1, 6),
            entries=st.sampled_from([1, 7, 600, 1 << 12]),
            seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
-    def test_matches_reference_loop(self, linear, kind, n, m, ks, entries,
+    def test_matches_reference_loop(self, linear, kind, n, m, K, entries,
                                     seed):
         x = float_start(kind, n, seed)
+        trace = power_iterate(x, m)
         with mock.patch.object(dynamics_module, "_STACK_ENTRIES", entries):
-            trace = power_iterate(x, m, w=linear, ks=ks)
-            means = cesaro_means(trace, m, w=linear, ks=ks)
-        assert repr(trace.seminorms) == repr(
-            reference_history(linear, ks, trace.vectors))
-        assert repr(means.distances) == repr(
-            reference_gaps(linear, ks, trace, m))
+            bound = power_bound_check(linear, trace, K=K, M=m)
+            final = cesaro_means(trace, m).final()
+        assert repr(bound) == repr(reference_bound(linear, trace, K, m,
+                                                   "float"))
+        assert np.array_equal(final.values, reference_mean(trace, m))
 
     def test_exact_orbit_matches_reference_loop(self, linear):
         x = CoordinateVector([F(5), F(-3), F(7, 2), F(0), F(2)])
-        trace = power_iterate(x, 9, w=linear, ks=(1, 3))
-        assert trace.seminorms == reference_history(linear, (1, 3),
-                                                    trace.vectors)
-        assert cesaro_means(trace, 9, w=linear, ks=(1, 3)).distances \
-            == reference_gaps(linear, (1, 3), trace, 9)
+        trace = power_iterate(x, 9)
+        assert [list(v.values) for v in trace.vectors] == fraction_orbit(x, 9)
+        assert repr(power_bound_check(linear, trace, K=3, M=9)) == repr(
+            reference_bound(linear, trace, 3, 9, "float"))
+        final = cesaro_means(trace, 9).final()
+        assert list(final.values) == reference_mean(trace, 9)
 
     @pytest.mark.parametrize("kind", ["real", "complex", "huge"])
     def test_matches_reference_loop_at_the_budget(self, linear, kind):
-        # N = 512 and K = 5, as the CLI's top band runs: stacks of four
-        # iterates, and the contraction check reads the recorded history
-        ks = (1, 2, 3, 4, 5)
+        # N = 512 and K = 5, as the CLI's top band runs: the contraction
+        # check reads iterates 0..32 in stacks of four and one
         x = float_start(kind, 512, 5)
-        trace = power_iterate(x, 32, w=linear, ks=ks)
-        means, shapes = stack_shapes(
-            lambda: cesaro_means(trace, 32, w=linear, ks=ks))
-        assert set(shapes) == {(4, 512)}
-        assert repr(trace.seminorms) == repr(
-            reference_history(linear, ks, trace.vectors))
-        assert repr(means.distances) == repr(
-            reference_gaps(linear, ks, trace, 32))
+        trace = power_iterate(x, 32)
         bound, shapes = stack_shapes(
             lambda: power_bound_check(linear, trace, K=5, M=32))
-        assert shapes == []
+        assert shapes == [(4, 512)] * 8 + [(1, 512)]
         assert repr(bound) == repr(reference_bound(linear, trace, 5, 32,
                                                    "float"))
-
-    def test_history_of_other_levels_or_generator_is_not_read(self, linear):
-        # a history over levels (1, 2), under another generator, or shorter
-        # than the check, does not cover it: it computes its own in one stack
-        x = float_start("real", 30, 3)
-        full = power_iterate(x, 20, w=linear, ks=(1, 2, 3))
-        for trace in (power_iterate(x, 20, w=linear, ks=(1, 2)),
-                      power_iterate(x, 20, w=parse_alpha("sqrt")),
-                      IterateTrace(full.vectors, full.seminorms[:5], linear),
-                      IterateTrace(full.vectors, (), linear)):
-            got, shapes = stack_shapes(
-                lambda: power_bound_check(linear, trace, K=3, M=20))
-            assert shapes == [(21, 30)]
-            assert repr(got) == repr(reference_bound(linear, trace, 3, 20,
-                                                     "float"))
+        assert np.array_equal(cesaro_means(trace, 32).final().values,
+                              reference_mean(trace, 32))
 
     @pytest.mark.parametrize("n", [40, 512, 2048])
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -719,19 +703,73 @@ class TestStackedOrbit:
         assert peak <= 4 * rows * n * 8
 
     @pytest.mark.parametrize("n", [1, 7, 100, 512, 4096, 5000])
-    def test_stacks_stay_within_the_entry_budget(self, linear, n):
+    def test_stacks_stay_within_the_entry_budget(self, linear, n,
+                                                 monkeypatch):
         budget = dynamics_module._STACK_ENTRIES
+        shapes, real = [], dynamics_module._stacks
+
+        def spy(rows):
+            for stack in real(rows):
+                shapes.append(stack.shape)
+                yield stack
+
+        monkeypatch.setattr(dynamics_module, "_stacks", spy)
         x = float_start("real", n, n)
-        # 33 iterates with x0, and 32 means
-        for count, run in (
-                (33, lambda: power_iterate(x, 32, w=linear, ks=(1, 2))),
-                (32, lambda: cesaro_means(x, 32, w=linear, ks=(1, 2)))):
-            _, shapes = stack_shapes(run)
+        trace = power_iterate(x, 32)
+        # the contraction check reads x0 and 32 iterates once, the means
+        # read 32 iterates twice: for their peak, then for the sums
+        for count, reads, run in (
+                (33, 1, lambda: power_bound_check(linear, trace, K=2, M=32)),
+                (32, 2, lambda: cesaro_means(trace, 32).final())):
+            shapes.clear()
+            run()
             rows = [r for r, width in shapes]
             assert all(width == n for _, width in shapes)
-            assert sum(rows) == count
+            assert sum(rows) == reads * count
             assert max(rows) == max(1, min(count, budget // n))
             assert all(r * n <= max(n, budget) for r in rows)
+
+
+class TestDynamicsReport:
+    """The report's seminorms of the reported iterates and gaps of the
+    last mean to x_1 are one table call per vector, on Fraction iterates
+    and means for exact starts."""
+
+    @pytest.mark.parametrize("spec", ["random", "ones", "e2", "huge"])
+    @pytest.mark.parametrize("N", [3, 40, 512])
+    def test_match_one_table_call_per_row(self, monkeypatch, spec, N):
+        made, real = [], cli_module._make_vector
+
+        def make(x_spec, n, ctx):
+            made.append(CoordinateVector(np.full(n, 1e308)) if spec == "huge"
+                        else real(x_spec, n, ctx))
+            return made[-1]
+
+        monkeypatch.setattr(cli_module, "_make_vector", make)
+        ms, ks, nmax = (1, 2, 5, 12), (1, 2, 3, 4, 5), min(N, 32)
+        x_spec = "random" if spec == "huge" else spec
+        argv = ["--alpha", "log:beta=2", "--N", str(N), "--K", "5",
+                "--experiments", f"dynamics:{x_spec},1,2,5,12"]
+        config, _ = assemble_config(_build_parser().parse_args(argv))
+        (_, payload), = run(config).results
+        x = made[0]
+        if x.exact:
+            rows = fraction_orbit(x, max(ms + (nmax,)))
+            mean = [sum(col, F(0)) / nmax for col in zip(*rows[1:nmax + 1])]
+            x1 = float(x.values[0])
+        else:
+            trace = power_iterate(x, max(ms + (nmax,)))
+            rows = [v.values for v in trace.vectors]
+            mean, x1 = reference_mean(trace, nmax), x.values[0]
+        table = SeminormTable(parse_alpha("log:beta=2"), ks, N)
+
+        def floats(row):
+            return np.array([float(v) for v in row])
+
+        assert repr([e["seminorms"] for e in payload["iterates"]]) == repr(
+            [tuple(zip(ks, table(floats(rows[m])))) for m in ms])
+        assert repr(payload["means_final_distance"]) == repr(
+            {"n": nmax, "gaps": tuple(zip(ks, table(floats(mean) - x1)))})
 
 
 class TestIterateLimit:

@@ -114,21 +114,26 @@ class TestFirstDeciding:
         ((FAILS, INCONCLUSIVE, INCONCLUSIVE, FAILS), 1),
     ])
     def test_some_item_dual(self, outcomes, index):
-        vs = _verdicts(*outcomes)
-        assert first_deciding(vs, stop=HOLDS) == (index, vs[index])
+        # "some item holds" is the rule on the swapped outcomes: the first
+        # holds decides, else the first inconclusive, else the last
+        swap = {HOLDS: FAILS, FAILS: HOLDS, INCONCLUSIVE: INCONCLUSIVE}
+        vs = _verdicts(*(swap[o] for o in outcomes))
+        assert first_deciding(vs) == (index, vs[index])
 
-    @pytest.mark.parametrize("stop", [FAILS, HOLDS])
-    def test_reads_nothing_past_the_stop_verdict(self, stop):
+    @pytest.mark.parametrize("first", [FAILS, HOLDS])
+    def test_reads_nothing_past_the_stop_verdict(self, first):
         read = []
 
         def stream():
-            for i, v in enumerate(_verdicts(INCONCLUSIVE, stop)):
+            for i, v in enumerate(_verdicts(first, INCONCLUSIVE, FAILS)):
                 read.append(i)
                 yield v
-            raise AssertionError("read past the deciding verdict")
+                if v.outcome == FAILS:
+                    raise AssertionError("read past the deciding verdict")
 
-        i, v = first_deciding(stream(), stop=stop)
-        assert (i, v.outcome, read) == (1, stop, [0, 1])
+        i, v = first_deciding(stream())
+        want = 0 if first == FAILS else 2
+        assert (i, v.outcome, read) == (want, FAILS, [*range(want + 1)])
 
     def test_empty_input_raises(self):
         with pytest.raises(ValueError, match="no verdicts"):
